@@ -18,8 +18,10 @@ a byte-identical trace.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Union
 
@@ -164,6 +166,9 @@ class Engine:
         self.queue: list[_Thread] = []
         self.threads: dict[tuple[int, int], _Thread] = {}
         self._tid_counters: dict[int, int] = {}
+        # Set whenever an op resolves or a process crashes; scenario
+        # admission re-examines its workload only after such a change.
+        self.changed = True
         self.resumption_log: Optional[list[tuple[int, int]]] = (
             [] if record_resumptions else None
         )
@@ -193,6 +198,7 @@ class Engine:
         if proc in self.crashed:
             return
         self.crashed.add(proc)
+        self.changed = True
         for op in self.ops:
             if op.proc == proc and op.status == "pending":
                 op.status = "crashed-owner"
@@ -258,6 +264,7 @@ class Engine:
                 op.status = "completed"
                 op.ret = value
                 op.respond_step = len(self.events)
+                self.changed = True
                 self._emit(
                     proc=t.owner, thread=t.tid, kind="respond", op=op.kind, ret=value
                 )
@@ -335,6 +342,7 @@ class Engine:
             if per_op_budget is not None and op.steps >= per_op_budget and \
                     op.status == "pending":
                 op.reason = "per-op budget"
+                self.changed = True
                 self._stop_op_threads(op)
 
     def _pop_runnable(self) -> Optional[_Thread]:
@@ -370,13 +378,32 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_scenario(s: Scenario) -> None:
+    if not _is_int(s.n):
+        raise MalformedScenario(f"n must be an integer, not {s.n!r}")
+    for name in ("step_budget", "per_op_budget"):
+        budget = getattr(s, name)
+        if not _is_int(budget) or budget <= 0:
+            raise MalformedScenario(f"{name} must be a positive integer, not {budget!r}")
     if s.n < 2:
         raise MalformedScenario("need at least two readers")
     procs = set(range(0, s.n + 1))
     if set(s.faults) - procs:
         raise MalformedScenario("fault map references undeclared processes")
+    for proc, fault in s.faults.items():
+        if isinstance(fault, Crash) and not _is_int(fault.at_global_step):
+            raise MalformedScenario(f"crash step of process {proc} must be an integer")
     for i, item in enumerate(s.workload):
+        for name in ("proc", "after_op", "after_step"):
+            value = getattr(item, name)
+            if not (_is_int(value) or (value is None and name != "proc")):
+                raise MalformedScenario(
+                    f"workload[{i}]: {name} must be an integer, not {value!r}"
+                )
         if item.proc not in procs:
             raise MalformedScenario(f"workload[{i}] references process {item.proc}")
         if is_malicious(s.faults.get(item.proc, Correct())):
@@ -394,9 +421,115 @@ def validate_scenario(s: Scenario) -> None:
             raise MalformedScenario(f"workload[{i}]: after_op must name an earlier op")
 
 
+class _Admission:
+    """Admits a scenario's workload items; ``admit`` runs before every step.
+
+    Each call acts as one scan of the unspawned items in index order that
+    admits every item eligible when reached. An item of a crashed process is
+    recorded as ``crashed-owner``. Any other item waits while its process's
+    last op is pending (a budget-stopped op stays pending), until its
+    ``after_op`` resolves and, unless the run is quiescent, until the event
+    count reaches its ``after_step``.
+
+    Eligibility changes only when an op resolves, a process crashes, the
+    event count reaches an ``after_step`` or the run goes quiescent, so a
+    scan runs only then. It merges in index order the items of the processes
+    whose last op is not pending, and leaves a process once it admits an op
+    for it, unless that process crashes in the same scan. A scan thus costs
+    the processes plus the gated items it skips, not the whole workload.
+    """
+
+    def __init__(self, workload: list[WorkItem], instance, eng: Engine):
+        self.workload = workload
+        self.instance = instance
+        self.eng = eng
+        self.waiting: dict[int, list[int]] = {}  # unspawned indices, ascending
+        for i, item in enumerate(workload):
+            self.waiting.setdefault(item.proc, []).append(i)
+        self.last_op: dict[int, OpResult] = {}
+        self.op_for_item: dict[int, OpResult] = {}
+        self.step_gates = sorted({item.after_step for item in workload
+                                  if item.after_step is not None})
+        self.next_gate = 0
+
+    def _open(self, proc: int) -> bool:
+        last = self.last_op.get(proc)
+        return proc in self.eng.crashed or last is None or last.status != "pending"
+
+    def _push_after(self, heap: list, proc: int, i: int) -> None:
+        """Queue proc's first unspawned item with index above i."""
+        items = self.waiting[proc]
+        k = bisect_right(items, i)
+        if k < len(items):
+            heapq.heappush(heap, (items[k], proc))
+
+    def admit(self, quiescent: bool) -> bool:
+        eng = self.eng
+        gates = self.step_gates
+        while self.next_gate < len(gates) and gates[self.next_gate] <= len(eng.events):
+            self.next_gate += 1
+            eng.changed = True
+        if not (eng.changed or quiescent):
+            return False
+        eng.changed = False
+        heap = [(items[0], proc) for proc, items in self.waiting.items()
+                if items and self._open(proc)]
+        heapq.heapify(heap)
+        did = False
+        while heap:
+            i, proc = heapq.heappop(heap)
+            item = self.workload[i]
+            if proc in eng.crashed:
+                op = OpResult(index=i, proc=proc,
+                              kind="Write" if item.op == "write" else "Read",
+                              arg=item.value, status="crashed-owner")
+                eng.ops.append(op)
+                self._record(i, op)
+                self._push_after(heap, proc, i)
+                continue
+            if item.after_op is not None:
+                dep = self.op_for_item.get(item.after_op)
+                if dep is None or (dep.status == "pending" and dep.reason is None):
+                    self._push_after(heap, proc, i)
+                    continue
+            if item.after_step is not None and len(eng.events) < item.after_step \
+                    and not quiescent:
+                self._push_after(heap, proc, i)
+                continue
+            crashed_before = len(eng.crashed)
+            if item.op == "write":
+                gen = self.instance.write_machine(item.value)
+                op = eng.spawn_op(proc, "Write", item.value, gen, index=i)
+            else:
+                gen = self.instance.read_machine(proc)
+                op = eng.spawn_op(proc, "Read", None, gen, index=i)
+            self._record(i, op)
+            did = True
+            if len(eng.crashed) != crashed_before:
+                # The invoke event reached a crash point: the crashed
+                # processes' later items are marked in this pass.
+                queued = {q for _, q in heap}
+                for q in eng.crashed:
+                    if q not in queued and q in self.waiting:
+                        self._push_after(heap, q, i)
+        return did
+
+    def _record(self, i: int, op: OpResult) -> None:
+        items = self.waiting[op.proc]
+        del items[bisect_left(items, i)]
+        self.op_for_item[i] = op
+        self.last_op[op.proc] = op
+
+
 def run(scenario: Scenario, instance: Optional[object] = None,
         record_resumptions: bool = False) -> Trace:
-    """Execute a scenario to quiescence or budget and return its trace."""
+    """Execute a scenario to quiescence or budget and return its trace.
+
+    Operations of one process run one at a time, in workload order unless
+    an earlier item is still gated. An op stopped by ``per_op_budget`` stays
+    pending, so it holds back its process's later workload items, which are
+    never invoked; items gated on it with ``after_op`` still fire.
+    """
     validate_scenario(scenario)
     seed = scenario.schedule.seed if isinstance(scenario.schedule, Seeded) else 0
     if instance is None:
@@ -417,59 +550,16 @@ def run(scenario: Scenario, instance: Optional[object] = None,
         if isinstance(fault, Malicious) and proc not in eng.crashed:
             eng.spawn_script(proc, fault.script.machine(eng.registers, proc))
 
-    spawned = [False] * len(scenario.workload)
-    op_for_item: dict[int, OpResult] = {}
-
-    def resolved(op: OpResult) -> bool:
-        return op.status != "pending" or op.reason is not None
-
-    def last_op_of(proc: int) -> Optional[OpResult]:
-        mine = [op_for_item[i] for i in op_for_item
-                if scenario.workload[i].proc == proc]
-        return mine[-1] if mine else None
-
-    def spawn_eligible(quiescent: bool) -> bool:
-        did = False
-        for i, item in enumerate(scenario.workload):
-            if spawned[i]:
-                continue
-            if item.proc in eng.crashed:
-                spawned[i] = True
-                op = OpResult(index=i, proc=item.proc,
-                              kind="Write" if item.op == "write" else "Read",
-                              arg=item.value, status="crashed-owner")
-                eng.ops.append(op)
-                op_for_item[i] = op
-                continue
-            prev = last_op_of(item.proc)
-            if prev is not None and not resolved(prev):
-                continue
-            if item.after_op is not None:
-                dep = op_for_item.get(item.after_op)
-                if dep is None or not resolved(dep):
-                    continue
-            if item.after_step is not None and len(eng.events) < item.after_step \
-                    and not quiescent:
-                continue
-            spawned[i] = True
-            if item.op == "write":
-                gen = instance.write_machine(item.value)
-                op = eng.spawn_op(item.proc, "Write", item.value, gen, index=i)
-            else:
-                gen = instance.read_machine(item.proc)
-                op = eng.spawn_op(item.proc, "Read", None, gen, index=i)
-            op_for_item[i] = op
-            did = True
-        return did
+    admit = _Admission(scenario.workload, instance, eng).admit
 
     if isinstance(scenario.schedule, Seeded):
         while len(eng.events) < scenario.step_budget:
             eng._sweep_crashes()
-            spawn_eligible(quiescent=False)
+            admit(quiescent=False)
             t = eng._pop_runnable()
             if t is None:
                 # Nothing runnable: pure after_step waits may now fire.
-                if spawn_eligible(quiescent=True):
+                if admit(quiescent=True):
                     continue
                 break
             eng._resume(t, per_op_budget=scenario.per_op_budget, randomize=True)
@@ -477,7 +567,7 @@ def run(scenario: Scenario, instance: Optional[object] = None,
     else:
         for proc, tid in scenario.schedule.picks:
             eng._sweep_crashes()
-            spawn_eligible(quiescent=False)
+            admit(quiescent=False)
             t = eng.threads.get((proc, tid))
             if t is None or not t.runnable() or proc in eng.crashed or \
                     eng._op_stopped(t):
@@ -582,7 +672,7 @@ def scenario_from_json(obj: dict) -> Scenario:
             schedule = Scripted(tuple((p, t) for p, t in sched["picks"]))
         else:
             raise MalformedScenario(f"unknown schedule kind {sched['kind']!r}")
-        return Scenario(
+        scenario = Scenario(
             construction=obj["construction"],
             n=obj["n"],
             faults={int(p): fault_from_json(f) for p, f in obj.get("faults", {}).items()},
@@ -600,8 +690,10 @@ def scenario_from_json(obj: dict) -> Scenario:
             step_budget=obj.get("step_budget", DEFAULT_STEP_BUDGET),
             per_op_budget=obj.get("per_op_budget", DEFAULT_PER_OP_BUDGET),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedScenario(f"bad scenario document: {exc}") from exc
+    validate_scenario(scenario)
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:

@@ -203,3 +203,56 @@ def test_sweep_requires_at_least_one_run(tmp_path):
         "sweep", "--construction", "algo2", "--n", "2", "--runs", "0",
         "--out", str(tmp_path / "s.json"),
     ]) == 2
+
+
+def _set(path, value):
+    """Return an edit that sets a key path (a tuple) in a scenario document."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("step_budget",), -1),
+    _set(("step_budget",), 0),
+    _set(("per_op_budget",), 0),
+    _set(("per_op_budget",), "1500"),
+    _set(("n",), "3"),
+    _set(("n",), True),
+    _set(("n",), 3.0),
+    _set(("workload", 0, "proc"), "0"),
+    _set(("workload", 1, "proc"), True),
+    _set(("workload", 1, "after_op"), "0"),
+    _set(("workload", 1, "after_op"), False),
+    _set(("workload", 3, "after_step"), 2.5),
+    _set(("faults", "x"), {"kind": "correct"}),
+], ids=[
+    "step_budget=-1", "step_budget=0", "per_op_budget=0", "per_op_budget=str",
+    "n=str", "n=bool", "n=float", "proc=str", "proc=bool", "after_op=str",
+    "after_op=bool", "after_step=float", "fault-key=str",
+])
+def test_invalid_scenario_exits_two(tmp_path, edit):
+    with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    trace, out = tmp_path / "t.jsonl", tmp_path / "v.json"
+    assert run_cli(["run", "--scenario", str(path),
+                    "--trace", str(trace), "--out", str(out)]) == 2
+    assert not out.exists()
+    trace.write_bytes(b"")
+    assert run_cli(["check", "--scenario", str(path),
+                    "--trace", str(trace), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--step-budget", "--op-budget"])
+def test_negative_budget_flag_exits_two(tmp_path, flag):
+    assert run_cli([
+        "run", "--scenario", os.path.join(SCENARIOS, "all_correct.json"),
+        flag, "-1",
+        "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "v.json"),
+    ]) == 2

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import pytest
 
 from byzregs import sim
@@ -357,3 +360,220 @@ def test_random_scenarios_hold_core_invariants(seed, n, pattern):
             assert specs[e.reg].writer == e.proc
         elif e.kind == "reg_read":
             assert e.proc in specs[e.reg].readers
+
+
+# -- workload admission ------------------------------------------------------
+
+
+def _alternating(construction, n, ops):
+    """Writes alternate with reads spread round-robin over the readers."""
+    workload = []
+    for i in range(ops):
+        if i % 2 == 0:
+            workload.append(sim.WorkItem(0, "write", value=f"v{i // 2 + 1}".encode()))
+        else:
+            workload.append(sim.WorkItem((i // 2) % n + 1, "read"))
+    return scenario(n=n, construction=construction, faults=all_correct(n),
+                    workload=workload, schedule=sim.Seeded(1))
+
+
+def _gated():
+    # Item 1 waits on after_step while proc 1's next read (item 2) and
+    # proc 2's read (item 3) go ahead; item 5 waits on the second write.
+    return scenario(workload=[
+        sim.WorkItem(0, "write", value=b"a"),
+        sim.WorkItem(1, "read", after_step=40),
+        sim.WorkItem(1, "read"),
+        sim.WorkItem(2, "read"),
+        sim.WorkItem(0, "write", value=b"b"),
+        sim.WorkItem(3, "read", after_op=4),
+        sim.WorkItem(2, "read", after_step=12),
+    ], schedule=sim.Seeded(5))
+
+
+_SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+# sha256 of each scenario's event JSONL: admission order, event steps,
+# thread ids and queue order all show in it.
+GOLDEN_TRACES = {
+    "alternating-algo1-n3": (
+        lambda: _alternating("algo1", 3, 200),
+        "40fffcaed760bca18a38a72be3254f4370734374af58d576fd182bb21e7736a1"),
+    "alternating-algo2-n2": (
+        lambda: _alternating("algo2", 2, 200),
+        "d46392f33e0025f1301575402aa19a5e35e3a48e2772d22617b846cab43a5956"),
+    "alternating-algo3-n3": (
+        lambda: _alternating("algo3", 3, 200),
+        "fd3c59f1df1ba33c681e6b9b821315bcbfb6c71615d14fe88716d1da0ca2b6d5"),
+    "all_correct.json": (
+        lambda: sim.load_scenario(f"{_SCENARIO_DIR}/all_correct.json"),
+        "99fdd37bcfcde100e540c825a6ade66fd29f4d694aff174e57e17a8d57644860"),
+    "blocking_boundary.json": (
+        lambda: sim.load_scenario(f"{_SCENARIO_DIR}/blocking_boundary.json"),
+        "f4c4e439d76fe4a65eb826a2ae1ea93b288a817e212b73e9b472c62aed61186e"),
+    "gated": (
+        _gated,
+        "5f38ba392f19d0b602e993c6d010fea515406c0dabb28df4c333faa69c8714a4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_golden_trace(name):
+    build, digest = GOLDEN_TRACES[name]
+    tr = sim.run(build())
+    assert hashlib.sha256(events_to_jsonl(tr.events)).hexdigest() == digest
+
+
+def test_gated_item_lets_later_items_of_its_process_go_first():
+    tr = sim.run(_gated())
+    invoke = {op.index: op.invoke_step for op in tr.ops}
+    assert all(op.status == "completed" for op in tr.ops)
+    assert invoke[2] < invoke[1] == 40
+    assert invoke[6] == 12
+    assert invoke[5] > tr.ops[4].respond_step
+
+
+def test_budget_stopped_op_holds_back_its_process():
+    # The writer crashes mid-write and a malicious reader lies, so proc 3's
+    # second read spins until per_op_budget stops it. It stays pending, so
+    # proc 3's third read is never invoked and the history stays well formed.
+    from byzregs import cli
+
+    sc = cli.build_sweep_scenario("algo1", 3, "writer-crash+one-malicious-reader",
+                                  1803, sim.DEFAULT_STEP_BUDGET, 1500)
+    assert [w.proc for w in sc.workload].count(3) == 3
+    trace, verdicts = cli.run_and_check(sc)
+    stopped = [op for op in trace.ops if op.reason == "per-op budget"]
+    assert [(op.proc, op.status) for op in stopped] == [(3, "pending")]
+    assert 5 not in {op.index for op in trace.ops}
+    assert sum(e.kind == "invoke" and e.proc == 3 for e in trace.events) == 2
+    assert verdicts["wait_freedom"].ok
+    assert "outside guarantee" in verdicts["wait_freedom"].explanation
+
+
+def test_after_op_fires_on_budget_stop():
+    # An algo1 n=3 Write takes 10 register steps, so a budget of 3 stops
+    # the first one: it resolves for after_op dependents, yet holds back the
+    # writer's second Write.
+    sc = scenario(workload=[
+        sim.WorkItem(0, "write", value=b"a"),
+        sim.WorkItem(0, "write", value=b"b"),
+        sim.WorkItem(1, "read", after_op=0),
+    ], per_op_budget=3)
+    tr = sim.run(sc)
+    first, read = tr.ops
+    assert (first.status, first.reason) == ("pending", "per-op budget")
+    assert read.index == 2 and read.status == "completed"
+    assert read.invoke_step > first.invoke_step
+
+
+def test_crash_at_an_invoke_releases_dependents_in_the_same_pass():
+    # The writer's invoke (step 3) reaches reader 1's crash point while its
+    # first read is open: its second read is marked crashed-owner in the same
+    # admission pass, so the read gated on it is invoked right after the
+    # crash event.
+    sc = scenario(
+        faults={0: Correct(), 1: Crash(4), 2: Correct(), 3: Correct()},
+        workload=[
+            sim.WorkItem(1, "read"),
+            sim.WorkItem(0, "write", value=b"a", after_step=3),
+            sim.WorkItem(1, "read"),
+            sim.WorkItem(2, "read", after_op=2),
+        ],
+        schedule=sim.Seeded(3),
+    )
+    tr = sim.run(sc)
+    assert [(e.step, e.proc, e.kind) for e in tr.events[3:6]] == [
+        (3, 0, "invoke"), (4, 1, "crash"), (5, 2, "invoke")]
+    assert [op.status for op in tr.ops] == [
+        "crashed-owner", "completed", "crashed-owner", "completed"]
+
+class _ScanAdmission:
+    """Reference admission: every step scans the whole workload in order."""
+
+    def __init__(self, workload, instance, eng):
+        self.workload, self.instance, self.eng = workload, instance, eng
+        self.op_for_item = {}
+
+    def admit(self, quiescent):
+        eng, did = self.eng, False
+        for i, item in enumerate(self.workload):
+            if i in self.op_for_item:
+                continue
+            if item.proc in eng.crashed:
+                op = sim.OpResult(index=i, proc=item.proc,
+                                  kind="Write" if item.op == "write" else "Read",
+                                  arg=item.value, status="crashed-owner")
+                eng.ops.append(op)
+                self.op_for_item[i] = op
+                continue
+            mine = [op for j, op in self.op_for_item.items()
+                    if self.workload[j].proc == item.proc]
+            if mine and mine[-1].status == "pending":
+                continue
+            if item.after_op is not None:
+                dep = self.op_for_item.get(item.after_op)
+                if dep is None or (dep.status == "pending" and dep.reason is None):
+                    continue
+            if item.after_step is not None and len(eng.events) < item.after_step \
+                    and not quiescent:
+                continue
+            if item.op == "write":
+                gen = self.instance.write_machine(item.value)
+                op = eng.spawn_op(item.proc, "Write", item.value, gen, index=i)
+            else:
+                gen = self.instance.read_machine(item.proc)
+                op = eng.spawn_op(item.proc, "Read", None, gen, index=i)
+            self.op_for_item[i] = op
+            did = True
+        return did
+
+
+def _random_gated_scenario(seed):
+    import random
+
+    from byzregs import cli, constructions
+
+    rng = random.Random(seed)
+    construction = rng.choice(["algo1", "algo2", "algo3"])
+    n = 2 if construction == "algo2" else rng.randint(2, 4)
+    specs = constructions.build_instance(construction, n).specs
+    faults = all_correct(n)
+    for p in range(n + 1):
+        roll = rng.random()
+        if roll < 0.2:
+            faults[p] = Crash(rng.randint(0, 120))
+        elif roll < 0.3 and p != 0:
+            faults[p] = Malicious(cli.random_script(rng, specs, p))
+    readers = [p for p in range(1, n + 1) if not isinstance(faults[p], Malicious)]
+    workload = []
+    for i in range(rng.randint(1, 25)):
+        if not readers or rng.random() < 0.35:
+            item = sim.WorkItem(0, "write", value=f"v{i}".encode())
+        else:
+            item = sim.WorkItem(rng.choice(readers), "read")
+        if i and rng.random() < 0.3:
+            item.after_op = rng.randrange(i)
+        if rng.random() < 0.3:
+            item.after_step = rng.randint(0, 200)
+        workload.append(item)
+    return scenario(n=n, construction=construction, faults=faults,
+                    workload=workload, schedule=sim.Seeded(seed),
+                    step_budget=rng.choice([300, 5000, 100_000]),
+                    per_op_budget=rng.choice([5, 20, 200, 100_000]))
+
+
+def test_admission_matches_full_workload_scan(monkeypatch):
+    # Random gates, crashes (some at an invoke, mid-pass) and budget stops.
+    def outcome(sc):
+        tr = sim.run(sc)
+        return events_to_jsonl(tr.events), [
+            (op.index, op.status, op.reason, op.steps, op.invoke_step)
+            for op in tr.ops
+        ]
+
+    scenarios = [_random_gated_scenario(seed) for seed in range(400)]
+    fast = [outcome(sc) for sc in scenarios]
+    monkeypatch.setattr(sim, "_Admission", _ScanAdmission)
+    for seed, (sc, got) in enumerate(zip(scenarios, fast)):
+        assert got == outcome(sc), f"scenario seed {seed}"
