@@ -18,7 +18,6 @@ from .core import (
     RegisterFile,
     RegisterSpec,
     SeqTuple,
-    Signature,
     SignatureOracle,
     Signed,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "Seeded",
     "Scripted",
     "SeqTuple",
-    "Signature",
     "SignatureOracle",
     "Signed",
     "Trace",

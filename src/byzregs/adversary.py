@@ -12,7 +12,7 @@ the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import checker
@@ -22,6 +22,7 @@ from .core import (
     Correct,
     Event,
     Malicious,
+    MalformedScenario,
     Plain,
     RegisterFile,
     RegisterSpec,
@@ -30,7 +31,8 @@ from .core import (
     decode_cell,
     encode_cell,
 )
-from .constructions import Algo1Construction, Algo3Construction, U0, WRITER, reader_ids
+from .constructions import (Algo1Construction, Algo3Construction, U0, WRITER,
+                            check_n, reader_ids)
 from .sim import Engine
 
 MARKER: bytes = b"\x01"
@@ -93,11 +95,8 @@ class Replay:
     actions: tuple[tuple, ...]  # ("w", reg, cell) | ("r", reg)
 
     def machine(self, registers: RegisterFile, proc: int):
-        for a in self.actions:
-            if a[0] == "w":
-                yield ("w", a[1], a[2])
-            else:
-                yield ("r", a[1])
+        for action in self.actions:
+            yield action
 
     def to_json(self) -> dict:
         return {
@@ -123,6 +122,12 @@ class Sequence:
         return {"kind": "seq", "items": [i.to_json() for i in self.items]}
 
 
+def _reg(obj: dict) -> str:
+    if not isinstance(obj["reg"], str):
+        raise ValueError(f"register id must be a string, not {obj['reg']!r}")
+    return obj["reg"]
+
+
 def script_from_json(obj: dict):
     kind = obj["kind"]
     if kind == "idle":
@@ -130,13 +135,13 @@ def script_from_json(obj: dict):
     if kind == "resetall":
         return ResetAll()
     if kind == "lie":
-        return LieValue(obj["reg"], decode_cell(obj["cell"]))
+        return LieValue(_reg(obj), decode_cell(obj["cell"]))
     if kind == "replay":
         return Replay(
             tuple(
-                ("w", a["reg"], decode_cell(a["cell"]))
+                ("w", _reg(a), decode_cell(a["cell"]))
                 if a["a"] == "w"
-                else ("r", a["reg"])
+                else ("r", _reg(a))
                 for a in obj["actions"]
             )
         )
@@ -188,6 +193,7 @@ def candidate_names() -> list[str]:
 def build_candidate(name: str, n: int):
     """Instantiate a registered candidate and enforce its register budget."""
     cand = _REGISTRY[name]
+    check_n(name, n)
     inst = cand.factory(n)
     if cand.rule in (RULE_THM1, RULE_THM2):
         for spec in inst.specs:
@@ -209,7 +215,7 @@ class NaiveGossip:
 
     def __init__(self, n: int):
         if n < 3:
-            raise ValueError("naive-gossip needs n >= 3")
+            raise MalformedScenario("naive-gossip needs n >= 3")
         self.n = n
         self.oracle = SignatureOracle()
         self.writer = WRITER
@@ -290,12 +296,12 @@ class AtomicOneWNR:
 
 register_candidate("naive-gossip", RULE_THM1, NaiveGossip)
 register_candidate("atomic-1wnr", RULE_UNRESTRICTED, AtomicOneWNR)
-register_candidate("algo1", RULE_THM1, lambda n: Algo1Construction(n))
+register_candidate("algo1", RULE_THM1, Algo1Construction)
 # The signature construction only owns pairwise 1W1Rs, so it fits the
 # theorem-1 register budget; the search exhausts against it because a
 # replayed signed tuple fails verification in runs where the writer never
 # signed it.
-register_candidate("algo3", RULE_THM1, lambda n: Algo3Construction(n))
+register_candidate("algo3", RULE_THM1, Algo3Construction)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +381,6 @@ class PlanResult:
     reads: list[tuple[int, str, object]]  # (proc, status, returned)
     accesses: int
 
-    def last_read(self) -> tuple[int, str, object]:
-        return self.reads[-1]
-
 
 def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     """Run phases strictly in order on a fresh candidate instance."""
@@ -418,36 +421,15 @@ def _is_marker(ret) -> bool:
 
 
 @dataclass
-class TransformationStage:
-    label: str  # S | A | B | C | D | E | F | A0
-    k: int  # writer-step index the property refers to
-    malicious: Optional[int]
-    reader: int
-    silent: frozenset[int]
-
-
-@dataclass
 class ExecState:
     """An execution with property P_k, in phase form."""
 
     k: int
-    w_phase: Optional[WriterPhase]
+    w_phase: WriterPhase
     replays: tuple[ReplayBlock, ...]
     x: int  # the correct reader that read the marker
     p_role: int  # the unconstrained (possibly malicious) reader
     z: frozenset[int]
-    events: list[Event] = field(default_factory=list)
-    x_ret: object = None
-
-    def stage(self, label: str) -> TransformationStage:
-        return TransformationStage(label, self.k, self.p_role, self.x, self.z)
-
-    def base_phases(self) -> list:
-        phases: list = []
-        if self.w_phase is not None:
-            phases.append(self.w_phase)
-        phases.extend(self.replays)
-        return phases
 
 
 @dataclass
@@ -477,14 +459,6 @@ class Exhausted:
 AttackResult = object  # ViolationWitness | BlockedWitness | Exhausted
 
 
-def _check_history(events: list[Event], faults: dict, value_index: dict):
-    history = checker.extract_history(events, faults, WRITER, value_index)
-    return {
-        "property1": checker.check_property1(history, True),
-        "property2": checker.check_property2(history, True),
-    }
-
-
 class _Search:
     def __init__(self, name: str, n: int, budget: int, stage_budget: int):
         self.name = name
@@ -510,6 +484,18 @@ class _Search:
     def note(self, msg: str) -> None:
         self.log.append(msg)
 
+    def verdicts(self, res: PlanResult, malicious: Optional[int]) -> dict:
+        """Properties 1 and 2 of a plan's history; only the malicious
+        process, if any, is exempt."""
+        faults = {p: Correct() for p in [WRITER] + self.readers}
+        if malicious is not None:
+            faults[malicious] = Malicious(Idle())
+        history = checker.extract_history(res.events, faults, WRITER, self.value_index)
+        return {
+            "property1": checker.check_property1(history, True),
+            "property2": checker.check_property2(history, True),
+        }
+
     def fresh_read_outcome(self, res: PlanResult, stage: str, reader: int):
         """Classify the final fresh read: marker, Blocked, or a dead branch.
 
@@ -517,7 +503,7 @@ class _Search:
         marker is itself a violation; it is verified with the checker before
         being reported.
         """
-        proc, status, ret = res.last_read()
+        proc, status, ret = res.reads[-1]
         if status != "completed":
             self.note(f"{stage}: read by {proc} blocked")
             return BlockedWitness(
@@ -537,10 +523,7 @@ class _Search:
                                   malicious: Optional[int]):
         """A C/E-stage read that dodges the marker contradicts the proof's
         linearizability step; confirm with the checker and report."""
-        faults = {p: Correct() for p in [WRITER] + self.readers}
-        if malicious is not None:
-            faults[malicious] = Malicious(Idle())
-        verdicts = _check_history(res.events, faults, self.value_index)
+        verdicts = self.verdicts(res, malicious)
         for name in ("property2", "property1"):
             v = verdicts[name]
             if not v.ok:
@@ -601,13 +584,12 @@ def _run_fresh(search: _Search, state_phases: list, reader: int, stage: str):
 def _drive_chain(search: _Search, state: ExecState, steps: list[SoloStep], m: int):
     """Drive one (q, p) role assignment down from P_{m+1} to P_0."""
     # Establish the base execution A_{k}: fresh read after the writer phase.
-    res, outcome = _run_fresh(search, state.base_phases(), state.x,
-                              f"A_{state.k}(x={state.x})")
+    _, outcome = _run_fresh(search, [state.w_phase, *state.replays], state.x,
+                            f"A_{state.k}(x={state.x})")
     if isinstance(outcome, BlockedWitness):
         return outcome
     if outcome != "marker":
         return None  # dead branch
-    state.events, state.x_ret = res.events, res.last_read()[2]
 
     while state.k > 0:
         if search.out_of_budget():
@@ -622,18 +604,13 @@ def _drive_chain(search: _Search, state: ExecState, steps: list[SoloStep], m: in
     # P_0: the writer crashed right after its invocation. Its invocation is
     # invisible to everyone, so drop the writer entirely (A_0'): a correct
     # reader reading the marker with zero writer steps breaks Property 1.
-    phases = list(state.replays)
-    res = search.run(phases + [FreshRead(state.x)])
-    outcome = search.fresh_read_outcome(res, "A_0'", state.x)
+    res, outcome = _run_fresh(search, list(state.replays), state.x, "A_0'")
     if isinstance(outcome, BlockedWitness):
         return outcome
     if outcome != "marker":
         return None
     assert not any(e.proc == WRITER for e in res.events), "writer acted in A_0'"
-    faults = {p: Correct() for p in [WRITER] + search.readers}
-    faults[state.p_role] = Malicious(Idle())
-    verdicts = _check_history(res.events, faults, search.value_index)
-    v1 = verdicts["property1"]
+    v1 = search.verdicts(res, state.p_role)["property1"]
     if v1.ok:  # pragma: no cover - the marker was never written
         raise StagePreconditionFailed("A_0' read the marker yet Property 1 holds")
     search.note(
@@ -672,77 +649,50 @@ def apply_transformation_chain(search: _Search, state: ExecState,
     if prev_step is None or state.x in inv:
         search.note(f"B_{k-1}: s^{k-1} invisible to {state.x}; case 1")
         return ExecState(k - 1, b_w, state.replays, state.x, state.p_role,
-                         state.z, res_b.events, res_b.last_read()[2])
+                         state.z)
 
     x_actions = recorded_actions(res_b.events, state.x)
 
-    # Subcase 2a: hand the read to a silent reader the step is invisible to.
-    for r2 in sorted(inv & state.z):
-        outcome = _try_2a(search, state, b_phases, x_actions, r2, k)
-        if isinstance(outcome, (ViolationWitness, BlockedWitness, ExecState)):
-            return outcome
-    # Subcase 2b: the step is invisible to the unconstrained reader.
+    # Subcase 2a hands the read to a silent reader the step is invisible
+    # to; subcase 2b applies when the step is invisible to the unconstrained
+    # reader, and then any silent reader will do.
+    tries = [(r, False) for r in sorted(inv & state.z)]
     if state.p_role in inv:
-        for r in sorted(state.z):
-            outcome = _try_2b(search, state, b_phases, x_actions, r, k)
-            if isinstance(outcome, (ViolationWitness, BlockedWitness, ExecState)):
-                return outcome
+        tries += [(r, True) for r in sorted(state.z)]
+    for r, subcase_b in tries:
+        outcome = _try_case2(search, state, b_phases, x_actions, r, k, subcase_b)
+        if outcome is not None:
+            return outcome
     search.note(f"B_{k-1}: no eligible reader for s^{k-1}; branch dead")
     return None
 
 
-def _try_2a(search: _Search, state: ExecState, b_phases: list,
-            x_actions: tuple, r2: int, k: int):
-    # C_{k-1}^{r2}: after x's read, malicious p_role resets its registers and
-    # the correct silent reader r2 reads; linearizability forces the marker.
-    c_phases = b_phases + [FreshRead(state.x), ResetBlock(state.p_role)]
-    res_c, outcome = _run_fresh(search, c_phases, r2, f"C_{k-1}^{r2}")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
-        return search.linearizability_violation(res_c, f"C_{k-1}^{r2}",
-                                                state.p_role)
-    # D_{k-1}^{r2}: drop p_role's steps; x replays its recorded read.
-    d_w = WriterPhase(b_phases[0].accesses, respond=False)
-    d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
-        ReplayBlock(state.x, x_actions),
-    )
-    res_d, outcome = _run_fresh(search, [d_w, *d_replays], r2, f"D_{k-1}^{r2}")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
-        return None
-    search.note(f"D_{k-1}^{r2}: case 2a; x={r2}, malicious role -> {state.x}")
-    return ExecState(
-        k - 1,
-        d_w,
-        d_replays,
-        x=r2,
-        p_role=state.x,
-        z=(state.z - {r2}) | {state.p_role},
-        events=res_d.events,
-        x_ret=res_d.last_read()[2],
-    )
-
-
-def _try_2b(search: _Search, state: ExecState, b_phases: list,
-            x_actions: tuple, r: int, k: int):
-    d_w = WriterPhase(b_phases[0].accesses, respond=False)
-    d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
-        ReplayBlock(state.x, x_actions),
-    )
-    # C and D exactly as in subcase 2a, with an arbitrary r from Z.
+def _try_case2(search: _Search, state: ExecState, b_phases: list,
+               x_actions: tuple, r: int, k: int, subcase_b: bool):
+    """Case 2 with the silent reader r: stages C and D, then, in subcase 2b
+    (s^{k-1} invisible to p_role rather than to r), stages E and F."""
+    # C_{k-1}^r: after x's read, malicious p_role resets its registers and
+    # the correct silent reader r reads; linearizability forces the marker.
     c_phases = b_phases + [FreshRead(state.x), ResetBlock(state.p_role)]
     res_c, outcome = _run_fresh(search, c_phases, r, f"C_{k-1}^{r}")
     if isinstance(outcome, BlockedWitness):
         return outcome
     if outcome != "marker":
         return search.linearizability_violation(res_c, f"C_{k-1}^{r}", state.p_role)
+    # D_{k-1}^r: drop p_role's steps; x replays its recorded read.
+    d_w = WriterPhase(b_phases[0].accesses, respond=False)
+    d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
+        ReplayBlock(state.x, x_actions),
+    )
     res_d, outcome = _run_fresh(search, [d_w, *d_replays], r, f"D_{k-1}^{r}")
     if isinstance(outcome, BlockedWitness):
         return outcome
     if outcome != "marker":
         return None
+    if not subcase_b:
+        search.note(f"D_{k-1}^{r}: case 2a; x={r}, malicious role -> {state.x}")
+        return ExecState(k - 1, d_w, d_replays, x=r, p_role=state.x,
+                         z=(state.z - {r}) | {state.p_role})
     # E_{k-1}^r: x (malicious now) resets; the removed reader p_role reads.
     e_phases = [d_w, *d_replays, FreshRead(r), ResetBlock(state.x)]
     res_e, outcome = _run_fresh(search, e_phases, state.p_role, f"E_{k-1}^{r}")
@@ -762,30 +712,5 @@ def _try_2b(search: _Search, state: ExecState, b_phases: list,
     if outcome != "marker":
         return None
     search.note(f"F_{k-1}^{r}: case 2b; x={state.p_role}, malicious role -> {r}")
-    return ExecState(
-        k - 1,
-        d_w,
-        f_replays,
-        x=state.p_role,
-        p_role=r,
-        z=(state.z - {r}) | {state.x},
-        events=res_f.events,
-        x_ret=res_f.last_read()[2],
-    )
-
-
-def apply_transformation(stage: TransformationStage, base: ExecState,
-                         name: str, n: int,
-                         stage_budget: int = DEFAULT_STAGE_BUDGET):
-    """Apply one named transformation to a base execution, checking its entry
-    property first. Returns the resulting ExecState, a witness, or None."""
-    if not _is_marker(base.x_ret):
-        raise StagePreconditionFailed(
-            f"base execution's designated reader {base.x} did not read the marker"
-        )
-    search = _Search(name, n, budget=10**9, stage_budget=stage_budget)
-    steps, _ = record_solo_write(name, n, stage_budget)
-    m = len(steps)
-    if stage.label == "B":
-        return apply_transformation_chain(search, base, steps, m)
-    raise ValueError("apply_transformation drives B-led chains; use attack_search")
+    return ExecState(k - 1, d_w, f_replays, x=state.p_role, p_role=r,
+                     z=(state.z - {r}) | {state.x})

@@ -15,6 +15,7 @@ import sys
 
 from . import adversary, checker, constructions, sim
 from .core import (
+    AccessViolation,
     Commit,
     Correct,
     Crash,
@@ -223,10 +224,8 @@ def cmd_run(args) -> int:
         if args.op_budget:
             scenario.per_op_budget = args.op_budget
         trace, verdicts = run_and_check(scenario)
-    except (OSError, json.JSONDecodeError, MalformedScenario) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except checker.UnfairScheduleError as exc:
+    except (OSError, json.JSONDecodeError, MalformedScenario, AccessViolation,
+            checker.UnfairScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with open(args.trace, "wb") as fh:
@@ -238,11 +237,11 @@ def cmd_run(args) -> int:
     return 1 if failed else 0
 
 
-def parse_n_range(text: str) -> list[int]:
+def parse_n_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return range(int(lo), int(hi) + 1)
+    return range(int(text), int(text) + 1)
 
 
 def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
@@ -286,6 +285,9 @@ def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
 def cmd_sweep(args) -> int:
     try:
         ns = parse_n_range(args.n)
+        if not ns:
+            raise MalformedScenario(f"empty reader range {args.n!r}")
+        constructions.check_n(args.construction, ns[-1])
         patterns = args.faults.split(",")
         for p in patterns:
             if p not in CANONICAL_PATTERNS + EXTRA_PATTERNS:
@@ -324,7 +326,7 @@ def cmd_attack(args) -> int:
             budget=args.step_budget or 10_000_000,
             stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
         )
-    except ValueError as exc:
+    except (ValueError, MalformedScenario) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(result, adversary.Exhausted):
@@ -332,22 +334,15 @@ def cmd_attack(args) -> int:
                                "stages": result.stage_log})
         print(f"exhausted: {result.reason}")
         return 0
+    report = {
+        "stage": result.stage,
+        "explanation": result.explanation,
+        "stages": result.stage_log,
+    }
     if isinstance(result, adversary.ViolationWitness):
-        report = {
-            "result": "violation",
-            "stage": result.stage,
-            "class": result.vclass,
-            "explanation": result.explanation,
-            "stages": result.stage_log,
-        }
+        report.update({"result": "violation", "class": result.vclass})
     else:
-        report = {
-            "result": "blocked",
-            "stage": result.stage,
-            "reader": result.reader,
-            "explanation": result.explanation,
-            "stages": result.stage_log,
-        }
+        report.update({"result": "blocked", "reader": result.reader})
     _write_json(args.out, report)
     with open(args.trace, "wb") as fh:
         fh.write(events_to_jsonl(result.events))
@@ -362,10 +357,8 @@ def cmd_check(args) -> int:
             events = events_from_jsonl(fh.read())
         trace = _trace_from_events(events, scenario)
         verdicts = check_trace(trace, scenario)
-    except (OSError, json.JSONDecodeError, MalformedScenario, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except checker.UnfairScheduleError as exc:
+    except (OSError, ValueError, KeyError, MalformedScenario,
+            checker.MalformedHistory, checker.UnfairScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_json(args.out, _verdicts_json(verdicts))
@@ -386,7 +379,9 @@ def _trace_from_events(events, scenario: sim.Scenario) -> sim.Trace:
             ops.append(op)
             open_by_proc[e.proc] = op
         elif e.kind == "respond":
-            op = open_by_proc.pop(e.proc)
+            op = open_by_proc.pop(e.proc, None)
+            if op is None:
+                raise checker.MalformedHistory(f"respond without invoke at step {e.step}")
             op.status = "completed"
             op.respond_step = e.step
             op.ret = e.ret

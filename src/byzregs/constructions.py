@@ -40,6 +40,19 @@ def reader_ids(n: int) -> list[int]:
     return list(range(1, n + 1))
 
 
+# Largest n each construction or attack candidate accepts. algo1 builds
+# 2^(n-1) - 1 instances: 3,972 registers at n = 10.
+MAX_N = {"algo1": 10, "algo2": 2}
+DEFAULT_MAX_N = 64
+
+
+def check_n(name: str, n: int) -> None:
+    """Reject an n above name's maximum before anything is sized by it."""
+    limit = MAX_N.get(name, DEFAULT_MAX_N)
+    if n > limit:
+        raise MalformedScenario(f"{name} supports n <= {limit}, not {n}")
+
+
 def _plain_ge(cell: CellValue, k: int) -> bool:
     return isinstance(cell, Plain) and cell.t.k >= k
 
@@ -335,7 +348,7 @@ class Algo2Construction:
 
 
 # ---------------------------------------------------------------------------
-# Signature-based construction (tolerates any number of faulty processes)
+# Construction from writer-signed tuples (tolerates any number of faulty processes)
 # ---------------------------------------------------------------------------
 
 
@@ -351,8 +364,7 @@ class Algo3Construction:
         self.oracle = oracle if oracle is not None else SignatureOracle()
         self.writer = WRITER
         self.readers = reader_ids(n)
-        sig0 = self.oracle.sign(SeqTuple(0, U0), WRITER)
-        cell0 = Signed(sig0.tuple, WRITER, sig0.token)
+        cell0 = self.oracle.sign(SeqTuple(0, U0), WRITER)
         self.specs = []
         self.classify = {}
         self.reg: dict[tuple[int, int], str] = {}
@@ -369,8 +381,7 @@ class Algo3Construction:
 
     def _write(self, u: Payload):
         self.c += 1
-        sig = self.oracle.sign(SeqTuple(self.c, u), WRITER)
-        cell = Signed(sig.tuple, WRITER, sig.token)
+        cell = self.oracle.sign(SeqTuple(self.c, u), WRITER)
         for i in self.readers:
             yield ("w", self.reg[(WRITER, i)], cell)
         return DONE
@@ -384,7 +395,7 @@ class Algo3Construction:
         tuples: list[Signed] = []
         for i in [WRITER] + self.readers:
             x = yield ("r", self.reg[(i, p)])
-            if self.oracle.verify_cell(x, WRITER):
+            if self.oracle.verify(x, WRITER):
                 tuples.append(x)
         if not tuples:
             # Unreachable while initial cells are intact; substrate corruption.
@@ -410,4 +421,5 @@ def build_instance(name: str, n: int, oracle: Optional[SignatureOracle] = None):
         cls = CONSTRUCTIONS[name]
     except KeyError:
         raise MalformedScenario(f"unknown construction {name!r}") from None
+    check_n(name, n)
     return cls(n, oracle=oracle)

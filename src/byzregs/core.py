@@ -13,7 +13,6 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Union
 
 
@@ -27,17 +26,6 @@ class CrashedActor(Exception):
 
 class MalformedScenario(Exception):
     """A scenario document failed validation."""
-
-
-class Role(Enum):
-    WRITER = "writer"
-    READER = "reader"
-
-
-@dataclass(frozen=True)
-class ProcessId:
-    id: int
-    role: Role
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +215,21 @@ def encode_event(e: Event) -> dict:
 
 
 def decode_event(obj: dict) -> Event:
+    step, proc, thread = obj["step"], obj["proc"], obj["thread"]
+    if type(step) is not int or type(proc) is not int or type(thread) is not int:
+        raise TypeError("step, proc and thread must be integers")
+    kind, reg, op = obj["kind"], obj.get("reg"), obj.get("op")
+    if not isinstance(kind, str) or not isinstance(reg, (str, type(None))) or \
+            not isinstance(op, (str, type(None))):
+        raise TypeError("kind, reg and op must be strings")
     return Event(
-        step=obj["step"],
-        proc=obj["proc"],
-        thread=obj["thread"],
-        kind=obj["kind"],
-        reg=obj.get("reg"),
+        step=step,
+        proc=proc,
+        thread=thread,
+        kind=kind,
+        reg=reg,
         value=None if obj.get("value") is None else decode_cell(obj["value"]),
-        op=obj.get("op"),
+        op=op,
         arg=None if obj.get("arg") is None else decode_payload(obj["arg"]),
         ret=decode_ret(obj.get("ret")),
     )
@@ -249,7 +244,14 @@ def events_to_jsonl(events: Iterable[Event]) -> bytes:
 
 
 def events_from_jsonl(data: bytes) -> list[Event]:
-    return [decode_event(json.loads(line)) for line in data.splitlines() if line.strip()]
+    events = []
+    for i, line in enumerate(data.splitlines(), 1):
+        if line.strip():
+            try:
+                events.append(decode_event(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"trace line {i}: bad event ({exc!r})") from exc
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +275,6 @@ class Malicious:
 
 
 FaultModel = Union[Correct, Crash, Malicious]
-
-
-def is_malicious(fault: FaultModel) -> bool:
-    return isinstance(fault, Malicious)
 
 
 def is_honest(fault: FaultModel) -> bool:
@@ -316,34 +314,24 @@ class RegisterFile:
             self.cells[s.reg_id] = s.initial
 
     def read(self, reg_id: str, actor: int) -> CellValue:
-        spec = self.specs[reg_id]
-        if actor not in spec.readers:
+        spec = self.specs.get(reg_id)
+        if spec is None or actor not in spec.readers:
             raise AccessViolation(f"process {actor} may not read {reg_id}")
         return self.cells[reg_id]
 
     def write(self, reg_id: str, actor: int, value: CellValue) -> None:
-        spec = self.specs[reg_id]
-        if actor != spec.writer:
+        spec = self.specs.get(reg_id)
+        if spec is None or actor != spec.writer:
             raise AccessViolation(f"process {actor} may not write {reg_id}")
         self.cells[reg_id] = value
 
     def writable_by(self, proc: int) -> list[str]:
         return sorted(r for r, s in self.specs.items() if s.writer == proc)
 
-    def readable_by(self, proc: int) -> list[str]:
-        return sorted(r for r, s in self.specs.items() if proc in s.readers)
-
 
 # ---------------------------------------------------------------------------
-# Signature oracle
+# Signing oracle
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Signature:
-    tuple: SeqTuple
-    claimed_signer: int
-    token: str
 
 
 def _tuple_digest(t: SeqTuple) -> str:
@@ -360,29 +348,25 @@ def sig_token(t: SeqTuple, signer: int) -> str:
 class SignatureOracle:
     """Issuance table standing in for unforgeable signatures.
 
-    verify() is true only for (tuple, signer) pairs that went through sign();
-    a malicious script may copy a signed cell it has seen, but writing a
-    fabricated token for a never-signed tuple yields a cell that fails verify.
+    verify() is true only for Signed cells whose (tuple, signer) pair went
+    through sign(); a malicious script may copy a signed cell it has seen, but
+    writing a fabricated token for a never-signed tuple yields a cell that
+    fails verify.
     """
 
     def __init__(self) -> None:
         self._issued: set[tuple[int, SeqTuple]] = set()
 
-    def sign(self, t: SeqTuple, signer: int) -> Signature:
+    def sign(self, t: SeqTuple, signer: int) -> Signed:
         self._issued.add((signer, t))
-        return Signature(t, signer, sig_token(t, signer))
+        return Signed(t, signer, sig_token(t, signer))
 
-    def verify(self, s: Signature, expected_signer: int) -> bool:
-        if s.claimed_signer != expected_signer:
+    def verify(self, cell: CellValue, expected_signer: int) -> bool:
+        if not isinstance(cell, Signed) or cell.signer != expected_signer:
             return False
-        if (expected_signer, s.tuple) not in self._issued:
+        if (expected_signer, cell.t) not in self._issued:
             return False
-        return s.token == sig_token(s.tuple, expected_signer)
-
-    def verify_cell(self, c: CellValue, expected_signer: int) -> bool:
-        return isinstance(c, Signed) and self.verify(
-            Signature(c.t, c.signer, c.token), expected_signer
-        )
+        return cell.token == sig_token(cell.t, expected_signer)
 
 
 def replay_register_events(events: Iterable[Event], specs: Iterable[RegisterSpec]) -> None:

@@ -19,6 +19,7 @@ a byte-identical trace.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import random
 from bisect import bisect_left, bisect_right
@@ -40,7 +41,7 @@ from .core import (
     SignatureOracle,
     decode_payload,
     encode_payload,
-    is_malicious,
+    is_honest,
 )
 
 FAIRNESS_CONSTANT = 4
@@ -159,7 +160,11 @@ class Engine:
         self.events: list[Event] = []
         self.ops: list[OpResult] = []
         self.crashed: set[int] = set()
-        self.crash_at: dict[int, int] = {}
+        # (step, proc) in ascending order; each process crashes once the
+        # event count reaches its step. Points before _next_crash are due.
+        self.crash_points: list[tuple[int, int]] = []
+        self._next_crash = 0
+        self._due: list[int] = []  # heap of due, not yet crashed processes
         self.crash_after_accesses: dict[int, int] = {}
         self.access_count: dict[int, int] = {}
         self.procs_with_events: set[int] = set()
@@ -180,19 +185,24 @@ class Engine:
         self.events.append(e)
         if e.kind != "crash":
             self.procs_with_events.add(e.proc)
-        self._sweep_crashes()
+        points = self.crash_points
+        if self._next_crash < len(points) and \
+                points[self._next_crash][0] <= len(self.events):
+            self._sweep_crashes()
         return e
 
     def _sweep_crashes(self) -> None:
+        """Crash every process whose crash point is due, lowest id first. A
+        crash event can make more points due; they join the same order."""
+        points, due = self.crash_points, self._due
         while True:
-            due = [
-                p
-                for p, at in self.crash_at.items()
-                if p not in self.crashed and len(self.events) >= at
-            ]
+            while self._next_crash < len(points) and \
+                    points[self._next_crash][0] <= len(self.events):
+                heapq.heappush(due, points[self._next_crash][1])
+                self._next_crash += 1
             if not due:
                 return
-            self._mark_crashed(min(due))
+            self._mark_crashed(heapq.heappop(due))
 
     def _mark_crashed(self, proc: int) -> None:
         if proc in self.crashed:
@@ -363,7 +373,6 @@ class Engine:
                   randomize: bool = False) -> None:
         """Drain runnable threads FIFO until quiescence or the event budget."""
         while len(self.events) < step_budget:
-            self._sweep_crashes()
             t = self._pop_runnable()
             if t is None:
                 return
@@ -383,16 +392,23 @@ def _is_int(value) -> bool:
 
 
 def validate_scenario(s: Scenario) -> None:
+    if not isinstance(s.construction, str):
+        raise MalformedScenario(f"construction must be a name, not {s.construction!r}")
     if not _is_int(s.n):
         raise MalformedScenario(f"n must be an integer, not {s.n!r}")
+    if isinstance(s.schedule, Seeded):
+        ints = [s.schedule.seed]
+    else:
+        ints = [x for pick in s.schedule.picks for x in pick]
+    if not all(map(_is_int, ints)):
+        raise MalformedScenario("schedule seed and picks must be integers")
     for name in ("step_budget", "per_op_budget"):
         budget = getattr(s, name)
         if not _is_int(budget) or budget <= 0:
             raise MalformedScenario(f"{name} must be a positive integer, not {budget!r}")
     if s.n < 2:
         raise MalformedScenario("need at least two readers")
-    procs = set(range(0, s.n + 1))
-    if set(s.faults) - procs:
+    if not all(_is_int(p) and 0 <= p <= s.n for p in s.faults):
         raise MalformedScenario("fault map references undeclared processes")
     for proc, fault in s.faults.items():
         if isinstance(fault, Crash) and not _is_int(fault.at_global_step):
@@ -404,15 +420,17 @@ def validate_scenario(s: Scenario) -> None:
                 raise MalformedScenario(
                     f"workload[{i}]: {name} must be an integer, not {value!r}"
                 )
-        if item.proc not in procs:
+        if not 0 <= item.proc <= s.n:
             raise MalformedScenario(f"workload[{i}] references process {item.proc}")
-        if is_malicious(s.faults.get(item.proc, Correct())):
+        if not is_honest(s.faults.get(item.proc, Correct())):
             raise MalformedScenario(
                 f"workload[{i}]: malicious process {item.proc} may only act "
                 "through its script"
             )
         if item.op == "write" and item.proc != 0:
             raise MalformedScenario(f"workload[{i}]: only the writer writes")
+        if item.op == "write" and item.value is None:
+            raise MalformedScenario(f"workload[{i}]: a write needs a value")
         if item.op == "read" and item.proc == 0:
             raise MalformedScenario(f"workload[{i}]: the writer does not read")
         if item.op not in ("write", "read"):
@@ -531,7 +549,8 @@ def run(scenario: Scenario, instance: Optional[object] = None,
     never invoked; items gated on it with ``after_op`` still fire.
     """
     validate_scenario(scenario)
-    seed = scenario.schedule.seed if isinstance(scenario.schedule, Seeded) else 0
+    seeded = isinstance(scenario.schedule, Seeded)
+    seed = scenario.schedule.seed if seeded else 0
     if instance is None:
         instance = constructions.build_instance(
             scenario.construction, scenario.n, SignatureOracle()
@@ -539,10 +558,9 @@ def run(scenario: Scenario, instance: Optional[object] = None,
     eng = Engine(instance.specs, oracle=instance.oracle, seed=seed,
                  record_resumptions=record_resumptions)
 
-    for proc in sorted(scenario.faults):
-        fault = scenario.faults[proc]
-        if isinstance(fault, Crash):
-            eng.crash_at[proc] = fault.at_global_step
+    eng.crash_points = sorted((fault.at_global_step, proc)
+                              for proc, fault in scenario.faults.items()
+                              if isinstance(fault, Crash))
     eng._sweep_crashes()
     # Malicious scripts run as plain threads from the start, in process order.
     for proc in sorted(scenario.faults):
@@ -552,44 +570,41 @@ def run(scenario: Scenario, instance: Optional[object] = None,
 
     admit = _Admission(scenario.workload, instance, eng).admit
 
-    if isinstance(scenario.schedule, Seeded):
-        while len(eng.events) < scenario.step_budget:
-            eng._sweep_crashes()
-            admit(quiescent=False)
+    # A seeded run picks the next runnable thread off the randomized queue
+    # until quiescence; a scripted run takes its picks in order and ends
+    # when they run out.
+    picks = itertools.repeat(None) if seeded else scenario.schedule.picks
+    for pick in picks:
+        if len(eng.events) >= scenario.step_budget:
+            break
+        admit(quiescent=False)
+        if seeded:
             t = eng._pop_runnable()
             if t is None:
                 # Nothing runnable: pure after_step waits may now fire.
                 if admit(quiescent=True):
                     continue
                 break
-            eng._resume(t, per_op_budget=scenario.per_op_budget, randomize=True)
-        exhausted = len(eng.events) >= scenario.step_budget
-    else:
-        for proc, tid in scenario.schedule.picks:
-            eng._sweep_crashes()
-            admit(quiescent=False)
-            t = eng.threads.get((proc, tid))
-            if t is None or not t.runnable() or proc in eng.crashed or \
+        else:
+            t = eng.threads.get(pick)
+            if t is None or not t.runnable() or t.owner in eng.crashed or \
                     eng._op_stopped(t):
-                raise MalformedScenario(
-                    f"scripted pick ({proc},{tid}) is not runnable"
-                )
-            eng._resume(t, per_op_budget=scenario.per_op_budget)
-            if len(eng.events) >= scenario.step_budget:
-                break
-        exhausted = False
+                raise MalformedScenario(f"scripted pick {pick} is not runnable")
+        eng._resume(t, per_op_budget=scenario.per_op_budget, randomize=seeded)
+    exhausted = seeded and len(eng.events) >= scenario.step_budget
 
+    if not seeded:
+        reason = "schedule exhausted"
+    else:
+        reason = "step budget" if exhausted else "quiescence"
     for op in eng.ops:
         if op.status == "pending" and op.reason is None:
-            if isinstance(scenario.schedule, Scripted):
-                op.reason = "schedule exhausted"
-            else:
-                op.reason = "step budget" if exhausted else "quiescence"
+            op.reason = reason
 
     meta = {
         "construction": scenario.construction,
         "n": scenario.n,
-        "schedule": "seeded" if isinstance(scenario.schedule, Seeded) else "scripted",
+        "schedule": "seeded" if seeded else "scripted",
         "seed": seed,
         "step_budget": scenario.step_budget,
         "per_op_budget": scenario.per_op_budget,
@@ -601,13 +616,6 @@ def run(scenario: Scenario, instance: Optional[object] = None,
     if record_resumptions:
         trace.meta["resumptions"] = eng.resumption_log
     return trace
-
-
-def inject_crash(engine: Engine, proc: int, at_step: int) -> None:
-    """Schedule a crash: proc takes no step with index >= at_step."""
-    if at_step < len(engine.events):
-        raise ValueError("crash point already passed")
-    engine.crash_at[proc] = at_step
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +698,7 @@ def scenario_from_json(obj: dict) -> Scenario:
             step_budget=obj.get("step_budget", DEFAULT_STEP_BUDGET),
             per_op_budget=obj.get("per_op_budget", DEFAULT_PER_OP_BUDGET),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedScenario(f"bad scenario document: {exc}") from exc
     validate_scenario(scenario)
     return scenario

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from byzregs import adversary, checker
@@ -166,30 +168,84 @@ def test_attack_algo3_exhausts():
     assert isinstance(result, Exhausted)
 
 
+# Result type, stage, reason, and the sha256 of the stage log (one line per
+# entry) and of the witness JSONL.
+GOLDEN_ATTACKS = {
+    ("algo1", 3): (
+        BlockedWitness, "C_5^2", None,
+        "77900f613284d202715be11eaffc7896e4dbd3b9246fe144fb3b5ed3c1b04f78",
+        "b05c160f0100e20a6df5bd2b0936b0f37a836befa754f3519c511238b7e3769c"),
+    ("algo1", 4): (
+        BlockedWitness, "C_10^2", None,
+        "1c2e2d9414dbea9df93e6841fe245d8f9a0c96bd9a33d08730ca44f8f5e0849f",
+        "79f492fef1536b969ecb9ffdbe2ead58809a6c17d2e90c705cd378de6ebd9498"),
+    ("algo3", 3): (
+        Exhausted, None, "all branches exhausted",
+        "562caad14ac07da091094dd1de81f22b81005ef29462b5a693cedf180ca55485", None),
+    ("algo3", 4): (
+        Exhausted, None, "all branches exhausted",
+        "45c834eb795d69c28c4e64beb89b4f55f8aa2f9f30e564c0a03b3821cc8393f5", None),
+    ("atomic-1wnr", 3): (
+        Exhausted, None, "all branches exhausted",
+        "fa1de651d7f74df3f57d263ba6d4e23cea5fbe7eee27c37d419e315ddcd6d25c", None),
+    ("atomic-1wnr", 4): (
+        Exhausted, None, "all branches exhausted",
+        "71c09f765309ad48c7235714162196aa802a7ca3d6e79b6a9b541a942dacc030", None),
+    ("naive-gossip", 3): (
+        ViolationWitness, "A_0'", None,
+        "50202ed9085c1d8cacb26b093308a0d1534b3a17f170feaf794a8a2a2a6f42a9",
+        "c15f67f995ac04d2e36c806d9aab71320fd4bb4a560aaffc3f83849d0bfa41d0"),
+    ("naive-gossip", 4): (
+        ViolationWitness, "A_0'", None,
+        "fe37b4920dadefe1e57e66496b0350305414a8ebcd447266f5e546e15cafa09b",
+        "bd3cfb0edbd2f12f321fb35e829f53b8a4b502c9c28ecd5e01297955520cb274"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name,n", sorted(GOLDEN_ATTACKS))
+def test_golden_attack(name, n):
+    kind, stage, reason, stage_log, witness = GOLDEN_ATTACKS[(name, n)]
+    kw = {"stage_budget": 2000} if name == "algo1" else {}
+    result = attack_search(name, n, **kw)
+    assert type(result) is kind
+    assert getattr(result, "stage", None) == stage
+    assert getattr(result, "reason", None) == reason
+    assert _sha256("\n".join(result.stage_log).encode()) == stage_log
+    events = getattr(result, "events", None)
+    assert (None if events is None else _sha256(events_to_jsonl(events))) == witness
+
+
 def test_apply_transformation_single_step():
+    # One induction step from P_2 on naive-gossip n=3: the writer's only
+    # access (NG/W, unseen by reader 3) is done and reader 1 read the
+    # marker. Reader 1 sees the step, so case 2 applies; it hands the read
+    # to the silent reader 3 when 3 is silent (2a), and goes on through E and
+    # F when 3 plays the unconstrained role (2b).
     from byzregs.adversary import (
         ExecState,
-        StagePreconditionFailed,
         WriterPhase,
-        FreshRead,
-        apply_transformation,
-        run_plan,
+        _Search,
+        apply_transformation_chain,
     )
 
-    res = run_plan("naive-gossip", 3, [WriterPhase(1, True), FreshRead(1)], 1000)
-    base = ExecState(k=2, w_phase=WriterPhase(1, True), replays=(),
-                     x=1, p_role=2, z=frozenset({3}),
-                     events=res.events, x_ret=res.last_read()[2])
-    out = apply_transformation(base.stage("B"), base, "naive-gossip", 3,
-                               stage_budget=1000)
-    assert isinstance(out, ExecState)
-    assert out.k == 1
-    assert out.x == 3 and out.p_role == 1  # case 2a rotated the roles
-
-    stale = ExecState(k=2, w_phase=WriterPhase(1, True), replays=(),
-                      x=1, p_role=2, z=frozenset({3}), events=[], x_ret=None)
-    with pytest.raises(StagePreconditionFailed):
-        apply_transformation(stale.stage("B"), stale, "naive-gossip", 3)
+    steps, _ = record_solo_write("naive-gossip", 3, 1000)
+    cases = [
+        (2, 3, "D_1^3: case 2a; x=3, malicious role -> 1", (3, 1)),
+        (3, 2, "F_1^2: case 2b; x=3, malicious role -> 2", (3, 2)),
+    ]
+    for p_role, silent, log, roles in cases:
+        search = _Search("naive-gossip", 3, budget=10**9, stage_budget=1000)
+        base = ExecState(k=2, w_phase=WriterPhase(1, True), replays=(),
+                         x=1, p_role=p_role, z=frozenset({silent}))
+        out = apply_transformation_chain(search, base, steps, len(steps))
+        assert isinstance(out, ExecState)
+        assert out.k == 1
+        assert (out.x, out.p_role) == roles
+        assert search.log == [log]
 
 
 def test_writer_blocked_when_solo_write_spins():

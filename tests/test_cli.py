@@ -1,7 +1,9 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzregs import cli, sim
 from byzregs.core import (
@@ -229,10 +231,15 @@ def _set(path, value):
     _set(("workload", 1, "after_op"), False),
     _set(("workload", 3, "after_step"), 2.5),
     _set(("faults", "x"), {"kind": "correct"}),
+    lambda doc: doc["workload"][0].pop("value"),
+    _set(("faults",), []),
+    _set(("n",), 2**70),
+    _set(("n",), 11),
 ], ids=[
     "step_budget=-1", "step_budget=0", "per_op_budget=0", "per_op_budget=str",
     "n=str", "n=bool", "n=float", "proc=str", "proc=bool", "after_op=str",
-    "after_op=bool", "after_step=float", "fault-key=str",
+    "after_op=bool", "after_step=float", "fault-key=str", "write-without-value",
+    "faults=list", "n=2**70", "n=11",
 ])
 def test_invalid_scenario_exits_two(tmp_path, edit):
     with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
@@ -249,6 +256,51 @@ def test_invalid_scenario_exits_two(tmp_path, edit):
                     "--trace", str(trace), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--construction", "algo1", "--n", "2..1180591620717411303424",
+     "--runs", "1"],
+    ["sweep", "--construction", "algo1", "--n", "11", "--runs", "1"],
+    ["sweep", "--construction", "algo1", "--n", "5..4", "--runs", "1"],
+    ["attack", "--construction", "algo1", "--n", "11"],
+    ["attack", "--construction", "naive-gossip", "--n", "65"],
+], ids=["sweep-n=2**70", "sweep-n=11", "sweep-empty-range", "attack-algo1-n=11",
+        "attack-naive-gossip-n=65"])
+def test_n_above_the_maximum_exits_two(tmp_path, argv):
+    assert run_cli(argv + ["--out", str(tmp_path / "o.json")]) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+def _stored_trace_lines(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    assert run_cli(["run", "--scenario", os.path.join(SCENARIOS, "all_correct.json"),
+                    "--trace", str(trace), "--out", str(tmp_path / "v.json")]) == 0
+    return [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def _check_lines(tmp_path, lines):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return run_cli(["check", "--scenario", os.path.join(SCENARIOS, "all_correct.json"),
+                    "--trace", str(trace), "--out", str(tmp_path / "c.json")])
+
+
+def test_check_unknown_cell_tag_exits_two_naming_the_line(tmp_path, capsys):
+    lines = _stored_trace_lines(tmp_path)
+    i = next(i for i, e in enumerate(lines) if e["value"] is not None)
+    lines[i]["value"]["t"] = "zzz"
+    assert _check_lines(tmp_path, lines) == 2
+    assert f"trace line {i + 1}:" in capsys.readouterr().err
+
+
+def test_check_respond_without_invoke_exits_two_naming_the_step(tmp_path, capsys):
+    lines = _stored_trace_lines(tmp_path)
+    respond = next(e for e in lines if e["kind"] == "respond")
+    lines = [e for e in lines if not (e["kind"] == "invoke"
+                                      and e["proc"] == respond["proc"])]
+    assert _check_lines(tmp_path, lines) == 2
+    assert f"at step {respond['step']}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--step-budget", "--op-budget"])
 def test_negative_budget_flag_exits_two(tmp_path, flag):
     assert run_cli([
@@ -256,3 +308,75 @@ def test_negative_budget_flag_exits_two(tmp_path, flag):
         flag, "-1",
         "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "v.json"),
     ]) == 2
+
+
+# -- fuzzing the input decoders ---------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.just(2**70)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _mutate(doc, data):
+    """Delete or replace one value anywhere in doc, in place."""
+    *parents, last = data.draw(st.sampled_from(list(_key_paths(doc))))
+    for key in parents:
+        doc = doc[key]
+    if data.draw(st.booleans()):
+        del doc[last]
+    else:
+        doc[last] = data.draw(_json_values)
+
+
+_STORED = {}
+
+
+def _stored_run(name, tmp):
+    """The scenario document and its event lines, run once per file."""
+    if name not in _STORED:
+        path = os.path.join(SCENARIOS, name)
+        trace = os.path.join(tmp, "stored.jsonl")
+        cli.main(["run", "--scenario", path, "--trace", trace,
+                  "--out", os.path.join(tmp, "v.json")])
+        with open(path) as fh, open(trace, "rb") as tr:
+            _STORED[name] = (json.load(fh), [json.loads(line) for line in tr])
+    doc, lines = _STORED[name]
+    return json.loads(json.dumps(doc)), json.loads(json.dumps(lines))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(),
+       name=st.sampled_from(["all_correct.json", "blocking_boundary.json"]),
+       mutate_trace=st.booleans())
+def test_mutated_inputs_exit_cleanly(data, name, mutate_trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, lines = _stored_run(name, tmp)
+        _mutate(lines if mutate_trace else doc, data)
+        scenario, trace = os.path.join(tmp, "s.json"), os.path.join(tmp, "t.jsonl")
+        with open(scenario, "w") as fh:
+            json.dump(doc, fh)
+        with open(trace, "w") as fh:
+            fh.write("".join(json.dumps(line) + "\n" for line in lines))
+        out = os.path.join(tmp, "v.json")
+        if not mutate_trace:
+            assert cli.main(["run", "--scenario", scenario, "--trace",
+                             os.path.join(tmp, "r.jsonl"), "--out", out]) in (0, 1, 2)
+        assert cli.main(["check", "--scenario", scenario, "--trace", trace,
+                         "--out", out]) in (0, 1, 2)

@@ -12,7 +12,6 @@ from byzregs.core import (
     RegisterFile,
     RegisterSpec,
     SeqTuple,
-    Signature,
     SignatureOracle,
     Signed,
     decode_cell,
@@ -73,8 +72,10 @@ def test_sign_verify_bindings():
     sig_q = oracle.sign(t, 2)
     assert not oracle.verify(sig_q, 0)
     # altered tuple under the original token
-    forged = Signature(SeqTuple(1, b"b"), 0, sig.token)
+    forged = Signed(SeqTuple(1, b"b"), 0, sig.token)
     assert not oracle.verify(forged, 0)
+    # not a signed cell at all
+    assert not oracle.verify(Plain(t), 0)
 
 
 def test_unissued_token_fails_even_if_well_formed():
@@ -82,7 +83,7 @@ def test_unissued_token_fails_even_if_well_formed():
     from byzregs.core import sig_token
 
     t = SeqTuple(3, b"zzz")
-    fake = Signature(t, 0, sig_token(t, 0))
+    fake = Signed(t, 0, sig_token(t, 0))
     assert not oracle.verify(fake, 0)
     oracle.sign(t, 0)
     assert oracle.verify(fake, 0)  # now it is a copy of a real signature

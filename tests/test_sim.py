@@ -266,20 +266,16 @@ def test_crashed_actor_cannot_be_resumed():
         eng._resume(t)
 
 
-def test_inject_crash_api():
-    from byzregs import constructions
-
-    inst = constructions.build_instance("algo1", 3)
-    eng = sim.Engine(inst.specs, oracle=inst.oracle)
-    op = eng.spawn_op(0, "Write", b"a", inst.write_machine(b"a"))
-    sim.inject_crash(eng, 0, at_step=3)
-    eng.run_queue(step_budget=1000)
-    writer_accesses = [e for e in eng.events
-                       if e.proc == 0 and e.kind == "reg_write"]
-    assert len(writer_accesses) == 2  # invoke at 0, accesses at 1 and 2
-    assert op.status == "crashed-owner"
-    with pytest.raises(ValueError):
-        sim.inject_crash(eng, 1, at_step=0)
+def test_due_crashes_go_lowest_process_first():
+    # At 8 events processes 1 and 3 are due; the crash event of 1 makes 2
+    # due, and 2 still goes before 3.
+    sc = scenario(
+        faults={0: Correct(), 1: Crash(8), 2: Crash(9), 3: Crash(8)},
+        workload=[sim.WorkItem(p, "read") for p in (1, 2, 3)],
+    )
+    tr = sim.run(sc)
+    crashes = [(e.step, e.proc) for e in tr.events if e.kind == "crash"]
+    assert crashes == [(8, 1), (9, 2), (10, 3)]
 
 
 def test_access_closure_over_real_traces():
@@ -391,6 +387,24 @@ def _gated():
     ], schedule=sim.Seeded(5))
 
 
+def _scripted_fork_and_crash():
+    # Reader 3 forks on the writer's prepare, the writer crashes at step 13
+    # (its second write becomes crashed-owner), Thread 2 wins the race, and
+    # the picks end as the read responds: reader 1's read, gated on it, is
+    # never admitted.
+    picks = [(0, 0)] * 5 + [(3, 0)] * 2 + [(0, 0)] * 3 + [(3, 2)] * 4 + [(3, 0)]
+    return scenario(
+        faults={0: Crash(13), 1: Correct(), 2: Correct(), 3: Correct()},
+        workload=[
+            sim.WorkItem(0, "write", value=b"a"),
+            sim.WorkItem(3, "read"),
+            sim.WorkItem(0, "write", value=b"b"),
+            sim.WorkItem(1, "read", after_op=1),
+        ],
+        schedule=sim.Scripted(tuple(picks)),
+    )
+
+
 _SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 # sha256 of each scenario's event JSONL: admission order, event steps,
@@ -414,6 +428,9 @@ GOLDEN_TRACES = {
     "gated": (
         _gated,
         "5f38ba392f19d0b602e993c6d010fea515406c0dabb28df4c333faa69c8714a4"),
+    "scripted-fork-crash": (
+        _scripted_fork_and_crash,
+        "1a9eda727566891dfe90db31e437356a4190011b84748a7fcc856a52693a12d2"),
 }
 
 
