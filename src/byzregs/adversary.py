@@ -13,26 +13,22 @@ the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import checker
 from .core import (
-    BOTTOM,
     CellValue,
     Correct,
     Event,
     Malicious,
-    MalformedScenario,
-    Plain,
     RegisterFile,
     RegisterSpec,
     SeqTuple,
-    SignatureOracle,
     decode_cell,
     encode_cell,
 )
-from .constructions import (Algo1Construction, Algo3Construction, U0, WRITER,
-                            check_n, reader_ids)
+from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_THM2,
+                            RULE_UNRESTRICTED, U0, WRITER, build_instance)
 from .sim import Engine
 
 MARKER: bytes = b"\x01"
@@ -164,149 +160,23 @@ def recorded_actions(events: list[Event], proc: int) -> tuple[tuple, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Candidates
+# Candidates, solo write recording and step visibility
 # ---------------------------------------------------------------------------
-
-RULE_THM1 = "thm1"  # writer and readers limited to 1W(n-1)R registers
-RULE_THM2 = "thm2"  # readers may additionally own 1WnR registers
-RULE_UNRESTRICTED = "unrestricted"  # control candidates only
-
-
-@dataclass
-class CandidateImpl:
-    name: str
-    rule: str
-    factory: Callable[[int], object]  # n -> construction-like instance
-
-
-_REGISTRY: dict[str, CandidateImpl] = {}
-
-
-def register_candidate(name: str, rule: str, factory: Callable[[int], object]) -> None:
-    _REGISTRY[name] = CandidateImpl(name, rule, factory)
-
-
-def candidate_names() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 def build_candidate(name: str, n: int):
-    """Instantiate a registered candidate and enforce its register budget."""
-    cand = _REGISTRY[name]
-    check_n(name, n)
-    inst = cand.factory(n)
-    if cand.rule in (RULE_THM1, RULE_THM2):
+    """Build an implementation and enforce its register budget."""
+    inst = build_instance(name, n)
+    rule = IMPLEMENTATIONS[name].rule
+    if rule in (RULE_THM1, RULE_THM2):
         for spec in inst.specs:
-            limit = n - 1 if (spec.writer == inst.writer or cand.rule == RULE_THM1) else n
+            limit = n - 1 if (spec.writer == WRITER or rule == RULE_THM1) else n
             if len(spec.readers) > limit:
                 raise ValueError(
                     f"candidate {name}: register {spec.reg_id} readable by "
-                    f"{len(spec.readers)} readers exceeds the {cand.rule} budget"
+                    f"{len(spec.readers)} readers exceeds the {rule} budget"
                 )
     return inst
-
-
-class NaiveGossip:
-    """Deliberately broken candidate: the writer announces once on a
-    1W(n-1)R and readers forward what they saw through gossip registers,
-    trusting each other blindly."""
-
-    name = "naive-gossip"
-
-    def __init__(self, n: int):
-        if n < 3:
-            raise MalformedScenario("naive-gossip needs n >= 3")
-        self.n = n
-        self.oracle = SignatureOracle()
-        self.writer = WRITER
-        self.readers = reader_ids(n)
-        t0 = Plain(SeqTuple(0, U0))
-        self.specs = [
-            RegisterSpec("NG/W", WRITER, frozenset(self.readers[:-1]), t0)
-        ]
-        self.gossip: dict[int, str] = {}
-        for r in self.readers:
-            rid = f"NG/G{r}"
-            others = frozenset(x for x in self.readers if x != r)
-            self.specs.append(RegisterSpec(rid, r, others, t0))
-            self.gossip[r] = rid
-        self.classify = {s.reg_id: "candidate" for s in self.specs}
-        self.c = 0
-
-    def write_machine(self, value):
-        return self._write(value)
-
-    def _write(self, u):
-        self.c += 1
-        yield ("w", "NG/W", Plain(SeqTuple(self.c, u)))
-        return "done"
-
-    def read_machine(self, proc: int):
-        return self._read(proc)
-
-    def _read(self, p: int):
-        if p in self.specs[0].readers:
-            x = yield ("r", "NG/W")
-            if isinstance(x, Plain) and x.t.k >= 1:
-                yield ("w", self.gossip[p], x)
-                return x.t
-        for r in self.readers:
-            if r == p:
-                continue
-            y = yield ("r", self.gossip[r])
-            if isinstance(y, Plain) and y.t.k >= 1:
-                return y.t
-        return SeqTuple(0, U0)
-
-
-class AtomicOneWNR:
-    """Control: a genuine atomic 1WnR register (out of the theorem's register
-    budget; registered unrestricted)."""
-
-    name = "atomic-1wnr"
-
-    def __init__(self, n: int):
-        self.n = n
-        self.oracle = SignatureOracle()
-        self.writer = WRITER
-        self.readers = reader_ids(n)
-        self.specs = [
-            RegisterSpec("AT/R", WRITER, frozenset(self.readers), Plain(SeqTuple(0, U0)))
-        ]
-        self.classify = {"AT/R": "candidate"}
-        self.c = 0
-
-    def write_machine(self, value):
-        return self._write(value)
-
-    def _write(self, u):
-        self.c += 1
-        yield ("w", "AT/R", Plain(SeqTuple(self.c, u)))
-        return "done"
-
-    def read_machine(self, proc: int):
-        return self._read(proc)
-
-    def _read(self, p: int):
-        x = yield ("r", "AT/R")
-        if isinstance(x, Plain):
-            return x.t
-        return BOTTOM
-
-
-register_candidate("naive-gossip", RULE_THM1, NaiveGossip)
-register_candidate("atomic-1wnr", RULE_UNRESTRICTED, AtomicOneWNR)
-register_candidate("algo1", RULE_THM1, Algo1Construction)
-# The signature construction only owns pairwise 1W1Rs, so it fits the
-# theorem-1 register budget; the search exhausts against it because a
-# replayed signed tuple fails verification in runs where the writer never
-# signed it.
-register_candidate("algo3", RULE_THM1, Algo3Construction)
-
-
-# ---------------------------------------------------------------------------
-# Solo write recording and step visibility
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -323,8 +193,8 @@ def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
     s^1..s^m in order.
     """
     inst = build_candidate(name, n)
-    eng = Engine(inst.specs, oracle=inst.oracle)
-    op = eng.spawn_op(inst.writer, "Write", MARKER, inst.write_machine(MARKER))
+    eng = Engine(inst.specs)
+    op = eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
     eng.run_queue(step_budget=budget)
     if op.status != "completed":
         raise WriterBlocked(
@@ -385,13 +255,13 @@ class PlanResult:
 def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     """Run phases strictly in order on a fresh candidate instance."""
     inst = build_candidate(name, n)
-    eng = Engine(inst.specs, oracle=inst.oracle)
+    eng = Engine(inst.specs)
     reads: list[tuple[int, str, object]] = []
     for ph in phases:
         if isinstance(ph, WriterPhase):
             if not ph.respond:
-                eng.crash_after_accesses[inst.writer] = ph.accesses
-            eng.spawn_op(inst.writer, "Write", MARKER, inst.write_machine(MARKER))
+                eng.crash_after_accesses[WRITER] = ph.accesses
+            eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
             eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, ReplayBlock):
             eng.spawn_script(ph.proc, Replay(ph.actions).machine(eng.registers, ph.proc))
@@ -464,7 +334,7 @@ class _Search:
         self.name = name
         self.n = n
         self.inst0 = build_candidate(name, n)
-        self.rule = _REGISTRY[name].rule
+        self.rule = IMPLEMENTATIONS[name].rule
         self.specs = {s.reg_id: s for s in self.inst0.specs}
         self.readers = list(self.inst0.readers)
         self.budget = budget
@@ -490,7 +360,7 @@ class _Search:
         faults = {p: Correct() for p in [WRITER] + self.readers}
         if malicious is not None:
             faults[malicious] = Malicious(Idle())
-        history = checker.extract_history(res.events, faults, WRITER, self.value_index)
+        history = checker.extract_history(res.events, faults, self.value_index)
         return {
             "property1": checker.check_property1(history, True),
             "property2": checker.check_property2(history, True),
@@ -551,6 +421,9 @@ def attack_search(
     """
     if n < 3:
         raise ValueError("the impossibility setting needs n >= 3")
+    if budget <= 0 or stage_budget <= 0:
+        raise ValueError(f"attack budgets must be positive, not {budget} "
+                         f"(search) and {stage_budget} (stage)")
     search = _Search(name, n, budget, stage_budget)
     steps, _ = record_solo_write(name, n, stage_budget)
     m = len(steps)

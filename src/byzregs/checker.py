@@ -27,6 +27,7 @@ from .core import (
     sig_token,
     is_honest,
 )
+from .constructions import WRITER
 
 
 class MalformedHistory(Exception):
@@ -94,7 +95,6 @@ def _violated(vclass: str, witnesses: list[int], explanation: str) -> Verdict:
 def extract_history(
     events: Iterable[Event],
     faults: dict[int, FaultModel],
-    writer: int = 0,
     value_index: Optional[dict[bytes, int]] = None,
 ) -> list[OpRecord]:
     """Build the operation history from a trace's invoke/respond events.
@@ -242,7 +242,7 @@ def check_bottom_returns(history: list[OpRecord], writer_honest: bool) -> Verdic
 # ---------------------------------------------------------------------------
 
 
-def check_wait_freedom(trace, faults: dict[int, FaultModel], writer: int = 0) -> Verdict:
+def check_wait_freedom(trace, faults: dict[int, FaultModel]) -> Verdict:
     """Wait-free if the writer is correct or no reader is malicious: under
     that condition no operation by a Correct process may stay pending."""
     if trace.meta.get("schedule") == "scripted":
@@ -251,9 +251,9 @@ def check_wait_freedom(trace, faults: dict[int, FaultModel], writer: int = 0) ->
             raise UnfairScheduleError(
                 "scripted schedule left operations pending; fairness unknown"
             )
-    writer_correct = isinstance(faults.get(writer, Correct()), Correct)
+    writer_correct = isinstance(faults.get(WRITER, Correct()), Correct)
     no_reader_malicious = all(
-        is_honest(f) for p, f in faults.items() if p != writer
+        is_honest(f) for p, f in faults.items() if p != WRITER
     )
     condition = writer_correct or no_reader_malicious
     pending_correct = [
@@ -323,7 +323,6 @@ def validate_internal_invariants(
     specs: dict[str, RegisterSpec],
     classify: dict[str, str],
     faults: dict[int, FaultModel],
-    writer: int = 0,
 ) -> Verdict:
     """Check trace-level facts the correctness proofs rest on, restricted to
     honest processes: writer cell forms and their monotonicity, monotone
@@ -357,7 +356,7 @@ def validate_internal_invariants(
             # announce instances are written by readers whose enclosing
             # polling thread may be cancelled mid-write, which abandons a
             # counter value; only monotonicity holds there.
-            strict = specs[e.reg].writer == writer
+            strict = specs[e.reg].writer == WRITER
             ok_form = isinstance(cell, Commit) and cell.t.k >= 1 or (
                 isinstance(cell, Prepare)
                 and (
@@ -417,7 +416,7 @@ def validate_internal_invariants(
         elif cls == "sig":
             valid = (
                 isinstance(cell, Signed)
-                and cell.signer == writer
+                and cell.signer == WRITER
                 and (cell.signer, cell.t) in issued
                 and cell.token == sig_token(cell.t, cell.signer)
             )
@@ -431,6 +430,10 @@ def validate_internal_invariants(
 
     # Read-return forms: each honest completed read must have observed the
     # writer channel (possibly nested) carrying the tuple index it returned.
+    # Implementations without a writer channel or signed tuples leave no
+    # such evidence.
+    if not {"wchan", "sig"} & set(classify.values()):
+        return _passed()
     open_reads: dict[int, tuple[int, list[Event]]] = {}
     for e in events:
         if e.kind == "invoke" and e.op == "Read" and is_honest_proc(e.proc):
@@ -539,21 +542,18 @@ def oracle_linearize(history: list[OpRecord], cap: int = 8) -> bool:
 def run_all_checks(
     trace,
     faults: dict[int, FaultModel],
-    specs: Optional[dict[str, RegisterSpec]] = None,
-    classify: Optional[dict[str, str]] = None,
+    specs: dict[str, RegisterSpec],
+    classify: dict[str, str],
     value_index: Optional[dict[bytes, int]] = None,
-    writer: int = 0,
 ) -> dict[str, Verdict]:
-    writer_honest = is_honest(faults.get(writer, Correct()))
-    history = extract_history(trace.events, faults, writer, value_index)
-    verdicts = {
+    writer_honest = is_honest(faults.get(WRITER, Correct()))
+    history = extract_history(trace.events, faults, value_index)
+    return {
         "property1": check_property1(history, writer_honest),
         "property2": check_property2(history, writer_honest),
         "bottom_returns": check_bottom_returns(history, writer_honest),
-        "wait_freedom": check_wait_freedom(trace, faults, writer),
+        "wait_freedom": check_wait_freedom(trace, faults),
+        "internal_invariants": validate_internal_invariants(
+            trace.events, specs, classify, faults
+        ),
     }
-    if specs is not None and classify is not None:
-        verdicts["internal_invariants"] = validate_internal_invariants(
-            trace.events, specs, classify, faults, writer
-        )
-    return verdicts

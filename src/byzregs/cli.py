@@ -24,6 +24,7 @@ from .core import (
     MalformedScenario,
     Plain,
     Prepare,
+    RegisterFile,
     SeqTuple,
     Signed,
     events_from_jsonl,
@@ -158,15 +159,6 @@ def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def build_any_instance(name: str, n: int):
-    """Resolve a construction or a registered attack-harness candidate."""
-    if name in constructions.CONSTRUCTIONS:
-        return constructions.build_instance(name, n)
-    if name in adversary.candidate_names():
-        return adversary.build_candidate(name, n)
-    raise MalformedScenario(f"unknown construction {name!r}")
-
-
 def value_index_for(scenario: sim.Scenario):
     index = {constructions.U0: 0}
     k = 0
@@ -188,12 +180,23 @@ def _check_with_instance(trace: sim.Trace, scenario: sim.Scenario, inst):
 
 
 def check_trace(trace: sim.Trace, scenario: sim.Scenario):
-    inst = build_any_instance(scenario.construction, scenario.n)
+    """Check a stored trace; its register events must obey the instance's
+    access rules (values are not replayed)."""
+    inst = constructions.build_instance(scenario.construction, scenario.n)
+    registers = RegisterFile(inst.specs)
+    for e in trace.events:
+        try:
+            if e.kind == "reg_read":
+                registers.read(e.reg, e.proc)
+            elif e.kind == "reg_write":
+                registers.write(e.reg, e.proc, e.value)
+        except AccessViolation as exc:
+            raise checker.MalformedHistory(f"step {e.step}: {exc}") from None
     return _check_with_instance(trace, scenario, inst)
 
 
 def run_and_check(scenario: sim.Scenario):
-    inst = build_any_instance(scenario.construction, scenario.n)
+    inst = constructions.build_instance(scenario.construction, scenario.n)
     trace = sim.run(scenario, instance=inst)
     verdicts = _check_with_instance(trace, scenario, inst)
     return trace, verdicts
@@ -315,18 +318,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_attack(args) -> int:
     try:
-        if args.construction not in adversary.candidate_names():
-            raise ValueError(
-                f"unknown candidate {args.construction!r}; "
-                f"registered: {', '.join(adversary.candidate_names())}"
-            )
         result = adversary.attack_search(
             args.construction,
             args.n_int,
             budget=args.step_budget or 10_000_000,
             stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
         )
-    except (ValueError, MalformedScenario) as exc:
+    except (ValueError, MalformedScenario, adversary.WriterBlocked) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(result, adversary.Exhausted):
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack_p = sub.add_parser("attack", help="run the attack harness")
     attack_p.add_argument("--construction", required=True,
-                          help="registered candidate name")
+                          help="implementation name")
     attack_p.add_argument("--n", dest="n_int", type=int, required=True)
     attack_p.add_argument("--step-budget", type=int, default=0)
     attack_p.add_argument("--op-budget", type=int, default=0)

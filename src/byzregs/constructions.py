@@ -1,6 +1,7 @@
-"""The three register constructions as step machines.
+"""The register implementations as step machines: the paper's three
+constructions and the candidates its impossibility argument attacks.
 
-Each construction exposes a Write(u) machine for the writer and a Read()
+Each implementation exposes a Write(u) machine for the writer and a Read()
 machine per reader. Machines are generators over primitive actions (see sim);
 an operation on an inner implemented register is a plain sub-generator, so its
 steps are exactly the inner machine's steps.
@@ -13,11 +14,10 @@ register three levels deep holds tuples of cells of tuples of cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Union
+from typing import Callable, Generator, NamedTuple, Union
 
 from .core import (
     BOTTOM,
-    Bottom,
     CellValue,
     Commit,
     DONE,
@@ -38,19 +38,6 @@ WRITER = 0
 
 def reader_ids(n: int) -> list[int]:
     return list(range(1, n + 1))
-
-
-# Largest n each construction or attack candidate accepts. algo1 builds
-# 2^(n-1) - 1 instances: 3,972 registers at n = 10.
-MAX_N = {"algo1": 10, "algo2": 2}
-DEFAULT_MAX_N = 64
-
-
-def check_n(name: str, n: int) -> None:
-    """Reject an n above name's maximum before anything is sized by it."""
-    limit = MAX_N.get(name, DEFAULT_MAX_N)
-    if n > limit:
-        raise MalformedScenario(f"{name} supports n <= {limit}, not {n}")
 
 
 def _plain_ge(cell: CellValue, k: int) -> bool:
@@ -240,17 +227,12 @@ class Algo1Instance:
 class Algo1Construction:
     """Recursive 1WnR construction, writer 0, readers 1..n."""
 
-    name = "algo1"
-
-    def __init__(self, n: int, oracle: Optional[SignatureOracle] = None):
+    def __init__(self, n: int):
         if n < 2:
             raise MalformedScenario("algo1 needs n >= 2")
-        self.n = n
-        self.oracle = oracle if oracle is not None else SignatureOracle()
         self.root = Algo1Instance(f"I{n}", WRITER, reader_ids(n), U0)
         self.specs = self.root.specs
         self.classify = self.root.classify
-        self.writer = WRITER
         self.readers = reader_ids(n)
 
     def write_machine(self, value: Payload) -> Generator:
@@ -274,14 +256,9 @@ class Algo2Construction:
     """1W2R from three atomic 1W1Rs; q falls back on its local last_read, and
     p's commit branch is deliberately unguarded (no previous_k)."""
 
-    name = "algo2"
-
-    def __init__(self, n: int = 2, oracle: Optional[SignatureOracle] = None):
+    def __init__(self, n: int = 2):
         if n != 2:
             raise MalformedScenario("algo2 is a 1W2R construction (n = 2)")
-        self.n = 2
-        self.oracle = oracle if oracle is not None else SignatureOracle()
-        self.writer = WRITER
         self.readers = [1, 2]
         self.p, self.q = 1, 2
         t0 = SeqTuple(0, U0)
@@ -355,16 +332,12 @@ class Algo2Construction:
 class Algo3Construction:
     """1WnR over a full matrix of atomic 1W1Rs carrying writer-signed tuples."""
 
-    name = "algo3"
-
-    def __init__(self, n: int, oracle: Optional[SignatureOracle] = None):
+    def __init__(self, n: int):
         if n < 2:
             raise MalformedScenario("algo3 needs n >= 2")
-        self.n = n
-        self.oracle = oracle if oracle is not None else SignatureOracle()
-        self.writer = WRITER
         self.readers = reader_ids(n)
-        cell0 = self.oracle.sign(SeqTuple(0, U0), WRITER)
+        self._oracle = SignatureOracle()
+        cell0 = self._oracle.sign(SeqTuple(0, U0), WRITER)
         self.specs = []
         self.classify = {}
         self.reg: dict[tuple[int, int], str] = {}
@@ -381,7 +354,7 @@ class Algo3Construction:
 
     def _write(self, u: Payload):
         self.c += 1
-        cell = self.oracle.sign(SeqTuple(self.c, u), WRITER)
+        cell = self._oracle.sign(SeqTuple(self.c, u), WRITER)
         for i in self.readers:
             yield ("w", self.reg[(WRITER, i)], cell)
         return DONE
@@ -395,7 +368,7 @@ class Algo3Construction:
         tuples: list[Signed] = []
         for i in [WRITER] + self.readers:
             x = yield ("r", self.reg[(i, p)])
-            if self.oracle.verify(x, WRITER):
+            if self._oracle.verify(x, WRITER):
                 tuples.append(x)
         if not tuples:
             # Unreachable while initial cells are intact; substrate corruption.
@@ -407,19 +380,128 @@ class Algo3Construction:
 
 
 # ---------------------------------------------------------------------------
+# Attack candidates (Theorems 1 and 2)
+# ---------------------------------------------------------------------------
 
 
-CONSTRUCTIONS = {
-    "algo1": Algo1Construction,
-    "algo2": Algo2Construction,
-    "algo3": Algo3Construction,
+class NaiveGossip:
+    """Deliberately broken candidate: the writer announces once on a
+    1W(n-1)R and readers forward what they saw through gossip registers,
+    trusting each other blindly."""
+
+    def __init__(self, n: int):
+        if n < 3:
+            raise MalformedScenario("naive-gossip needs n >= 3")
+        self.readers = reader_ids(n)
+        t0 = Plain(SeqTuple(0, U0))
+        self.specs = [
+            RegisterSpec("NG/W", WRITER, frozenset(self.readers[:-1]), t0)
+        ]
+        self.gossip: dict[int, str] = {}
+        for r in self.readers:
+            rid = f"NG/G{r}"
+            others = frozenset(x for x in self.readers if x != r)
+            self.specs.append(RegisterSpec(rid, r, others, t0))
+            self.gossip[r] = rid
+        self.classify = {s.reg_id: "candidate" for s in self.specs}
+        self.c = 0
+
+    def write_machine(self, value):
+        return self._write(value)
+
+    def _write(self, u):
+        self.c += 1
+        yield ("w", "NG/W", Plain(SeqTuple(self.c, u)))
+        return "done"
+
+    def read_machine(self, proc: int):
+        return self._read(proc)
+
+    def _read(self, p: int):
+        if p in self.specs[0].readers:
+            x = yield ("r", "NG/W")
+            if isinstance(x, Plain) and x.t.k >= 1:
+                yield ("w", self.gossip[p], x)
+                return x.t
+        for r in self.readers:
+            if r == p:
+                continue
+            y = yield ("r", self.gossip[r])
+            if isinstance(y, Plain) and y.t.k >= 1:
+                return y.t
+        return SeqTuple(0, U0)
+
+
+class AtomicOneWNR:
+    """Control: a genuine atomic 1WnR register (out of the theorem's register
+    budget; listed with the unrestricted rule)."""
+
+    def __init__(self, n: int):
+        self.readers = reader_ids(n)
+        self.specs = [
+            RegisterSpec("AT/R", WRITER, frozenset(self.readers), Plain(SeqTuple(0, U0)))
+        ]
+        self.classify = {"AT/R": "candidate"}
+        self.c = 0
+
+    def write_machine(self, value):
+        return self._write(value)
+
+    def _write(self, u):
+        self.c += 1
+        yield ("w", "AT/R", Plain(SeqTuple(self.c, u)))
+        return "done"
+
+    def read_machine(self, proc: int):
+        return self._read(proc)
+
+    def _read(self, p: int):
+        x = yield ("r", "AT/R")
+        if isinstance(x, Plain):
+            return x.t
+        return BOTTOM
+
+
+# ---------------------------------------------------------------------------
+# The table of implementations
+# ---------------------------------------------------------------------------
+
+# Register budgets the attack harness enforces on an implementation.
+RULE_THM1 = "thm1"  # writer and readers limited to 1W(n-1)R registers
+RULE_THM2 = "thm2"  # readers may additionally own 1WnR registers
+RULE_UNRESTRICTED = "unrestricted"  # control candidates only
+
+
+class Implementation(NamedTuple):
+    factory: Callable[[int], object]  # n -> instance
+    rule: str  # register budget
+    max_n: int  # largest n accepted
+
+
+IMPLEMENTATIONS = {
+    # algo1 builds 2^(n-1) - 1 instances: 3,972 registers at n = 10.
+    "algo1": Implementation(Algo1Construction, RULE_THM1, 10),
+    "algo2": Implementation(Algo2Construction, RULE_THM1, 2),
+    # The signature construction only owns pairwise 1W1Rs, so it fits the
+    # theorem-1 register budget; the attack search exhausts against it
+    # because a replayed signed tuple fails verification in runs where the
+    # writer never signed it.
+    "algo3": Implementation(Algo3Construction, RULE_THM1, 64),
+    "naive-gossip": Implementation(NaiveGossip, RULE_THM1, 64),
+    "atomic-1wnr": Implementation(AtomicOneWNR, RULE_UNRESTRICTED, 64),
 }
 
 
-def build_instance(name: str, n: int, oracle: Optional[SignatureOracle] = None):
-    try:
-        cls = CONSTRUCTIONS[name]
-    except KeyError:
-        raise MalformedScenario(f"unknown construction {name!r}") from None
-    check_n(name, n)
-    return cls(n, oracle=oracle)
+def check_n(name: str, n: int) -> Implementation:
+    """Look name up and reject an n above its maximum before anything is
+    sized by it."""
+    impl = IMPLEMENTATIONS.get(name)
+    if impl is None:
+        raise MalformedScenario(f"unknown construction {name!r}")
+    if n > impl.max_n:
+        raise MalformedScenario(f"{name} supports n <= {impl.max_n}, not {n}")
+    return impl
+
+
+def build_instance(name: str, n: int):
+    return check_n(name, n).factory(n)

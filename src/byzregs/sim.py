@@ -38,7 +38,6 @@ from .core import (
     Payload,
     RegisterFile,
     RegisterSpec,
-    SignatureOracle,
     decode_payload,
     encode_payload,
     is_honest,
@@ -147,15 +146,8 @@ class Engine:
     """Register substrate plus thread scheduling; shared by scenario runs and
     the attack harness (which drives phases directly)."""
 
-    def __init__(
-        self,
-        specs: Iterable[RegisterSpec],
-        oracle: Optional[SignatureOracle] = None,
-        seed: int = 0,
-        record_resumptions: bool = False,
-    ):
+    def __init__(self, specs: Iterable[RegisterSpec], seed: int = 0):
         self.registers = RegisterFile(specs)
-        self.oracle = oracle if oracle is not None else SignatureOracle()
         self.rng = random.Random(seed)
         self.events: list[Event] = []
         self.ops: list[OpResult] = []
@@ -174,9 +166,6 @@ class Engine:
         # Set whenever an op resolves or a process crashes; scenario
         # admission re-examines its workload only after such a change.
         self.changed = True
-        self.resumption_log: Optional[list[tuple[int, int]]] = (
-            [] if record_resumptions else None
-        )
 
     # -- events ------------------------------------------------------------
 
@@ -304,8 +293,6 @@ class Engine:
                 randomize: bool = False) -> None:
         if t.owner in self.crashed:
             raise CrashedActor(f"process {t.owner} already crashed")
-        if self.resumption_log is not None:
-            self.resumption_log.append((t.owner, t.tid))
         val, t.pending = t.pending, None
         try:
             action = t.gen.send(val)
@@ -539,8 +526,7 @@ class _Admission:
         self.last_op[op.proc] = op
 
 
-def run(scenario: Scenario, instance: Optional[object] = None,
-        record_resumptions: bool = False) -> Trace:
+def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     """Execute a scenario to quiescence or budget and return its trace.
 
     Operations of one process run one at a time, in workload order unless
@@ -552,11 +538,8 @@ def run(scenario: Scenario, instance: Optional[object] = None,
     seeded = isinstance(scenario.schedule, Seeded)
     seed = scenario.schedule.seed if seeded else 0
     if instance is None:
-        instance = constructions.build_instance(
-            scenario.construction, scenario.n, SignatureOracle()
-        )
-    eng = Engine(instance.specs, oracle=instance.oracle, seed=seed,
-                 record_resumptions=record_resumptions)
+        instance = constructions.build_instance(scenario.construction, scenario.n)
+    eng = Engine(instance.specs, seed=seed)
 
     eng.crash_points = sorted((fault.at_global_step, proc)
                               for proc, fault in scenario.faults.items()
@@ -586,6 +569,9 @@ def run(scenario: Scenario, instance: Optional[object] = None,
                     continue
                 break
         else:
+            # A scripted pick names its thread, so the FIFO queue a seeded
+            # pick draws from is dropped before each step to stay bounded.
+            eng.queue.clear()
             t = eng.threads.get(pick)
             if t is None or not t.runnable() or t.owner in eng.crashed or \
                     eng._op_stopped(t):
@@ -611,11 +597,8 @@ def run(scenario: Scenario, instance: Optional[object] = None,
         "budget_exhausted": exhausted,
         "crashed": sorted(eng.crashed),
     }
-    trace = Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index),
-                  meta=meta)
-    if record_resumptions:
-        trace.meta["resumptions"] = eng.resumption_log
-    return trace
+    return Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index),
+                 meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,9 @@ def _interval_patterns(n_writes, n_reads):
     return results
 
 
-def _class_signature(writes, reads, values):
+def _class_signature(writes, reads):
+    """A pattern's interleaving class without the read values: each read's
+    relation to every write, precedence among reads, pending writes."""
     def rel(read, write):
         rs, re = read
         ws, we = write
@@ -285,10 +287,7 @@ def _class_signature(writes, reads, values):
             return "before"
         return "overlap"
 
-    per_read = tuple(
-        (values[i],) + tuple(rel(rd, wr) for wr in writes)
-        for i, rd in enumerate(reads)
-    )
+    per_read = tuple(tuple(rel(rd, wr) for wr in writes) for rd in reads)
     prec = tuple(
         tuple(1 if reads[i][1] < reads[j][0] else 0 for j in range(len(reads)))
         for i in range(len(reads))
@@ -312,31 +311,32 @@ def _history_from_pattern(writes, reads, values):
 def test_criterion_6_checker_agrees_with_oracle():
     t0 = time.time()
     checked = 0
-    classes = set()
+    patterns = set()
     disagreements = []
     for n_writes in (0, 1, 2):
         for n_reads in range(0, 5):
             if n_writes + n_reads > 6:
                 continue
             for writes, reads in _interval_patterns(n_writes, n_reads):
+                # A class is a value-free class plus the read values, so
+                # every value tuple of the first pattern of each value-free
+                # class visits each class once, at its first pattern.
+                sig = _class_signature(writes, reads)
+                if sig in patterns:
+                    continue
+                patterns.add(sig)
                 for values in itertools.product(range(n_writes + 1),
                                                 repeat=n_reads):
-                    sig = _class_signature(writes, reads, values)
-                    if sig in classes:
-                        continue
-                    classes.add(sig)
                     history = _history_from_pattern(writes, reads, values)
-                    conj = (
-                        check_property1(history, True).ok
-                        and check_property2(history, True).ok
-                    )
+                    p1 = check_property1(history, True).ok
+                    p2 = check_property2(history, True).ok
                     oracle = oracle_linearize(history)
                     checked += 1
-                    if conj != oracle:
-                        disagreements.append((writes, reads, values, conj, oracle))
+                    if (p1 and p2) != oracle:
+                        disagreements.append((writes, reads, values, p1, p2, oracle))
     _report(
         "6",
-        checked > 0 and not disagreements,
+        checked == 347_298 and not disagreements,
         f"{checked} interleaving classes, {len(disagreements)} disagreements, "
         f"{time.time() - t0:.0f}s",
     )

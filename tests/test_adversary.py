@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from byzregs import adversary, checker
+from byzregs import adversary, checker, constructions
 from byzregs.adversary import (
     BlockedWitness,
     Exhausted,
@@ -19,7 +19,12 @@ from byzregs.adversary import (
     recorded_actions,
     script_from_json,
 )
-from byzregs.constructions import algo1_write_step_count
+from byzregs.constructions import (
+    AtomicOneWNR,
+    Implementation,
+    RULE_THM1,
+    algo1_write_step_count,
+)
 from byzregs.core import (
     AccessViolation,
     Correct,
@@ -64,16 +69,12 @@ def test_every_solo_step_invisible_to_someone_in_budget_settings():
             assert invisible_to(s, specs, inst.readers)
 
 
-def test_registration_budget_enforced():
+def test_registration_budget_enforced(monkeypatch):
     # A full 1WnR under a theorem rule must be rejected.
-    adversary.register_candidate(
-        "_test-overwide", adversary.RULE_THM1, adversary.AtomicOneWNR
-    )
-    try:
-        with pytest.raises(ValueError):
-            build_candidate("_test-overwide", 3)
-    finally:
-        del adversary._REGISTRY["_test-overwide"]
+    monkeypatch.setitem(constructions.IMPLEMENTATIONS, "_test-overwide",
+                        Implementation(AtomicOneWNR, RULE_THM1, 64))
+    with pytest.raises(ValueError):
+        build_candidate("_test-overwide", 3)
     # The control bypasses the check via the unrestricted rule.
     build_candidate("atomic-1wnr", 3)
     # The signature construction's pairwise registers are eligible.
@@ -82,14 +83,14 @@ def test_registration_budget_enforced():
 
 def test_replay_fidelity_on_unchanged_state():
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs, oracle=inst.oracle)
+    eng = Engine(inst.specs)
     eng.spawn_script(1, LieValue("NG/G1", Plain(SeqTuple(4, b"zz"))).machine(
         eng.registers, 1))
     eng.run_queue(step_budget=100)
     actions = recorded_actions(eng.events, 1)
 
     inst2 = build_candidate("naive-gossip", 3)
-    eng2 = Engine(inst2.specs, oracle=inst2.oracle)
+    eng2 = Engine(inst2.specs)
     eng2.spawn_script(1, Replay(actions).machine(eng2.registers, 1))
     eng2.run_queue(step_budget=100)
     assert events_to_jsonl(eng.events) == events_to_jsonl(eng2.events)
@@ -97,7 +98,7 @@ def test_replay_fidelity_on_unchanged_state():
 
 def test_adversary_actions_stay_access_checked():
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs, oracle=inst.oracle)
+    eng = Engine(inst.specs)
     # Reader 1 does not write NG/G2; the substrate rejects the script.
     eng.spawn_script(1, LieValue("NG/G2", Plain(SeqTuple(1, b"x"))).machine(
         eng.registers, 1))
@@ -107,7 +108,7 @@ def test_adversary_actions_stay_access_checked():
 
 def test_resetall_touches_only_own_registers_in_id_order():
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs, oracle=inst.oracle)
+    eng = Engine(inst.specs)
     eng.registers.write("NG/G2", 2, Plain(SeqTuple(3, b"x")))
     eng.spawn_script(2, ResetAll().machine(eng.registers, 2))
     eng.run_queue(step_budget=100)
@@ -248,14 +249,11 @@ def test_apply_transformation_single_step():
         assert search.log == [log]
 
 
-def test_writer_blocked_when_solo_write_spins():
+def test_writer_blocked_when_solo_write_spins(monkeypatch):
     from byzregs.adversary import WriterBlocked
-    from byzregs.core import RegisterSpec, SignatureOracle
 
     class Spinner:
         def __init__(self, n):
-            self.oracle = SignatureOracle()
-            self.writer = 0
             self.readers = list(range(1, n + 1))
             self.specs = [RegisterSpec("SP/R", 0, frozenset([1, 2]),
                                        Plain(SeqTuple(0, b"")))]
@@ -273,9 +271,7 @@ def test_writer_blocked_when_solo_write_spins():
                 return x.t
             return read()
 
-    adversary.register_candidate("_spinner", adversary.RULE_THM1, Spinner)
-    try:
-        with pytest.raises(WriterBlocked):
-            record_solo_write("_spinner", 3, budget=200)
-    finally:
-        del adversary._REGISTRY["_spinner"]
+    monkeypatch.setitem(constructions.IMPLEMENTATIONS, "_spinner",
+                        Implementation(Spinner, RULE_THM1, 64))
+    with pytest.raises(WriterBlocked):
+        record_solo_write("_spinner", 3, budget=200)

@@ -151,6 +151,44 @@ def test_attack_unknown_candidate_exit_two(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--op-budget", "1"], ["--op-budget", "-1"], ["--step-budget", "-5"],
+], ids=["op-budget=1", "op-budget=-1", "step-budget=-5"])
+def test_attack_budget_that_cannot_decide_exits_two(tmp_path, flags):
+    out = tmp_path / "a.json"
+    assert run_cli(["attack", "--construction", "algo1", "--n", "3", *flags,
+                    "--trace", str(tmp_path / "w.jsonl"), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("construction", ["atomic-1wnr", "naive-gossip"])
+def test_run_and_check_attack_candidates_all_correct(tmp_path, construction):
+    with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
+        doc = json.load(fh)
+    doc["construction"] = construction
+    scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "v.json"
+    assert run_cli(["run", "--scenario", str(scenario), "--trace", str(trace),
+                    "--out", str(out)]) == 0
+    assert run_cli(["check", "--scenario", str(scenario), "--trace", str(trace),
+                    "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("construction, code", [("atomic-1wnr", 0),
+                                                ("naive-gossip", 1)])
+def test_sweep_attack_candidates(tmp_path, construction, code):
+    out = tmp_path / "s.json"
+    assert run_cli([
+        "sweep", "--construction", construction, "--n", "3..5", "--runs", "40",
+        "--faults", ",".join(cli.CANONICAL_PATTERNS + cli.EXTRA_PATTERNS),
+        "--out", str(out),
+    ]) == code
+    summary = json.loads(out.read_text())
+    assert summary["runs"] == 840
+    assert set(summary["violations"]) <= {"Property1", "Property2"}
+
+
 def test_check_roundtrip_and_tamper(tmp_path):
     trace = tmp_path / "trace.jsonl"
     out = tmp_path / "v.json"
@@ -299,6 +337,18 @@ def test_check_respond_without_invoke_exits_two_naming_the_step(tmp_path, capsys
                                       and e["proc"] == respond["proc"])]
     assert _check_lines(tmp_path, lines) == 2
     assert f"at step {respond['step']}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("reg_write", "reg", "zz"), ("reg_read", "reg", "zz"), ("reg_write", "proc", 1),
+], ids=["write-unknown-register", "read-unknown-register", "write-by-a-reader"])
+def test_check_access_outside_the_construction_exits_two(tmp_path, capsys,
+                                                         kind, field, value):
+    lines = _stored_trace_lines(tmp_path)
+    event = next(e for e in lines if e["kind"] == kind and e["proc"] != value)
+    event[field] = value
+    assert _check_lines(tmp_path, lines) == 2
+    assert f"step {event['step']}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--step-budget", "--op-budget"])

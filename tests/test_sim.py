@@ -162,7 +162,18 @@ def test_scripted_pick_of_unrunnable_thread_is_malformed():
 # -- fairness and accounting -------------------------------------------------
 
 
-def test_seeded_fairness_bound():
+def _on_resume(monkeypatch, record):
+    """Call record(engine, thread) after every thread resumption."""
+    resume = sim.Engine._resume
+
+    def wrapped(eng, t, *args, **kwargs):
+        resume(eng, t, *args, **kwargs)
+        record(eng, t)
+
+    monkeypatch.setattr(sim.Engine, "_resume", wrapped)
+
+
+def test_seeded_fairness_bound(monkeypatch):
     sc = scenario(workload=[
         sim.WorkItem(0, "write", value=b"a"),
         sim.WorkItem(0, "write", value=b"b"),
@@ -170,8 +181,9 @@ def test_seeded_fairness_bound():
         sim.WorkItem(2, "read"),
         sim.WorkItem(3, "read"),
     ], schedule=sim.Seeded(5))
-    tr = sim.run(sc, record_resumptions=True)
-    log = tr.meta["resumptions"]
+    log = []
+    _on_resume(monkeypatch, lambda eng, t: log.append((t.owner, t.tid)))
+    sim.run(sc)
     # Every runnable thread must recur within (#runnable x 4) resumptions.
     active = {}
     for i, key in enumerate(log):
@@ -179,6 +191,26 @@ def test_seeded_fairness_bound():
             window = len({k for k in log[active[key]: i]})
             assert i - active[key] <= sim.FAIRNESS_CONSTANT * max(window, 1)
         active[key] = i
+
+
+def test_scripted_run_keeps_its_queue_within_the_live_threads(monkeypatch):
+    # Replay a long seeded run's resumptions as a scripted schedule.
+    sc = _alternating("algo1", 3, 200)
+    picks = []
+    _on_resume(monkeypatch, lambda eng, t: picks.append((t.owner, t.tid)))
+    expected = events_to_jsonl(sim.run(sc).events)
+    monkeypatch.undo()
+
+    def excess(eng, t):
+        live = sum(not (u.done or u.cancelled) for u in eng.threads.values())
+        excesses.append(len(eng.queue) - live)
+
+    excesses = []
+    _on_resume(monkeypatch, excess)
+    sc.schedule = sim.Scripted(tuple(picks))
+    assert events_to_jsonl(sim.run(sc).events) == expected
+    assert len(excesses) == len(picks) > 1000
+    assert max(excesses) <= 0
 
 
 def test_step_accounting():
@@ -258,7 +290,7 @@ def test_crashed_actor_cannot_be_resumed():
     from byzregs.core import CrashedActor
 
     inst = constructions.build_instance("algo1", 3)
-    eng = sim.Engine(inst.specs, oracle=inst.oracle)
+    eng = sim.Engine(inst.specs)
     eng.spawn_op(0, "Write", b"a", inst.write_machine(b"a"))
     t = eng.threads[(0, 0)]
     eng._mark_crashed(0)
