@@ -140,8 +140,8 @@ def random_workload(rng: random.Random, n: int, faults) -> list[sim.WorkItem]:
 def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
                          step_budget: int, per_op_budget: int) -> sim.Scenario:
     rng = random.Random(seed)
-    inst = constructions.build_instance(construction, n)
-    faults = build_fault_map(pattern, n, rng, inst.specs)
+    specs = constructions.register_specs(construction, n)
+    faults = build_fault_map(pattern, n, rng, specs)
     workload = random_workload(rng, n, faults)
     return sim.Scenario(
         construction=construction,
@@ -290,7 +290,8 @@ def cmd_sweep(args) -> int:
         ns = parse_n_range(args.n)
         if not ns:
             raise MalformedScenario(f"empty reader range {args.n!r}")
-        constructions.check_n(args.construction, ns[-1])
+        for n in (ns[0], ns[-1]):
+            constructions.check_n(args.construction, n)
         patterns = args.faults.split(",")
         for p in patterns:
             if p not in CANONICAL_PATTERNS + EXTRA_PATTERNS:

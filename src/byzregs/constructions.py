@@ -13,6 +13,7 @@ register three levels deep holds tuples of cells of tuples of cells.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Generator, NamedTuple, Union
 
@@ -228,8 +229,6 @@ class Algo1Construction:
     """Recursive 1WnR construction, writer 0, readers 1..n."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise MalformedScenario("algo1 needs n >= 2")
         self.root = Algo1Instance(f"I{n}", WRITER, reader_ids(n), U0)
         self.specs = self.root.specs
         self.classify = self.root.classify
@@ -333,8 +332,6 @@ class Algo3Construction:
     """1WnR over a full matrix of atomic 1W1Rs carrying writer-signed tuples."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise MalformedScenario("algo3 needs n >= 2")
         self.readers = reader_ids(n)
         self._oracle = SignatureOracle()
         cell0 = self._oracle.sign(SeqTuple(0, U0), WRITER)
@@ -493,15 +490,22 @@ IMPLEMENTATIONS = {
 
 
 def check_n(name: str, n: int) -> Implementation:
-    """Look name up and reject an n above its maximum before anything is
-    sized by it."""
+    """Look name up and reject an n below 2 or above its maximum before
+    anything is sized by it; a factory may still demand a larger n."""
     impl = IMPLEMENTATIONS.get(name)
     if impl is None:
         raise MalformedScenario(f"unknown construction {name!r}")
-    if n > impl.max_n:
-        raise MalformedScenario(f"{name} supports n <= {impl.max_n}, not {n}")
+    if not 2 <= n <= impl.max_n:
+        raise MalformedScenario(f"{name} supports 2 <= n <= {impl.max_n}, not {n}")
     return impl
 
 
 def build_instance(name: str, n: int):
     return check_n(name, n).factory(n)
+
+
+@functools.cache
+def register_specs(name: str, n: int) -> tuple[RegisterSpec, ...]:
+    """The register layout of name at n, built once per process. Machines
+    keep per-run state, so a run still needs its own build_instance."""
+    return tuple(build_instance(name, n).specs)

@@ -13,7 +13,8 @@ A step machine is a Python generator that yields one action per resumption:
 One resumption performs at most one register access; local computation and
 control flow are free. All interleaving decisions flow through the scheduler,
 so a scenario (construction, faults, workload, schedule, budgets) replays to
-a byte-identical trace.
+a byte-identical trace. A step costs O(1) engine work beyond a fork's
+seeded insertions and a budget stop's walk over the stopped op's threads.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import itertools
 import json
 import random
 from bisect import bisect_left, bisect_right
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Union
 
@@ -128,9 +130,6 @@ class _Thread:
         self.cancelled = False
         self.done = False
 
-    def runnable(self) -> bool:
-        return not (self.parked or self.cancelled or self.done)
-
 
 class _JoinFrame:
     __slots__ = ("parent", "branches", "resolved", "dead")
@@ -153,14 +152,16 @@ class Engine:
         self.ops: list[OpResult] = []
         self.crashed: set[int] = set()
         # (step, proc) in ascending order; each process crashes once the
-        # event count reaches its step. Points before _next_crash are due.
+        # event count reaches its step. Points before _next_crash are due;
+        # _sweep_crashes, run after assigning crash_points, sets _crash_at.
         self.crash_points: list[tuple[int, int]] = []
         self._next_crash = 0
+        self._crash_at = float("inf")
         self._due: list[int] = []  # heap of due, not yet crashed processes
         self.crash_after_accesses: dict[int, int] = {}
-        self.access_count: dict[int, int] = {}
+        self.access_count: defaultdict[int, int] = defaultdict(int)
         self.procs_with_events: set[int] = set()
-        self.queue: list[_Thread] = []
+        self.queue: deque[_Thread] = deque()
         self.threads: dict[tuple[int, int], _Thread] = {}
         self._tid_counters: dict[int, int] = {}
         # Set whenever an op resolves or a process crashes; scenario
@@ -169,29 +170,30 @@ class Engine:
 
     # -- events ------------------------------------------------------------
 
-    def _emit(self, **kw) -> Event:
-        e = Event(step=len(self.events), **kw)
-        self.events.append(e)
-        if e.kind != "crash":
-            self.procs_with_events.add(e.proc)
-        points = self.crash_points
-        if self._next_crash < len(points) and \
-                points[self._next_crash][0] <= len(self.events):
+    def _emit(self, proc: int, thread: int, kind: str, reg=None, value=None,
+              op=None, arg=None, ret=None) -> None:
+        events = self.events
+        events.append(Event(len(events), proc, thread, kind, reg, value, op, arg, ret))
+        if kind != "crash":
+            self.procs_with_events.add(proc)
+        if len(events) >= self._crash_at:
             self._sweep_crashes()
-        return e
 
     def _sweep_crashes(self) -> None:
         """Crash every process whose crash point is due, lowest id first. A
         crash event can make more points due; they join the same order."""
         points, due = self.crash_points, self._due
+        self._crash_at = float("inf")  # the crash events below do not re-enter
         while True:
             while self._next_crash < len(points) and \
                     points[self._next_crash][0] <= len(self.events):
                 heapq.heappush(due, points[self._next_crash][1])
                 self._next_crash += 1
             if not due:
-                return
+                break
             self._mark_crashed(heapq.heappop(due))
+        if self._next_crash < len(points):
+            self._crash_at = points[self._next_crash][0]
 
     def _mark_crashed(self, proc: int) -> None:
         if proc in self.crashed:
@@ -203,7 +205,7 @@ class Engine:
                 op.status = "crashed-owner"
         # A crash marker is only informative once the process has acted.
         if proc in self.procs_with_events:
-            self._emit(proc=proc, thread=-1, kind="crash")
+            self._emit(proc, -1, "crash")
 
     # -- threads -----------------------------------------------------------
 
@@ -231,7 +233,7 @@ class Engine:
         t = _Thread(proc, self._new_tid(proc), gen, op)
         self.threads[(proc, t.tid)] = t
         op.invoke_step = len(self.events)
-        self._emit(proc=proc, thread=t.tid, kind="invoke", op=kind, arg=arg)
+        self._emit(proc, t.tid, "invoke", None, None, kind, arg)
         self.ops.append(op)
         self._enqueue(t)
         return op
@@ -250,11 +252,6 @@ class Engine:
                 for b in fr.branches:
                     self._cancel_subtree(b)
 
-    def _stop_op_threads(self, op: OpResult) -> None:
-        for t in self.threads.values():
-            if t.op is op and not t.done:
-                t.cancelled = True
-
     def _on_return(self, t: _Thread, value) -> None:
         t.done = True
         if t.frame is None:
@@ -264,9 +261,7 @@ class Engine:
                 op.ret = value
                 op.respond_step = len(self.events)
                 self.changed = True
-                self._emit(
-                    proc=t.owner, thread=t.tid, kind="respond", op=op.kind, ret=value
-                )
+                self._emit(t.owner, t.tid, "respond", None, None, op.kind, None, value)
             return
         fr = t.frame
         if fr.resolved:
@@ -291,8 +286,9 @@ class Engine:
 
     def _resume(self, t: _Thread, per_op_budget: Optional[int] = None,
                 randomize: bool = False) -> None:
-        if t.owner in self.crashed:
-            raise CrashedActor(f"process {t.owner} already crashed")
+        owner = t.owner
+        if owner in self.crashed:
+            raise CrashedActor(f"process {owner} already crashed")
         val, t.pending = t.pending, None
         try:
             action = t.gen.send(val)
@@ -301,23 +297,18 @@ class Engine:
             return
         kind = action[0]
         if kind == "r":
-            value = self.registers.read(action[1], t.owner)
-            self._emit(proc=t.owner, thread=t.tid, kind="reg_read",
-                       reg=action[1], value=value)
-            t.pending = value
-            self._account(t, per_op_budget)
+            value = t.pending = self.registers.read(action[1], owner)
+            self._emit(owner, t.tid, "reg_read", action[1], value)
         elif kind == "w":
-            self.registers.write(action[1], t.owner, action[2])
-            self._emit(proc=t.owner, thread=t.tid, kind="reg_write",
-                       reg=action[1], value=action[2])
-            self._account(t, per_op_budget)
+            self.registers.write(action[1], owner, action[2])
+            self._emit(owner, t.tid, "reg_write", action[1], action[2])
         elif kind == "fork":
             fr = _JoinFrame(t)
             for gen in action[1:]:
-                b = _Thread(t.owner, self._new_tid(t.owner), gen, t.op)
+                b = _Thread(owner, self._new_tid(owner), gen, t.op)
                 b.frame = fr
                 fr.branches.append(b)
-                self.threads[(t.owner, b.tid)] = b
+                self.threads[(owner, b.tid)] = b
             t.child_frames.append(fr)
             t.parked = True
             for b in fr.branches:
@@ -325,33 +316,39 @@ class Engine:
             return
         else:
             raise RuntimeError(f"unknown machine action {action!r}")
-        if t.runnable() and t.owner not in self.crashed and not self._op_stopped(t):
-            self._enqueue(t)
-
-    def _op_stopped(self, t: _Thread) -> bool:
-        return t.op is not None and t.op.status != "pending"
-
-    def _account(self, t: _Thread, per_op_budget: Optional[int]) -> None:
-        self.access_count[t.owner] = self.access_count.get(t.owner, 0) + 1
+        self.access_count[owner] += 1
+        # After an access t is neither parked nor done, and its op stops being
+        # pending only if the owner crashed at this event.
         op = t.op
         if op is not None:
             op.steps += 1
-            if per_op_budget is not None and op.steps >= per_op_budget and \
-                    op.status == "pending":
+            if op.status != "pending":
+                return
+            if per_op_budget is not None and op.steps >= per_op_budget:
                 op.reason = "per-op budget"
                 self.changed = True
-                self._stop_op_threads(op)
+                while t.frame is not None:  # cancel the op's whole fork tree
+                    t = t.frame.parent
+                self._cancel_subtree(t)
+                return
+        elif owner in self.crashed:
+            return
+        self.queue.append(t)
 
     def _pop_runnable(self) -> Optional[_Thread]:
-        while self.queue:
-            t = self.queue.pop(0)
-            if t.owner in self.crashed:
+        queue, crashed, limits = self.queue, self.crashed, self.crash_after_accesses
+        while queue:
+            t = queue.popleft()
+            owner = t.owner
+            if owner in crashed:
                 continue
-            if t.owner in self.crash_after_accesses and \
-                    self.access_count.get(t.owner, 0) >= self.crash_after_accesses[t.owner]:
-                self._mark_crashed(t.owner)
+            if limits and owner in limits and \
+                    self.access_count[owner] >= limits[owner]:
+                self._mark_crashed(owner)
                 continue
-            if not t.runnable() or self._op_stopped(t):
+            op = t.op
+            if t.parked or t.cancelled or t.done or \
+                    (op is not None and op.status != "pending"):
                 continue
             return t
         return None
@@ -363,7 +360,7 @@ class Engine:
             t = self._pop_runnable()
             if t is None:
                 return
-            self._resume(t, per_op_budget=per_op_budget, randomize=randomize)
+            self._resume(t, per_op_budget, randomize)
 
     def total_accesses(self) -> int:
         return sum(self.access_count.values())
@@ -395,6 +392,8 @@ def validate_scenario(s: Scenario) -> None:
             raise MalformedScenario(f"{name} must be a positive integer, not {budget!r}")
     if s.n < 2:
         raise MalformedScenario("need at least two readers")
+    if not s.workload:
+        raise MalformedScenario("workload has no items")
     if not all(_is_int(p) and 0 <= p <= s.n for p in s.faults):
         raise MalformedScenario("fault map references undeclared processes")
     for proc, fault in s.faults.items():
@@ -570,13 +569,16 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
                 break
         else:
             # A scripted pick names its thread, so the FIFO queue a seeded
-            # pick draws from is dropped before each step to stay bounded.
+            # pick draws from is dropped before each step to stay bounded;
+            # the pick then passes the same liveness test as a seeded one.
             eng.queue.clear()
             t = eng.threads.get(pick)
-            if t is None or not t.runnable() or t.owner in eng.crashed or \
-                    eng._op_stopped(t):
+            if t is not None:
+                eng.queue.append(t)
+                t = eng._pop_runnable()
+            if t is None:
                 raise MalformedScenario(f"scripted pick {pick} is not runnable")
-        eng._resume(t, per_op_budget=scenario.per_op_budget, randomize=seeded)
+        eng._resume(t, scenario.per_op_budget, seeded)
     exhausted = seeded and len(eng.events) >= scenario.step_budget
 
     if not seeded:

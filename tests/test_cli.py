@@ -273,11 +273,14 @@ def _set(path, value):
     _set(("faults",), []),
     _set(("n",), 2**70),
     _set(("n",), 11),
+    lambda doc: (doc.clear(), doc.update({
+        "construction": "algo1", "n": 3, "workload": [],
+        "schedule": {"kind": "seeded", "seed": 1}})),
 ], ids=[
     "step_budget=-1", "step_budget=0", "per_op_budget=0", "per_op_budget=str",
     "n=str", "n=bool", "n=float", "proc=str", "proc=bool", "after_op=str",
     "after_op=bool", "after_step=float", "fault-key=str", "write-without-value",
-    "faults=list", "n=2**70", "n=11",
+    "faults=list", "n=2**70", "n=11", "empty-workload",
 ])
 def test_invalid_scenario_exits_two(tmp_path, edit):
     with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
@@ -305,6 +308,14 @@ def test_invalid_scenario_exits_two(tmp_path, edit):
         "attack-naive-gossip-n=65"])
 def test_n_above_the_maximum_exits_two(tmp_path, argv):
     assert run_cli(argv + ["--out", str(tmp_path / "o.json")]) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-2", "0..3"])
+def test_n_below_two_exits_two(tmp_path, n):
+    argv = ["sweep", "--construction", "atomic-1wnr", "--n", n, "--runs", "1",
+            "--faults", "one-malicious-reader", "--out", str(tmp_path / "o.json")]
+    assert run_cli(argv) == 2
     assert not (tmp_path / "o.json").exists()
 
 

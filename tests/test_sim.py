@@ -227,6 +227,36 @@ def test_step_accounting():
     assert sum(op.steps for op in tr.ops) == sum(per_proc.values())
 
 
+def test_budget_stop_ends_both_branches_of_a_forked_read():
+    # The writer crashes mid-write, so reader 3's read forks; its budget of
+    # four register steps runs out while reader 2's read is still open.
+    sc = scenario(
+        faults={0: Crash(4), 1: Correct(), 2: Correct(), 3: Correct()},
+        workload=[
+            sim.WorkItem(0, "write", value=b"a"),
+            sim.WorkItem(3, "read", after_step=4),
+            sim.WorkItem(2, "read", after_step=8),
+        ],
+        schedule=sim.Seeded(0),
+        per_op_budget=4,
+    )
+    tr = sim.run(sc)
+    stopped, other = tr.ops[1], tr.ops[2]
+    assert (stopped.status, stopped.reason) == ("pending", "per-op budget")
+    accesses = [e for e in tr.events
+                if e.proc == 3 and e.kind in ("reg_read", "reg_write")]
+    stop_step = accesses[-1].step
+    assert stopped.steps == len(accesses) == 4
+    # Without the budget both branches would still act after the stop step.
+    free = sim.run(scenario(faults=sc.faults, workload=sc.workload,
+                            schedule=sc.schedule))
+    assert {e.thread for e in free.events
+            if e.proc == 3 and e.step > stop_step} >= {1, 2}
+    assert [e for e in tr.events if e.proc == 3 and e.step > stop_step] == []
+    assert other.invoke_step < stop_step < other.respond_step
+    assert other.status == "completed"
+
+
 def test_one_outstanding_op_per_process():
     sc = scenario(workload=[
         sim.WorkItem(1, "read"),
