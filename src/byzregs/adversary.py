@@ -164,18 +164,24 @@ def recorded_actions(events: list[Event], proc: int) -> tuple[tuple, ...]:
 # ---------------------------------------------------------------------------
 
 
+# (table entry, n) pairs whose layout is within the entry's register budget.
+_WITHIN_BUDGET: set[tuple] = set()
+
+
 def build_candidate(name: str, n: int):
-    """Build an implementation and enforce its register budget."""
+    """Build an implementation and enforce its register budget, checked
+    once per (table entry, n)."""
     inst = build_instance(name, n)
-    rule = IMPLEMENTATIONS[name].rule
-    if rule in (RULE_THM1, RULE_THM2):
+    impl = IMPLEMENTATIONS[name]
+    if impl.rule in (RULE_THM1, RULE_THM2) and (impl, n) not in _WITHIN_BUDGET:
         for spec in inst.specs:
-            limit = n - 1 if (spec.writer == WRITER or rule == RULE_THM1) else n
+            limit = n - 1 if (spec.writer == WRITER or impl.rule == RULE_THM1) else n
             if len(spec.readers) > limit:
                 raise ValueError(
                     f"candidate {name}: register {spec.reg_id} readable by "
-                    f"{len(spec.readers)} readers exceeds the {rule} budget"
+                    f"{len(spec.readers)} readers exceeds the {impl.rule} budget"
                 )
+        _WITHIN_BUDGET.add((impl, n))
     return inst
 
 
@@ -193,7 +199,7 @@ def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
     s^1..s^m in order.
     """
     inst = build_candidate(name, n)
-    eng = Engine(inst.specs)
+    eng = Engine(inst.by_id)
     op = eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
     eng.run_queue(step_budget=budget)
     if op.status != "completed":
@@ -255,7 +261,7 @@ class PlanResult:
 def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     """Run phases strictly in order on a fresh candidate instance."""
     inst = build_candidate(name, n)
-    eng = Engine(inst.specs)
+    eng = Engine(inst.by_id)
     reads: list[tuple[int, str, object]] = []
     for ph in phases:
         if isinstance(ph, WriterPhase):
@@ -335,7 +341,7 @@ class _Search:
         self.n = n
         self.inst0 = build_candidate(name, n)
         self.rule = IMPLEMENTATIONS[name].rule
-        self.specs = {s.reg_id: s for s in self.inst0.specs}
+        self.specs = self.inst0.by_id
         self.readers = list(self.inst0.readers)
         self.budget = budget
         self.stage_budget = stage_budget

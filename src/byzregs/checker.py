@@ -23,8 +23,8 @@ from .core import (
     Prepare,
     RegisterSpec,
     SeqTuple,
+    SignatureOracle,
     Signed,
-    sig_token,
     is_honest,
 )
 from .constructions import WRITER
@@ -335,18 +335,19 @@ def validate_internal_invariants(
 
     last_wchan: dict[str, tuple[str, int]] = {}
     last_mono: dict[str, int] = {}
-    issued: set[tuple[int, SeqTuple]] = set()
-    for spec in specs.values():
-        if isinstance(spec.initial, Signed):
-            issued.add((spec.initial.signer, spec.initial.t))
+    # The construction's initial cells are genuine; any other signature is
+    # the one its signer computes when it first writes the tuple.
+    oracle = SignatureOracle({(s.initial.signer, s.initial.t): s.initial.token
+                              for s in specs.values() if isinstance(s.initial, Signed)})
 
     for e in events:
         if e.kind != "reg_write":
             continue
         cls = classify.get(e.reg)
         cell = e.value
-        if isinstance(cell, Signed) and e.proc == cell.signer:
-            issued.add((cell.signer, cell.t))
+        if isinstance(cell, Signed) and e.proc == cell.signer and \
+                (cell.signer, cell.t) not in oracle.issued:
+            oracle.sign(cell.t, cell.signer)
         if not is_honest_proc(e.proc):
             continue
         if cls == "wchan":
@@ -414,13 +415,7 @@ def validate_internal_invariants(
                 )
             last_mono[e.reg] = cell.t.k
         elif cls == "sig":
-            valid = (
-                isinstance(cell, Signed)
-                and cell.signer == WRITER
-                and (cell.signer, cell.t) in issued
-                and cell.token == sig_token(cell.t, cell.signer)
-            )
-            if not valid:
+            if not oracle.verify(cell, WRITER):
                 return _violated(
                     "InternalInvariant",
                     [e.step],

@@ -140,7 +140,7 @@ def random_workload(rng: random.Random, n: int, faults) -> list[sim.WorkItem]:
 def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
                          step_budget: int, per_op_budget: int) -> sim.Scenario:
     rng = random.Random(seed)
-    specs = constructions.register_specs(construction, n)
+    specs = constructions.layout_of(construction, n).specs
     faults = build_fault_map(pattern, n, rng, specs)
     workload = random_workload(rng, n, faults)
     return sim.Scenario(
@@ -169,36 +169,47 @@ def value_index_for(scenario: sim.Scenario):
     return index
 
 
-def _check_with_instance(trace: sim.Trace, scenario: sim.Scenario, inst):
+def _check_with_layout(trace: sim.Trace, scenario: sim.Scenario, layout):
     return checker.run_all_checks(
         trace,
         scenario.faults,
-        specs={s.reg_id: s for s in inst.specs},
-        classify=inst.classify,
+        specs=layout.by_id,
+        classify=layout.classify,
         value_index=value_index_for(scenario),
     )
 
 
-def check_trace(trace: sim.Trace, scenario: sim.Scenario):
-    """Check a stored trace; its register events must obey the instance's
-    access rules (values are not replayed)."""
-    inst = constructions.build_instance(scenario.construction, scenario.n)
-    registers = RegisterFile(inst.specs)
-    for e in trace.events:
+def replay_registers(events, specs) -> None:
+    """Replay stored register events on fresh registers: every access must
+    obey the specs' access rules and every read return the cell last
+    written to its register, or MalformedHistory names the step."""
+    registers = RegisterFile(specs)
+    for e in events:
         try:
             if e.kind == "reg_read":
-                registers.read(e.reg, e.proc)
+                cell = registers.read(e.reg, e.proc)
+                if e.value != cell:
+                    raise checker.MalformedHistory(
+                        f"step {e.step}: read of {e.reg} returned {e.value!r}, "
+                        f"not its last written cell {cell!r}")
             elif e.kind == "reg_write":
                 registers.write(e.reg, e.proc, e.value)
         except AccessViolation as exc:
             raise checker.MalformedHistory(f"step {e.step}: {exc}") from None
-    return _check_with_instance(trace, scenario, inst)
+
+
+def check_trace(trace: sim.Trace, scenario: sim.Scenario):
+    """Check a stored trace, which must first replay on the construction's
+    registers."""
+    layout = constructions.layout_of(scenario.construction, scenario.n)
+    replay_registers(trace.events, layout.by_id)
+    return _check_with_layout(trace, scenario, layout)
 
 
 def run_and_check(scenario: sim.Scenario):
     inst = constructions.build_instance(scenario.construction, scenario.n)
     trace = sim.run(scenario, instance=inst)
-    verdicts = _check_with_instance(trace, scenario, inst)
+    verdicts = _check_with_layout(trace, scenario, inst)
     return trace, verdicts
 
 

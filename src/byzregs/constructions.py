@@ -1,9 +1,13 @@
 """The register implementations as step machines: the paper's three
 constructions and the candidates its impossibility argument attacks.
 
-Each implementation exposes a Write(u) machine for the writer and a Read()
-machine per reader. Machines are generators over primitive actions (see sim);
-an operation on an inner implemented register is a plain sub-generator, so its
+Each implementation is a layout, fixed by n, plus a small per-run state. The
+layout holds the registers, their classes and any handle tree; it is built
+once per (implementation, n) and no run changes it. The state holds only the
+paper's local variables. A layout's Write(u) and Read() machines take that
+state as their first argument; build_instance binds the cached layout to a
+fresh state. Machines are generators over primitive actions (see sim); an
+operation on an inner implemented register is a plain sub-generator, so its
 steps are exactly the inner machine's steps.
 
 Register value domains nest: the recursive construction stores the outer
@@ -13,8 +17,6 @@ register three levels deep holds tuples of cells of tuples of cells.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
 from typing import Callable, Generator, NamedTuple, Union
 
 from .core import (
@@ -30,9 +32,11 @@ from .core import (
     SeqTuple,
     Signed,
     SignatureOracle,
+    specs_by_id,
 )
 
 U0: bytes = b""
+T0 = SeqTuple(0, U0)
 
 WRITER = 0
 
@@ -46,6 +50,38 @@ def _plain_ge(cell: CellValue, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Layouts and per-run state
+# ---------------------------------------------------------------------------
+
+
+class Vars:
+    """A run's local variables; key() is a hashable snapshot of them, which
+    takes a signature oracle by its issued table."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+    def key(self) -> tuple:
+        return tuple(frozenset(v.issued.items()) if isinstance(v, SignatureOracle)
+                     else v for v in self.__dict__.values())
+
+
+class Layout:
+    """What an implementation fixes for a given n: its readers, its registers
+    in declaration order and by id, and their classes for the checker."""
+
+    def __init__(self, readers: list[int], specs: list[RegisterSpec],
+                 classify: dict[str, str]):
+        self.readers = readers
+        self.specs = tuple(specs)
+        self.by_id = specs_by_id(self.specs)
+        self.classify = classify
+
+    def new_state(self) -> Vars:
+        return Vars(c=0)  # the writer's counter
+
+
+# ---------------------------------------------------------------------------
 # Recursive construction (1WnR from two 1W(n-1)Rs and 1W1Rs)
 # ---------------------------------------------------------------------------
 
@@ -56,151 +92,142 @@ class _AtomicHandle:
     def __init__(self, reg_id: str):
         self.reg_id = reg_id
 
-    def read(self, actor: int):
+    def read(self, run, actor: int):
         cell = yield ("r", self.reg_id)
         return cell
 
-    def write(self, actor: int, cell: CellValue):
+    def write(self, run, actor: int, cell: CellValue):
         yield ("w", self.reg_id, cell)
 
 
-class _InstanceHandle:
-    """A nested instance used as an implemented register.
+class _Algo1Run(list):
+    """The Vars of every level of one run, indexed by Algo1Level.idx: c and
+    last_written for w, previous_k for p."""
 
-    Reading unwraps the inner tuple to the stored cell; a failed inner read
-    surfaces as a bottom cell, which no outer pattern matches.
+    def key(self) -> tuple:
+        return tuple(v.key() for v in self)
+
+
+class Algo1Level:
+    """One recursion level: writer w, distinguished reader p, helper set Q.
+
+    It appends its registers, and then its nested levels', to specs and
+    classify, and itself to levels. Its local variables in a run are
+    run[self.idx], bound once when a machine starts. A nested level serves
+    its parent as an implemented register (read/write).
     """
 
-    def __init__(self, inst: "Algo1Instance"):
-        self.inst = inst
+    def __init__(self, path: str, writer: int, readers: list[int], u0: Payload,
+                 levels: list, specs: list, classify: dict):
+        self.idx = len(levels)
+        levels.append(self)
+        self.writer = writer
+        readers = sorted(readers)
+        self.p = readers[0]
+        self.q_list = readers[1:]
+        self.t0 = t0 = SeqTuple(0, u0)
 
-    def read(self, actor: int):
-        t = yield from self.inst.read_tuple(actor)
+        def add(rid: str, w: int, rs: list[int], initial: CellValue, cls: str):
+            specs.append(RegisterSpec(rid, w, frozenset(rs), initial))
+            classify[rid] = cls
+
+        add(f"{path}/Rwp", writer, [self.p], Commit(t0), "wchan")
+        self.rwp = _AtomicHandle(f"{path}/Rwp")
+        self.rqq: dict[tuple[int, int], str] = {}
+        for q1 in self.q_list:
+            for q2 in self.q_list:
+                rid = f"{path}/R{q1}_{q2}"
+                add(rid, q1, [q2], Plain(t0), "gossip")
+                self.rqq[(q1, q2)] = rid
+        if len(readers) == 2:
+            q = self.q_list[0]
+            add(f"{path}/RwQ", writer, [q], Commit(t0), "wchan")
+            add(f"{path}/RpQ", self.p, [q], Plain(t0), "pchan")
+            self.rwq: Union[_AtomicHandle, Algo1Level] = _AtomicHandle(f"{path}/RwQ")
+            self.rpq: Union[_AtomicHandle, Algo1Level] = _AtomicHandle(f"{path}/RpQ")
+        else:
+            m = len(readers) - 1
+            self.rwq = Algo1Level(f"{path}/RwQ/I{m}", writer, self.q_list,
+                                  Commit(t0), levels, specs, classify)
+            self.rpq = Algo1Level(f"{path}/RpQ/I{m}", self.p, self.q_list,
+                                  Plain(t0), levels, specs, classify)
+
+    # -- as an implemented register ----------------------------------------
+
+    def read(self, run: _Algo1Run, actor: int):
+        """Unwrap the inner tuple to the stored cell; a failed inner read
+        surfaces as a bottom cell, which no outer pattern matches."""
+        t = yield from self.read_tuple(run, actor)
         if isinstance(t, SeqTuple):
             return t.u
         return BOTTOM
 
-    def write(self, actor: int, cell: CellValue):
-        if actor != self.inst.writer:
+    def write(self, run: _Algo1Run, actor: int, cell: CellValue):
+        if actor != self.writer:
             raise AssertionError("inner write by non-writer")
-        yield from self.inst.write_cell(cell)
-
-
-@dataclass
-class Algo1Instance:
-    """One recursion level: writer w, distinguished reader p, helper set Q."""
-
-    path: str
-    writer: int
-    readers: list[int]  # sorted; p is the lowest id
-    u0: Payload
-    specs: list[RegisterSpec] = field(default_factory=list)
-    classify: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.readers = sorted(self.readers)
-        self.p = self.readers[0]
-        self.q_list = self.readers[1:]
-        t0 = SeqTuple(0, self.u0)
-        self._add(f"{self.path}/Rwp", self.writer, [self.p], Commit(t0), "wchan")
-        self.rwp = _AtomicHandle(f"{self.path}/Rwp")
-        self.rqq: dict[tuple[int, int], str] = {}
-        for q1 in self.q_list:
-            for q2 in self.q_list:
-                rid = f"{self.path}/R{q1}_{q2}"
-                self._add(rid, q1, [q2], Plain(t0), "gossip")
-                self.rqq[(q1, q2)] = rid
-        if len(self.readers) == 2:
-            q = self.q_list[0]
-            self._add(f"{self.path}/RwQ", self.writer, [q], Commit(t0), "wchan")
-            self._add(f"{self.path}/RpQ", self.p, [q], Plain(t0), "pchan")
-            self.rwq: Union[_AtomicHandle, _InstanceHandle] = _AtomicHandle(
-                f"{self.path}/RwQ"
-            )
-            self.rpq: Union[_AtomicHandle, _InstanceHandle] = _AtomicHandle(
-                f"{self.path}/RpQ"
-            )
-        else:
-            m = len(self.readers) - 1
-            wq = Algo1Instance(f"{self.path}/RwQ/I{m}", self.writer, self.q_list,
-                               Commit(t0))
-            pq = Algo1Instance(f"{self.path}/RpQ/I{m}", self.p, self.q_list,
-                               Plain(t0))
-            self.specs.extend(wq.specs)
-            self.specs.extend(pq.specs)
-            self.classify.update(wq.classify)
-            self.classify.update(pq.classify)
-            self.rwq = _InstanceHandle(wq)
-            self.rpq = _InstanceHandle(pq)
-        # Local variables (paper: c, last_written for w; previous_k for p).
-        self.c = 0
-        self.last_written = t0
-        self.previous_k = 0
-
-    def _add(self, rid: str, writer: int, readers: list[int], initial: CellValue,
-             cls: str) -> None:
-        self.specs.append(RegisterSpec(rid, writer, frozenset(readers), initial))
-        self.classify[rid] = cls
+        yield from self.write_cell(run, cell)
 
     # -- machines ----------------------------------------------------------
 
-    def write_cell(self, payload: Payload):
+    def write_cell(self, run: _Algo1Run, payload: Payload):
         """Write(u) then w(<k,u>): prepare to p, prepare to Q, commit to p,
         commit to Q, in exactly that order."""
-        self.c += 1
-        t = SeqTuple(self.c, payload)
-        lw = self.last_written
-        yield from self.rwp.write(self.writer, Prepare(lw, t))
-        yield from self.rwq.write(self.writer, Prepare(lw, t))
-        yield from self.rwp.write(self.writer, Commit(t))
-        yield from self.rwq.write(self.writer, Commit(t))
-        self.last_written = t
+        v = run[self.idx]
+        v.c += 1
+        t = SeqTuple(v.c, payload)
+        lw = v.last_written
+        yield from self.rwp.write(run, self.writer, Prepare(lw, t))
+        yield from self.rwq.write(run, self.writer, Prepare(lw, t))
+        yield from self.rwp.write(run, self.writer, Commit(t))
+        yield from self.rwq.write(run, self.writer, Commit(t))
+        v.last_written = t
         return DONE
 
-    def read_tuple(self, actor: int):
+    def read_tuple(self, run: _Algo1Run, actor: int):
         if actor == self.p:
-            result = yield from self._r_p()
+            result = yield from self._r_p(run)
         else:
-            result = yield from self._r_q(actor)
+            result = yield from self._r_q(run, actor)
         return result
 
-    def _r_p(self):
-        x = yield from self.rwp.read(self.p)
-        if isinstance(x, Commit) and x.t.k >= self.previous_k:
-            yield from self.rpq.write(self.p, Plain(x.t))
-            self.previous_k = x.t.k
+    def _r_p(self, run: _Algo1Run):
+        v = run[self.idx]
+        x = yield from self.rwp.read(run, self.p)
+        if isinstance(x, Commit) and x.t.k >= v.previous_k:
+            yield from self.rpq.write(run, self.p, Plain(x.t))
+            v.previous_k = x.t.k
             return x.t
         if isinstance(x, Prepare):
             return x.prev
         return BOTTOM
 
-    def _r_q(self, q: int):
-        x = yield from self.rwq.read(q)
+    def _r_q(self, run: _Algo1Run, q: int):
+        x = yield from self.rwq.read(run, q)
         if isinstance(x, Commit):
             return x.t
         if isinstance(x, Prepare):
             winner = yield (
                 "fork",
-                self._q_thread1(q, x.next),
-                self._q_thread2(q, x.prev, x.next),
+                self._q_thread1(run, q, x.next),
+                self._q_thread2(run, q, x.prev, x.next),
             )
             return winner
         return BOTTOM
 
-    def _q_thread1(self, q: int, t: SeqTuple):
+    def _q_thread1(self, run: _Algo1Run, q: int, t: SeqTuple):
         # Poll the writer's channel until a commit at least as new, or a
         # strictly newer prepare, shows the write has been superseded.
         while True:
-            x = yield from self.rwq.read(q)
+            x = yield from self.rwq.read(run, q)
             if isinstance(x, Commit) and x.t.k >= t.k:
                 return t
-            x = yield from self.rwq.read(q)
+            x = yield from self.rwq.read(run, q)
             if isinstance(x, Prepare) and x.next.k > t.k:
                 return t
 
-    def _q_thread2(self, q: int, lw: SeqTuple, t: SeqTuple):
+    def _q_thread2(self, run: _Algo1Run, q: int, lw: SeqTuple, t: SeqTuple):
         k = t.k
-        x = yield from self.rpq.read(q)
+        x = yield from self.rpq.read(run, q)
         if _plain_ge(x, k):
             yield from self._broadcast(q, t)
             return t
@@ -211,7 +238,7 @@ class Algo1Instance:
                 hit = True
                 break
         if hit:
-            x = yield from self.rpq.read(q)
+            x = yield from self.rpq.read(run, q)
             if _plain_ge(x, k):
                 yield from self._broadcast(q, t)
                 return t
@@ -225,20 +252,26 @@ class Algo1Instance:
             yield ("w", self.rqq[(q, q2)], Plain(t))
 
 
-class Algo1Construction:
+class Algo1Construction(Layout):
     """Recursive 1WnR construction, writer 0, readers 1..n."""
 
     def __init__(self, n: int):
-        self.root = Algo1Instance(f"I{n}", WRITER, reader_ids(n), U0)
-        self.specs = self.root.specs
-        self.classify = self.root.classify
-        self.readers = reader_ids(n)
+        self.levels: list[Algo1Level] = []
+        specs: list[RegisterSpec] = []
+        classify: dict[str, str] = {}
+        self.root = Algo1Level(f"I{n}", WRITER, reader_ids(n), U0,
+                               self.levels, specs, classify)
+        super().__init__(reader_ids(n), specs, classify)
 
-    def write_machine(self, value: Payload) -> Generator:
-        return self.root.write_cell(value)
+    def new_state(self) -> _Algo1Run:
+        return _Algo1Run(Vars(c=0, last_written=level.t0, previous_k=0)
+                         for level in self.levels)
 
-    def read_machine(self, proc: int) -> Generator:
-        return self.root.read_tuple(proc)
+    def write_machine(self, run: _Algo1Run, value: Payload) -> Generator:
+        return self.root.write_cell(run, value)
+
+    def read_machine(self, run: _Algo1Run, proc: int) -> Generator:
+        return self.root.read_tuple(run, proc)
 
 
 def algo1_write_step_count(n: int) -> int:
@@ -251,51 +284,46 @@ def algo1_write_step_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Algo2Construction:
+class Algo2Construction(Layout):
     """1W2R from three atomic 1W1Rs; q falls back on its local last_read, and
     p's commit branch is deliberately unguarded (no previous_k)."""
 
     def __init__(self, n: int = 2):
         if n != 2:
             raise MalformedScenario("algo2 is a 1W2R construction (n = 2)")
-        self.readers = [1, 2]
         self.p, self.q = 1, 2
-        t0 = SeqTuple(0, U0)
-        self.specs = [
-            RegisterSpec("I2p/Rwp", WRITER, frozenset([1]), Commit(t0)),
-            RegisterSpec("I2p/Rwq", WRITER, frozenset([2]), Commit(t0)),
-            RegisterSpec("I2p/Rpq", 1, frozenset([2]), Plain(t0)),
-        ]
         # Rpq carries no previous_k guard here (faithful to the two-reader
         # algorithm), so its monotonicity only holds under an honest writer.
-        self.classify = {
+        super().__init__([1, 2], [
+            RegisterSpec("I2p/Rwp", WRITER, frozenset([1]), Commit(T0)),
+            RegisterSpec("I2p/Rwq", WRITER, frozenset([2]), Commit(T0)),
+            RegisterSpec("I2p/Rpq", 1, frozenset([2]), Plain(T0)),
+        ], {
             "I2p/Rwp": "wchan",
             "I2p/Rwq": "wchan",
             "I2p/Rpq": "pchan_unguarded",
-        }
-        self.c = 0
-        self.last_written = t0
-        self.last_read = t0
+        })
 
-    def write_machine(self, value: Payload) -> Generator:
-        return self._write(value)
+    def new_state(self) -> Vars:
+        # c and last_written for w, last_read for q.
+        return Vars(c=0, last_written=T0, last_read=T0)
 
-    def _write(self, u: Payload):
-        self.c += 1
-        t = SeqTuple(self.c, u)
-        lw = self.last_written
+    def write_machine(self, v: Vars, u: Payload) -> Generator:
+        v.c += 1
+        t = SeqTuple(v.c, u)
+        lw = v.last_written
         yield ("w", "I2p/Rwp", Prepare(lw, t))
         yield ("w", "I2p/Rwq", Prepare(lw, t))
         yield ("w", "I2p/Rwp", Commit(t))
         yield ("w", "I2p/Rwq", Commit(t))
-        self.last_written = t
+        v.last_written = t
         return DONE
 
-    def read_machine(self, proc: int) -> Generator:
+    def read_machine(self, v: Vars, proc: int) -> Generator:
         if proc == self.p:
             return self._read_p()
         if proc == self.q:
-            return self._read_q()
+            return self._read_q(v)
         raise MalformedScenario(f"process {proc} is not a reader")
 
     def _read_p(self):
@@ -307,7 +335,7 @@ class Algo2Construction:
             return x.prev
         return BOTTOM
 
-    def _read_q(self):
+    def _read_q(self, v: Vars):
         x = yield ("r", "I2p/Rwq")
         if isinstance(x, Commit):
             return x.t
@@ -315,9 +343,9 @@ class Algo2Construction:
             k = x.next.k
             y = yield ("r", "I2p/Rpq")
             if _plain_ge(y, k):
-                self.last_read = x.next
+                v.last_read = x.next
                 return x.next
-            if self.last_read.k >= k:
+            if v.last_read.k >= k:
                 return x.next
             return x.prev
         return BOTTOM
@@ -328,44 +356,45 @@ class Algo2Construction:
 # ---------------------------------------------------------------------------
 
 
-class Algo3Construction:
+class Algo3Construction(Layout):
     """1WnR over a full matrix of atomic 1W1Rs carrying writer-signed tuples."""
 
     def __init__(self, n: int):
-        self.readers = reader_ids(n)
-        self._oracle = SignatureOracle()
-        cell0 = self._oracle.sign(SeqTuple(0, U0), WRITER)
-        self.specs = []
-        self.classify = {}
+        # Every run's oracle starts out having issued the initial cell.
+        oracle = SignatureOracle()
+        cell0 = oracle.sign(T0, WRITER)
+        self.issued0 = oracle.issued
+        specs, classify = [], {}
         self.reg: dict[tuple[int, int], str] = {}
-        for i in [WRITER] + self.readers:
-            for j in self.readers:
+        for i in [WRITER] + reader_ids(n):
+            for j in reader_ids(n):
                 rid = f"Is/R{i}_{j}"
-                self.specs.append(RegisterSpec(rid, i, frozenset([j]), cell0))
-                self.classify[rid] = "sig"
+                specs.append(RegisterSpec(rid, i, frozenset([j]), cell0))
+                classify[rid] = "sig"
                 self.reg[(i, j)] = rid
-        self.c = 0
+        super().__init__(reader_ids(n), specs, classify)
 
-    def write_machine(self, value: Payload) -> Generator:
-        return self._write(value)
+    def new_state(self) -> Vars:
+        return Vars(c=0, oracle=SignatureOracle(self.issued0))
 
-    def _write(self, u: Payload):
-        self.c += 1
-        cell = self._oracle.sign(SeqTuple(self.c, u), WRITER)
+    def write_machine(self, v: Vars, u: Payload) -> Generator:
+        v.c += 1
+        cell = v.oracle.sign(SeqTuple(v.c, u), WRITER)
         for i in self.readers:
             yield ("w", self.reg[(WRITER, i)], cell)
         return DONE
 
-    def read_machine(self, proc: int) -> Generator:
+    def read_machine(self, v: Vars, proc: int) -> Generator:
         if proc not in self.readers:
             raise MalformedScenario(f"process {proc} is not a reader")
-        return self._read(proc)
+        return self._read(v, proc)
 
-    def _read(self, p: int):
+    def _read(self, v: Vars, p: int):
+        oracle = v.oracle
         tuples: list[Signed] = []
         for i in [WRITER] + self.readers:
             x = yield ("r", self.reg[(i, p)])
-            if self._oracle.verify(x, WRITER):
+            if oracle.verify(x, WRITER):
                 tuples.append(x)
         if not tuples:
             # Unreachable while initial cells are intact; substrate corruption.
@@ -381,7 +410,7 @@ class Algo3Construction:
 # ---------------------------------------------------------------------------
 
 
-class NaiveGossip:
+class NaiveGossip(Layout):
     """Deliberately broken candidate: the writer announces once on a
     1W(n-1)R and readers forward what they saw through gossip registers,
     trusting each other blindly."""
@@ -389,32 +418,23 @@ class NaiveGossip:
     def __init__(self, n: int):
         if n < 3:
             raise MalformedScenario("naive-gossip needs n >= 3")
-        self.readers = reader_ids(n)
-        t0 = Plain(SeqTuple(0, U0))
-        self.specs = [
-            RegisterSpec("NG/W", WRITER, frozenset(self.readers[:-1]), t0)
-        ]
+        readers = reader_ids(n)
+        t0 = Plain(T0)
+        specs = [RegisterSpec("NG/W", WRITER, frozenset(readers[:-1]), t0)]
         self.gossip: dict[int, str] = {}
-        for r in self.readers:
+        for r in readers:
             rid = f"NG/G{r}"
-            others = frozenset(x for x in self.readers if x != r)
-            self.specs.append(RegisterSpec(rid, r, others, t0))
+            others = frozenset(x for x in readers if x != r)
+            specs.append(RegisterSpec(rid, r, others, t0))
             self.gossip[r] = rid
-        self.classify = {s.reg_id: "candidate" for s in self.specs}
-        self.c = 0
+        super().__init__(readers, specs, {s.reg_id: "candidate" for s in specs})
 
-    def write_machine(self, value):
-        return self._write(value)
-
-    def _write(self, u):
-        self.c += 1
-        yield ("w", "NG/W", Plain(SeqTuple(self.c, u)))
+    def write_machine(self, v: Vars, u: Payload) -> Generator:
+        v.c += 1
+        yield ("w", "NG/W", Plain(SeqTuple(v.c, u)))
         return "done"
 
-    def read_machine(self, proc: int):
-        return self._read(proc)
-
-    def _read(self, p: int):
+    def read_machine(self, v: Vars, p: int) -> Generator:
         if p in self.specs[0].readers:
             x = yield ("r", "NG/W")
             if isinstance(x, Plain) and x.t.k >= 1:
@@ -429,30 +449,21 @@ class NaiveGossip:
         return SeqTuple(0, U0)
 
 
-class AtomicOneWNR:
+class AtomicOneWNR(Layout):
     """Control: a genuine atomic 1WnR register (out of the theorem's register
     budget; listed with the unrestricted rule)."""
 
     def __init__(self, n: int):
-        self.readers = reader_ids(n)
-        self.specs = [
-            RegisterSpec("AT/R", WRITER, frozenset(self.readers), Plain(SeqTuple(0, U0)))
-        ]
-        self.classify = {"AT/R": "candidate"}
-        self.c = 0
+        super().__init__(reader_ids(n), [
+            RegisterSpec("AT/R", WRITER, frozenset(reader_ids(n)), Plain(T0))
+        ], {"AT/R": "candidate"})
 
-    def write_machine(self, value):
-        return self._write(value)
-
-    def _write(self, u):
-        self.c += 1
-        yield ("w", "AT/R", Plain(SeqTuple(self.c, u)))
+    def write_machine(self, v: Vars, u: Payload) -> Generator:
+        v.c += 1
+        yield ("w", "AT/R", Plain(SeqTuple(v.c, u)))
         return "done"
 
-    def read_machine(self, proc: int):
-        return self._read(proc)
-
-    def _read(self, p: int):
+    def read_machine(self, v: Vars, p: int) -> Generator:
         x = yield ("r", "AT/R")
         if isinstance(x, Plain):
             return x.t
@@ -470,7 +481,7 @@ RULE_UNRESTRICTED = "unrestricted"  # control candidates only
 
 
 class Implementation(NamedTuple):
-    factory: Callable[[int], object]  # n -> instance
+    factory: Callable[[int], Layout]  # n -> layout
     rule: str  # register budget
     max_n: int  # largest n accepted
 
@@ -500,12 +511,38 @@ def check_n(name: str, n: int) -> Implementation:
     return impl
 
 
-def build_instance(name: str, n: int):
-    return check_n(name, n).factory(n)
+# Layouts built so far, by (factory, n): a table entry swapped in under an
+# existing name has another factory, so it never gets a stale layout.
+_LAYOUTS: dict[tuple[Callable[[int], Layout], int], Layout] = {}
 
 
-@functools.cache
-def register_specs(name: str, n: int) -> tuple[RegisterSpec, ...]:
-    """The register layout of name at n, built once per process. Machines
-    keep per-run state, so a run still needs its own build_instance."""
-    return tuple(build_instance(name, n).specs)
+def layout_of(name: str, n: int) -> Layout:
+    """The layout of name at n, built on first use in this process."""
+    factory = check_n(name, n).factory
+    layout = _LAYOUTS.get((factory, n))
+    if layout is None:
+        layout = _LAYOUTS[(factory, n)] = factory(n)
+    return layout
+
+
+class Instance:
+    """A cached layout bound to one run's fresh state; the machines it makes
+    share that state and no other run's."""
+
+    __slots__ = ("layout", "state", "specs", "by_id", "classify", "readers")
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self.state = layout.new_state()
+        self.specs, self.by_id = layout.specs, layout.by_id
+        self.classify, self.readers = layout.classify, layout.readers
+
+    def write_machine(self, value: Payload) -> Generator:
+        return self.layout.write_machine(self.state, value)
+
+    def read_machine(self, proc: int) -> Generator:
+        return self.layout.read_machine(self.state, proc)
+
+
+def build_instance(name: str, n: int) -> Instance:
+    return Instance(layout_of(name, n))

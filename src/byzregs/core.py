@@ -301,17 +301,27 @@ class RegisterSpec:
             raise ValueError(f"{self.reg_id}: writer among multiple readers")
 
 
-class RegisterFile:
-    """Access-controlled last-write-wins cells, one per RegisterSpec."""
+def specs_by_id(specs: Iterable[RegisterSpec]) -> dict[str, RegisterSpec]:
+    by_id: dict[str, RegisterSpec] = {}
+    for s in specs:
+        if s.reg_id in by_id:
+            raise ValueError(f"duplicate register id {s.reg_id}")
+        by_id[s.reg_id] = s
+    return by_id
 
-    def __init__(self, specs: Iterable[RegisterSpec]):
-        self.specs: dict[str, RegisterSpec] = {}
-        self.cells: dict[str, CellValue] = {}
-        for s in specs:
-            if s.reg_id in self.specs:
-                raise ValueError(f"duplicate register id {s.reg_id}")
-            self.specs[s.reg_id] = s
-            self.cells[s.reg_id] = s.initial
+
+class RegisterFile:
+    """Access-controlled last-write-wins cells, one per RegisterSpec.
+
+    specs is a list of specs, or a layout's specs by id, which is shared
+    rather than copied; the cells are this file's own, set to the initials.
+    """
+
+    def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]]):
+        self.specs = specs if isinstance(specs, dict) else specs_by_id(specs)
+        self.cells: dict[str, CellValue] = {
+            rid: s.initial for rid, s in self.specs.items()
+        }
 
     def read(self, reg_id: str, actor: int) -> CellValue:
         spec = self.specs.get(reg_id)
@@ -348,38 +358,22 @@ def sig_token(t: SeqTuple, signer: int) -> str:
 class SignatureOracle:
     """Issuance table standing in for unforgeable signatures.
 
-    verify() is true only for Signed cells whose (tuple, signer) pair went
-    through sign(); a malicious script may copy a signed cell it has seen, but
-    writing a fabricated token for a never-signed tuple yields a cell that
-    fails verify.
+    sign() records the token it issued for each (signer, tuple). verify() is
+    true only for a Signed cell with the expected signer whose token equals
+    the one issued for its (signer, tuple): a malicious script may copy a
+    signed cell it has seen, but a token for a never-signed tuple, or a
+    forged token on a signed one, fails verify.
     """
 
-    def __init__(self) -> None:
-        self._issued: set[tuple[int, SeqTuple]] = set()
+    def __init__(self, issued: Optional[dict[tuple[int, SeqTuple], str]] = None):
+        self.issued: dict[tuple[int, SeqTuple], str] = dict(issued or {})
 
     def sign(self, t: SeqTuple, signer: int) -> Signed:
-        self._issued.add((signer, t))
-        return Signed(t, signer, sig_token(t, signer))
+        token = self.issued[(signer, t)] = sig_token(t, signer)
+        return Signed(t, signer, token)
 
     def verify(self, cell: CellValue, expected_signer: int) -> bool:
         if not isinstance(cell, Signed) or cell.signer != expected_signer:
             return False
-        if (expected_signer, cell.t) not in self._issued:
-            return False
-        return cell.token == sig_token(cell.t, expected_signer)
-
-
-def replay_register_events(events: Iterable[Event], specs: Iterable[RegisterSpec]) -> None:
-    """Atomicity oracle: sequential replay must reproduce every read's value.
-
-    Raises AssertionError on the first divergence.
-    """
-    cells = {s.reg_id: s.initial for s in specs}
-    for e in events:
-        if e.kind == "reg_write":
-            cells[e.reg] = e.value
-        elif e.kind == "reg_read":
-            assert cells[e.reg] == e.value, (
-                f"step {e.step}: read of {e.reg} returned {e.value!r}, "
-                f"replay holds {cells[e.reg]!r}"
-            )
+        token = self.issued.get((expected_signer, cell.t))
+        return token is not None and token == cell.token

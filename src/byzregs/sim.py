@@ -145,7 +145,8 @@ class Engine:
     """Register substrate plus thread scheduling; shared by scenario runs and
     the attack harness (which drives phases directly)."""
 
-    def __init__(self, specs: Iterable[RegisterSpec], seed: int = 0):
+    def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]],
+                 seed: int = 0):
         self.registers = RegisterFile(specs)
         self.rng = random.Random(seed)
         self.events: list[Event] = []
@@ -538,7 +539,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     seed = scenario.schedule.seed if seeded else 0
     if instance is None:
         instance = constructions.build_instance(scenario.construction, scenario.n)
-    eng = Engine(instance.specs, seed=seed)
+    eng = Engine(instance.by_id, seed=seed)
 
     eng.crash_points = sorted((fault.at_global_step, proc)
                               for proc, fault in scenario.faults.items()

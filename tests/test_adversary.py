@@ -252,20 +252,20 @@ def test_apply_transformation_single_step():
 def test_writer_blocked_when_solo_write_spins(monkeypatch):
     from byzregs.adversary import WriterBlocked
 
-    class Spinner:
+    class Spinner(constructions.Layout):
         def __init__(self, n):
-            self.readers = list(range(1, n + 1))
-            self.specs = [RegisterSpec("SP/R", 0, frozenset([1, 2]),
-                                       Plain(SeqTuple(0, b"")))]
-            self.classify = {"SP/R": "candidate"}
+            super().__init__(list(range(1, n + 1)),
+                             [RegisterSpec("SP/R", 0, frozenset([1, 2]),
+                                           Plain(SeqTuple(0, b"")))],
+                             {"SP/R": "candidate"})
 
-        def write_machine(self, value):
+        def write_machine(self, state, value):
             def spin():
                 while True:
                     yield ("w", "SP/R", Plain(SeqTuple(1, value)))
             return spin()
 
-        def read_machine(self, proc):
+        def read_machine(self, state, proc):
             def read():
                 x = yield ("r", "SP/R")
                 return x.t

@@ -5,14 +5,17 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byzregs import cli, sim
+from byzregs import checker, cli, sim
 from byzregs.core import (
     Commit,
+    Event,
     Plain,
+    RegisterSpec,
     SeqTuple,
     decode_cell,
     encode_cell,
     events_from_jsonl,
+    events_to_jsonl,
 )
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -198,18 +201,67 @@ def test_check_roundtrip_and_tamper(tmp_path):
     assert run_cli(["check", "--scenario", scenario,
                     "--trace", str(trace), "--out", str(out)]) == 0
 
-    # Tamper: invert the writer's first commit into a stale one.
-    events = events_from_jsonl(trace.read_bytes())
-    for e in events:
-        if e.kind == "reg_write" and isinstance(e.value, Commit) and \
-                e.value.t.k == 1:
-            e.value = Commit(SeqTuple(0, b""))
-            break
-    from byzregs.core import events_to_jsonl
+    stored = trace.read_bytes()
 
-    trace.write_bytes(events_to_jsonl(events))
-    assert run_cli(["check", "--scenario", scenario,
-                    "--trace", str(trace), "--out", str(out)]) == 1
+    def check(events):
+        trace.write_bytes(events_to_jsonl(events))
+        return run_cli(["check", "--scenario", scenario,
+                        "--trace", str(trace), "--out", str(out)])
+
+    def reads_of(events, i):
+        """The reads of the cell written by events[i] (until overwritten)."""
+        reads = []
+        for e in events[i + 1:]:
+            if e.reg == events[i].reg and e.kind == "reg_write":
+                break
+            if e.reg == events[i].reg and e.kind == "reg_read":
+                reads.append(e)
+        return reads
+
+    stale = Commit(SeqTuple(0, b""))
+    commits = [i for i, e in enumerate(events_from_jsonl(stored))
+               if e.kind == "reg_write" and isinstance(e.value, Commit)
+               and e.value.t.k == 1]
+    # Tamper: invert the writer's first commit into a stale one. No read
+    # sees it before it is overwritten, so the trace replays and a check
+    # rejects it.
+    events = events_from_jsonl(stored)
+    assert not reads_of(events, commits[0])
+    events[commits[0]].value = stale
+    assert check(events) == 1
+
+    # Tamper a commit that a later read returns: the trace no longer
+    # replays.
+    i = next(i for i in commits if reads_of(events_from_jsonl(stored), i))
+    events = events_from_jsonl(stored)
+    events[i].value = stale
+    assert check(events) == 2
+    # The same tamper applied to the reads too replays, but is rejected by
+    # the checks.
+    for e in reads_of(events, i):
+        e.value = stale
+    assert check(events) == 1
+
+
+def test_check_read_of_a_value_never_written_exits_two(tmp_path, capsys):
+    lines = _stored_trace_lines(tmp_path)
+    read = next(e for e in lines if e["kind"] == "reg_read")
+    read["value"] = encode_cell(Commit(SeqTuple(0, b"zz")))
+    assert _check_lines(tmp_path, lines) == 2
+    assert f"step {read['step']}: read of {read['reg']}" in capsys.readouterr().err
+
+
+def test_register_replay_catches_divergence():
+    specs = {"Rwp": RegisterSpec("Rwp", 0, frozenset([1]), Commit(SeqTuple(0, b"")))}
+    a = Commit(SeqTuple(1, b"a"))
+    cli.replay_registers([
+        Event(0, 0, 0, "reg_write", reg="Rwp", value=a),
+        Event(1, 1, 0, "reg_read", reg="Rwp", value=a),
+    ], specs)
+    with pytest.raises(checker.MalformedHistory, match="step 0: read of Rwp"):
+        cli.replay_registers([
+            Event(0, 1, 0, "reg_read", reg="Rwp", value=Commit(SeqTuple(5, b"zz"))),
+        ], specs)
 
 
 def test_blocking_boundary_scenario_runs_deterministically(tmp_path):

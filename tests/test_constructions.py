@@ -1,9 +1,15 @@
+import pickle
+
 import pytest
 
-from byzregs import sim
+from byzregs import constructions, sim
 from byzregs.adversary import LieValue, Sequence, record_solo_write
 from byzregs.constructions import (
     Algo1Construction,
+    AtomicOneWNR,
+    IMPLEMENTATIONS,
+    Implementation,
+    RULE_UNRESTRICTED,
     algo1_write_step_count,
     build_instance,
 )
@@ -276,3 +282,62 @@ def test_algo3_forged_signature_fails_verification():
     ], faults={0: Correct(), 1: Correct(),
                2: Malicious(LieValue("Is/R2_1", fake)), 3: Correct()})
     assert tr.ops[1].ret == SeqTuple(1, b"a")
+
+
+# -- cached layouts and per-run state -----------------------------------------
+
+NAMES_AND_N = [(name, 2 if name == "algo2" else 3) for name in IMPLEMENTATIONS]
+
+
+@pytest.mark.parametrize("name, n", NAMES_AND_N)
+def test_instances_share_the_layout_not_the_state(name, n):
+    a, b = build_instance(name, n), build_instance(name, n)
+    assert a.specs is b.specs and a.by_id is b.by_id
+    assert a.state is not b.state
+    assert a.state.key() == b.state.key()
+
+    def first_k(machine):
+        cell = next(machine)[2]
+        return (cell.next if isinstance(cell, Prepare) else cell.t).k
+
+    # Interleaved writes of two instances: each has its own counter.
+    wa, wb = a.write_machine(b"a"), b.write_machine(b"b")
+    assert (first_k(wa), first_k(wb)) == (1, 1)
+    for machine in (wa, wb):
+        for _ in machine:
+            pass
+    assert a.state.key() != build_instance(name, n).state.key()
+    hash(a.state.key())
+    assert first_k(a.write_machine(b"c")) == 2
+    assert first_k(build_instance(name, n).write_machine(b"d")) == 1
+
+
+def test_swapped_table_entry_gets_its_own_layout(monkeypatch):
+    algo1 = constructions.layout_of("algo1", 3)
+    monkeypatch.setitem(IMPLEMENTATIONS, "algo1",
+                        Implementation(AtomicOneWNR, RULE_UNRESTRICTED, 64))
+    assert [s.reg_id for s in build_instance("algo1", 3).specs] == ["AT/R"]
+    monkeypatch.undo()
+    assert build_instance("algo1", 3).layout is algo1
+
+
+@pytest.mark.parametrize("name, n", NAMES_AND_N)
+def test_a_run_leaves_the_layout_unchanged(name, n):
+    layout = constructions.layout_of(name, n)
+    before = pickle.dumps(layout)
+    workload = [sim.WorkItem(0, "write", value=b"a"),
+                sim.WorkItem(0, "write", value=b"b")]
+    workload += [sim.WorkItem(p, "read") for p in range(1, n + 1)]
+    tr = run(name, n, workload)
+    assert all(op.status == "completed" for op in tr.ops)
+    assert pickle.dumps(layout) == before
+    for obj in [layout, *getattr(layout, "levels", ())]:
+        for var in ("c", "last_written", "previous_k", "last_read", "oracle"):
+            assert not hasattr(obj, var)
+
+
+def test_algo3_cell_signed_in_one_instance_fails_in_another():
+    a, b = build_instance("algo3", 3), build_instance("algo3", 3)
+    cell = next(a.write_machine(b"x"))[2]
+    assert a.state.oracle.verify(cell, 0)
+    assert not b.state.oracle.verify(cell, 0)

@@ -371,8 +371,7 @@ def test_fork_thread2_can_return_last_written_despite_commit():
 
 
 def test_atomicity_replay_on_real_trace():
-    from byzregs import constructions
-    from byzregs.core import replay_register_events
+    from byzregs import cli, constructions
 
     inst = constructions.build_instance("algo1", 4)
     sc = scenario(n=4, faults={p: Correct() for p in range(5)}, workload=[
@@ -383,7 +382,7 @@ def test_atomicity_replay_on_real_trace():
         sim.WorkItem(4, "read"),
     ], schedule=sim.Seeded(23))
     tr = sim.run(sc, instance=inst)
-    replay_register_events(tr.events, inst.specs)
+    cli.replay_registers(tr.events, inst.by_id)
 
 
 from hypothesis import given, settings, strategies as st
@@ -400,7 +399,6 @@ from hypothesis import given, settings, strategies as st
 )
 def test_random_scenarios_hold_core_invariants(seed, n, pattern):
     from byzregs import cli, constructions
-    from byzregs.core import replay_register_events
 
     sc = cli.build_sweep_scenario("algo1", n, pattern, seed, 200_000, 50_000)
     inst = constructions.build_instance("algo1", n)
@@ -410,7 +408,7 @@ def test_random_scenarios_hold_core_invariants(seed, n, pattern):
     tr2 = sim.run(sc, instance=inst2)
     assert events_to_jsonl(tr.events) == events_to_jsonl(tr2.events)
     # atomicity: replay reproduces every read
-    replay_register_events(tr.events, inst.specs)
+    cli.replay_registers(tr.events, inst.by_id)
     # access closure and single-writer
     specs = {s.reg_id: s for s in inst.specs}
     for e in tr.events:
