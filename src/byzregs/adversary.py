@@ -6,8 +6,8 @@ The harness operationalizes indistinguishability: instead of reasoning about
 what a reader can know, it re-runs executions from scratch with the writer
 crashed one step earlier and the would-be malicious process replaying its
 recorded register accesses verbatim. Every execution is a strict sequence of
-phases (writer prefix, replay block, resets, one fresh read), which is exactly
-the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F.
+phases (writer prefix, replay and reset scripts, one fresh read), which is
+exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F.
 """
 
 from __future__ import annotations
@@ -206,12 +206,8 @@ def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
         raise WriterBlocked(
             f"candidate {name}: solo write did not finish within {budget} steps"
         )
-    steps = [
-        SoloStep(i + 1, e.kind, e.reg)
-        for i, e in enumerate(
-            e for e in eng.events if e.kind in ("reg_read", "reg_write")
-        )
-    ]
+    accesses = [e for e in eng.events if e.kind in ("reg_read", "reg_write")]
+    steps = [SoloStep(i + 1, e.kind, e.reg) for i, e in enumerate(accesses)]
     return steps, eng.events
 
 
@@ -231,19 +227,13 @@ def invisible_to(step: Optional[SoloStep], specs: dict[str, RegisterSpec],
 
 @dataclass(frozen=True)
 class WriterPhase:
-    accesses: int  # register accesses performed before crashing
-    respond: bool  # complete operation (no crash)
+    crash_after: Optional[int]  # register accesses before the crash; None: no crash
 
 
 @dataclass(frozen=True)
-class ReplayBlock:
+class ScriptPhase:
     proc: int
-    actions: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
-class ResetBlock:
-    proc: int
+    script: object  # Replay | ResetAll
 
 
 @dataclass(frozen=True)
@@ -259,21 +249,23 @@ class PlanResult:
 
 
 def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
-    """Run phases strictly in order on a fresh candidate instance."""
+    """Run phases strictly in order on a fresh candidate instance.
+
+    A writer phase may only come first, and it runs solo: event 0 is its
+    invoke and events 1..a its first a register accesses. Crashing the
+    writer after a accesses is therefore the crash point (a + 1, WRITER).
+    """
     inst = build_candidate(name, n)
-    eng = Engine(inst.by_id)
+    crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
+             if isinstance(ph, WriterPhase) and ph.crash_after is not None]
+    eng = Engine(inst.by_id, crash_points=crash)
     reads: list[tuple[int, str, object]] = []
-    for ph in phases:
-        if isinstance(ph, WriterPhase):
-            if not ph.respond:
-                eng.crash_after_accesses[WRITER] = ph.accesses
+    for i, ph in enumerate(phases):
+        if isinstance(ph, WriterPhase) and i == 0:
             eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
             eng.run_queue(step_budget=len(eng.events) + stage_budget)
-        elif isinstance(ph, ReplayBlock):
-            eng.spawn_script(ph.proc, Replay(ph.actions).machine(eng.registers, ph.proc))
-            eng.run_queue(step_budget=len(eng.events) + stage_budget)
-        elif isinstance(ph, ResetBlock):
-            eng.spawn_script(ph.proc, ResetAll().machine(eng.registers, ph.proc))
+        elif isinstance(ph, ScriptPhase):
+            eng.spawn_script(ph.proc, ph.script.machine(eng.registers, ph.proc))
             eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, FreshRead):
             op = eng.spawn_op(ph.proc, "Read", None, inst.read_machine(ph.proc))
@@ -284,7 +276,8 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
             reads.append((ph.proc, op.status, op.ret))
         else:
             raise TypeError(ph)
-    return PlanResult(eng.events, reads, eng.total_accesses())
+    accesses = sum(e.kind in ("reg_read", "reg_write") for e in eng.events)
+    return PlanResult(eng.events, reads, accesses)
 
 
 def _is_marker(ret) -> bool:
@@ -302,7 +295,7 @@ class ExecState:
 
     k: int
     w_phase: WriterPhase
-    replays: tuple[ReplayBlock, ...]
+    replays: tuple[ScriptPhase, ...]  # Replay scripts
     x: int  # the correct reader that read the marker
     p_role: int  # the unconstrained (possibly malicious) reader
     z: frozenset[int]
@@ -437,15 +430,8 @@ def attack_search(
 
     for q0 in search.readers:
         for p0 in [r for r in search.readers if r != q0]:
-            z0 = frozenset(search.readers) - {q0, p0}
-            state = ExecState(
-                k=m + 1,
-                w_phase=WriterPhase(m, respond=True),
-                replays=(),
-                x=q0,
-                p_role=p0,
-                z=z0,
-            )
+            state = ExecState(m + 1, WriterPhase(None), (), x=q0, p_role=p0,
+                              z=frozenset(search.readers) - {q0, p0})
             result = _drive_chain(search, state, steps, m)
             if isinstance(result, (ViolationWitness, BlockedWitness)):
                 return result
@@ -510,7 +496,7 @@ def apply_transformation_chain(search: _Search, state: ExecState,
     P_{k-1}, or a witness, or None when every branch dies."""
     k = state.k
     # B_{k-1}: crash the writer one step earlier, replay, rerun x fresh.
-    b_w = WriterPhase(min(k - 1, m), respond=False)
+    b_w = WriterPhase(min(k - 1, m))
     b_phases: list = [b_w, *state.replays]
     res_b, outcome = _run_fresh(search, b_phases, state.x, f"B_{k-1}(x={state.x})")
     if isinstance(outcome, BlockedWitness):
@@ -552,16 +538,16 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     (s^{k-1} invisible to p_role rather than to r), stages E and F."""
     # C_{k-1}^r: after x's read, malicious p_role resets its registers and
     # the correct silent reader r reads; linearizability forces the marker.
-    c_phases = b_phases + [FreshRead(state.x), ResetBlock(state.p_role)]
+    c_phases = b_phases + [FreshRead(state.x), ScriptPhase(state.p_role, ResetAll())]
     res_c, outcome = _run_fresh(search, c_phases, r, f"C_{k-1}^{r}")
     if isinstance(outcome, BlockedWitness):
         return outcome
     if outcome != "marker":
         return search.linearizability_violation(res_c, f"C_{k-1}^{r}", state.p_role)
     # D_{k-1}^r: drop p_role's steps; x replays its recorded read.
-    d_w = WriterPhase(b_phases[0].accesses, respond=False)
+    d_w = b_phases[0]
     d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
-        ReplayBlock(state.x, x_actions),
+        ScriptPhase(state.x, Replay(x_actions)),
     )
     res_d, outcome = _run_fresh(search, [d_w, *d_replays], r, f"D_{k-1}^{r}")
     if isinstance(outcome, BlockedWitness):
@@ -573,7 +559,7 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
         return ExecState(k - 1, d_w, d_replays, x=r, p_role=state.x,
                          z=(state.z - {r}) | {state.p_role})
     # E_{k-1}^r: x (malicious now) resets; the removed reader p_role reads.
-    e_phases = [d_w, *d_replays, FreshRead(r), ResetBlock(state.x)]
+    e_phases = [d_w, *d_replays, FreshRead(r), ScriptPhase(state.x, ResetAll())]
     res_e, outcome = _run_fresh(search, e_phases, state.p_role, f"E_{k-1}^{r}")
     if isinstance(outcome, BlockedWitness):
         return outcome
@@ -582,7 +568,7 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     # F_{k-1}^r: drop x's steps; r replays its D-read; p_role reads fresh.
     r_actions = recorded_actions(res_d.events, r)
     f_replays = tuple(rb for rb in d_replays if rb.proc != state.x) + (
-        ReplayBlock(r, r_actions),
+        ScriptPhase(r, Replay(r_actions)),
     )
     res_f, outcome = _run_fresh(search, [d_w, *f_replays], state.p_role,
                                 f"F_{k-1}^{r}")

@@ -13,8 +13,11 @@ A step machine is a Python generator that yields one action per resumption:
 One resumption performs at most one register access; local computation and
 control flow are free. All interleaving decisions flow through the scheduler,
 so a scenario (construction, faults, workload, schedule, budgets) replays to
-a byte-identical trace. A step costs O(1) engine work beyond a fork's
-seeded insertions and a budget stop's walk over the stopped op's threads.
+a byte-identical trace. A crash point (step, proc) crashes proc once the
+trace holds step events; scenario crash faults and the attack harness's
+writer crash are both crash points. A step costs O(1) engine work beyond a
+fork's seeded insertions and a budget stop's walk over the stopped op's
+threads.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 import json
 import random
 from bisect import bisect_left, bisect_right
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Union
 
@@ -146,7 +149,7 @@ class Engine:
     the attack harness (which drives phases directly)."""
 
     def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]],
-                 seed: int = 0):
+                 seed: int = 0, crash_points: Iterable[tuple[int, int]] = ()):
         self.registers = RegisterFile(specs)
         self.rng = random.Random(seed)
         self.events: list[Event] = []
@@ -154,13 +157,11 @@ class Engine:
         self.crashed: set[int] = set()
         # (step, proc) in ascending order; each process crashes once the
         # event count reaches its step. Points before _next_crash are due;
-        # _sweep_crashes, run after assigning crash_points, sets _crash_at.
-        self.crash_points: list[tuple[int, int]] = []
+        # _sweep_crashes sets _crash_at, the step of the next point.
+        self.crash_points = sorted(crash_points)
         self._next_crash = 0
         self._crash_at = float("inf")
         self._due: list[int] = []  # heap of due, not yet crashed processes
-        self.crash_after_accesses: dict[int, int] = {}
-        self.access_count: defaultdict[int, int] = defaultdict(int)
         self.procs_with_events: set[int] = set()
         self.queue: deque[_Thread] = deque()
         self.threads: dict[tuple[int, int], _Thread] = {}
@@ -168,6 +169,7 @@ class Engine:
         # Set whenever an op resolves or a process crashes; scenario
         # admission re-examines its workload only after such a change.
         self.changed = True
+        self._sweep_crashes()
 
     # -- events ------------------------------------------------------------
 
@@ -234,8 +236,10 @@ class Engine:
         t = _Thread(proc, self._new_tid(proc), gen, op)
         self.threads[(proc, t.tid)] = t
         op.invoke_step = len(self.events)
-        self._emit(proc, t.tid, "invoke", None, None, kind, arg)
+        # Listed before its invoke, so a crash point the invoke reaches
+        # marks the op crashed-owner.
         self.ops.append(op)
+        self._emit(proc, t.tid, "invoke", None, None, kind, arg)
         self._enqueue(t)
         return op
 
@@ -317,7 +321,6 @@ class Engine:
             return
         else:
             raise RuntimeError(f"unknown machine action {action!r}")
-        self.access_count[owner] += 1
         # After an access t is neither parked nor done, and its op stops being
         # pending only if the owner crashed at this event.
         op = t.op
@@ -337,15 +340,10 @@ class Engine:
         self.queue.append(t)
 
     def _pop_runnable(self) -> Optional[_Thread]:
-        queue, crashed, limits = self.queue, self.crashed, self.crash_after_accesses
+        queue, crashed = self.queue, self.crashed
         while queue:
             t = queue.popleft()
-            owner = t.owner
-            if owner in crashed:
-                continue
-            if limits and owner in limits and \
-                    self.access_count[owner] >= limits[owner]:
-                self._mark_crashed(owner)
+            if t.owner in crashed:
                 continue
             op = t.op
             if t.parked or t.cancelled or t.done or \
@@ -354,17 +352,13 @@ class Engine:
             return t
         return None
 
-    def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None,
-                  randomize: bool = False) -> None:
+    def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None) -> None:
         """Drain runnable threads FIFO until quiescence or the event budget."""
         while len(self.events) < step_budget:
             t = self._pop_runnable()
             if t is None:
                 return
-            self._resume(t, per_op_budget, randomize)
-
-    def total_accesses(self) -> int:
-        return sum(self.access_count.values())
+            self._resume(t, per_op_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +533,10 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     seed = scenario.schedule.seed if seeded else 0
     if instance is None:
         instance = constructions.build_instance(scenario.construction, scenario.n)
-    eng = Engine(instance.by_id, seed=seed)
-
-    eng.crash_points = sorted((fault.at_global_step, proc)
-                              for proc, fault in scenario.faults.items()
-                              if isinstance(fault, Crash))
-    eng._sweep_crashes()
+    eng = Engine(instance.by_id, seed=seed,
+                 crash_points=[(fault.at_global_step, proc)
+                               for proc, fault in scenario.faults.items()
+                               if isinstance(fault, Crash)])
     # Malicious scripts run as plain threads from the start, in process order.
     for proc in sorted(scenario.faults):
         fault = scenario.faults[proc]

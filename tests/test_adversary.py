@@ -240,13 +240,30 @@ def test_apply_transformation_single_step():
     ]
     for p_role, silent, log, roles in cases:
         search = _Search("naive-gossip", 3, budget=10**9, stage_budget=1000)
-        base = ExecState(k=2, w_phase=WriterPhase(1, True), replays=(),
+        base = ExecState(k=2, w_phase=WriterPhase(None), replays=(),
                          x=1, p_role=p_role, z=frozenset({silent}))
         out = apply_transformation_chain(search, base, steps, len(steps))
         assert isinstance(out, ExecState)
         assert out.k == 1
         assert (out.x, out.p_role) == roles
         assert search.log == [log]
+
+
+@pytest.mark.parametrize("name", ["naive-gossip", "algo1"])
+def test_writer_phase_crashes_after_its_accesses(name):
+    # The crash point (a + 1, WRITER) cuts the solo write after exactly a
+    # register accesses; with no crash point the write completes.
+    from byzregs.adversary import WriterPhase, run_plan
+
+    steps, solo = record_solo_write(name, 3)
+    for a in range(len(steps) + 1):
+        events = run_plan(name, 3, [WriterPhase(a)], 1000).events
+        assert [(e.kind, e.reg) for e in events] == [("invoke", None)] + [
+            (s.kind, s.reg) for s in steps[:a]] + [("crash", None)]
+        assert all(e.proc == 0 for e in events)
+    full = run_plan(name, 3, [WriterPhase(None)], 1000)
+    assert events_to_jsonl(full.events) == events_to_jsonl(solo)
+    assert solo[-1].kind == "respond" and full.accesses == len(steps)
 
 
 def test_writer_blocked_when_solo_write_spins(monkeypatch):

@@ -279,6 +279,22 @@ def test_blocking_boundary_scenario_runs_deterministically(tmp_path):
     assert "outside guarantee" in verdicts["wait_freedom"]["explanation"]
 
 
+def test_scripted_crash_at_the_writers_invoke_leaves_nothing_pending(tmp_path):
+    # The write's invoke reaches the writer's crash point; the write is
+    # crashed-owner, not pending, so the scripted run is judged (exit 0).
+    scn = {
+        "construction": "algo2", "n": 2,
+        "faults": {"0": {"kind": "crash", "at_step": 1}},
+        "workload": [{"proc": 0, "op": "write", "value": "a"},
+                     {"proc": 1, "op": "read"}],
+        "schedule": {"kind": "scripted", "picks": [[1, 0], [1, 0], [1, 0]]},
+    }
+    path = tmp_path / "crash_at_invoke.json"
+    path.write_text(json.dumps(scn))
+    assert run_cli(["run", "--scenario", str(path), "--trace",
+                    str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "v.json")]) == 0
+
+
 def test_sweep_combined_pattern_blocks_without_violations():
     # Writer crash plus one malicious reader: some runs leave a correct
     # reader pending outside the guarantee, never a violation.

@@ -565,6 +565,22 @@ def test_crash_at_an_invoke_releases_dependents_in_the_same_pass():
     assert [op.status for op in tr.ops] == [
         "crashed-owner", "completed", "crashed-owner", "completed"]
 
+
+def test_crash_at_its_own_invoke_marks_the_op_crashed_owner():
+    # The writer's invoke is event 0, so the crash point 1 is reached by the
+    # invoke itself; the write must not stay pending, and the read gated on
+    # it runs.
+    sc = scenario(construction="algo2", n=2, faults={0: Crash(1)}, workload=[
+        sim.WorkItem(0, "write", value=b"a"),
+        sim.WorkItem(1, "read", after_op=0),
+    ])
+    tr = sim.run(sc)
+    assert [(e.proc, e.kind) for e in tr.events[:2]] == [(0, "invoke"), (0, "crash")]
+    write, read = tr.ops
+    assert (write.status, write.reason) == ("crashed-owner", None)
+    assert read.status == "completed" and read.ret == SeqTuple(0, b"")
+
+
 class _ScanAdmission:
     """Reference admission: every step scans the whole workload in order."""
 
