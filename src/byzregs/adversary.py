@@ -28,7 +28,7 @@ from .core import (
     encode_cell,
 )
 from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_THM2,
-                            RULE_UNRESTRICTED, U0, WRITER, build_instance)
+                            RULE_UNRESTRICTED, WRITER, build_instance)
 from .sim import Engine
 
 MARKER: bytes = b"\x01"
@@ -340,7 +340,6 @@ class _Search:
         self.stage_budget = stage_budget
         self.spent = 0
         self.log: list[str] = []
-        self.value_index = {MARKER: 1, U0: 0}
 
     def run(self, phases: list) -> PlanResult:
         res = run_plan(self.name, self.n, phases, self.stage_budget)
@@ -359,7 +358,7 @@ class _Search:
         faults = {p: Correct() for p in [WRITER] + self.readers}
         if malicious is not None:
             faults[malicious] = Malicious(Idle())
-        history = checker.extract_history(res.events, faults, self.value_index)
+        history = checker.extract_history(res.events, faults)
         return {
             "property1": checker.check_property1(history, True),
             "property2": checker.check_property2(history, True),

@@ -95,13 +95,12 @@ def _violated(vclass: str, witnesses: list[int], explanation: str) -> Verdict:
 def extract_history(
     events: Iterable[Event],
     faults: dict[int, FaultModel],
-    value_index: Optional[dict[bytes, int]] = None,
 ) -> list[OpRecord]:
     """Build the operation history from a trace's invoke/respond events.
 
-    Read indices come from the returned tuple's sequence number when the
-    construction reports one; black-box candidates report raw values, which
-    are resolved through value_index (value -> k, with b"" mapping to 0).
+    A read's index is the sequence number of the tuple it returned. A read
+    that returned Bottom is marked bottom; any other return keeps no index,
+    which check_property1 reports as a value the writer never wrote.
     """
     ops: list[OpRecord] = []
     open_ops: dict[int, OpRecord] = {}
@@ -135,12 +134,6 @@ def extract_history(
                     rec.value = ret.u
                 elif isinstance(ret, Bottom):
                     rec.bottom = True
-                else:
-                    rec.value = ret
-                    if value_index is not None:
-                        rec.index = value_index.get(ret)
-                    elif ret == b"":
-                        rec.index = 0
     return ops
 
 
@@ -375,15 +368,10 @@ def validate_internal_invariants(
             rank = _wchan_rank(cell)
             prev = last_wchan.get(e.reg)
             if prev is not None:
-                pk, pkk = prev
-                tag, k = rank
-                bad = (
-                    (pk == "prepare" and tag == "commit" and not pkk <= k)
-                    or (pk == "prepare" and tag == "prepare" and not pkk < k)
-                    or (pk == "commit" and tag == "commit" and not pkk < k)
-                    or (pk == "commit" and tag == "prepare" and not pkk < k)
-                )
-                if bad:
+                (pk, pkk), (tag, k) = prev, rank
+                # k strictly increases, except that a commit may repeat the
+                # k of the prepare just before it.
+                if pkk > k or pkk == k and (pk, tag) != ("prepare", "commit"):
                     return _violated(
                         "InternalInvariant",
                         [e.step],
@@ -539,10 +527,9 @@ def run_all_checks(
     faults: dict[int, FaultModel],
     specs: dict[str, RegisterSpec],
     classify: dict[str, str],
-    value_index: Optional[dict[bytes, int]] = None,
 ) -> dict[str, Verdict]:
     writer_honest = is_honest(faults.get(WRITER, Correct()))
-    history = extract_history(trace.events, faults, value_index)
+    history = extract_history(trace.events, faults)
     return {
         "property1": check_property1(history, writer_honest),
         "property2": check_property2(history, writer_honest),

@@ -1,5 +1,12 @@
 """Command-line front end: run a scenario, sweep seeds and fault patterns,
-drive the attack harness, or re-check a stored trace.
+drive the attack harness, or check a stored trace.
+
+`check` re-runs the scenario through the same code as `run` and requires
+the stored trace to be the bytes that run writes; it then reports the
+re-run's verdicts. A scenario fixes its schedule (seeded or scripted) and
+the engine is deterministic, so the re-run is the whole proof that the
+trace is an execution of the construction. The first differing line is an
+input error (exit 2).
 
 Exit codes: 0 all checks pass (attack: search exhausted), 1 a violation or
 witness was found, 2 usage or input errors.
@@ -8,6 +15,7 @@ witness was found, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -24,10 +32,8 @@ from .core import (
     MalformedScenario,
     Plain,
     Prepare,
-    RegisterFile,
     SeqTuple,
     Signed,
-    events_from_jsonl,
     events_to_jsonl,
 )
 
@@ -129,11 +135,11 @@ def random_workload(rng: random.Random, n: int, faults) -> list[sim.WorkItem]:
     rng.shuffle(order)
     remap = {old: new for new, old in enumerate(order)}
     shuffled = [items[old] for old in order]
-    for it in shuffled:
+    for pos, it in enumerate(shuffled):
         if it.after_op is not None:
             it.after_op = remap[it.after_op]
-        if it.after_op is not None and it.after_op >= shuffled.index(it):
-            it.after_op = None  # constraint must point backwards
+            if it.after_op >= pos:
+                it.after_op = None  # constraint must point backwards
     return shuffled
 
 
@@ -159,57 +165,11 @@ def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def value_index_for(scenario: sim.Scenario):
-    index = {constructions.U0: 0}
-    k = 0
-    for item in scenario.workload:
-        if item.op == "write":
-            k += 1
-            index[item.value] = k
-    return index
-
-
-def _check_with_layout(trace: sim.Trace, scenario: sim.Scenario, layout):
-    return checker.run_all_checks(
-        trace,
-        scenario.faults,
-        specs=layout.by_id,
-        classify=layout.classify,
-        value_index=value_index_for(scenario),
-    )
-
-
-def replay_registers(events, specs) -> None:
-    """Replay stored register events on fresh registers: every access must
-    obey the specs' access rules and every read return the cell last
-    written to its register, or MalformedHistory names the step."""
-    registers = RegisterFile(specs)
-    for e in events:
-        try:
-            if e.kind == "reg_read":
-                cell = registers.read(e.reg, e.proc)
-                if e.value != cell:
-                    raise checker.MalformedHistory(
-                        f"step {e.step}: read of {e.reg} returned {e.value!r}, "
-                        f"not its last written cell {cell!r}")
-            elif e.kind == "reg_write":
-                registers.write(e.reg, e.proc, e.value)
-        except AccessViolation as exc:
-            raise checker.MalformedHistory(f"step {e.step}: {exc}") from None
-
-
-def check_trace(trace: sim.Trace, scenario: sim.Scenario):
-    """Check a stored trace, which must first replay on the construction's
-    registers."""
-    layout = constructions.layout_of(scenario.construction, scenario.n)
-    replay_registers(trace.events, layout.by_id)
-    return _check_with_layout(trace, scenario, layout)
-
-
 def run_and_check(scenario: sim.Scenario):
     inst = constructions.build_instance(scenario.construction, scenario.n)
     trace = sim.run(scenario, instance=inst)
-    verdicts = _check_with_layout(trace, scenario, inst)
+    verdicts = checker.run_all_checks(trace, scenario.faults,
+                                      specs=inst.by_id, classify=inst.classify)
     return trace, verdicts
 
 
@@ -219,8 +179,21 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _verdicts_json(verdicts) -> dict:
-    return {name: v.to_json() for name, v in verdicts.items()}
+# What a bad scenario or trace file raises; each is an input error, exit 2.
+INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                MalformedScenario, AccessViolation, checker.UnfairScheduleError)
+
+
+def _input_error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _report(out: str, verdicts) -> int:
+    _write_json(out, {name: v.to_json() for name, v in verdicts.items()})
+    for name, v in sorted(verdicts.items()):
+        print(f"{name}: {v.status}" + (f" ({v.explanation})" if v.explanation else ""))
+    return 0 if all(v.ok for v in verdicts.values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +211,11 @@ def cmd_run(args) -> int:
         if args.op_budget:
             scenario.per_op_budget = args.op_budget
         trace, verdicts = run_and_check(scenario)
-    except (OSError, json.JSONDecodeError, MalformedScenario, AccessViolation,
-            checker.UnfairScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except INPUT_ERRORS as exc:
+        return _input_error(exc)
     with open(args.trace, "wb") as fh:
         fh.write(events_to_jsonl(trace.events))
-    _write_json(args.out, _verdicts_json(verdicts))
-    failed = [name for name, v in verdicts.items() if not v.ok]
-    for name, v in sorted(verdicts.items()):
-        print(f"{name}: {v.status}" + (f" ({v.explanation})" if v.explanation else ""))
-    return 1 if failed else 0
+    return _report(args.out, verdicts)
 
 
 def parse_n_range(text: str) -> range:
@@ -317,8 +284,7 @@ def cmd_sweep(args) -> int:
             args.op_budget or sim.DEFAULT_PER_OP_BUDGET,
         )
     except (MalformedScenario, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     _write_json(args.out, summary)
     total_viol = sum(summary["violations"].values())
     print(
@@ -337,8 +303,7 @@ def cmd_attack(args) -> int:
             stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
         )
     except (ValueError, MalformedScenario, adversary.WriterBlocked) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     if isinstance(result, adversary.Exhausted):
         _write_json(args.out, {"result": "exhausted", "reason": result.reason,
                                "stages": result.stage_log})
@@ -360,53 +325,29 @@ def cmd_attack(args) -> int:
     return 1
 
 
+def _show(line) -> str:
+    return "(end of trace)" if line is None else repr(line.decode("utf-8", "replace"))
+
+
 def cmd_check(args) -> int:
+    """A stored trace is an execution of the scenario exactly when it is the
+    bytes that re-running the scenario writes."""
     try:
-        scenario = sim.load_scenario(args.scenario)
         with open(args.trace, "rb") as fh:
-            events = events_from_jsonl(fh.read())
-        trace = _trace_from_events(events, scenario)
-        verdicts = check_trace(trace, scenario)
-    except (OSError, ValueError, KeyError, MalformedScenario,
-            checker.MalformedHistory, checker.UnfairScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_json(args.out, _verdicts_json(verdicts))
-    failed = [name for name, v in verdicts.items() if not v.ok]
-    for name, v in sorted(verdicts.items()):
-        print(f"{name}: {v.status}")
-    return 1 if failed else 0
-
-
-def _trace_from_events(events, scenario: sim.Scenario) -> sim.Trace:
-    """Rebuild operation statuses from a stored event stream."""
-    ops: list[sim.OpResult] = []
-    open_by_proc: dict[int, sim.OpResult] = {}
-    for e in events:
-        if e.kind == "invoke":
-            op = sim.OpResult(index=len(ops), proc=e.proc, kind=e.op, arg=e.arg,
-                              invoke_step=e.step)
-            ops.append(op)
-            open_by_proc[e.proc] = op
-        elif e.kind == "respond":
-            op = open_by_proc.pop(e.proc, None)
-            if op is None:
-                raise checker.MalformedHistory(f"respond without invoke at step {e.step}")
-            op.status = "completed"
-            op.respond_step = e.step
-            op.ret = e.ret
-    crashed = {p for p, f in scenario.faults.items() if isinstance(f, Crash)}
-    for op in ops:
-        if op.status == "pending":
-            op.reason = "stored trace"
-            if op.proc in crashed:
-                op.status = "crashed-owner"
-    meta = {
-        "schedule": "seeded" if isinstance(scenario.schedule, sim.Seeded) else "scripted",
-        "construction": scenario.construction,
-        "n": scenario.n,
-    }
-    return sim.Trace(events=events, ops=ops, meta=meta)
+            stored = fh.read()
+        trace, verdicts = run_and_check(sim.load_scenario(args.scenario))
+    except INPUT_ERRORS as exc:
+        return _input_error(exc)
+    rerun = events_to_jsonl(trace.events)
+    if stored != rerun:
+        pairs = itertools.zip_longest(stored.splitlines(keepends=True),
+                                      rerun.splitlines(keepends=True))
+        line, ours, theirs = next((i, a, b) for i, (a, b) in enumerate(pairs, 1)
+                                  if a != b)
+        return _input_error(
+            f"trace line {line}: the stored trace is not the scenario's run\n"
+            f"  stored: {_show(ours)}\n  re-run: {_show(theirs)}")
+    return _report(args.out, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--out", default="attack.json")
     attack_p.set_defaults(func=cmd_attack)
 
-    check_p = sub.add_parser("check", help="re-run the checker on a stored trace")
+    check_p = sub.add_parser("check", help="check that a stored trace is the scenario's run")
     check_p.add_argument("--scenario", required=True)
     check_p.add_argument("--trace", required=True)
     check_p.add_argument("--out", default="verdicts.json")
@@ -471,8 +412,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         if args.runs < 1:
-            print("error: --runs must be at least 1", file=sys.stderr)
-            return 2
+            return _input_error("--runs must be at least 1")
     return args.func(args)
 
 

@@ -401,8 +401,7 @@ def test_criterion_8_attack_harness():
     # independent re-check of the witness
     if naive_ok:
         faults = {p: Correct() for p in range(4)}
-        history = checker.extract_history(
-            naive.events, faults, value_index={MARKER: 1, b"": 0})
+        history = checker.extract_history(naive.events, faults)
         naive_ok = not checker.check_property1(history, True).ok
 
     blocked = attack_search("algo1", 3, stage_budget=100_000)

@@ -145,8 +145,7 @@ def test_attack_naive_gossip_finds_no_write_violation():
     assert marker_reads
     # the witness independently fails Property 1
     faults = {p: Correct() for p in range(4)}
-    history = checker.extract_history(result.events, faults,
-                                      value_index={MARKER: 1, b"": 0})
+    history = checker.extract_history(result.events, faults)
     assert not checker.check_property1(history, True).ok
 
 

@@ -21,6 +21,7 @@ from byzregs.core import (
     Event,
     Malicious,
     Plain,
+    Prepare,
     SeqTuple,
     Signed,
     sig_token,
@@ -179,6 +180,27 @@ def test_internal_invariants_commit_order_inversion():
     ]
     v = validate_internal_invariants(events, specs, classify, {0: Correct()})
     assert not v.ok and v.witnesses == [1]
+
+
+@pytest.mark.parametrize("prev_tag", ["prepare", "commit"])
+@pytest.mark.parametrize("next_tag", ["prepare", "commit"])
+@pytest.mark.parametrize("dk", [0, 1])
+def test_internal_invariants_writer_channel_rank(prev_tag, next_tag, dk):
+    # k strictly increases along the writer channel, except that a commit
+    # may repeat the k of the prepare just before it.
+    def cell(tag, k):
+        t = SeqTuple(k, b"x")
+        return Commit(t) if tag == "commit" else Prepare(SeqTuple(k - 1, b"w"), t)
+
+    specs, classify = _algo1_ctx()
+    events = [
+        Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell(prev_tag, 2)),
+        Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=cell(next_tag, 2 + dk)),
+    ]
+    v = validate_internal_invariants(events, specs, classify, {0: Correct()})
+    assert v.ok == (dk == 1 or (prev_tag, next_tag) == ("prepare", "commit"))
+    if not v.ok:
+        assert v.witnesses == [1]
 
 
 def test_internal_invariants_announce_monotonicity_break():

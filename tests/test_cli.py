@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -5,12 +7,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byzregs import checker, cli, sim
+from byzregs import cli, sim
 from byzregs.core import (
     Commit,
-    Event,
     Plain,
-    RegisterSpec,
     SeqTuple,
     decode_cell,
     encode_cell,
@@ -192,7 +192,7 @@ def test_sweep_attack_candidates(tmp_path, construction, code):
     assert set(summary["violations"]) <= {"Property1", "Property2"}
 
 
-def test_check_roundtrip_and_tamper(tmp_path):
+def test_check_roundtrip_and_tamper(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     out = tmp_path / "v.json"
     scenario = os.path.join(SCENARIOS, "all_correct.json")
@@ -222,46 +222,87 @@ def test_check_roundtrip_and_tamper(tmp_path):
     commits = [i for i, e in enumerate(events_from_jsonl(stored))
                if e.kind == "reg_write" and isinstance(e.value, Commit)
                and e.value.t.k == 1]
-    # Tamper: invert the writer's first commit into a stale one. No read
-    # sees it before it is overwritten, so the trace replays and a check
-    # rejects it.
+    # Each tamper makes the trace differ from the scenario's re-run, which
+    # rejects it (exit 2) at the first tampered line.
+    # Invert the writer's first commit into a stale one that no read sees
+    # before it is overwritten.
     events = events_from_jsonl(stored)
     assert not reads_of(events, commits[0])
     events[commits[0]].value = stale
-    assert check(events) == 1
+    assert check(events) == 2
+    assert f"trace line {commits[0] + 1}:" in capsys.readouterr().err
 
-    # Tamper a commit that a later read returns: the trace no longer
-    # replays.
+    # Tamper a commit that a later read returns.
     i = next(i for i in commits if reads_of(events_from_jsonl(stored), i))
     events = events_from_jsonl(stored)
     events[i].value = stale
     assert check(events) == 2
-    # The same tamper applied to the reads too replays, but is rejected by
-    # the checks.
+    assert f"trace line {i + 1}:" in capsys.readouterr().err
+    # The same tamper applied to the reads too.
     for e in reads_of(events, i):
         e.value = stale
-    assert check(events) == 1
+    assert check(events) == 2
+    assert f"trace line {i + 1}:" in capsys.readouterr().err
 
 
 def test_check_read_of_a_value_never_written_exits_two(tmp_path, capsys):
     lines = _stored_trace_lines(tmp_path)
-    read = next(e for e in lines if e["kind"] == "reg_read")
-    read["value"] = encode_cell(Commit(SeqTuple(0, b"zz")))
+    i = next(i for i, e in enumerate(lines) if e["kind"] == "reg_read")
+    original = _jsonl([lines[i]])
+    lines[i]["value"] = encode_cell(Commit(SeqTuple(0, b"zz")))
     assert _check_lines(tmp_path, lines) == 2
-    assert f"step {read['step']}: read of {read['reg']}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"trace line {i + 1}:" in err
+    assert f"  stored: {_jsonl([lines[i]])!r}" in err
+    assert f"  re-run: {original!r}" in err
 
 
-def test_register_replay_catches_divergence():
-    specs = {"Rwp": RegisterSpec("Rwp", 0, frozenset([1]), Commit(SeqTuple(0, b"")))}
-    a = Commit(SeqTuple(1, b"a"))
-    cli.replay_registers([
-        Event(0, 0, 0, "reg_write", reg="Rwp", value=a),
-        Event(1, 1, 0, "reg_read", reg="Rwp", value=a),
-    ], specs)
-    with pytest.raises(checker.MalformedHistory, match="step 0: read of Rwp"):
-        cli.replay_registers([
-            Event(0, 1, 0, "reg_read", reg="Rwp", value=Commit(SeqTuple(5, b"zz"))),
-        ], specs)
+def test_check_truncated_trace_names_the_missing_line(tmp_path, capsys):
+    lines = _stored_trace_lines(tmp_path)
+    assert _check_lines(tmp_path, lines[:-1]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line {len(lines)}:" in err
+    assert "  stored: (end of trace)" in err
+
+
+@pytest.mark.parametrize("override", [
+    ["--seed", "8"], ["--op-budget", "100"], ["--step-budget", "500"],
+], ids=["seed", "op-budget", "step-budget"])
+def test_check_rejects_a_run_with_overrides(tmp_path, capsys, override):
+    # blocking_boundary.json fixes seed 2024 and its budgets; a run under
+    # other values is another execution, not the scenario's.
+    trace, ref = tmp_path / "t.jsonl", tmp_path / "ref.jsonl"
+    scenario = os.path.join(SCENARIOS, "blocking_boundary.json")
+    for path, flags in ((trace, override), (ref, [])):
+        assert run_cli(["run", "--scenario", scenario, *flags, "--trace", str(path),
+                        "--out", str(tmp_path / "v.json")]) == 0
+    assert run_cli(["check", "--scenario", scenario, "--trace", str(trace),
+                    "--out", str(tmp_path / "c.json")]) == 2
+    pairs = itertools.zip_longest(trace.read_bytes().splitlines(),
+                                  ref.read_bytes().splitlines())
+    first = next(i for i, (a, b) in enumerate(pairs, 1) if a != b)
+    assert f"trace line {first}:" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("name", ["all_correct.json", "blocking_boundary.json"])
+def test_check_verdicts_are_the_runs(tmp_path, name):
+    scenario = os.path.join(SCENARIOS, name)
+    trace, ran, checked = (tmp_path / f for f in ("t.jsonl", "v.json", "c.json"))
+    code = run_cli(["run", "--scenario", scenario, "--trace", str(trace),
+                    "--out", str(ran)])
+    assert run_cli(["check", "--scenario", scenario, "--trace", str(trace),
+                    "--out", str(checked)]) == code
+    assert checked.read_bytes() == ran.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_scenario_that_is_not_utf8_exits_two(tmp_path, command):
+    scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    scenario.write_bytes(b"\xff\xfe{")
+    trace.write_bytes(b"")
+    assert run_cli([command, "--scenario", str(scenario), "--trace", str(trace),
+                    "--out", str(tmp_path / "v.json")]) == 2
 
 
 def test_blocking_boundary_scenario_runs_deterministically(tmp_path):
@@ -304,6 +345,67 @@ def test_sweep_combined_pattern_blocks_without_violations():
     )
     assert summary["violations"] == {}
     assert summary["pending_outside_guarantee"] > 0
+
+
+# sha256 (first 16 hex digits) of the sorted verdict JSON of seeds 0..2 of
+# every cell of the benchmark's sweep grid, at per_op_budget 1500 and the
+# default step budget.
+SWEEP_VERDICTS = {
+    "algo1/2/all-correct": "0e87dc9a9b6f89c2",
+    "algo1/2/writer-crash": "0e87dc9a9b6f89c2",
+    "algo1/2/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/2/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/2/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo1/3/all-correct": "0e87dc9a9b6f89c2",
+    "algo1/3/writer-crash": "0e87dc9a9b6f89c2",
+    "algo1/3/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/3/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/3/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo1/4/all-correct": "0e87dc9a9b6f89c2",
+    "algo1/4/writer-crash": "0e87dc9a9b6f89c2",
+    "algo1/4/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/4/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/4/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo1/5/all-correct": "0e87dc9a9b6f89c2",
+    "algo1/5/writer-crash": "0e87dc9a9b6f89c2",
+    "algo1/5/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/5/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo1/5/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo2/2/all-correct": "0e87dc9a9b6f89c2",
+    "algo2/2/writer-crash": "0e87dc9a9b6f89c2",
+    "algo2/2/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo2/2/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo2/2/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo2/2/malicious-writer": "0608688634c41416",
+    "algo2/2/majority-malicious-readers": "0e87dc9a9b6f89c2",
+    "algo3/3/all-correct": "0e87dc9a9b6f89c2",
+    "algo3/3/writer-crash": "0e87dc9a9b6f89c2",
+    "algo3/3/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo3/3/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo3/3/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo3/3/malicious-writer": "0608688634c41416",
+    "algo3/3/majority-malicious-readers": "0e87dc9a9b6f89c2",
+    "algo3/5/all-correct": "0e87dc9a9b6f89c2",
+    "algo3/5/writer-crash": "0e87dc9a9b6f89c2",
+    "algo3/5/one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo3/5/writer-crash+one-malicious-reader": "0e87dc9a9b6f89c2",
+    "algo3/5/all-readers-malicious": "0e87dc9a9b6f89c2",
+    "algo3/5/malicious-writer": "0608688634c41416",
+    "algo3/5/majority-malicious-readers": "0e87dc9a9b6f89c2",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SWEEP_VERDICTS))
+def test_sweep_verdicts_are_pinned(cell):
+    construction, n, pattern = cell.split("/")
+    runs = []
+    for seed in range(3):
+        scenario = cli.build_sweep_scenario(construction, int(n), pattern, seed,
+                                            sim.DEFAULT_STEP_BUDGET, 1500)
+        _, verdicts = cli.run_and_check(scenario)
+        runs.append({name: v.to_json() for name, v in verdicts.items()})
+    text = json.dumps(runs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SWEEP_VERDICTS[cell]
 
 
 def test_sweep_requires_at_least_one_run(tmp_path):
@@ -394,9 +496,15 @@ def _stored_trace_lines(tmp_path):
     return [json.loads(line) for line in trace.read_text().splitlines()]
 
 
+def _jsonl(lines) -> str:
+    """Trace lines in the codec's canonical form."""
+    return "".join(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+                   for line in lines)
+
+
 def _check_lines(tmp_path, lines):
     trace = tmp_path / "bad.jsonl"
-    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    trace.write_text(_jsonl(lines))
     return run_cli(["check", "--scenario", os.path.join(SCENARIOS, "all_correct.json"),
                     "--trace", str(trace), "--out", str(tmp_path / "c.json")])
 
@@ -409,13 +517,15 @@ def test_check_unknown_cell_tag_exits_two_naming_the_line(tmp_path, capsys):
     assert f"trace line {i + 1}:" in capsys.readouterr().err
 
 
-def test_check_respond_without_invoke_exits_two_naming_the_step(tmp_path, capsys):
+def test_check_respond_without_invoke_exits_two_naming_the_line(tmp_path, capsys):
     lines = _stored_trace_lines(tmp_path)
     respond = next(e for e in lines if e["kind"] == "respond")
+    first = next(i for i, e in enumerate(lines) if e["kind"] == "invoke"
+                 and e["proc"] == respond["proc"])
     lines = [e for e in lines if not (e["kind"] == "invoke"
                                       and e["proc"] == respond["proc"])]
     assert _check_lines(tmp_path, lines) == 2
-    assert f"at step {respond['step']}" in capsys.readouterr().err
+    assert f"trace line {first + 1}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, field, value", [
@@ -424,10 +534,10 @@ def test_check_respond_without_invoke_exits_two_naming_the_step(tmp_path, capsys
 def test_check_access_outside_the_construction_exits_two(tmp_path, capsys,
                                                          kind, field, value):
     lines = _stored_trace_lines(tmp_path)
-    event = next(e for e in lines if e["kind"] == kind and e["proc"] != value)
-    event[field] = value
+    i = next(i for i, e in enumerate(lines) if e["kind"] == kind and e["proc"] != value)
+    lines[i][field] = value
     assert _check_lines(tmp_path, lines) == 2
-    assert f"step {event['step']}:" in capsys.readouterr().err
+    assert f"trace line {i + 1}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--step-budget", "--op-budget"])
@@ -497,15 +607,20 @@ def _stored_run(name, tmp):
 def test_mutated_inputs_exit_cleanly(data, name, mutate_trace):
     with tempfile.TemporaryDirectory() as tmp:
         doc, lines = _stored_run(name, tmp)
+        stored = _jsonl(lines)
         _mutate(lines if mutate_trace else doc, data)
         scenario, trace = os.path.join(tmp, "s.json"), os.path.join(tmp, "t.jsonl")
         with open(scenario, "w") as fh:
             json.dump(doc, fh)
         with open(trace, "w") as fh:
-            fh.write("".join(json.dumps(line) + "\n" for line in lines))
+            fh.write(_jsonl(lines))
         out = os.path.join(tmp, "v.json")
         if not mutate_trace:
             assert cli.main(["run", "--scenario", scenario, "--trace",
                              os.path.join(tmp, "r.jsonl"), "--out", out]) in (0, 1, 2)
-        assert cli.main(["check", "--scenario", scenario, "--trace", trace,
-                         "--out", out]) in (0, 1, 2)
+        code = cli.main(["check", "--scenario", scenario, "--trace", trace,
+                         "--out", out])
+        if mutate_trace and _jsonl(lines) != stored:
+            assert code == 2  # a changed trace is not the scenario's run
+        else:
+            assert code in (0, 1, 2)

@@ -5,10 +5,14 @@ import pytest
 
 from byzregs import sim
 from byzregs.core import (
+    Commit,
     Correct,
     Crash,
+    Event,
     Malicious,
     MalformedScenario,
+    RegisterFile,
+    RegisterSpec,
     SeqTuple,
     events_to_jsonl,
 )
@@ -370,8 +374,35 @@ def test_fork_thread2_can_return_last_written_despite_commit():
     assert tr.ops[1].ret == SeqTuple(0, b"")
 
 
+def replay_registers(events, specs) -> None:
+    """Replay register events on fresh registers: every access must obey the
+    specs' access rules and every read return the cell last written to its
+    register."""
+    registers = RegisterFile(specs)
+    for e in events:
+        if e.kind == "reg_read":
+            cell = registers.read(e.reg, e.proc)
+            assert e.value == cell, (f"step {e.step}: read of {e.reg} returned "
+                                     f"{e.value!r}, not its last written cell {cell!r}")
+        elif e.kind == "reg_write":
+            registers.write(e.reg, e.proc, e.value)
+
+
+def test_register_replay_catches_divergence():
+    specs = {"Rwp": RegisterSpec("Rwp", 0, frozenset([1]), Commit(SeqTuple(0, b"")))}
+    a = Commit(SeqTuple(1, b"a"))
+    replay_registers([
+        Event(0, 0, 0, "reg_write", reg="Rwp", value=a),
+        Event(1, 1, 0, "reg_read", reg="Rwp", value=a),
+    ], specs)
+    with pytest.raises(AssertionError, match="step 0: read of Rwp"):
+        replay_registers([
+            Event(0, 1, 0, "reg_read", reg="Rwp", value=Commit(SeqTuple(5, b"zz"))),
+        ], specs)
+
+
 def test_atomicity_replay_on_real_trace():
-    from byzregs import cli, constructions
+    from byzregs import constructions
 
     inst = constructions.build_instance("algo1", 4)
     sc = scenario(n=4, faults={p: Correct() for p in range(5)}, workload=[
@@ -382,7 +413,7 @@ def test_atomicity_replay_on_real_trace():
         sim.WorkItem(4, "read"),
     ], schedule=sim.Seeded(23))
     tr = sim.run(sc, instance=inst)
-    cli.replay_registers(tr.events, inst.by_id)
+    replay_registers(tr.events, inst.by_id)
 
 
 from hypothesis import given, settings, strategies as st
@@ -408,7 +439,7 @@ def test_random_scenarios_hold_core_invariants(seed, n, pattern):
     tr2 = sim.run(sc, instance=inst2)
     assert events_to_jsonl(tr.events) == events_to_jsonl(tr2.events)
     # atomicity: replay reproduces every read
-    cli.replay_registers(tr.events, inst.by_id)
+    replay_registers(tr.events, inst.by_id)
     # access closure and single-writer
     specs = {s.reg_id: s for s in inst.specs}
     for e in tr.events:
