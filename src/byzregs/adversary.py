@@ -8,6 +8,8 @@ crashed one step earlier and the would-be malicious process replaying its
 recorded register accesses verbatim. Every execution is a strict sequence of
 phases (writer prefix, replay and reset scripts, one fresh read), which is
 exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F.
+A found witness or the spent search budget ends the search: it is raised
+from the stage that finds it, and ``attack_search`` returns it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
 )
 from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_THM2,
                             RULE_UNRESTRICTED, WRITER, build_instance)
-from .sim import Engine
+from .sim import Engine, OpResult
 
 MARKER: bytes = b"\x01"
 
@@ -185,18 +187,11 @@ def build_candidate(name: str, n: int):
     return inst
 
 
-@dataclass(frozen=True)
-class SoloStep:
-    index: int  # 1-based position among the writer's register accesses
-    kind: str  # "reg_read" | "reg_write"
-    reg: str
-
-
 def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
     """Execution S: a complete solo Write of the marker, readers silent.
 
-    Returns (steps, events) where steps are the writer's register accesses
-    s^1..s^m in order.
+    Returns (steps, events) where steps are the writer's register access
+    events s^1..s^m in order.
     """
     inst = build_candidate(name, n)
     eng = Engine(inst.by_id)
@@ -206,12 +201,11 @@ def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
         raise WriterBlocked(
             f"candidate {name}: solo write did not finish within {budget} steps"
         )
-    accesses = [e for e in eng.events if e.kind in ("reg_read", "reg_write")]
-    steps = [SoloStep(i + 1, e.kind, e.reg) for i, e in enumerate(accesses)]
+    steps = [e for e in eng.events if e.kind in ("reg_read", "reg_write")]
     return steps, eng.events
 
 
-def invisible_to(step: Optional[SoloStep], specs: dict[str, RegisterSpec],
+def invisible_to(step: Optional[Event], specs: dict[str, RegisterSpec],
                  readers: list[int]) -> frozenset[int]:
     """Readers to which a writer step is invisible: invocation, response and
     reads are invisible to everyone; a write only to the registers' readers."""
@@ -244,7 +238,7 @@ class FreshRead:
 @dataclass
 class PlanResult:
     events: list[Event]
-    reads: list[tuple[int, str, object]]  # (proc, status, returned)
+    ops: list[OpResult]  # the engine's op records, in spawn order
     accesses: int
 
 
@@ -259,7 +253,6 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
              if isinstance(ph, WriterPhase) and ph.crash_after is not None]
     eng = Engine(inst.by_id, crash_points=crash)
-    reads: list[tuple[int, str, object]] = []
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
             eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
@@ -268,20 +261,15 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
             eng.spawn_script(ph.proc, ph.script.machine(eng.registers, ph.proc))
             eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, FreshRead):
-            op = eng.spawn_op(ph.proc, "Read", None, inst.read_machine(ph.proc))
+            eng.spawn_op(ph.proc, "Read", None, inst.read_machine(ph.proc))
             eng.run_queue(
                 step_budget=len(eng.events) + 4 * stage_budget,
                 per_op_budget=stage_budget,
             )
-            reads.append((ph.proc, op.status, op.ret))
         else:
             raise TypeError(ph)
     accesses = sum(e.kind in ("reg_read", "reg_write") for e in eng.events)
-    return PlanResult(eng.events, reads, accesses)
-
-
-def _is_marker(ret) -> bool:
-    return isinstance(ret, SeqTuple) and ret.u == MARKER
+    return PlanResult(eng.events, eng.ops, accesses)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +289,13 @@ class ExecState:
     z: frozenset[int]
 
 
-@dataclass
-class ViolationWitness:
+class SearchEnd(Exception):
+    """Raised to end the search; attack_search returns it. Subclasses keep
+    identity equality (eq=False), so they stay hashable like any exception."""
+
+
+@dataclass(eq=False)
+class ViolationWitness(SearchEnd):
     stage: str
     events: list[Event]
     vclass: str
@@ -310,8 +303,8 @@ class ViolationWitness:
     stage_log: list[str]
 
 
-@dataclass
-class BlockedWitness:
+@dataclass(eq=False)
+class BlockedWitness(SearchEnd):
     stage: str
     events: list[Event]
     reader: int
@@ -319,13 +312,15 @@ class BlockedWitness:
     stage_log: list[str]
 
 
-@dataclass
-class Exhausted:
+@dataclass(eq=False)
+class Exhausted(SearchEnd):
     reason: str
     stage_log: list[str]
 
 
-AttackResult = object  # ViolationWitness | BlockedWitness | Exhausted
+# A `|` union: typing.Union caches its arguments, which would keep every
+# freshly imported copy of this module alive.
+AttackResult = ViolationWitness | BlockedWitness | Exhausted
 
 
 class _Search:
@@ -340,17 +335,32 @@ class _Search:
         self.stage_budget = stage_budget
         self.spent = 0
         self.log: list[str] = []
-
-    def run(self, phases: list) -> PlanResult:
-        res = run_plan(self.name, self.n, phases, self.stage_budget)
-        self.spent += res.accesses
-        return res
-
-    def out_of_budget(self) -> bool:
-        return self.spent > self.budget
+        # Execution S: the writer's register steps s^1..s^m.
+        self.steps, _ = record_solo_write(name, n, stage_budget)
+        self.note(f"S: solo write took {len(self.steps)} register steps")
 
     def note(self, msg: str) -> None:
         self.log.append(msg)
+
+    def fresh(self, phases: list, reader: int, stage: str):
+        """Run the phases plus a fresh read by reader. Returns the plan and
+        whether the read returned the marker; a read still pending at the
+        stage budget raises a BlockedWitness."""
+        res = run_plan(self.name, self.n, phases + [FreshRead(reader)],
+                       self.stage_budget)
+        self.spent += res.accesses
+        read = res.ops[-1]
+        if read.status != "completed":
+            self.note(f"{stage}: read by {reader} blocked")
+            raise BlockedWitness(
+                stage, res.events, reader,
+                f"read by correct process {reader} still pending after "
+                f"{self.stage_budget} of its steps under a fair schedule",
+                self.log)
+        if isinstance(read.ret, SeqTuple) and read.ret.u == MARKER:
+            return res, True
+        self.note(f"{stage}: read by {reader} returned {read.ret!r}, not the marker")
+        return res, False
 
     def verdicts(self, res: PlanResult, malicious: Optional[int]) -> dict:
         """Properties 1 and 2 of a plan's history; only the malicious
@@ -364,41 +374,18 @@ class _Search:
             "property2": checker.check_property2(history, True),
         }
 
-    def fresh_read_outcome(self, res: PlanResult, stage: str, reader: int):
-        """Classify the final fresh read: marker, Blocked, or a dead branch.
-
-        A non-marker return at a stage where linearizability forces the
-        marker is itself a violation; it is verified with the checker before
-        being reported.
-        """
-        proc, status, ret = res.reads[-1]
-        if status != "completed":
-            self.note(f"{stage}: read by {proc} blocked")
-            return BlockedWitness(
-                stage,
-                res.events,
-                proc,
-                f"read by correct process {proc} still pending after "
-                f"{self.stage_budget} of its steps under a fair schedule",
-                self.log,
-            )
-        if _is_marker(ret):
-            return "marker"
-        self.note(f"{stage}: read by {proc} returned {ret!r}, not the marker")
-        return "other"
-
     def linearizability_violation(self, res: PlanResult, stage: str,
-                                  malicious: Optional[int]):
+                                  malicious: Optional[int]) -> None:
         """A C/E-stage read that dodges the marker contradicts the proof's
-        linearizability step; confirm with the checker and report."""
+        linearizability step; raise the witness once the checker confirms
+        it."""
         verdicts = self.verdicts(res, malicious)
         for name in ("property2", "property1"):
             v = verdicts[name]
             if not v.ok:
-                return ViolationWitness(
+                raise ViolationWitness(
                     stage, res.events, v.vclass, v.explanation, self.log
                 )
-        return None
 
 
 def attack_search(
@@ -415,7 +402,8 @@ def attack_search(
     (BlockedWitness), a forced read avoids the marker (ViolationWitness), or
     the writer has no steps left and a correct reader still reads the marker
     (terminal ViolationWitness). Candidates outside the register budget make
-    every branch die; that is Exhausted, not an error.
+    every branch die; that is Exhausted, not an error. Spending more than
+    ``budget`` register accesses also ends the search with Exhausted.
     """
     if n < 3:
         raise ValueError("the impossibility setting needs n >= 3")
@@ -423,87 +411,63 @@ def attack_search(
         raise ValueError(f"attack budgets must be positive, not {budget} "
                          f"(search) and {stage_budget} (stage)")
     search = _Search(name, n, budget, stage_budget)
-    steps, _ = record_solo_write(name, n, stage_budget)
-    m = len(steps)
-    search.note(f"S: solo write took {m} register steps")
-
-    for q0 in search.readers:
-        for p0 in [r for r in search.readers if r != q0]:
-            state = ExecState(m + 1, WriterPhase(None), (), x=q0, p_role=p0,
-                              z=frozenset(search.readers) - {q0, p0})
-            result = _drive_chain(search, state, steps, m)
-            if isinstance(result, (ViolationWitness, BlockedWitness)):
-                return result
-            if result == "budget":
-                return Exhausted("budget exhausted", search.log)
-    return Exhausted("all branches exhausted", search.log)
+    try:
+        for q0 in search.readers:
+            for p0 in [r for r in search.readers if r != q0]:
+                _drive_chain(search, ExecState(
+                    len(search.steps) + 1, WriterPhase(None), (), x=q0,
+                    p_role=p0, z=frozenset(search.readers) - {q0, p0}))
+        raise Exhausted("all branches exhausted", search.log)
+    except SearchEnd as end:
+        # Returned as a value: drop the traceback, which would pin every
+        # frame it passed through and, by their f_back, the caller's too.
+        return end.with_traceback(None)
 
 
-def _run_fresh(search: _Search, state_phases: list, reader: int, stage: str):
-    res = search.run(state_phases + [FreshRead(reader)])
-    outcome = search.fresh_read_outcome(res, stage, reader)
-    return res, outcome
-
-
-def _drive_chain(search: _Search, state: ExecState, steps: list[SoloStep], m: int):
+def _drive_chain(search: _Search, state: ExecState) -> None:
     """Drive one (q, p) role assignment down from P_{m+1} to P_0."""
     # Establish the base execution A_{k}: fresh read after the writer phase.
-    _, outcome = _run_fresh(search, [state.w_phase, *state.replays], state.x,
-                            f"A_{state.k}(x={state.x})")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
-        return None  # dead branch
+    _, marker = search.fresh([state.w_phase, *state.replays], state.x,
+                             f"A_{state.k}(x={state.x})")
+    if not marker:
+        return  # dead branch
 
     while state.k > 0:
-        if search.out_of_budget():
-            return "budget"
-        nxt = apply_transformation_chain(search, state, steps, m)
-        if nxt is None:
-            return None
-        if isinstance(nxt, (ViolationWitness, BlockedWitness)):
-            return nxt
-        state = nxt
+        if search.spent > search.budget:
+            raise Exhausted("budget exhausted", search.log)
+        state = apply_transformation_chain(search, state)
+        if state is None:
+            return
 
     # P_0: the writer crashed right after its invocation. Its invocation is
     # invisible to everyone, so drop the writer entirely (A_0'): a correct
     # reader reading the marker with zero writer steps breaks Property 1.
-    res, outcome = _run_fresh(search, list(state.replays), state.x, "A_0'")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
-        return None
+    res, marker = search.fresh(list(state.replays), state.x, "A_0'")
+    if not marker:
+        return
     assert not any(e.proc == WRITER for e in res.events), "writer acted in A_0'"
     v1 = search.verdicts(res, state.p_role)["property1"]
     if v1.ok:  # pragma: no cover - the marker was never written
         raise StagePreconditionFailed("A_0' read the marker yet Property 1 holds")
-    search.note(
-        f"A_0': reader {state.x} read the marker with zero writer steps"
-    )
-    return ViolationWitness(
-        "A_0'",
-        res.events,
-        v1.vclass,
-        v1.explanation,
-        search.log,
-    )
+    search.note(f"A_0': reader {state.x} read the marker with zero writer steps")
+    raise ViolationWitness("A_0'", res.events, v1.vclass, v1.explanation,
+                           search.log)
 
 
-def apply_transformation_chain(search: _Search, state: ExecState,
-                               steps: list[SoloStep], m: int):
+def apply_transformation_chain(search: _Search,
+                               state: ExecState) -> Optional[ExecState]:
     """One induction step: from an execution with P_k produce one with
-    P_{k-1}, or a witness, or None when every branch dies."""
+    P_{k-1}, or None when every branch dies. A witness found on the way
+    ends the search."""
     k = state.k
     # B_{k-1}: crash the writer one step earlier, replay, rerun x fresh.
-    b_w = WriterPhase(min(k - 1, m))
+    b_w = WriterPhase(min(k - 1, len(search.steps)))
     b_phases: list = [b_w, *state.replays]
-    res_b, outcome = _run_fresh(search, b_phases, state.x, f"B_{k-1}(x={state.x})")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
+    res_b, marker = search.fresh(b_phases, state.x, f"B_{k-1}(x={state.x})")
+    if not marker:
         return None
 
-    prev_step = steps[k - 2] if k - 1 >= 1 else None  # s^{k-1}; None = invocation
+    prev_step = search.steps[k - 2] if k >= 2 else None  # s^{k-1}; None = invocation
     inv = invisible_to(prev_step, search.specs, search.readers)
     if not inv and search.rule != RULE_UNRESTRICTED:
         raise StagePreconditionFailed(
@@ -524,34 +488,32 @@ def apply_transformation_chain(search: _Search, state: ExecState,
     if state.p_role in inv:
         tries += [(r, True) for r in sorted(state.z)]
     for r, subcase_b in tries:
-        outcome = _try_case2(search, state, b_phases, x_actions, r, k, subcase_b)
-        if outcome is not None:
-            return outcome
+        nxt = _try_case2(search, state, b_phases, x_actions, r, k, subcase_b)
+        if nxt is not None:
+            return nxt
     search.note(f"B_{k-1}: no eligible reader for s^{k-1}; branch dead")
     return None
 
 
 def _try_case2(search: _Search, state: ExecState, b_phases: list,
-               x_actions: tuple, r: int, k: int, subcase_b: bool):
+               x_actions: tuple, r: int, k: int,
+               subcase_b: bool) -> Optional[ExecState]:
     """Case 2 with the silent reader r: stages C and D, then, in subcase 2b
     (s^{k-1} invisible to p_role rather than to r), stages E and F."""
     # C_{k-1}^r: after x's read, malicious p_role resets its registers and
     # the correct silent reader r reads; linearizability forces the marker.
     c_phases = b_phases + [FreshRead(state.x), ScriptPhase(state.p_role, ResetAll())]
-    res_c, outcome = _run_fresh(search, c_phases, r, f"C_{k-1}^{r}")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
-        return search.linearizability_violation(res_c, f"C_{k-1}^{r}", state.p_role)
+    res_c, marker = search.fresh(c_phases, r, f"C_{k-1}^{r}")
+    if not marker:
+        search.linearizability_violation(res_c, f"C_{k-1}^{r}", state.p_role)
+        return None
     # D_{k-1}^r: drop p_role's steps; x replays its recorded read.
     d_w = b_phases[0]
     d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
         ScriptPhase(state.x, Replay(x_actions)),
     )
-    res_d, outcome = _run_fresh(search, [d_w, *d_replays], r, f"D_{k-1}^{r}")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
+    res_d, marker = search.fresh([d_w, *d_replays], r, f"D_{k-1}^{r}")
+    if not marker:
         return None
     if not subcase_b:
         search.note(f"D_{k-1}^{r}: case 2a; x={r}, malicious role -> {state.x}")
@@ -559,21 +521,17 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
                          z=(state.z - {r}) | {state.p_role})
     # E_{k-1}^r: x (malicious now) resets; the removed reader p_role reads.
     e_phases = [d_w, *d_replays, FreshRead(r), ScriptPhase(state.x, ResetAll())]
-    res_e, outcome = _run_fresh(search, e_phases, state.p_role, f"E_{k-1}^{r}")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
-        return search.linearizability_violation(res_e, f"E_{k-1}^{r}", state.x)
+    res_e, marker = search.fresh(e_phases, state.p_role, f"E_{k-1}^{r}")
+    if not marker:
+        search.linearizability_violation(res_e, f"E_{k-1}^{r}", state.x)
+        return None
     # F_{k-1}^r: drop x's steps; r replays its D-read; p_role reads fresh.
     r_actions = recorded_actions(res_d.events, r)
     f_replays = tuple(rb for rb in d_replays if rb.proc != state.x) + (
         ScriptPhase(r, Replay(r_actions)),
     )
-    res_f, outcome = _run_fresh(search, [d_w, *f_replays], state.p_role,
-                                f"F_{k-1}^{r}")
-    if isinstance(outcome, BlockedWitness):
-        return outcome
-    if outcome != "marker":
+    _, marker = search.fresh([d_w, *f_replays], state.p_role, f"F_{k-1}^{r}")
+    if not marker:
         return None
     search.note(f"F_{k-1}^{r}: case 2b; x={state.p_role}, malicious role -> {r}")
     return ExecState(k - 1, d_w, f_replays, x=state.p_role, p_role=r,

@@ -179,9 +179,10 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-# What a bad scenario or trace file raises; each is an input error, exit 2.
-INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError,
-                MalformedScenario, AccessViolation, checker.UnfairScheduleError)
+# What bad input raises (a scenario, trace or output path, a flag, an
+# environment value, a solo write over its budget); each exits 2.
+INPUT_ERRORS = (OSError, ValueError, MalformedScenario, AccessViolation,
+                checker.UnfairScheduleError, adversary.WriterBlocked)
 
 
 def _input_error(exc) -> int:
@@ -202,17 +203,14 @@ def _report(out: str, verdicts) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = sim.load_scenario(args.scenario)
-        if args.seed is not None and isinstance(scenario.schedule, sim.Seeded):
-            scenario.schedule = sim.Seeded(args.seed)
-        if args.step_budget:
-            scenario.step_budget = args.step_budget
-        if args.op_budget:
-            scenario.per_op_budget = args.op_budget
-        trace, verdicts = run_and_check(scenario)
-    except INPUT_ERRORS as exc:
-        return _input_error(exc)
+    scenario = sim.load_scenario(args.scenario)
+    if args.seed is not None and isinstance(scenario.schedule, sim.Seeded):
+        scenario.schedule = sim.Seeded(args.seed)
+    if args.step_budget:
+        scenario.step_budget = args.step_budget
+    if args.op_budget:
+        scenario.per_op_budget = args.op_budget
+    trace, verdicts = run_and_check(scenario)
     with open(args.trace, "wb") as fh:
         fh.write(events_to_jsonl(trace.events))
     return _report(args.out, verdicts)
@@ -264,27 +262,33 @@ def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
 
 
 def cmd_sweep(args) -> int:
-    try:
-        ns = parse_n_range(args.n)
-        if not ns:
-            raise MalformedScenario(f"empty reader range {args.n!r}")
-        for n in (ns[0], ns[-1]):
-            constructions.check_n(args.construction, n)
-        patterns = args.faults.split(",")
-        for p in patterns:
-            if p not in CANONICAL_PATTERNS + EXTRA_PATTERNS:
-                raise MalformedScenario(f"unknown fault pattern {p!r}")
-        summary = run_sweep(
-            args.construction,
-            ns,
-            patterns,
-            args.runs,
-            args.seed,
-            args.step_budget or sim.DEFAULT_STEP_BUDGET,
-            args.op_budget or sim.DEFAULT_PER_OP_BUDGET,
-        )
-    except (MalformedScenario, ValueError) as exc:
-        return _input_error(exc)
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an integer, not {text!r}") from None
+    if args.runs < 1:
+        raise ValueError("--runs must be at least 1")
+    ns = parse_n_range(args.n)
+    if not ns:
+        raise MalformedScenario(f"empty reader range {args.n!r}")
+    for n in (ns[0], ns[-1]):
+        constructions.check_n(args.construction, n)
+    patterns = args.faults.split(",")
+    for p in patterns:
+        if p not in CANONICAL_PATTERNS + EXTRA_PATTERNS:
+            raise MalformedScenario(f"unknown fault pattern {p!r}")
+    summary = run_sweep(
+        args.construction,
+        ns,
+        patterns,
+        args.runs,
+        seed,
+        args.step_budget or sim.DEFAULT_STEP_BUDGET,
+        args.op_budget or sim.DEFAULT_PER_OP_BUDGET,
+    )
     _write_json(args.out, summary)
     total_viol = sum(summary["violations"].values())
     print(
@@ -295,15 +299,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    try:
-        result = adversary.attack_search(
-            args.construction,
-            args.n_int,
-            budget=args.step_budget or 10_000_000,
-            stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
-        )
-    except (ValueError, MalformedScenario, adversary.WriterBlocked) as exc:
-        return _input_error(exc)
+    result = adversary.attack_search(
+        args.construction,
+        args.n_int,
+        budget=args.step_budget or 10_000_000,
+        stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
+    )
     if isinstance(result, adversary.Exhausted):
         _write_json(args.out, {"result": "exhausted", "reason": result.reason,
                                "stages": result.stage_log})
@@ -332,12 +333,9 @@ def _show(line) -> str:
 def cmd_check(args) -> int:
     """A stored trace is an execution of the scenario exactly when it is the
     bytes that re-running the scenario writes."""
-    try:
-        with open(args.trace, "rb") as fh:
-            stored = fh.read()
-        trace, verdicts = run_and_check(sim.load_scenario(args.scenario))
-    except INPUT_ERRORS as exc:
-        return _input_error(exc)
+    with open(args.trace, "rb") as fh:
+        stored = fh.read()
+    trace, verdicts = run_and_check(sim.load_scenario(args.scenario))
     rerun = events_to_jsonl(trace.events)
     if stored != rerun:
         pairs = itertools.zip_longest(stored.splitlines(keepends=True),
@@ -351,10 +349,6 @@ def cmd_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,12 +402,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.command == "sweep":
-        if args.seed is None:
-            args.seed = _default_seed()
-        if args.runs < 1:
-            return _input_error("--runs must be at least 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        return _input_error(exc)
 
 
 if __name__ == "__main__":

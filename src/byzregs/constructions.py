@@ -432,7 +432,7 @@ class NaiveGossip(Layout):
     def write_machine(self, v: Vars, u: Payload) -> Generator:
         v.c += 1
         yield ("w", "NG/W", Plain(SeqTuple(v.c, u)))
-        return "done"
+        return DONE
 
     def read_machine(self, v: Vars, p: int) -> Generator:
         if p in self.specs[0].readers:
@@ -461,7 +461,7 @@ class AtomicOneWNR(Layout):
     def write_machine(self, v: Vars, u: Payload) -> Generator:
         v.c += 1
         yield ("w", "AT/R", Plain(SeqTuple(v.c, u)))
-        return "done"
+        return DONE
 
     def read_machine(self, v: Vars, p: int) -> Generator:
         x = yield ("r", "AT/R")

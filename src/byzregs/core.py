@@ -99,12 +99,9 @@ DONE = "done"
 def encode_payload(u: Payload):
     if isinstance(u, bytes):
         try:
-            s = u.decode("utf-8")
-            if s.encode("utf-8") == u:
-                return s
+            return u.decode("utf-8")
         except UnicodeDecodeError:
-            pass
-        return {"b64": base64.b64encode(u).decode("ascii")}
+            return {"b64": base64.b64encode(u).decode("ascii")}
     return encode_cell(u)
 
 

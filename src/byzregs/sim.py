@@ -392,8 +392,10 @@ def validate_scenario(s: Scenario) -> None:
     if not all(_is_int(p) and 0 <= p <= s.n for p in s.faults):
         raise MalformedScenario("fault map references undeclared processes")
     for proc, fault in s.faults.items():
-        if isinstance(fault, Crash) and not _is_int(fault.at_global_step):
-            raise MalformedScenario(f"crash step of process {proc} must be an integer")
+        if isinstance(fault, Crash) and not (
+                _is_int(fault.at_global_step) and fault.at_global_step >= 0):
+            raise MalformedScenario(
+                f"crash step of process {proc} must be a non-negative integer")
     for i, item in enumerate(s.workload):
         for name in ("proc", "after_op", "after_step"):
             value = getattr(item, name)
@@ -401,6 +403,8 @@ def validate_scenario(s: Scenario) -> None:
                 raise MalformedScenario(
                     f"workload[{i}]: {name} must be an integer, not {value!r}"
                 )
+        if (item.after_step or 0) < 0:
+            raise MalformedScenario(f"workload[{i}]: after_step must not be negative")
         if not 0 <= item.proc <= s.n:
             raise MalformedScenario(f"workload[{i}] references process {item.proc}")
         if not is_honest(s.faults.get(item.proc, Correct())):

@@ -10,7 +10,6 @@ from byzregs.adversary import (
     MARKER,
     Replay,
     ResetAll,
-    SoloStep,
     ViolationWitness,
     attack_search,
     build_candidate,
@@ -28,6 +27,7 @@ from byzregs.constructions import (
 from byzregs.core import (
     AccessViolation,
     Correct,
+    Event,
     Malicious,
     Plain,
     RegisterSpec,
@@ -42,8 +42,8 @@ def test_invisible_to_classification():
         "W": RegisterSpec("W", 0, frozenset([1, 2]), Plain(SeqTuple(0, b""))),
     }
     readers = [1, 2, 3]
-    write = SoloStep(1, "reg_write", "W")
-    read = SoloStep(2, "reg_read", "W")
+    write = Event(1, 0, 0, "reg_write", "W")
+    read = Event(2, 0, 0, "reg_read", "W")
     assert invisible_to(write, specs, readers) == frozenset([3])
     assert invisible_to(read, specs, readers) == frozenset(readers)
     assert invisible_to(None, specs, readers) == frozenset(readers)  # invoke/respond
@@ -168,6 +168,15 @@ def test_attack_algo3_exhausts():
     assert isinstance(result, Exhausted)
 
 
+@pytest.mark.parametrize("name", ["atomic-1wnr", "algo3", "naive-gossip"])
+def test_attack_search_budget_exhausted(name):
+    # The first A-stage read spends more than one access, so the budget
+    # check before the first transformation ends the search.
+    result = attack_search(name, 3, budget=1)
+    assert isinstance(result, Exhausted)
+    assert result.reason == "budget exhausted"
+
+
 # Result type, stage, reason, and the sha256 of the stage log (one line per
 # entry) and of the witness JSONL.
 GOLDEN_ATTACKS = {
@@ -232,7 +241,6 @@ def test_apply_transformation_single_step():
         apply_transformation_chain,
     )
 
-    steps, _ = record_solo_write("naive-gossip", 3, 1000)
     cases = [
         (2, 3, "D_1^3: case 2a; x=3, malicious role -> 1", (3, 1)),
         (3, 2, "F_1^2: case 2b; x=3, malicious role -> 2", (3, 2)),
@@ -241,11 +249,11 @@ def test_apply_transformation_single_step():
         search = _Search("naive-gossip", 3, budget=10**9, stage_budget=1000)
         base = ExecState(k=2, w_phase=WriterPhase(None), replays=(),
                          x=1, p_role=p_role, z=frozenset({silent}))
-        out = apply_transformation_chain(search, base, steps, len(steps))
+        out = apply_transformation_chain(search, base)
         assert isinstance(out, ExecState)
         assert out.k == 1
         assert (out.x, out.p_role) == roles
-        assert search.log == [log]
+        assert search.log == ["S: solo write took 1 register steps", log]
 
 
 @pytest.mark.parametrize("name", ["naive-gossip", "algo1"])

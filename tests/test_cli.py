@@ -415,6 +415,32 @@ def test_sweep_requires_at_least_one_run(tmp_path):
     ]) == 2
 
 
+ALL_CORRECT = os.path.join(SCENARIOS, "all_correct.json")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["run", "--scenario", ALL_CORRECT, "--trace", "{missing}/t.jsonl"], None),
+    (["run", "--scenario", ALL_CORRECT, "--out", "{missing}/v.json"], None),
+    (["sweep", "--construction", "algo3", "--n", "3", "--runs", "1",
+      "--out", "{missing}/s.json"], None),
+    (["attack", "--construction", "naive-gossip", "--n", "3",
+      "--trace", "{missing}/w.jsonl"], None),
+    (["sweep", "--construction", "algo3", "--n", "3", "--runs", "1"], "abc"),
+], ids=["run-trace", "run-out", "sweep-out", "attack-trace", "env-seed"])
+def test_unwritable_output_or_bad_env_seed_exits_two(tmp_path, monkeypatch,
+                                                     capsys, argv, env):
+    # Unnamed outputs go to the working directory, which is tmp_path.
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv(cli.ENV_SEED, env)
+    missing = str(tmp_path / "missing")
+    assert run_cli([a.format(missing=missing) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if env is not None:
+        assert cli.ENV_SEED in err[0]
+
+
 def _set(path, value):
     """Return an edit that sets a key path (a tuple) in a scenario document."""
     def edit(doc):
@@ -438,6 +464,8 @@ def _set(path, value):
     _set(("workload", 1, "after_op"), "0"),
     _set(("workload", 1, "after_op"), False),
     _set(("workload", 3, "after_step"), 2.5),
+    _set(("workload", 3, "after_step"), -5),
+    _set(("faults", "0"), {"kind": "crash", "at_step": -3}),
     _set(("faults", "x"), {"kind": "correct"}),
     lambda doc: doc["workload"][0].pop("value"),
     _set(("faults",), []),
@@ -449,7 +477,8 @@ def _set(path, value):
 ], ids=[
     "step_budget=-1", "step_budget=0", "per_op_budget=0", "per_op_budget=str",
     "n=str", "n=bool", "n=float", "proc=str", "proc=bool", "after_op=str",
-    "after_op=bool", "after_step=float", "fault-key=str", "write-without-value",
+    "after_op=bool", "after_step=float", "after_step=-5", "crash-at_step=-3",
+    "fault-key=str", "write-without-value",
     "faults=list", "n=2**70", "n=11", "empty-workload",
 ])
 def test_invalid_scenario_exits_two(tmp_path, edit):
