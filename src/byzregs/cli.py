@@ -173,10 +173,25 @@ def run_and_check(scenario: sim.Scenario):
     return trace, verdicts
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _write_outputs(*outputs: tuple[str, bytes]) -> None:
+    """Write each (path, data) only once every path opens; otherwise raise
+    having written nothing and removed the files this call created."""
+    created = [path for path, _ in outputs if not os.path.lexists(path)]
+    try:
+        for path, _ in outputs:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError:
+        for path in created:
+            if os.path.lexists(path):
+                os.remove(path)
+        raise
+    for path, data in outputs:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 # What bad input raises (a scenario, trace or output path, a flag, an
@@ -190,8 +205,9 @@ def _input_error(exc) -> int:
     return 2
 
 
-def _report(out: str, verdicts) -> int:
-    _write_json(out, {name: v.to_json() for name, v in verdicts.items()})
+def _report(out: str, verdicts, *first: tuple[str, bytes]) -> int:
+    verdict_json = _json_bytes({name: v.to_json() for name, v in verdicts.items()})
+    _write_outputs(*first, (out, verdict_json))
     for name, v in sorted(verdicts.items()):
         print(f"{name}: {v.status}" + (f" ({v.explanation})" if v.explanation else ""))
     return 0 if all(v.ok for v in verdicts.values()) else 1
@@ -211,9 +227,7 @@ def cmd_run(args) -> int:
     if args.op_budget:
         scenario.per_op_budget = args.op_budget
     trace, verdicts = run_and_check(scenario)
-    with open(args.trace, "wb") as fh:
-        fh.write(events_to_jsonl(trace.events))
-    return _report(args.out, verdicts)
+    return _report(args.out, verdicts, (args.trace, events_to_jsonl(trace.events)))
 
 
 def parse_n_range(text: str) -> range:
@@ -289,7 +303,7 @@ def cmd_sweep(args) -> int:
         args.step_budget or sim.DEFAULT_STEP_BUDGET,
         args.op_budget or sim.DEFAULT_PER_OP_BUDGET,
     )
-    _write_json(args.out, summary)
+    _write_outputs((args.out, _json_bytes(summary)))
     total_viol = sum(summary["violations"].values())
     print(
         f"{summary['runs']} runs, {total_viol} violations, "
@@ -306,8 +320,8 @@ def cmd_attack(args) -> int:
         stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
     )
     if isinstance(result, adversary.Exhausted):
-        _write_json(args.out, {"result": "exhausted", "reason": result.reason,
-                               "stages": result.stage_log})
+        _write_outputs((args.out, _json_bytes({"result": "exhausted", "reason": result.reason,
+                                               "stages": result.stage_log})))
         print(f"exhausted: {result.reason}")
         return 0
     report = {
@@ -319,9 +333,8 @@ def cmd_attack(args) -> int:
         report.update({"result": "violation", "class": result.vclass})
     else:
         report.update({"result": "blocked", "reader": result.reader})
-    _write_json(args.out, report)
-    with open(args.trace, "wb") as fh:
-        fh.write(events_to_jsonl(result.events))
+    _write_outputs((args.out, _json_bytes(report)),
+                   (args.trace, events_to_jsonl(result.events)))
     print(f"{report['result']} witness at stage {result.stage}")
     return 1
 

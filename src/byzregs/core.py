@@ -13,6 +13,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional, Union
 
 
@@ -93,16 +94,68 @@ DONE = "done"
 
 # ---------------------------------------------------------------------------
 # JSON encoding (bit-exact round trip required by the trace interface)
+#
+# Trace lines are written straight as canonical JSON text: compact, keys
+# sorted, non-ASCII escaped, as json.dumps(..., sort_keys=True,
+# separators=(",", ":")) writes. The dict encoders parse that text back for
+# scenario documents (adversary scripts, workload values).
 # ---------------------------------------------------------------------------
 
 
-def encode_payload(u: Payload):
+def _json_scalar(x) -> str:
+    """json.dumps(x), fast for an int, str or None; a scenario document may
+    put any JSON scalar in a cell's k, signer or token."""
+    if type(x) is int:
+        return str(x)
+    if type(x) is str:
+        return _json_str(x)
+    return "null" if x is None else json.dumps(x)
+
+
+def _payload_text(u: Payload, memo: dict) -> str:
     if isinstance(u, bytes):
         try:
-            return u.decode("utf-8")
+            return _json_str(u.decode("utf-8"))
         except UnicodeDecodeError:
-            return {"b64": base64.b64encode(u).decode("ascii")}
-    return encode_cell(u)
+            return '{"b64":"%s"}' % base64.b64encode(u).decode("ascii")
+    return _cell_text(u, memo)
+
+
+def _tuple_text(t: SeqTuple, memo: dict) -> str:
+    return f'{{"k":{_json_scalar(t.k)},"u":{_payload_text(t.u, memo)}}}'
+
+
+def _cell_text(c: CellValue, memo: dict) -> str:
+    """Canonical text of c, made once per object: memo keys id(c), so c must outlive it."""
+    text = memo.get(id(c))
+    if text is not None:
+        return text
+    if isinstance(c, Commit):
+        text = f'{{"t":"commit","tuple":{_tuple_text(c.t, memo)}}}'
+    elif isinstance(c, Prepare):
+        text = (f'{{"next":{_tuple_text(c.next, memo)},'
+                f'"prev":{_tuple_text(c.prev, memo)},"t":"prepare"}}')
+    elif isinstance(c, Plain):
+        text = f'{{"t":"plain","tuple":{_tuple_text(c.t, memo)}}}'
+    elif isinstance(c, Signed):
+        text = (f'{{"signer":{_json_scalar(c.signer)},"t":"signed",'
+                f'"token":{_json_scalar(c.token)},"tuple":{_tuple_text(c.t, memo)}}}')
+    elif isinstance(c, Bottom):
+        text = '{"t":"bottom"}'
+    elif isinstance(c, Garbage):
+        text = '{"data":"%s","t":"garbage"}' % base64.b64encode(c.data).decode("ascii")
+    else:
+        raise TypeError(f"not a cell value: {c!r}")
+    memo[id(c)] = text
+    return text
+
+
+def encode_payload(u: Payload):
+    return json.loads(_payload_text(u, {}))
+
+
+def encode_cell(c: CellValue) -> dict:
+    return json.loads(_cell_text(c, {}))
 
 
 def decode_payload(obj) -> Payload:
@@ -113,28 +166,8 @@ def decode_payload(obj) -> Payload:
     return decode_cell(obj)
 
 
-def encode_tuple(t: SeqTuple) -> dict:
-    return {"k": t.k, "u": encode_payload(t.u)}
-
-
 def decode_tuple(obj: dict) -> SeqTuple:
     return SeqTuple(obj["k"], decode_payload(obj["u"]))
-
-
-def encode_cell(c: CellValue) -> dict:
-    if isinstance(c, Commit):
-        return {"t": "commit", "tuple": encode_tuple(c.t)}
-    if isinstance(c, Prepare):
-        return {"t": "prepare", "prev": encode_tuple(c.prev), "next": encode_tuple(c.next)}
-    if isinstance(c, Plain):
-        return {"t": "plain", "tuple": encode_tuple(c.t)}
-    if isinstance(c, Signed):
-        return {"t": "signed", "tuple": encode_tuple(c.t), "signer": c.signer, "token": c.token}
-    if isinstance(c, Bottom):
-        return {"t": "bottom"}
-    if isinstance(c, Garbage):
-        return {"t": "garbage", "data": base64.b64encode(c.data).decode("ascii")}
-    raise TypeError(f"not a cell value: {c!r}")
 
 
 def decode_cell(obj: dict) -> CellValue:
@@ -172,18 +205,6 @@ class Event:
     ret: object = None  # SeqTuple | Bottom | DONE | raw payload
 
 
-def encode_ret(ret) -> object:
-    if ret is None:
-        return None
-    if ret == DONE:
-        return {"t": "done"}
-    if isinstance(ret, SeqTuple):
-        return {"t": "tuple", "k": ret.k, "u": encode_payload(ret.u)}
-    if isinstance(ret, Bottom):
-        return {"t": "bottom"}
-    return {"t": "value", "u": encode_payload(ret)}
-
-
 def decode_ret(obj):
     if obj is None:
         return None
@@ -195,20 +216,6 @@ def decode_ret(obj):
     if tag == "bottom":
         return BOTTOM
     return decode_payload(obj["u"])
-
-
-def encode_event(e: Event) -> dict:
-    return {
-        "step": e.step,
-        "proc": e.proc,
-        "thread": e.thread,
-        "kind": e.kind,
-        "reg": e.reg,
-        "value": None if e.value is None else encode_cell(e.value),
-        "op": e.op,
-        "arg": None if e.arg is None else encode_payload(e.arg),
-        "ret": encode_ret(e.ret),
-    }
 
 
 def decode_event(obj: dict) -> Event:
@@ -232,9 +239,30 @@ def decode_event(obj: dict) -> Event:
     )
 
 
+def _ret_text(ret, memo: dict) -> str:
+    if ret is None:
+        return "null"
+    if ret == DONE:
+        return '{"t":"done"}'
+    if isinstance(ret, SeqTuple):
+        return f'{{"k":{_json_scalar(ret.k)},"t":"tuple","u":{_payload_text(ret.u, memo)}}}'
+    if isinstance(ret, Bottom):
+        return '{"t":"bottom"}'
+    return f'{{"t":"value","u":{_payload_text(ret, memo)}}}'
+
+
 def events_to_jsonl(events: Iterable[Event]) -> bytes:
+    """One canonical JSON line per event. A cell shared by several events, or
+    nested in an outer cell, is encoded once per call."""
+    events = list(events)  # keeps alive every object whose id the memo holds
+    memo: dict[int, str] = {}
     lines = [
-        json.dumps(encode_event(e), sort_keys=True, separators=(",", ":"))
+        f'{{"arg":{"null" if e.arg is None else _payload_text(e.arg, memo)},'
+        f'"kind":{_json_scalar(e.kind)},"op":{_json_scalar(e.op)},'
+        f'"proc":{_json_scalar(e.proc)},"reg":{_json_scalar(e.reg)},'
+        f'"ret":{_ret_text(e.ret, memo)},"step":{_json_scalar(e.step)},'
+        f'"thread":{_json_scalar(e.thread)},'
+        f'"value":{"null" if e.value is None else _cell_text(e.value, memo)}}}'
         for e in events
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
@@ -342,9 +370,7 @@ class RegisterFile:
 
 
 def _tuple_digest(t: SeqTuple) -> str:
-    return hashlib.sha256(
-        json.dumps(encode_tuple(t), sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:12]
+    return hashlib.sha256(_tuple_text(t, {}).encode()).hexdigest()[:12]
 
 
 def sig_token(t: SeqTuple, signer: int) -> str:

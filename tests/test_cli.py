@@ -439,6 +439,23 @@ def test_unwritable_output_or_bad_env_seed_exits_two(tmp_path, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error: ")
     if env is not None:
         assert cli.ENV_SEED in err[0]
+    # Every output path is opened before any is written: exit 2 leaves none.
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,other", [
+    (["run", "--scenario", ALL_CORRECT, "--out", "{missing}/v.json"], "trace.jsonl"),
+    (["attack", "--construction", "naive-gossip", "--n", "3",
+      "--trace", "{missing}/w.jsonl"], "attack.json"),
+], ids=["run-out", "attack-trace"])
+def test_unwritable_second_output_leaves_the_first_unchanged(tmp_path, monkeypatch,
+                                                             argv, other):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / other).write_bytes(b"earlier output")
+    missing = str(tmp_path / "missing")
+    assert run_cli([a.format(missing=missing) for a in argv]) == 2
+    assert os.listdir(tmp_path) == [other]
+    assert (tmp_path / other).read_bytes() == b"earlier output"
 
 
 def _set(path, value):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,9 +17,7 @@ from byzregs.core import (
     SignatureOracle,
     Signed,
     decode_cell,
-    decode_event,
     encode_cell,
-    encode_event,
     events_from_jsonl,
     events_to_jsonl,
     Event,
@@ -137,7 +137,44 @@ def test_cell_roundtrip(cell):
 @given(cells)
 def test_event_roundtrip(cell):
     e = Event(step=3, proc=1, thread=0, kind="reg_write", reg="R", value=cell)
-    assert decode_event(encode_event(e)) == e
+    assert events_from_jsonl(events_to_jsonl([e])) == [e]
+
+
+@given(st.text(), cells, payloads, st.binary(max_size=8), cells)
+def test_trace_lines_are_canonical_json(reg, cell, payload, raw, nested):
+    rets = ["done", SeqTuple(2, payload), BOTTOM, raw, nested]
+    events = [
+        Event(0, 0, 0, "invoke", op="Write", arg=payload),
+        Event(1, 0, 0, "reg_write", reg=reg, value=cell),
+        Event(2, 1, 0, "reg_read", reg=reg, value=cell),
+        *(Event(3 + i, 1, 0, "respond", op="Read", ret=r) for i, r in enumerate(rets)),
+        Event(8, 2, -1, "crash"),
+    ]
+    data = events_to_jsonl(events)
+    lines = data.decode("ascii").split("\n")
+    assert lines.pop() == "" and len(lines) == len(events)
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+    assert events_from_jsonl(data) == events
+
+
+def test_shared_cells_encode_like_their_copies():
+    shared = Commit(SeqTuple(1, b"v1"))
+    outer = Commit(SeqTuple(2, Prepare(SeqTuple(1, shared), SeqTuple(2, shared))))
+
+    def events():
+        for i in range(100):
+            # A fresh cell per event: once encoded and dropped, its id could
+            # be reused by the next one.
+            yield Event(2 * i, 1, 0, "reg_read", reg="R", value=Plain(SeqTuple(i, b"%d" % i)))
+            yield Event(2 * i + 1, 0, 0, "reg_write", reg="R", value=shared)
+        yield Event(200, 0, 0, "reg_write", reg="R", value=outer)
+        yield Event(201, 1, 0, "respond", op="Read", ret=SeqTuple(1, shared))
+
+    listed = list(events())
+    data = events_to_jsonl(events())
+    assert data == events_to_jsonl(listed)
+    assert data == b"".join(events_to_jsonl([e]) for e in listed)
 
 
 def test_jsonl_roundtrip_and_ret_kinds():
