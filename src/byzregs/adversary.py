@@ -1,13 +1,14 @@
-"""Malicious behavior scripts, record-replay adversaries, and the attack
-harness that drives a candidate register implementation through the
-impossibility argument's execution transformations.
+"""The attack harness: it drives a candidate register implementation through
+the impossibility argument's execution transformations.
 
 The harness operationalizes indistinguishability: instead of reasoning about
 what a reader can know, it re-runs executions from scratch with the writer
 crashed one step earlier and the would-be malicious process replaying its
-recorded register accesses verbatim. Every execution is a strict sequence of
-phases (writer prefix, replay and reset scripts, one fresh read), which is
-exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F.
+recorded register accesses verbatim. A script is the tuple of accesses a
+process issues, as ``recorded_actions`` extracts them. Every execution is a
+strict sequence of phases (writer prefix, replay and reset scripts, one
+fresh read), which is exactly the shape of the proof's executions S, A_k,
+B_{k-1}, C/D/E/F.
 A found witness or the spent search budget ends the search: it is raised
 from the stage that finds it, and ``attack_search`` returns it.
 """
@@ -18,20 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import checker
-from .core import (
-    CellValue,
-    Correct,
-    Event,
-    Malicious,
-    RegisterFile,
-    RegisterSpec,
-    SeqTuple,
-    decode_cell,
-    encode_cell,
-)
+from .core import Correct, Event, Malicious, RegisterSpec, SeqTuple
 from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_THM2,
                             RULE_UNRESTRICTED, WRITER, build_instance)
-from .sim import Engine, OpResult
+from .sim import Engine, OpResult, reset_script
 
 MARKER: bytes = b"\x01"
 
@@ -47,109 +38,9 @@ class WriterBlocked(Exception):
     """The candidate's solo write exceeded its budget."""
 
 
-# ---------------------------------------------------------------------------
-# Adversary scripts
-# ---------------------------------------------------------------------------
-
-
-class Idle:
-    def machine(self, registers: RegisterFile, proc: int):
-        return
-        yield  # pragma: no cover
-
-    def to_json(self) -> dict:
-        return {"kind": "idle"}
-
-
-class ResetAll:
-    """Write initial values to every register the process can write, in
-    register-id order."""
-
-    def machine(self, registers: RegisterFile, proc: int):
-        for rid in registers.writable_by(proc):
-            yield ("w", rid, registers.specs[rid].initial)
-
-    def to_json(self) -> dict:
-        return {"kind": "resetall"}
-
-
-@dataclass
-class LieValue:
-    reg: str
-    cell: CellValue
-
-    def machine(self, registers: RegisterFile, proc: int):
-        yield ("w", self.reg, self.cell)
-
-    def to_json(self) -> dict:
-        return {"kind": "lie", "reg": self.reg, "cell": encode_cell(self.cell)}
-
-
-@dataclass
-class Replay:
-    """Re-issue a recorded access sequence verbatim: writes carry the
-    recorded values; reads re-read the recorded registers (results unused)."""
-
-    actions: tuple[tuple, ...]  # ("w", reg, cell) | ("r", reg)
-
-    def machine(self, registers: RegisterFile, proc: int):
-        for action in self.actions:
-            yield action
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "replay",
-            "actions": [
-                {"a": "w", "reg": a[1], "cell": encode_cell(a[2])}
-                if a[0] == "w"
-                else {"a": "r", "reg": a[1]}
-                for a in self.actions
-            ],
-        }
-
-
-@dataclass
-class Sequence:
-    items: tuple
-
-    def machine(self, registers: RegisterFile, proc: int):
-        for item in self.items:
-            yield from item.machine(registers, proc)
-
-    def to_json(self) -> dict:
-        return {"kind": "seq", "items": [i.to_json() for i in self.items]}
-
-
-def _reg(obj: dict) -> str:
-    if not isinstance(obj["reg"], str):
-        raise ValueError(f"register id must be a string, not {obj['reg']!r}")
-    return obj["reg"]
-
-
-def script_from_json(obj: dict):
-    kind = obj["kind"]
-    if kind == "idle":
-        return Idle()
-    if kind == "resetall":
-        return ResetAll()
-    if kind == "lie":
-        return LieValue(_reg(obj), decode_cell(obj["cell"]))
-    if kind == "replay":
-        return Replay(
-            tuple(
-                ("w", _reg(a), decode_cell(a["cell"]))
-                if a["a"] == "w"
-                else ("r", _reg(a))
-                for a in obj["actions"]
-            )
-        )
-    if kind == "seq":
-        return Sequence(tuple(script_from_json(i) for i in obj["items"]))
-    raise ValueError(f"unknown script kind {kind!r}")
-
-
 def recorded_actions(events: list[Event], proc: int) -> tuple[tuple, ...]:
-    """Extract a process's register accesses from a trace for replay."""
+    """A process's register accesses in a trace, as a script that replays
+    them: writes carry the recorded cells; reads re-read the registers."""
     out = []
     for e in events:
         if e.proc != proc:
@@ -227,7 +118,7 @@ class WriterPhase:
 @dataclass(frozen=True)
 class ScriptPhase:
     proc: int
-    script: object  # Replay | ResetAll
+    script: tuple  # its register accesses
 
 
 @dataclass(frozen=True)
@@ -258,7 +149,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
             eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
             eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, ScriptPhase):
-            eng.spawn_script(ph.proc, ph.script.machine(eng.registers, ph.proc))
+            eng.spawn_script(ph.proc, ph.script)
             eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, FreshRead):
             eng.spawn_op(ph.proc, "Read", None, inst.read_machine(ph.proc))
@@ -283,7 +174,7 @@ class ExecState:
 
     k: int
     w_phase: WriterPhase
-    replays: tuple[ScriptPhase, ...]  # Replay scripts
+    replays: tuple[ScriptPhase, ...]  # recorded accesses, replayed
     x: int  # the correct reader that read the marker
     p_role: int  # the unconstrained (possibly malicious) reader
     z: frozenset[int]
@@ -367,7 +258,7 @@ class _Search:
         process, if any, is exempt."""
         faults = {p: Correct() for p in [WRITER] + self.readers}
         if malicious is not None:
-            faults[malicious] = Malicious(Idle())
+            faults[malicious] = Malicious(())
         history = checker.extract_history(res.events, faults)
         return {
             "property1": checker.check_property1(history, True),
@@ -502,7 +393,8 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     (s^{k-1} invisible to p_role rather than to r), stages E and F."""
     # C_{k-1}^r: after x's read, malicious p_role resets its registers and
     # the correct silent reader r reads; linearizability forces the marker.
-    c_phases = b_phases + [FreshRead(state.x), ScriptPhase(state.p_role, ResetAll())]
+    c_phases = b_phases + [FreshRead(state.x), ScriptPhase(
+        state.p_role, reset_script(search.inst0.specs, state.p_role))]
     res_c, marker = search.fresh(c_phases, r, f"C_{k-1}^{r}")
     if not marker:
         search.linearizability_violation(res_c, f"C_{k-1}^{r}", state.p_role)
@@ -510,7 +402,7 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     # D_{k-1}^r: drop p_role's steps; x replays its recorded read.
     d_w = b_phases[0]
     d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
-        ScriptPhase(state.x, Replay(x_actions)),
+        ScriptPhase(state.x, x_actions),
     )
     res_d, marker = search.fresh([d_w, *d_replays], r, f"D_{k-1}^{r}")
     if not marker:
@@ -520,7 +412,8 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
         return ExecState(k - 1, d_w, d_replays, x=r, p_role=state.x,
                          z=(state.z - {r}) | {state.p_role})
     # E_{k-1}^r: x (malicious now) resets; the removed reader p_role reads.
-    e_phases = [d_w, *d_replays, FreshRead(r), ScriptPhase(state.x, ResetAll())]
+    e_phases = [d_w, *d_replays, FreshRead(r),
+                ScriptPhase(state.x, reset_script(search.inst0.specs, state.x))]
     res_e, marker = search.fresh(e_phases, state.p_role, f"E_{k-1}^{r}")
     if not marker:
         search.linearizability_violation(res_e, f"E_{k-1}^{r}", state.x)
@@ -528,7 +421,7 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     # F_{k-1}^r: drop x's steps; r replays its D-read; p_role reads fresh.
     r_actions = recorded_actions(res_d.events, r)
     f_replays = tuple(rb for rb in d_replays if rb.proc != state.x) + (
-        ScriptPhase(r, Replay(r_actions)),
+        ScriptPhase(r, r_actions),
     )
     _, marker = search.fresh([d_w, *f_replays], state.p_role, f"F_{k-1}^{r}")
     if not marker:

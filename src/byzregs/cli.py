@@ -37,8 +37,6 @@ from .core import (
     events_to_jsonl,
 )
 
-ENV_SEED = "BYZREGS_SEED"
-
 CANONICAL_PATTERNS = [
     "all-correct",
     "writer-crash",
@@ -70,19 +68,19 @@ def _junk_cell(rng: random.Random, spec):
     return Signed(t, spec.writer, "forged")
 
 
-def random_script(rng: random.Random, specs, proc: int):
+def random_script(rng: random.Random, specs, proc: int) -> tuple:
     """A small seeded mix of resets and lies over the registers proc owns."""
     own = [s for s in specs if s.writer == proc]
     if not own or rng.random() < 0.15:
-        return adversary.Idle()
-    items = []
+        return ()
+    script: list = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.3:
-            items.append(adversary.ResetAll())
+            script += sim.reset_script(own, proc)
         else:
             spec = rng.choice(own)
-            items.append(adversary.LieValue(spec.reg_id, _junk_cell(rng, spec)))
-    return adversary.Sequence(tuple(items))
+            script.append(("w", spec.reg_id, _junk_cell(rng, spec)))
+    return tuple(script)
 
 
 def build_fault_map(pattern: str, n: int, rng: random.Random, specs):
@@ -194,8 +192,8 @@ def _write_outputs(*outputs: tuple[str, bytes]) -> None:
             fh.write(data)
 
 
-# What bad input raises (a scenario, trace or output path, a flag, an
-# environment value, a solo write over its budget); each exits 2.
+# What bad input raises (a scenario, trace or output path, a flag, a solo
+# write over its budget); each exits 2.
 INPUT_ERRORS = (OSError, ValueError, MalformedScenario, AccessViolation,
                 checker.UnfairScheduleError, adversary.WriterBlocked)
 
@@ -219,14 +217,7 @@ def _report(out: str, verdicts, *first: tuple[str, bytes]) -> int:
 
 
 def cmd_run(args) -> int:
-    scenario = sim.load_scenario(args.scenario)
-    if args.seed is not None and isinstance(scenario.schedule, sim.Seeded):
-        scenario.schedule = sim.Seeded(args.seed)
-    if args.step_budget:
-        scenario.step_budget = args.step_budget
-    if args.op_budget:
-        scenario.per_op_budget = args.op_budget
-    trace, verdicts = run_and_check(scenario)
+    trace, verdicts = run_and_check(sim.load_scenario(args.scenario))
     return _report(args.out, verdicts, (args.trace, events_to_jsonl(trace.events)))
 
 
@@ -276,13 +267,6 @@ def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
 
 
 def cmd_sweep(args) -> int:
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, not {text!r}") from None
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
     ns = parse_n_range(args.n)
@@ -294,15 +278,8 @@ def cmd_sweep(args) -> int:
     for p in patterns:
         if p not in CANONICAL_PATTERNS + EXTRA_PATTERNS:
             raise MalformedScenario(f"unknown fault pattern {p!r}")
-    summary = run_sweep(
-        args.construction,
-        ns,
-        patterns,
-        args.runs,
-        seed,
-        args.step_budget or sim.DEFAULT_STEP_BUDGET,
-        args.op_budget or sim.DEFAULT_PER_OP_BUDGET,
-    )
+    summary = run_sweep(args.construction, ns, patterns, args.runs, args.seed,
+                        args.step_budget, args.op_budget)
     _write_outputs((args.out, _json_bytes(summary)))
     total_viol = sum(summary["violations"].values())
     print(
@@ -313,12 +290,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    result = adversary.attack_search(
-        args.construction,
-        args.n_int,
-        budget=args.step_budget or 10_000_000,
-        stage_budget=args.op_budget or adversary.DEFAULT_STAGE_BUDGET,
-    )
+    result = adversary.attack_search(args.construction, args.n_int,
+                                     budget=args.step_budget,
+                                     stage_budget=args.op_budget)
     if isinstance(result, adversary.Exhausted):
         _write_outputs((args.out, _json_bytes({"result": "exhausted", "reason": result.reason,
                                                "stages": result.stage_log})))
@@ -373,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario file and check it")
     run_p.add_argument("--scenario", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--step-budget", type=int, default=0)
-    run_p.add_argument("--op-budget", type=int, default=0)
     run_p.add_argument("--trace", default="trace.jsonl")
     run_p.add_argument("--out", default="verdicts.json")
     run_p.set_defaults(func=cmd_run)
@@ -385,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--n", required=True, help="reader count, e.g. 3 or 2..5")
     sweep_p.add_argument("--runs", type=int, required=True)
     sweep_p.add_argument("--faults", default=",".join(CANONICAL_PATTERNS))
-    sweep_p.add_argument("--seed", type=int, default=None)
-    sweep_p.add_argument("--step-budget", type=int, default=0)
-    sweep_p.add_argument("--op-budget", type=int, default=0)
+    sweep_p.add_argument("--seed", type=int, default=0)
+    sweep_p.add_argument("--step-budget", type=int, default=sim.DEFAULT_STEP_BUDGET)
+    sweep_p.add_argument("--op-budget", type=int, default=sim.DEFAULT_PER_OP_BUDGET)
     sweep_p.add_argument("--out", default="sweep.json")
     sweep_p.set_defaults(func=cmd_sweep)
 
@@ -395,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--construction", required=True,
                           help="implementation name")
     attack_p.add_argument("--n", dest="n_int", type=int, required=True)
-    attack_p.add_argument("--step-budget", type=int, default=0)
-    attack_p.add_argument("--op-budget", type=int, default=0)
+    attack_p.add_argument("--step-budget", type=int, default=10_000_000)
+    attack_p.add_argument("--op-budget", type=int,
+                          default=adversary.DEFAULT_STAGE_BUDGET)
     attack_p.add_argument("--trace", default="witness.jsonl")
     attack_p.add_argument("--out", default="attack.json")
     attack_p.set_defaults(func=cmd_attack)

@@ -501,13 +501,14 @@ IMPLEMENTATIONS = {
 
 
 def check_n(name: str, n: int) -> Implementation:
-    """Look name up and reject an n below 2 or above its maximum before
-    anything is sized by it; a factory may still demand a larger n."""
+    """Look name up and reject an n that is not an integer, or is below 2 or
+    above its maximum, before anything is sized by it; a factory may still
+    demand a larger n."""
     impl = IMPLEMENTATIONS.get(name)
     if impl is None:
         raise MalformedScenario(f"unknown construction {name!r}")
-    if not 2 <= n <= impl.max_n:
-        raise MalformedScenario(f"{name} supports 2 <= n <= {impl.max_n}, not {n}")
+    if type(n) is not int or not 2 <= n <= impl.max_n:
+        raise MalformedScenario(f"{name} supports 2 <= n <= {impl.max_n}, not {n!r}")
     return impl
 
 

@@ -103,13 +103,15 @@ DONE = "done"
 
 
 def _json_scalar(x) -> str:
-    """json.dumps(x), fast for an int, str or None; a scenario document may
-    put any JSON scalar in a cell's k, signer or token."""
+    """json.dumps(x) of an int, str or None, the only scalars an event or a
+    decoded cell holds."""
     if type(x) is int:
         return str(x)
     if type(x) is str:
         return _json_str(x)
-    return "null" if x is None else json.dumps(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"not an int, str or None: {x!r}")
 
 
 def _payload_text(u: Payload, memo: dict) -> str:
@@ -166,8 +168,15 @@ def decode_payload(obj) -> Payload:
     return decode_cell(obj)
 
 
+def _typed(value, kind: type, name: str):
+    """value if its type is exactly kind (so a bool is not an int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be of type {kind.__name__}, not {value!r}")
+    return value
+
+
 def decode_tuple(obj: dict) -> SeqTuple:
-    return SeqTuple(obj["k"], decode_payload(obj["u"]))
+    return SeqTuple(_typed(obj["k"], int, "sequence number"), decode_payload(obj["u"]))
 
 
 def decode_cell(obj: dict) -> CellValue:
@@ -179,7 +188,8 @@ def decode_cell(obj: dict) -> CellValue:
     if tag == "plain":
         return Plain(decode_tuple(obj["tuple"]))
     if tag == "signed":
-        return Signed(decode_tuple(obj["tuple"]), obj["signer"], obj["token"])
+        return Signed(decode_tuple(obj["tuple"]), _typed(obj["signer"], int, "signer"),
+                      _typed(obj["token"], str, "token"))
     if tag == "bottom":
         return BOTTOM
     if tag == "garbage":
@@ -212,7 +222,7 @@ def decode_ret(obj):
     if tag == "done":
         return DONE
     if tag == "tuple":
-        return SeqTuple(obj["k"], decode_payload(obj["u"]))
+        return decode_tuple(obj)
     if tag == "bottom":
         return BOTTOM
     return decode_payload(obj["u"])
@@ -296,7 +306,7 @@ class Crash:
 
 @dataclass(frozen=True)
 class Malicious:
-    script: object  # adversary.AdversaryScript; opaque here to avoid a cycle
+    script: tuple  # the register accesses it issues: ("w", reg, cell) | ("r", reg)
 
 
 FaultModel = Union[Correct, Crash, Malicious]
@@ -359,9 +369,6 @@ class RegisterFile:
         if spec is None or actor != spec.writer:
             raise AccessViolation(f"process {actor} may not write {reg_id}")
         self.cells[reg_id] = value
-
-    def writable_by(self, proc: int) -> list[str]:
-        return sorted(r for r, s in self.specs.items() if s.writer == proc)
 
 
 # ---------------------------------------------------------------------------

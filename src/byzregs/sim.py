@@ -18,6 +18,10 @@ trace holds step events; scenario crash faults and the attack harness's
 writer crash are both crash points. A step costs O(1) engine work beyond a
 fork's seeded insertions and a budget stop's walk over the stopped op's
 threads.
+
+A malicious process's script is the tuple of register accesses it issues,
+("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
+machine whose reads go unused.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ from .core import (
     Payload,
     RegisterFile,
     RegisterSpec,
+    decode_cell,
     decode_payload,
+    encode_cell,
     encode_payload,
     is_honest,
 )
@@ -142,6 +148,11 @@ class _JoinFrame:
         self.branches: list[_Thread] = []
         self.resolved = False
         self.dead = 0
+
+
+def _script_machine(script: tuple) -> Generator:
+    for access in script:
+        yield access
 
 
 class Engine:
@@ -243,8 +254,8 @@ class Engine:
         self._enqueue(t)
         return op
 
-    def spawn_script(self, proc: int, gen: Generator) -> _Thread:
-        t = _Thread(proc, self._new_tid(proc), gen, None)
+    def spawn_script(self, proc: int, script: tuple) -> _Thread:
+        t = _Thread(proc, self._new_tid(proc), _script_machine(script), None)
         self.threads[(proc, t.tid)] = t
         self._enqueue(t)
         return t
@@ -545,7 +556,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     for proc in sorted(scenario.faults):
         fault = scenario.faults[proc]
         if isinstance(fault, Malicious) and proc not in eng.crashed:
-            eng.spawn_script(proc, fault.script.machine(eng.registers, proc))
+            eng.spawn_script(proc, fault.script)
 
     admit = _Admission(scenario.workload, instance, eng).admit
 
@@ -605,26 +616,61 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
 # ---------------------------------------------------------------------------
 
 
+def reset_script(specs: Iterable[RegisterSpec], proc: int) -> tuple:
+    """Writes of every register proc owns back to its initial value, in
+    register-id order."""
+    owned = sorted((s for s in specs if s.writer == proc), key=lambda s: s.reg_id)
+    return tuple(("w", s.reg_id, s.initial) for s in owned)
+
+
 def fault_to_json(f: FaultModel) -> dict:
     if isinstance(f, Correct):
         return {"kind": "correct"}
     if isinstance(f, Crash):
         return {"kind": "crash", "at_step": f.at_global_step}
     if isinstance(f, Malicious):
-        return {"kind": "malicious", "script": f.script.to_json()}
+        return {"kind": "malicious", "script": {"kind": "replay", "actions": [
+            {"a": "w", "reg": a[1], "cell": encode_cell(a[2])} if a[0] == "w"
+            else {"a": "r", "reg": a[1]}
+            for a in f.script]}}
     raise TypeError(f)
 
 
-def fault_from_json(obj: dict) -> FaultModel:
+def _reg(obj: dict) -> str:
+    if not isinstance(obj["reg"], str):
+        raise ValueError(f"register id must be a string, not {obj['reg']!r}")
+    return obj["reg"]
+
+
+def script_from_json(obj: dict, specs: Iterable[RegisterSpec], proc: int) -> tuple:
+    """The accesses a script document issues. Its five kinds are input forms
+    of one access list: ``idle`` issues none, ``lie`` one write, ``replay``
+    its actions, ``seq`` its items' accesses in turn and ``resetall`` the
+    ``reset_script`` of proc over specs."""
+    kind = obj["kind"]
+    if kind == "idle":
+        return ()
+    if kind == "resetall":
+        return reset_script(specs, proc)
+    if kind == "lie":
+        return (("w", _reg(obj), decode_cell(obj["cell"])),)
+    if kind == "replay":
+        return tuple(("w", _reg(a), decode_cell(a["cell"])) if a["a"] == "w"
+                     else ("r", _reg(a)) for a in obj["actions"])
+    if kind == "seq":
+        return tuple(a for item in obj["items"]
+                     for a in script_from_json(item, specs, proc))
+    raise ValueError(f"unknown script kind {kind!r}")
+
+
+def fault_from_json(obj: dict, specs: Iterable[RegisterSpec], proc: int) -> FaultModel:
     kind = obj["kind"]
     if kind == "correct":
         return Correct()
     if kind == "crash":
         return Crash(obj["at_step"])
     if kind == "malicious":
-        from .adversary import script_from_json
-
-        return Malicious(script_from_json(obj["script"]))
+        return Malicious(script_from_json(obj["script"], specs, proc))
     raise MalformedScenario(f"unknown fault kind {kind!r}")
 
 
@@ -662,10 +708,13 @@ def scenario_from_json(obj: dict) -> Scenario:
             schedule = Scripted(tuple((p, t) for p, t in sched["picks"]))
         else:
             raise MalformedScenario(f"unknown schedule kind {sched['kind']!r}")
+        # A resetall script writes the registers its process owns at this n.
+        specs = constructions.layout_of(obj["construction"], obj["n"]).specs
         scenario = Scenario(
             construction=obj["construction"],
             n=obj["n"],
-            faults={int(p): fault_from_json(f) for p, f in obj.get("faults", {}).items()},
+            faults={int(p): fault_from_json(f, specs, int(p))
+                    for p, f in obj.get("faults", {}).items()},
             workload=[
                 WorkItem(
                     proc=w["proc"],

@@ -2,21 +2,17 @@ import hashlib
 
 import pytest
 
-from byzregs import adversary, checker, constructions
+from byzregs import checker, constructions
 from byzregs.adversary import (
     BlockedWitness,
     Exhausted,
-    LieValue,
     MARKER,
-    Replay,
-    ResetAll,
     ViolationWitness,
     attack_search,
     build_candidate,
     invisible_to,
     record_solo_write,
     recorded_actions,
-    script_from_json,
 )
 from byzregs.constructions import (
     AtomicOneWNR,
@@ -32,9 +28,10 @@ from byzregs.core import (
     Plain,
     RegisterSpec,
     SeqTuple,
+    encode_cell,
     events_to_jsonl,
 )
-from byzregs.sim import Engine
+from byzregs.sim import Engine, script_from_json
 
 
 def test_invisible_to_classification():
@@ -84,14 +81,13 @@ def test_registration_budget_enforced(monkeypatch):
 def test_replay_fidelity_on_unchanged_state():
     inst = build_candidate("naive-gossip", 3)
     eng = Engine(inst.specs)
-    eng.spawn_script(1, LieValue("NG/G1", Plain(SeqTuple(4, b"zz"))).machine(
-        eng.registers, 1))
+    eng.spawn_script(1, (("w", "NG/G1", Plain(SeqTuple(4, b"zz"))),))
     eng.run_queue(step_budget=100)
     actions = recorded_actions(eng.events, 1)
 
     inst2 = build_candidate("naive-gossip", 3)
     eng2 = Engine(inst2.specs)
-    eng2.spawn_script(1, Replay(actions).machine(eng2.registers, 1))
+    eng2.spawn_script(1, actions)
     eng2.run_queue(step_budget=100)
     assert events_to_jsonl(eng.events) == events_to_jsonl(eng2.events)
 
@@ -100,8 +96,7 @@ def test_adversary_actions_stay_access_checked():
     inst = build_candidate("naive-gossip", 3)
     eng = Engine(inst.specs)
     # Reader 1 does not write NG/G2; the substrate rejects the script.
-    eng.spawn_script(1, LieValue("NG/G2", Plain(SeqTuple(1, b"x"))).machine(
-        eng.registers, 1))
+    eng.spawn_script(1, (("w", "NG/G2", Plain(SeqTuple(1, b"x"))),))
     with pytest.raises(AccessViolation):
         eng.run_queue(step_budget=10)
 
@@ -110,7 +105,7 @@ def test_resetall_touches_only_own_registers_in_id_order():
     inst = build_candidate("naive-gossip", 3)
     eng = Engine(inst.specs)
     eng.registers.write("NG/G2", 2, Plain(SeqTuple(3, b"x")))
-    eng.spawn_script(2, ResetAll().machine(eng.registers, 2))
+    eng.spawn_script(2, script_from_json({"kind": "resetall"}, inst.specs, 2))
     eng.run_queue(step_budget=100)
     writes = [e.reg for e in eng.events if e.kind == "reg_write"]
     assert writes == ["NG/G2"]
@@ -118,14 +113,30 @@ def test_resetall_touches_only_own_registers_in_id_order():
 
 
 def test_script_json_roundtrip():
-    script = adversary.Sequence((
-        ResetAll(),
-        LieValue("NG/G1", Plain(SeqTuple(9, b"\xff"))),
-        Replay((("w", "NG/G1", Plain(SeqTuple(1, b"a"))), ("r", "NG/W"))),
-        adversary.Idle(),
-    ))
-    doc = script.to_json()
-    assert script_from_json(doc).to_json() == doc
+    # Every script kind parses to the register accesses it issues. resetall
+    # writes proc 3's registers in id order, not in declaration order
+    # (which puts I3/RwQ before I3/RpQ).
+    inst = build_candidate("algo1", 3)
+    specs = inst.specs
+    reset = script_from_json({"kind": "resetall"}, specs, 3)
+    assert reset == tuple(("w", r, inst.by_id[r].initial) for r in [
+        "I3/R3_2", "I3/R3_3", "I3/RpQ/I2/R3_3", "I3/RwQ/I2/R3_3"])
+    lie = {"kind": "lie", "reg": "I3/R3_2",
+           "cell": encode_cell(Plain(SeqTuple(9, b"\xff")))}
+    replay = {"kind": "replay", "actions": [
+        {"a": "w", "reg": "I3/R3_3", "cell": encode_cell(Plain(SeqTuple(1, b"a")))},
+        {"a": "r", "reg": "I3/R2_3"},
+    ]}
+    parsed = [script_from_json(doc, specs, 3) for doc in
+              ({"kind": "idle"}, lie, replay)]
+    assert parsed == [
+        (),
+        (("w", "I3/R3_2", Plain(SeqTuple(9, b"\xff"))),),
+        (("w", "I3/R3_3", Plain(SeqTuple(1, b"a"))), ("r", "I3/R2_3")),
+    ]
+    seq = {"kind": "seq", "items": [{"kind": "resetall"}, lie, replay,
+                                    {"kind": "idle"}, {"kind": "resetall"}]}
+    assert script_from_json(seq, specs, 3) == reset + sum(parsed, ()) + reset
 
 
 def test_attack_search_requires_three_readers():

@@ -26,7 +26,6 @@ from byzregs.core import (
     Signed,
     sig_token,
 )
-from byzregs.adversary import Idle
 
 
 def w(k, invoke, respond):
@@ -135,7 +134,7 @@ def test_wait_freedom_violation_when_guaranteed():
 def test_wait_freedom_outside_guarantee_passes_with_note():
     ops = [sim.OpResult(0, 1, "Read", None, invoke_step=0, status="pending",
                         reason="per-op budget")]
-    faults = {0: Crash(3), 1: Correct(), 2: Malicious(Idle())}
+    faults = {0: Crash(3), 1: Correct(), 2: Malicious(())}
     v = check_wait_freedom(_trace(ops), faults)
     assert v.ok and "outside guarantee" in v.explanation
 
@@ -231,7 +230,7 @@ def test_internal_invariants_skip_malicious_events():
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
     v = validate_internal_invariants(events, specs, classify,
-                                     {0: Malicious(Idle())})
+                                     {0: Malicious(())})
     assert v.ok
 
 

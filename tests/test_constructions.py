@@ -3,7 +3,7 @@ import pickle
 import pytest
 
 from byzregs import constructions, sim
-from byzregs.adversary import LieValue, Sequence, record_solo_write
+from byzregs.adversary import record_solo_write
 from byzregs.constructions import (
     Algo1Construction,
     AtomicOneWNR,
@@ -101,7 +101,7 @@ def test_read_p_prepare_branch_returns_last_written():
 
 
 def test_read_p_garbage_returns_bottom():
-    garbage = Malicious(LieValue("I3/Rwp", Garbage(b"\x99junk")))
+    garbage = Malicious((("w", "I3/Rwp", Garbage(b"\x99junk")),))
     tr = run("algo1", 3, [sim.WorkItem(1, "read", after_step=1)],
              faults={0: garbage, 1: Correct(), 2: Correct(), 3: Correct()})
     assert tr.ops[0].ret == BOTTOM
@@ -184,9 +184,8 @@ def test_algo2_q_stale_everything_returns_last_written():
 def test_algo2_q_last_read_branch_survives_pq_reset():
     # Malicious p plants <1,a> in R_pq, q reads it (caching last_read), then
     # p wipes R_pq; q's second read still returns <1,a> via last_read.
-    lie_fresh = LieValue("I2p/Rpq", Plain(SeqTuple(1, b"a")))
-    lie_reset = LieValue("I2p/Rpq", Plain(SeqTuple(0, b"")))
-    script = Malicious(Sequence((lie_fresh, lie_reset)))
+    script = (("w", "I2p/Rpq", Plain(SeqTuple(1, b"a"))),
+              ("w", "I2p/Rpq", Plain(SeqTuple(0, b""))))
     picks = (
         [(0, 0)] * 2          # w writes both prepares, then stalls
         + [(1, 0)]            # p's script: R_pq <- <1,a>
@@ -198,7 +197,7 @@ def test_algo2_q_last_read_branch_survives_pq_reset():
         sim.WorkItem(0, "write", value=b"a"),
         sim.WorkItem(2, "read"),
         sim.WorkItem(2, "read"),
-    ], faults={0: Correct(), 1: Malicious(script.script), 2: Correct()},
+    ], faults={0: Correct(), 1: Malicious(script), 2: Correct()},
         schedule=sim.Scripted(tuple(picks)))
     assert tr.ops[1].ret == SeqTuple(1, b"a")
     assert tr.ops[2].ret == SeqTuple(1, b"a")
@@ -207,10 +206,10 @@ def test_algo2_q_last_read_branch_survives_pq_reset():
 def test_algo2_p_commit_branch_is_unguarded():
     # A malicious writer commits <2,b> then <1,a>; Algorithm 2's p follows
     # the commit branch both times (no previous_k guard, by design).
-    script = Sequence((
-        LieValue("I2p/Rwp", Commit(SeqTuple(2, b"b"))),
-        LieValue("I2p/Rwp", Commit(SeqTuple(1, b"a"))),
-    ))
+    script = (
+        ("w", "I2p/Rwp", Commit(SeqTuple(2, b"b"))),
+        ("w", "I2p/Rwp", Commit(SeqTuple(1, b"a"))),
+    )
     picks = [(0, 0)] + [(1, 0)] * 3 + [(0, 0)] + [(1, 1)] * 3
     tr = run("algo2", 2, [
         sim.WorkItem(1, "read"),
@@ -262,7 +261,7 @@ def test_algo3_read_with_no_writes_returns_initial():
 
 
 def test_algo3_garbage_from_malicious_reader_is_ignored():
-    garbage = Malicious(LieValue("Is/R2_1", Garbage(b"\xde\xad")))
+    garbage = Malicious((("w", "Is/R2_1", Garbage(b"\xde\xad")),))
     tr = run("algo3", 3, [
         sim.WorkItem(0, "write", value=b"a"),
         sim.WorkItem(1, "read", after_op=0),
@@ -280,7 +279,7 @@ def test_algo3_forged_signature_fails_verification():
         sim.WorkItem(0, "write", value=b"a"),
         sim.WorkItem(1, "read", after_op=0),
     ], faults={0: Correct(), 1: Correct(),
-               2: Malicious(LieValue("Is/R2_1", fake)), 3: Correct()})
+               2: Malicious((("w", "Is/R2_1", fake),)), 3: Correct()})
     assert tr.ops[1].ret == SeqTuple(1, b"a")
 
 

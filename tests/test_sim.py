@@ -16,7 +16,6 @@ from byzregs.core import (
     SeqTuple,
     events_to_jsonl,
 )
-from byzregs.adversary import LieValue, Idle
 from byzregs.core import Plain
 
 
@@ -273,7 +272,7 @@ def test_one_outstanding_op_per_process():
 
 def test_malicious_process_may_not_own_workload_ops():
     sc = scenario(
-        faults={0: Correct(), 1: Malicious(Idle()), 2: Correct(), 3: Correct()},
+        faults={0: Correct(), 1: Malicious(()), 2: Correct(), 3: Correct()},
         workload=[sim.WorkItem(1, "read")],
     )
     with pytest.raises(MalformedScenario):
@@ -281,7 +280,7 @@ def test_malicious_process_may_not_own_workload_ops():
 
 
 def test_malicious_script_runs_and_is_access_checked():
-    poison = LieValue("I3/R2_3", Plain(SeqTuple(9, b"x")))
+    poison = (("w", "I3/R2_3", Plain(SeqTuple(9, b"x"))),)
     sc = scenario(
         faults={0: Correct(), 1: Correct(), 2: Malicious(poison), 3: Correct()},
         workload=[sim.WorkItem(0, "write", value=b"a")],
@@ -302,7 +301,7 @@ def test_step_budget_marks_pending():
 
 
 def test_scenario_json_roundtrip():
-    poison = LieValue("I3/R2_3", Plain(SeqTuple(9, b"x")))
+    poison = (("w", "I3/R2_3", Plain(SeqTuple(9, b"x"))),)
     sc = scenario(
         faults={0: Crash(7), 1: Correct(), 2: Malicious(poison), 3: Correct()},
         workload=[
@@ -496,6 +495,31 @@ def _scripted_fork_and_crash():
     )
 
 
+def _all_script_kinds():
+    # Malicious reader 3 uses every script kind of a scenario document.
+    plain = {"t": "plain", "tuple": {"k": 5, "u": "x"}}
+    return sim.scenario_from_json({
+        "construction": "algo1",
+        "n": 3,
+        "faults": {"3": {"kind": "malicious", "script": {"kind": "seq", "items": [
+            {"kind": "resetall"},
+            {"kind": "lie", "reg": "I3/R3_2", "cell": plain},
+            {"kind": "replay", "actions": [
+                {"a": "w", "reg": "I3/R3_3", "cell": plain},
+                {"a": "r", "reg": "I3/R2_3"},
+            ]},
+            {"kind": "idle"},
+            {"kind": "resetall"},
+        ]}}},
+        "workload": [
+            {"proc": 0, "op": "write", "value": "a"},
+            {"proc": 1, "op": "read"},
+            {"proc": 2, "op": "read", "after_op": 0},
+        ],
+        "schedule": {"kind": "seeded", "seed": 3},
+    })
+
+
 _SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 # sha256 of each scenario's event JSONL: admission order, event steps,
@@ -510,6 +534,9 @@ GOLDEN_TRACES = {
     "alternating-algo3-n3": (
         lambda: _alternating("algo3", 3, 200),
         "fd3c59f1df1ba33c681e6b9b821315bcbfb6c71615d14fe88716d1da0ca2b6d5"),
+    "all-script-kinds": (
+        _all_script_kinds,
+        "af0db1fd89c1a9e65fc874ce7ac3bdca077ce350c9b5455c74e84a6bdf049540"),
     "all_correct.json": (
         lambda: sim.load_scenario(f"{_SCENARIO_DIR}/all_correct.json"),
         "99fdd37bcfcde100e540c825a6ade66fd29f4d694aff174e57e17a8d57644860"),
@@ -523,6 +550,20 @@ GOLDEN_TRACES = {
         _scripted_fork_and_crash,
         "1a9eda727566891dfe90db31e437356a4190011b84748a7fcc856a52693a12d2"),
 }
+
+
+def test_script_documents_are_written_back_as_replay():
+    # scenario_to_json writes each script as the replay of its accesses;
+    # parsing that document back is a fixed point with the same run.
+    sc = _all_script_kinds()
+    doc = sim.scenario_to_json(sc)
+    script = doc["faults"]["3"]["script"]
+    assert script["kind"] == "replay"
+    assert len(script["actions"]) == len(sc.faults[3].script) == 11
+    back = sim.scenario_from_json(doc)
+    assert back.faults == sc.faults
+    assert sim.scenario_to_json(back) == doc
+    assert events_to_jsonl(sim.run(back).events) == events_to_jsonl(sim.run(sc).events)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
