@@ -143,7 +143,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     inst = build_candidate(name, n)
     crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
              if isinstance(ph, WriterPhase) and ph.crash_after is not None]
-    eng = Engine(inst.by_id, crash_points=crash)
+    eng = Engine(inst.by_id, crash_points=crash, state=inst.state)
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
             eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
@@ -243,11 +243,15 @@ class _Search:
         read = res.ops[-1]
         if read.status != "completed":
             self.note(f"{stage}: read by {reader} blocked")
-            raise BlockedWitness(
-                stage, res.events, reader,
-                f"read by correct process {reader} still pending after "
-                f"{self.stage_budget} of its steps under a fair schedule",
-                self.log)
+            if read.reason == "per-op budget":
+                why = (f"still pending after {self.stage_budget} of its steps "
+                       "under a fair schedule")
+            else:
+                why = (f"never completes: {read.reason}, a fair cycle that "
+                       "repeats forever")
+            raise BlockedWitness(stage, res.events, reader,
+                                 f"read by correct process {reader} {why}",
+                                 self.log)
         if isinstance(read.ret, SeqTuple) and read.ret.u == MARKER:
             return res, True
         self.note(f"{stage}: read by {reader} returned {read.ret!r}, not the marker")

@@ -267,8 +267,10 @@ def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
 
 
 def cmd_sweep(args) -> int:
-    if args.runs < 1:
-        raise ValueError("--runs must be at least 1")
+    for flag, value in (("--runs", args.runs), ("--step-budget", args.step_budget),
+                        ("--op-budget", args.op_budget)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, not {value}")
     ns = parse_n_range(args.n)
     if not ns:
         raise MalformedScenario(f"empty reader range {args.n!r}")

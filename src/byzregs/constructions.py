@@ -226,20 +226,21 @@ class Algo1Level:
                 return t
 
     def _q_thread2(self, run: _Algo1Run, q: int, lw: SeqTuple, t: SeqTuple):
-        k = t.k
+        # k is read off t, never kept as a bare int: a lasso check finds
+        # sequence numbers by their SeqTuples (see the sim docstring).
         x = yield from self.rpq.read(run, q)
-        if _plain_ge(x, k):
+        if _plain_ge(x, t.k):
             yield from self._broadcast(q, t)
             return t
         hit = False
         for q1 in self.q_list:
             y = yield ("r", self.rqq[(q1, q)])
-            if _plain_ge(y, k):
+            if _plain_ge(y, t.k):
                 hit = True
                 break
         if hit:
             x = yield from self.rpq.read(run, q)
-            if _plain_ge(x, k):
+            if _plain_ge(x, t.k):
                 yield from self._broadcast(q, t)
                 return t
             # No else branch in the algorithm: the thread ends without a

@@ -17,11 +17,57 @@ a byte-identical trace. A crash point (step, proc) crashes proc once the
 trace holds step events; scenario crash faults and the attack harness's
 writer crash are both crash points. A step costs O(1) engine work beyond a
 fork's seeded insertions and a budget stop's walk over the stopped op's
-threads.
+threads, and, in run_queue, the lasso watch of an op past LASSO_THRESHOLD
+steps.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
 machine whose reads go unused.
+
+Lassos. run_queue, which drives the attack harness, can prove that a
+spinning op never completes instead of spinning it to its per-op budget: it
+finds a lasso, a state the run reaches again, so that the cycle between the
+two visits repeats forever (the lasso-shaped liveness counterexample of
+Vardi and Wolper, LICS 1986). Once the op has taken LASSO_THRESHOLD register
+steps, the engine takes its state after each of its register accesses: the
+register cells, the per-run state's key(), the queue order of the runnable
+threads, and each live thread of the op with its parked flag, pending
+value, unresolved join frame and generator chain (code, f_lasti and
+locals). Threads are named by their place in the op's fork tree, not by
+id, since every cycle forks fresh ids. A frame's state is assumed to be its
+f_lasti plus its locals: a loop over a static list is fixed by its loop
+variable, as ``q1`` fixes how far algo1's ``_q_thread2`` has gone over
+``q_list``. A local that is not a value (a layout's static object, a part
+of the run record) is compared by identity; key() covers the run record.
+
+A repeat counts only if the cycle is fair and closed (the fair-cycle
+conditions of Musuvathi and Qadeer, PLDI 2008): every live thread belongs
+to the op, every thread runnable at the cycle's start is resumed in it or
+ends, no op responds in it and no crash point is pending. The engine
+checks the first and the last two. The second follows from the FIFO
+pick: every thread resumed in the cycle was ahead of a runnable thread
+that is not, and goes behind it, so that thread moves up the queue and
+the queue order differs. The pick draws nothing, so the run then goes
+round the cycle forever, fairly, and the op never responds.
+
+Step A: the state repeats exactly. Step B: it repeats up to shifted
+sequence numbers. A sequence number is the k of a SeqTuple, or a bare int
+of a state key tuple beside SeqTuples of one height (algo1's c and
+previous_k beside last_written); bare ints anywhere else must repeat
+exactly. Its domain is the height of its SeqTuple, the number of SeqTuples
+nested in its payload, which for algo1 is the depth of the level that
+wrote it. A rank fingerprint, with each number replaced by its rank within
+its domain, only proposes a pair of states i, j. The concrete states must
+confirm it: in each domain, every number that differs between i and j
+grows by one d > 0, and every such number exceeds every number of the
+domain that does not. Let f fix each number up to the largest unmoved one
+of its domain and add d to every larger one. The machines compare
+sequence numbers only with each other within a domain and make new ones
+only by adding 1 to a counter, which the cycle moves, so f, being
+monotone, commutes with every step of the cycle: the run from j is the run
+from i with f applied, and so on forever. Without the confirmation a
+counter could climb past a fixed value, such as a lie's k, and flip a
+comparison.
 """
 
 from __future__ import annotations
@@ -37,6 +83,7 @@ from typing import Generator, Iterable, Optional, Union
 
 from . import constructions
 from .core import (
+    Commit,
     Correct,
     Crash,
     CrashedActor,
@@ -45,8 +92,12 @@ from .core import (
     Malicious,
     MalformedScenario,
     Payload,
+    Plain,
+    Prepare,
     RegisterFile,
     RegisterSpec,
+    SeqTuple,
+    Signed,
     decode_cell,
     decode_payload,
     encode_cell,
@@ -54,8 +105,10 @@ from .core import (
     is_honest,
 )
 
-FAIRNESS_CONSTANT = 4
 DEFAULT_STEP_BUDGET = 1_000_000
+# Register steps an op takes before run_queue watches it for a lasso: far
+# above any wait-free op's steps in the constructions here.
+LASSO_THRESHOLD = 1_000
 DEFAULT_PER_OP_BUDGET = 100_000
 
 
@@ -150,6 +203,10 @@ class _JoinFrame:
         self.dead = 0
 
 
+_CELLS = (Commit, Prepare, Plain, Signed)
+_SEQ = object()  # stands for a sequence number in a fingerprint's skeleton
+
+
 def _script_machine(script: tuple) -> Generator:
     for access in script:
         yield access
@@ -160,8 +217,12 @@ class Engine:
     the attack harness (which drives phases directly)."""
 
     def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]],
-                 seed: int = 0, crash_points: Iterable[tuple[int, int]] = ()):
+                 seed: int = 0, crash_points: Iterable[tuple[int, int]] = (),
+                 state=None):
         self.registers = RegisterFile(specs)
+        # The machines' per-run state (an Instance's state): run_queue
+        # watches a spinning op for a lasso only when it can fingerprint it.
+        self.state = state
         self.rng = random.Random(seed)
         self.events: list[Event] = []
         self.ops: list[OpResult] = []
@@ -340,15 +401,19 @@ class Engine:
             if op.status != "pending":
                 return
             if per_op_budget is not None and op.steps >= per_op_budget:
-                op.reason = "per-op budget"
-                self.changed = True
-                while t.frame is not None:  # cancel the op's whole fork tree
-                    t = t.frame.parent
-                self._cancel_subtree(t)
+                self._stop(t, "per-op budget")
                 return
         elif owner in self.crashed:
             return
         self.queue.append(t)
+
+    def _stop(self, t: _Thread, reason: str) -> None:
+        """Leave t's op pending with reason and cancel its whole fork tree."""
+        t.op.reason = reason
+        self.changed = True
+        while t.frame is not None:
+            t = t.frame.parent
+        self._cancel_subtree(t)
 
     def _pop_runnable(self) -> Optional[_Thread]:
         queue, crashed = self.queue, self.crashed
@@ -364,12 +429,204 @@ class Engine:
         return None
 
     def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None) -> None:
-        """Drain runnable threads FIFO until quiescence or the event budget."""
+        """Drain runnable threads FIFO until quiescence or the event budget.
+
+        With a per-op budget, an op that has taken LASSO_THRESHOLD register
+        steps is watched for a lasso (see the module docstring) and stopped at
+        the first one, with the reason ``blocked (lasso i..j)``.
+        """
+        watch = None
         while len(self.events) < step_budget:
             t = self._pop_runnable()
             if t is None:
                 return
+            before = len(self.events)
             self._resume(t, per_op_budget)
+            op = t.op
+            if watch is not None and watch.op is not op:
+                watch = None  # another op's thread acted: no cycle spans it
+            if op is None or op.steps < LASSO_THRESHOLD or per_op_budget is None \
+                    or self.state is None:
+                continue
+            if watch is None:
+                watch = _Lasso(self, t)
+            reason = watch.observe(before)
+            if reason is not None:
+                self._stop(t, reason)
+
+
+# ---------------------------------------------------------------------------
+# Lassos: a spinning op proved blocked by a cycle of its own states
+# ---------------------------------------------------------------------------
+
+
+def _split(x, seqs: list) -> tuple:
+    """x with the k of every SeqTuple in it moved to seqs as (height, k), and
+    the height x gives a SeqTuple whose payload it is: 0 if x holds no
+    SeqTuple, else one more than the tallest SeqTuple in it."""
+    if isinstance(x, SeqTuple):
+        skel, height = _split(x.u, seqs)
+        seqs.append((height, x.k))
+        return (_SEQ, skel), height + 1
+    if isinstance(x, tuple):
+        parts = [_split(v, seqs) for v in x]
+    elif isinstance(x, _CELLS):
+        parts = [_split(getattr(x, f), seqs) for f in x.__dataclass_fields__]
+    else:
+        return x, 0
+    return (type(x), *(p for p, _ in parts)), max((h for _, h in parts), default=0)
+
+
+def _height(cell) -> int:
+    """The height of the tallest SeqTuple in cell."""
+    return _split(cell, [])[1] - 1
+
+
+def _split_key(key, seqs: list):
+    """_split of a state key, in which a tuple's bare ints are sequence
+    numbers too when its SeqTuples all have one height: algo1's c and
+    previous_k beside last_written."""
+    if not isinstance(key, tuple):
+        return _split(key, seqs)[0]
+    heights = {_height(v) for v in key if isinstance(v, SeqTuple)}
+    skel = [_split_key(v, seqs) for v in key]
+    if len(heights) == 1:
+        (h,) = heights
+        for i, v in enumerate(key):
+            if type(v) is int:
+                seqs.append((h, v))
+                skel[i] = _SEQ
+    return tuple(skel)
+
+
+def _frames(gen, state) -> tuple:
+    """A thread's generator chain: each frame's code, position and locals,
+    but for the run record, which key() stands for."""
+    out = []
+    while gen is not None:
+        f = gen.gi_frame
+        out.append((gen.gi_code, f.f_lasti,
+                    tuple((k, v) for k, v in f.f_locals.items() if v is not state)))
+        gen = gen.gi_yieldfrom
+    return tuple(out)
+
+
+def _shift(si: list, sj: list) -> Optional[dict]:
+    """The shift d > 0 per domain that takes the sequence numbers si to sj,
+    if every moved number exceeds every unmoved one of its domain; else
+    None."""
+    shift: dict[int, int] = {}
+    moved: dict[int, int] = {}
+    fixed: dict[int, int] = {}
+    for (h, a), (_, b) in zip(si, sj):
+        if a == b:
+            fixed[h] = max(fixed.get(h, a), a)
+        elif shift.setdefault(h, b - a) != b - a:
+            return None
+        else:
+            moved[h] = min(moved.get(h, a), a)
+    if any(d <= 0 for d in shift.values()) or \
+            any(low <= fixed.get(h, low - 1) for h, low in moved.items()):
+        return None
+    return shift
+
+
+@dataclass
+class _Point:
+    """A state the watch took, after the op's register access at step."""
+
+    step: int
+    seqs: list  # its sequence numbers as (domain, k), in _split's order
+    cells: tuple  # the register cells
+
+
+class _Lasso:
+    """Watches one spinning op for a lasso (see the module docstring): it
+    keeps the states it takes by exact and by rank fingerprint and names the
+    first repeat that passes the checks."""
+
+    def __init__(self, eng: Engine, t: _Thread):
+        self.eng = eng
+        self.op = t.op
+        while t.frame is not None:
+            t = t.frame.parent
+        self.root = t
+        self.exact: dict = {}  # fingerprint -> _Point
+        self.ranked: dict = {}  # rank fingerprint -> _Point
+
+    def observe(self, before: int) -> Optional[str]:
+        """Take the state after a resumption of one of the op's threads that
+        began at event before; the stop reason at a lasso."""
+        eng, op = self.eng, self.op
+        new = eng.events[before:]
+        if not new or op.status != "pending" or op.reason is not None:
+            return None  # a fork or a branch's return, or the op is over
+        taken = None
+        if len(new) == 1 and new[0].kind in ("reg_read", "reg_write") and \
+                eng._next_crash == len(eng.crash_points):
+            taken = self._take(new[0].step)
+        if taken is None:  # no cycle may span this step
+            self.exact.clear()
+            self.ranked.clear()
+            return None
+        exact_key, rank_key, q = taken
+        p = self.exact.get(exact_key)
+        if p is not None:
+            return f"blocked (lasso {p.step}..{q.step})"
+        p = self.ranked.get(rank_key)
+        shift = p is not None and _shift(p.seqs, q.seqs)
+        if shift:
+            return f"blocked (lasso {p.step}..{q.step}; " + ", ".join(
+                f"k of {self._levels(p, q, h)} +{d}"
+                for h, d in sorted(shift.items())) + ")"
+        self.exact[exact_key] = self.ranked[rank_key] = q
+        return None
+
+    def _take(self, step: int) -> Optional[tuple]:
+        """The state's exact and rank fingerprints and its _Point, or None
+        if a thread of another op or process is runnable."""
+        eng, op, state = self.eng, self.op, self.eng.state
+        runnable = []
+        for u in eng.queue:
+            if u.owner in eng.crashed or u.parked or u.cancelled or u.done or \
+                    (u.op is not None and u.op.status != "pending"):
+                continue
+            if u.op is not op:
+                return None
+            runnable.append(u)
+        names: dict[_Thread, tuple] = {}
+        threads = []
+        todo = [(self.root, ())]
+        while todo:
+            u, name = todo.pop()
+            names[u] = name
+            fr = u.child_frames[-1] if u.child_frames else None
+            if fr is not None and fr.resolved:
+                fr = None
+            threads.append((name, u.parked, u.pending,
+                            None if fr is None else fr.dead, _frames(u.gen, state)))
+            if fr is not None:
+                todo += [(b, name + (i,)) for i, b in enumerate(fr.branches)
+                         if not (b.done or b.cancelled)]
+        threads.sort(key=lambda th: th[0])
+        cells = tuple(eng.registers.cells.values())
+        seqs: list = []
+        skel = (_split(cells, seqs)[0], _split_key(state.key(), seqs),
+                _split(tuple(threads), seqs)[0], tuple(names[u] for u in runnable))
+        domains: dict[int, set] = {}
+        for h, k in seqs:
+            domains.setdefault(h, set()).add(k)
+        rank = {h: {k: r for r, k in enumerate(sorted(ks))} for h, ks in domains.items()}
+        return ((skel, tuple(seqs)), (skel, tuple((h, rank[h][k]) for h, k in seqs)),
+                _Point(step, seqs, cells))
+
+    def _levels(self, p: _Point, q: _Point, h: int) -> str:
+        """The levels (register directories) whose cells of height h differ
+        between p and q."""
+        regs = self.eng.registers.cells
+        levels = sorted({reg.rsplit("/", 1)[0] for reg, a, b in zip(regs, p.cells, q.cells)
+                         if a != b and _height(a) == h})
+        return "+".join(levels) or f"height {h}"
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +899,15 @@ def _reg(obj: dict) -> str:
     return obj["reg"]
 
 
+def _replay_access(i: int, action: dict) -> tuple:
+    if action["a"] == "w":
+        return ("w", _reg(action), decode_cell(action["cell"]))
+    if action["a"] == "r":
+        return ("r", _reg(action))
+    raise MalformedScenario(
+        f"replay action {i}: \"a\" must be \"w\" or \"r\", not {action['a']!r}")
+
+
 def script_from_json(obj: dict, specs: Iterable[RegisterSpec], proc: int) -> tuple:
     """The accesses a script document issues. Its five kinds are input forms
     of one access list: ``idle`` issues none, ``lie`` one write, ``replay``
@@ -655,8 +921,7 @@ def script_from_json(obj: dict, specs: Iterable[RegisterSpec], proc: int) -> tup
     if kind == "lie":
         return (("w", _reg(obj), decode_cell(obj["cell"])),)
     if kind == "replay":
-        return tuple(("w", _reg(a), decode_cell(a["cell"])) if a["a"] == "w"
-                     else ("r", _reg(a)) for a in obj["actions"])
+        return tuple(_replay_access(i, a) for i, a in enumerate(obj["actions"]))
     if kind == "seq":
         return tuple(a for item in obj["items"]
                      for a in script_from_json(item, specs, proc))

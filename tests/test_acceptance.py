@@ -14,7 +14,7 @@ import pytest
 
 from byzregs import adversary, checker, cli, sim
 from byzregs.adversary import MARKER, attack_search
-from byzregs.checker import OpRecord, check_property1, check_property2, oracle_linearize
+from byzregs.checker import OpRecord, check_property1, check_property2
 from byzregs.constructions import build_instance
 from byzregs.core import (
     Commit,
@@ -28,6 +28,7 @@ from byzregs.core import (
     events_to_jsonl,
     sig_token,
 )
+from linearize_oracle import oracle_linearize
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 

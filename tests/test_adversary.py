@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -168,6 +169,66 @@ def test_attack_algo1_blocks():
     assert pending
 
 
+# The lasso each blocked algo1 attack read stops at: Step A (a plain repeat)
+# at n = 3, Step B (a repeat up to shifted counters) at n = 4 and 5.
+LASSOS = {
+    3: "blocked (lasso 1024..1028)",
+    4: "blocked (lasso 1041..1051; k of I4/RwQ/I3/RpQ/I2 +2)",
+    5: "blocked (lasso 1074..1096; k of I5/RwQ/I4/RpQ/I3 +2, "
+       "k of I5/RwQ/I4/RpQ/I3/RwQ/I2 +4)",
+}
+
+
+def _blocked_plan(monkeypatch, n):
+    """The blocked witness of algo1 at n, and the phases of its plan."""
+    from byzregs import adversary
+
+    plans = []
+    run_plan = adversary.run_plan
+
+    def recording(name, n, phases, stage_budget):
+        plans.append(phases)
+        return run_plan(name, n, phases, stage_budget)
+
+    monkeypatch.setattr(adversary, "run_plan", recording)
+    result = attack_search("algo1", n)
+    monkeypatch.undo()
+    return result, plans[-1]
+
+
+@pytest.mark.parametrize("n", sorted(LASSOS))
+def test_blocked_algo1_read_stops_at_a_lasso_the_budget_agrees_with(monkeypatch, n):
+    from byzregs import sim
+    from byzregs.adversary import DEFAULT_STAGE_BUDGET, run_plan
+
+    result, phases = _blocked_plan(monkeypatch, n)
+    assert isinstance(result, BlockedWitness)
+    assert LASSOS[n] in result.explanation
+    j = int(re.search(r"\.\.(\d+)", LASSOS[n]).group(1))
+    assert result.events[-1].step == j  # the witness ends at the repeat
+    # With the lasso watch off, the same plan's read spins to the stage
+    # budget, and the lasso run is a prefix of that run.
+    monkeypatch.setattr(sim, "LASSO_THRESHOLD", DEFAULT_STAGE_BUDGET + 1)
+    res = run_plan("algo1", n, phases, DEFAULT_STAGE_BUDGET)
+    read = res.ops[-1]
+    assert (read.status, read.reason) == ("pending", "per-op budget")
+    assert read.steps == DEFAULT_STAGE_BUDGET
+    assert res.events[:len(result.events)] == result.events
+
+
+def test_wait_free_reads_are_never_fingerprinted(monkeypatch):
+    from byzregs import sim
+    from byzregs.adversary import FreshRead, WriterPhase, run_plan
+
+    taken = []
+    monkeypatch.setattr(sim._Lasso, "_take", lambda self, step: taken.append(step))
+    assert isinstance(attack_search("algo3", 3), Exhausted)
+    # An algo1 read after a complete (correct) write.
+    res = run_plan("algo1", 4, [WriterPhase(None), FreshRead(2)], 100_000)
+    assert res.ops[-1].status == "completed"
+    assert taken == []
+
+
 def test_attack_atomic_control_exhausts():
     result = attack_search("atomic-1wnr", 3)
     assert isinstance(result, Exhausted)
@@ -194,11 +255,11 @@ GOLDEN_ATTACKS = {
     ("algo1", 3): (
         BlockedWitness, "C_5^2", None,
         "77900f613284d202715be11eaffc7896e4dbd3b9246fe144fb3b5ed3c1b04f78",
-        "b05c160f0100e20a6df5bd2b0936b0f37a836befa754f3519c511238b7e3769c"),
+        "d519bae9be4d66fee654875866df440970843d97e39f9b70854a127ce76ce7b8"),
     ("algo1", 4): (
         BlockedWitness, "C_10^2", None,
         "1c2e2d9414dbea9df93e6841fe245d8f9a0c96bd9a33d08730ca44f8f5e0849f",
-        "79f492fef1536b969ecb9ffdbe2ead58809a6c17d2e90c705cd378de6ebd9498"),
+        "55c244d4aa8bb075145e54c1bd2b9d998272c1608b220bdc25d028b78c7d375b"),
     ("algo3", 3): (
         Exhausted, None, "all branches exhausted",
         "562caad14ac07da091094dd1de81f22b81005ef29462b5a693cedf180ca55485", None),

@@ -3,14 +3,12 @@ import pytest
 from byzregs import checker, sim
 from byzregs.checker import (
     OpRecord,
-    TooLarge,
     UnfairScheduleError,
     check_bottom_returns,
     check_property1,
     check_property2,
     check_wait_freedom,
     extract_history,
-    oracle_linearize,
     validate_internal_invariants,
 )
 from byzregs.constructions import build_instance
@@ -26,6 +24,7 @@ from byzregs.core import (
     Signed,
     sig_token,
 )
+from linearize_oracle import TooLarge, oracle_linearize
 
 
 def w(k, invoke, respond):

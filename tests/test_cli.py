@@ -161,6 +161,32 @@ def test_sweep_budget_below_one_exits_two(tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--step-budget", "--op-budget"])
+def test_sweep_budget_below_one_names_the_flag_before_any_run(tmp_path, capsys,
+                                                             monkeypatch, flag):
+    built = []
+    monkeypatch.setattr(cli, "build_sweep_scenario", lambda *a: built.append(a))
+    assert run_cli(["sweep", "--construction", "algo2", "--n", "2", "--runs", "1",
+                    flag, "0", "--out", str(tmp_path / "s.json")]) == 2
+    assert flag in capsys.readouterr().err
+    assert built == []
+
+
+def test_replay_action_neither_write_nor_read_exits_two(tmp_path, capsys):
+    # A misspelt access is an input error, not a read.
+    with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
+        doc = json.load(fh)
+    doc["faults"]["3"] = {"kind": "malicious", "script": {"kind": "replay", "actions": [
+        {"a": "r", "reg": "I3/R2_3"}, {"a": "zz", "reg": "I3/R2_3"}]}}
+    doc["workload"] = [w for w in doc["workload"] if w["proc"] != 3]
+    scenario, out = tmp_path / "s.json", tmp_path / "v.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli(["run", "--scenario", str(scenario), "--trace",
+                    str(tmp_path / "t.jsonl"), "--out", str(out)]) == 2
+    assert "replay action 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("construction", ["atomic-1wnr", "naive-gossip"])
 def test_run_and_check_attack_candidates_all_correct(tmp_path, construction):
     with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:

@@ -18,6 +18,10 @@ from byzregs.core import (
 )
 from byzregs.core import Plain
 
+# A seeded run resumes every runnable thread again within this many times the
+# number of distinct threads resumed meanwhile.
+FAIRNESS_CONSTANT = 4
+
 
 def all_correct(n):
     return {p: Correct() for p in range(n + 1)}
@@ -192,7 +196,7 @@ def test_seeded_fairness_bound(monkeypatch):
     for i, key in enumerate(log):
         if key in active:
             window = len({k for k in log[active[key]: i]})
-            assert i - active[key] <= sim.FAIRNESS_CONSTANT * max(window, 1)
+            assert i - active[key] <= FAIRNESS_CONSTANT * max(window, 1)
         active[key] = i
 
 
@@ -228,6 +232,59 @@ def test_step_accounting():
         if e.kind in ("reg_read", "reg_write"):
             per_proc[e.proc] = per_proc.get(e.proc, 0) + 1
     assert sum(op.steps for op in tr.ops) == sum(per_proc.values())
+
+
+# -- lassos -------------------------------------------------------------------
+
+
+def _climb(lie: int, done, per_op_budget: int) -> sim.OpResult:
+    """Process 1 raises a counter and writes it, then reads a fixed lie,
+    until done(counter, the lie's k); run_queue drives it."""
+    from byzregs.constructions import Vars
+
+    state = Vars(c=0, last_written=SeqTuple(0, b""))
+    specs = [RegisterSpec("T/C", 1, frozenset([1]), Plain(SeqTuple(0, b""))),
+             RegisterSpec("T/L", 2, frozenset([1]), Plain(SeqTuple(lie, b"")))]
+
+    def climb(v):
+        while True:
+            v.c += 1
+            v.last_written = SeqTuple(v.c, b"")
+            yield ("w", "T/C", Plain(v.last_written))
+            x = yield ("r", "T/L")
+            if done(v.c, x.t.k):
+                return v.last_written
+
+    eng = sim.Engine(specs, state=state)
+    op = eng.spawn_op(1, "Read", None, climb(state))
+    eng.run_queue(step_budget=10**6, per_op_budget=per_op_budget)
+    return op
+
+
+def test_counter_above_every_fixed_k_is_a_lasso():
+    # The lie's k is 0, below the counter from its first write on, so k > c
+    # never holds.
+    op = _climb(0, lambda c, k: k > c, 5_000)
+    assert (op.status, op.reason) == ("pending", "blocked (lasso 1000..1002; k of T +1)")
+    assert op.steps == 1_002
+
+
+def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
+    # Below the lie's k the rank fingerprint repeats every two steps, but the
+    # counter would cross the lie: the read does complete, at c = 1,501.
+    shifts = []
+    shift = sim._shift
+
+    def recording(si, sj):
+        shifts.append(shift(si, sj))
+        return shifts[-1]
+
+    monkeypatch.setattr(sim, "_shift", recording)
+    op = _climb(1_500, lambda c, k: c > k, 2_000)
+    assert (op.status, op.reason) == ("pending", "per-op budget")
+    assert len(shifts) > 100 and not any(shifts)
+    op = _climb(1_500, lambda c, k: c > k, 10**6)
+    assert (op.status, op.steps) == ("completed", 3_002)
 
 
 def test_budget_stop_ends_both_branches_of_a_forked_read():
