@@ -237,6 +237,7 @@ def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
         "pending_outside_guarantee": 0,
         "per_pattern": {},
         "base_seed": base_seed,
+        "findings": [],  # each failing or outside-guarantee verdict's run
     }
     run_index = 0
     for n in ns:
@@ -256,13 +257,17 @@ def run_sweep(construction: str, ns, patterns, runs: int, base_seed: int,
                 bucket["runs"] += 1
                 for name, v in verdicts.items():
                     if not v.ok:
-                        summary["violations"][v.vclass] = (
-                            summary["violations"].get(v.vclass, 0) + 1
-                        )
+                        cls = v.vclass
+                        summary["violations"][cls] = summary["violations"].get(cls, 0) + 1
                         bucket["violations"] += 1
                     elif "outside guarantee" in v.explanation:
-                        summary["pending_outside_guarantee"] += 1
-                        bucket["pending_outside_guarantee"] += 1
+                        cls = "pending_outside_guarantee"
+                        summary[cls] += 1
+                        bucket[cls] += 1
+                    else:
+                        continue
+                    summary["findings"].append({"n": n, "pattern": pattern, "seed": seed,
+                                                "verdict": name, "class": cls})
     return summary
 
 

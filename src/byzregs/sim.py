@@ -18,7 +18,9 @@ trace holds step events; scenario crash faults and the attack harness's
 writer crash are both crash points. A step costs O(1) engine work beyond a
 fork's seeded insertions and a budget stop's walk over the stopped op's
 threads, and, in run_queue, the lasso watch of an op past LASSO_THRESHOLD
-steps.
+steps. A watched state costs the cells written since the watch began, each
+split once, plus the live threads' frames and a pass over the state's
+sequence numbers, not a fresh split of every register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -203,7 +205,7 @@ class _JoinFrame:
         self.dead = 0
 
 
-_CELLS = (Commit, Prepare, Plain, Signed)
+_SPLIT = (SeqTuple, Commit, Prepare, Plain, Signed)  # what _split memoizes
 _SEQ = object()  # stands for a sequence number in a fingerprint's skeleton
 
 
@@ -460,38 +462,51 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
-def _split(x, seqs: list) -> tuple:
+def _split(x, seqs: list, memo: dict) -> tuple:
     """x with the k of every SeqTuple in it moved to seqs as (height, k), and
     the height x gives a SeqTuple whose payload it is: 0 if x holds no
-    SeqTuple, else one more than the tallest SeqTuple in it."""
-    if isinstance(x, SeqTuple):
-        skel, height = _split(x.u, seqs)
-        seqs.append((height, x.k))
-        return (_SEQ, skel), height + 1
+    SeqTuple, else one more than the tallest SeqTuple in it.
+
+    memo maps the id of each SeqTuple or cell split so far to the object
+    itself, which keeps its id from being reused, its skeleton, its height and
+    its own (height, k) list; cells are immutable, so each is split once."""
     if isinstance(x, tuple):
-        parts = [_split(v, seqs) for v in x]
-    elif isinstance(x, _CELLS):
-        parts = [_split(getattr(x, f), seqs) for f in x.__dataclass_fields__]
-    else:
+        skel, height = [type(x)], 0
+        for v in x:
+            p, h = _split(v, seqs, memo)
+            skel.append(p)
+            if h > height:
+                height = h
+        return tuple(skel), height
+    if not isinstance(x, _SPLIT):
         return x, 0
-    return (type(x), *(p for p, _ in parts)), max((h for _, h in parts), default=0)
+    e = memo.get(id(x))
+    if e is None:
+        own: list = []
+        if isinstance(x, SeqTuple):
+            skel, height = _split(x.u, own, memo)
+            own.append((height, x.k))
+            skel, height = (_SEQ, skel), height + 1
+        else:
+            parts = [_split(getattr(x, f), own, memo) for f in x.__dataclass_fields__]
+            skel = (type(x), *(p for p, _ in parts))
+            height = max((h for _, h in parts), default=0)
+        e = memo[id(x)] = (x, skel, height, own)
+    seqs += e[3]
+    return e[1], e[2]
 
 
-def _height(cell) -> int:
-    """The height of the tallest SeqTuple in cell."""
-    return _split(cell, [])[1] - 1
-
-
-def _split_key(key, seqs: list):
+def _split_key(key, seqs: list, memo: dict):
     """_split of a state key, in which a tuple's bare ints are sequence
     numbers too when its SeqTuples all have one height: algo1's c and
     previous_k beside last_written."""
     if not isinstance(key, tuple):
-        return _split(key, seqs)[0]
-    heights = {_height(v) for v in key if isinstance(v, SeqTuple)}
-    skel = [_split_key(v, seqs) for v in key]
+        return _split(key, seqs, memo)[0]
+    skel = [_split_key(v, seqs, memo) for v in key]
+    heights = {memo[id(v)][2] for v in key if isinstance(v, SeqTuple)}
     if len(heights) == 1:
         (h,) = heights
+        h -= 1
         for i, v in enumerate(key):
             if type(v) is int:
                 seqs.append((h, v))
@@ -553,6 +568,7 @@ class _Lasso:
         self.root = t
         self.exact: dict = {}  # fingerprint -> _Point
         self.ranked: dict = {}  # rank fingerprint -> _Point
+        self.memo: dict = {}  # _split's, for this watch only
 
     def observe(self, before: int) -> Optional[str]:
         """Take the state after a resumption of one of the op's threads that
@@ -611,21 +627,24 @@ class _Lasso:
         threads.sort(key=lambda th: th[0])
         cells = tuple(eng.registers.cells.values())
         seqs: list = []
-        skel = (_split(cells, seqs)[0], _split_key(state.key(), seqs),
-                _split(tuple(threads), seqs)[0], tuple(names[u] for u in runnable))
-        domains: dict[int, set] = {}
-        for h, k in seqs:
-            domains.setdefault(h, set()).add(k)
-        rank = {h: {k: r for r, k in enumerate(sorted(ks))} for h, ks in domains.items()}
-        return ((skel, tuple(seqs)), (skel, tuple((h, rank[h][k]) for h, k in seqs)),
+        memo = self.memo
+        skel = (_split(cells, seqs, memo)[0], _split_key(state.key(), seqs, memo),
+                _split(tuple(threads), seqs, memo)[0], tuple(names[u] for u in runnable))
+        rank: dict = {}  # (h, k) -> (h, the rank of k in domain h)
+        r = last = None
+        for h, k in sorted(set(seqs)):
+            r = r + 1 if h == last else 0
+            rank[h, k] = h, r
+            last = h
+        return ((skel, tuple(seqs)), (skel, tuple(map(rank.__getitem__, seqs))),
                 _Point(step, seqs, cells))
 
     def _levels(self, p: _Point, q: _Point, h: int) -> str:
         """The levels (register directories) whose cells of height h differ
         between p and q."""
-        regs = self.eng.registers.cells
+        regs, memo = self.eng.registers.cells, self.memo
         levels = sorted({reg.rsplit("/", 1)[0] for reg, a, b in zip(regs, p.cells, q.cells)
-                         if a != b and _height(a) == h})
+                         if a != b and _split(a, [], memo)[1] - 1 == h})
         return "+".join(levels) or f"height {h}"
 
 

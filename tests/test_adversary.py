@@ -260,6 +260,10 @@ GOLDEN_ATTACKS = {
         BlockedWitness, "C_10^2", None,
         "1c2e2d9414dbea9df93e6841fe245d8f9a0c96bd9a33d08730ca44f8f5e0849f",
         "55c244d4aa8bb075145e54c1bd2b9d998272c1608b220bdc25d028b78c7d375b"),
+    ("algo1", 5): (
+        BlockedWitness, "C_19^2", None,
+        "1bc56cd0395395db129311da690bdcecd5a567be3e979db976f9ef1d95cd6ba4",
+        "97a5e924091cfa940c0e6a80d8673b2de02e727f56b73cb4802ff9495d05f930"),
     ("algo3", 3): (
         Exhausted, None, "all branches exhausted",
         "562caad14ac07da091094dd1de81f22b81005ef29462b5a693cedf180ca55485", None),

@@ -348,6 +348,33 @@ def test_sweep_combined_pattern_blocks_without_violations():
     )
     assert summary["violations"] == {}
     assert summary["pending_outside_guarantee"] > 0
+    assert len(summary["findings"]) == summary["pending_outside_guarantee"]
+    for f in summary["findings"]:
+        assert _rerun_finding("algo1", f, 1_000_000, 3000) == ("wait_freedom",
+                                                               "pending_outside_guarantee")
+
+
+def _rerun_finding(construction, finding, step_budget, per_op_budget):
+    """The verdict name and class of a sweep finding's run, rebuilt alone."""
+    scenario = cli.build_sweep_scenario(construction, finding["n"], finding["pattern"],
+                                        finding["seed"], step_budget, per_op_budget)
+    v = cli.run_and_check(scenario)[1][finding["verdict"]]
+    if not v.ok:
+        return finding["verdict"], v.vclass
+    assert "outside guarantee" in v.explanation
+    return finding["verdict"], "pending_outside_guarantee"
+
+
+def test_sweep_findings_name_runs_that_reproduce_alone(tmp_path):
+    out = tmp_path / "ng.json"
+    assert run_cli(["sweep", "--construction", "naive-gossip", "--n", "3",
+                    "--runs", "5", "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())
+    findings = summary["findings"]
+    assert len(findings) == sum(summary["violations"].values()) == 7
+    for f in findings:
+        assert _rerun_finding("naive-gossip", f, sim.DEFAULT_STEP_BUDGET,
+                              sim.DEFAULT_PER_OP_BUDGET) == (f["verdict"], f["class"])
 
 
 # sha256 (first 16 hex digits) of the sorted verdict JSON of seeds 0..2 of

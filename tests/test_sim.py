@@ -287,6 +287,52 @@ def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
     assert (op.status, op.steps) == ("completed", 3_002)
 
 
+def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
+    # Every state the watch takes in algo1's blocked reads: its memo, grown
+    # over the watch, changes none of the exact key, rank key and seqs.
+    from byzregs.adversary import attack_search
+
+    take = sim._Lasso._take
+    states = []
+
+    def both(self, step):
+        got = take(self, step)
+        memo, self.memo = self.memo, {}
+        fresh = take(self, step)
+        self.memo = memo
+        assert (got is None) == (fresh is None)
+        if got is not None:
+            assert got[:2] == fresh[:2]
+            assert got[2].seqs == fresh[2].seqs
+            states.append(n)
+        return got
+
+    monkeypatch.setattr(sim._Lasso, "_take", both)
+    for n in (3, 4, 5):
+        attack_search("algo1", n)
+    assert set(states) == {3, 4, 5}
+
+
+def test_split_memo_follows_each_cell_object():
+    # A register rewritten with an equal but distinct cell, with the old cell
+    # again and with another value; then cells that die between splits, so a
+    # new cell may take a dead one's id and must not get its split.
+    memo = {}
+
+    def split(cells, memo):
+        seqs = []
+        return sim._split(cells, seqs, memo), seqs
+
+    old = Plain(SeqTuple(1, Commit(SeqTuple(4, b"x"))))
+    other = Plain(SeqTuple(2, b""))
+    for cell in (old, Plain(SeqTuple(1, Commit(SeqTuple(4, b"x")))), old,
+                 Plain(SeqTuple(3, Commit(SeqTuple(4, b"x")))), old):
+        assert split((cell, other), memo) == split((cell, other), {})
+    for k in range(100):
+        cells = (Plain(SeqTuple(k, Commit(SeqTuple(100 - k, b"y")))), other)
+        assert split(cells, memo) == split(cells, {})
+
+
 def test_budget_stop_ends_both_branches_of_a_forked_read():
     # The writer crashes mid-write, so reader 3's read forks; its budget of
     # four register steps runs out while reader 2's read is still open.
