@@ -8,7 +8,9 @@ itself is malicious the two linearizability properties hold vacuously.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .core import (
@@ -27,7 +29,7 @@ from .core import (
     Signed,
     is_honest,
 )
-from .constructions import WRITER
+from .constructions import U0, WRITER
 
 
 class MalformedHistory(Exception):
@@ -96,11 +98,13 @@ def extract_history(
 
     A read's index is the sequence number of the tuple it returned. A read
     that returned Bottom is marked bottom; any other return keeps no index,
-    which check_property1 reports as a value the writer never wrote.
+    which check_property1 reports as a value the writer never wrote. So does
+    a tuple (k, u) whose u is not the value of v_k (U0 for k = 0) when the
+    write of v_k was invoked before the read responded.
     """
     ops: list[OpRecord] = []
     open_ops: dict[int, OpRecord] = {}
-    write_count = 0
+    written = [U0]  # the value of v_k, for each write invoked so far
     for e in events:
         if e.kind == "invoke":
             if e.proc in open_ops:
@@ -114,8 +118,8 @@ def extract_history(
                 honest=is_honest(faults.get(e.proc, Correct())),
             )
             if e.op == "Write":
-                write_count += 1
-                rec.index = write_count
+                rec.index = len(written)
+                written.append(e.arg)
             open_ops[e.proc] = rec
             ops.append(rec)
         elif e.kind == "respond":
@@ -126,8 +130,9 @@ def extract_history(
             if rec.kind == "Read":
                 ret = e.ret
                 if isinstance(ret, SeqTuple):
-                    rec.index = ret.k
                     rec.value = ret.u
+                    if not 0 <= ret.k < len(written) or written[ret.k] == ret.u:
+                        rec.index = ret.k
                 elif isinstance(ret, Bottom):
                     rec.bottom = True
     return ops
@@ -160,6 +165,12 @@ def check_property1(history: list[OpRecord], writer_honest: bool) -> Verdict:
     if not writer_honest:
         return _passed("writer malicious; vacuous")
     writes = {op.index: op for op in history if op.kind == "Write"}
+    # The latest write preceding a read is a running maximum of the indices
+    # of the completed writes in response order, found by bisection.
+    done = sorted((w for w in writes.values() if w.respond_step is not None),
+                  key=lambda w: w.respond_step)
+    responds = [w.respond_step for w in done]
+    latest_of = list(accumulate((w.index for w in done), max))
     for r in _completed_honest_reads(history):
         k = r.index
         if k is None:
@@ -168,14 +179,9 @@ def check_property1(history: list[OpRecord], writer_honest: bool) -> Verdict:
                 [r.invoke_step, r.respond_step],
                 f"read by {r.proc} returned a value the writer never wrote",
             )
-        preceding = [
-            w.index
-            for w in writes.values()
-            if w.respond_step is not None and w.respond_step < r.invoke_step
-        ]
-        latest = max(preceding, default=0)
-        concurrent = {w.index for w in writes.values() if _overlaps(w, r)}
-        if k != latest and k not in concurrent:
+        i = bisect_left(responds, r.invoke_step)
+        latest = latest_of[i - 1] if i else 0
+        if k != latest and not (k in writes and _overlaps(writes[k], r)):
             # Witnesses must violate on their own: the read, the write whose
             # value it returned (if any), and the latest preceding write that
             # makes the returned value stale.
@@ -200,15 +206,20 @@ def check_property2(history: list[OpRecord], writer_honest: bool) -> Verdict:
     reads = _completed_honest_reads(history)
     reads = [r for r in reads if r.index is not None]
     reads.sort(key=lambda r: r.invoke_step)
+    invokes = [r.invoke_step for r in reads]
+    # low[j] is the least index returned by reads[j:].
+    low = list(accumulate((r.index for r in reversed(reads)), min))[::-1]
     for i, r1 in enumerate(reads):
-        for r2 in reads[i + 1 :]:
-            if r1.respond_step < r2.invoke_step and r1.index > r2.index:
-                return _violated(
-                    "Property2",
-                    [r1.invoke_step, r1.respond_step, r2.invoke_step, r2.respond_step],
-                    f"read by {r1.proc} returned v_{r1.index}, then read by "
-                    f"{r2.proc} returned v_{r2.index}",
-                )
+        # Reads from j0 on are exactly the later reads that r1 precedes.
+        j0 = max(i + 1, bisect_right(invokes, r1.respond_step))
+        if j0 < len(reads) and low[j0] < r1.index:
+            r2 = next(r for r in reads[j0:] if r.index < r1.index)
+            return _violated(
+                "Property2",
+                [r1.invoke_step, r1.respond_step, r2.invoke_step, r2.respond_step],
+                f"read by {r1.proc} returned v_{r1.index}, then read by "
+                f"{r2.proc} returned v_{r2.index}",
+            )
     return _passed()
 
 

@@ -225,7 +225,8 @@ class Engine:
         # The machines' per-run state (an Instance's state): run_queue
         # watches a spinning op for a lasso only when it can fingerprint it.
         self.state = state
-        self.rng = random.Random(seed)
+        self.seed = seed
+        self.rng = None  # seeded at its first draw: most runs never draw
         self.events: list[Event] = []
         self.ops: list[OpResult] = []
         self.crashed: set[int] = set()
@@ -293,6 +294,8 @@ class Engine:
 
     def _enqueue(self, t: _Thread, randomize: bool = False) -> None:
         if randomize and self.queue:
+            if self.rng is None:
+                self.rng = random.Random(self.seed)
             self.queue.insert(self.rng.randrange(len(self.queue) + 1), t)
         else:
             self.queue.append(t)

@@ -1,7 +1,14 @@
 """Brute-force linearization oracle: a second judge of the checker's
 linearizability verdicts, for small histories only."""
 
-from byzregs.checker import OpRecord
+from byzregs.checker import (
+    OpRecord,
+    Verdict,
+    _completed_honest_reads,
+    _overlaps,
+    _passed,
+    _violated,
+)
 
 
 class TooLarge(Exception):
@@ -67,3 +74,60 @@ def oracle_linearize(history: list[OpRecord], cap: int = 8) -> bool:
         return False
 
     return search(frozenset(), 0)
+
+
+# The all-pairs forms of checker.check_property1 and check_property2: the
+# reference the checker's bisection passes must agree with, verdict for
+# verdict. Property 1 costs O(reads × writes), Property 2 O(reads²).
+
+
+def check_property1_pairs(history: list[OpRecord], writer_honest: bool) -> Verdict:
+    if not writer_honest:
+        return _passed("writer malicious; vacuous")
+    writes = {op.index: op for op in history if op.kind == "Write"}
+    for r in _completed_honest_reads(history):
+        k = r.index
+        if k is None:
+            return _violated(
+                "Property1",
+                [r.invoke_step, r.respond_step],
+                f"read by {r.proc} returned a value the writer never wrote",
+            )
+        preceding = [
+            w.index
+            for w in writes.values()
+            if w.respond_step is not None and w.respond_step < r.invoke_step
+        ]
+        latest = max(preceding, default=0)
+        concurrent = {w.index for w in writes.values() if _overlaps(w, r)}
+        if k != latest and k not in concurrent:
+            wit = [r.invoke_step, r.respond_step]
+            if k in writes:
+                wit.append(writes[k].invoke_step)
+            if latest in writes:
+                wit.extend([writes[latest].invoke_step, writes[latest].respond_step])
+            return _violated(
+                "Property1",
+                wit,
+                f"read by {r.proc} returned v_{k}; latest preceding write is "
+                f"v_{latest} and v_{k} is not concurrent",
+            )
+    return _passed()
+
+
+def check_property2_pairs(history: list[OpRecord], writer_honest: bool) -> Verdict:
+    if not writer_honest:
+        return _passed("writer malicious; vacuous")
+    reads = _completed_honest_reads(history)
+    reads = [r for r in reads if r.index is not None]
+    reads.sort(key=lambda r: r.invoke_step)
+    for i, r1 in enumerate(reads):
+        for r2 in reads[i + 1 :]:
+            if r1.respond_step < r2.invoke_step and r1.index > r2.index:
+                return _violated(
+                    "Property2",
+                    [r1.invoke_step, r1.respond_step, r2.invoke_step, r2.respond_step],
+                    f"read by {r1.proc} returned v_{r1.index}, then read by "
+                    f"{r2.proc} returned v_{r2.index}",
+                )
+    return _passed()

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzregs import checker, sim
 from byzregs.checker import (
@@ -24,7 +25,12 @@ from byzregs.core import (
     Signed,
     sig_token,
 )
-from linearize_oracle import TooLarge, oracle_linearize
+from linearize_oracle import (
+    TooLarge,
+    check_property1_pairs,
+    check_property2_pairs,
+    oracle_linearize,
+)
 
 
 def w(k, invoke, respond):
@@ -309,3 +315,82 @@ def test_witness_soundness_property1():
     sub = [op for op in h
            if {op.invoke_step, op.respond_step} & steps]
     assert not check_property1(sub, True).ok
+
+
+def _events(*items):
+    """Invoke/respond events, one step each, from (kind, proc, op, payload)."""
+    return [Event(step, proc, 0, kind, op=op,
+                  **({"arg": x} if kind == "invoke" else {"ret": x}))
+            for step, (kind, proc, op, x) in enumerate(items)]
+
+
+def test_extract_history_drops_a_read_whose_value_was_not_written_under_k():
+    events = _events(
+        ("invoke", 0, "Write", b"a"), ("respond", 0, "Write", None),
+        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(1, b"a")),
+        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(1, b"b")),
+        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(0, b"")),
+        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(0, b"a")),
+        # v_2 is not yet invoked: its value is unknown, so k stands.
+        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(2, b"z")),
+    )
+    h = extract_history(events, {0: Correct(), 1: Correct()})
+    assert [op.index for op in h] == [1, 1, None, 0, None, 2]
+    assert [op.value for op in h[1:]] == [b"a", b"b", b"", b"a", b"z"]
+    v = check_property1(h[:3], True)
+    assert not v.ok and "never wrote" in v.explanation
+
+
+# -- agreement with the all-pairs reference -----------------------------------
+
+
+@st.composite
+def _histories(draw):
+    """Small histories with overlapping writes by several processes, pending
+    operations, tied steps, and reads of unknown or unwritten indices."""
+    def span():
+        invoke, length = draw(st.integers(0, 12)), draw(st.integers(-1, 6))
+        return invoke, None if length < 0 else invoke + length
+
+    ops = []
+    for k in range(1, draw(st.integers(0, 4)) + 1):
+        invoke, respond = span()
+        ops.append(OpRecord(draw(st.integers(0, 2)), "Write", k,
+                            invoke_step=invoke, respond_step=respond))
+    for _ in range(draw(st.integers(0, 6))):
+        invoke, respond = span()
+        ops.append(r(draw(st.integers(1, 3)), draw(st.sampled_from([None, *range(6)])),
+                     invoke, respond, honest=draw(st.integers(0, 4)) > 0,
+                     bottom=draw(st.integers(0, 9)) == 0))
+    return draw(st.permutations(ops)), draw(st.integers(0, 5)) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_histories())
+def test_properties_agree_with_the_all_pairs_reference(case):
+    h, writer_honest = case
+    assert check_property1(h, writer_honest).to_json() == \
+        check_property1_pairs(h, writer_honest).to_json()
+    assert check_property2(h, writer_honest).to_json() == \
+        check_property2_pairs(h, writer_honest).to_json()
+
+
+def test_property1_tests_at_most_one_write_per_read(monkeypatch):
+    # 1,000 writes alternating with 1,000 reads: read k overlaps write k and
+    # returns v_k (even k, concurrent) or v_{k-1} (odd k, latest preceding).
+    h = []
+    for k in range(1, 1001):
+        h.append(w(k, 10 * k, 10 * k + 5))
+        h.append(r(k % 3 + 1, k - k % 2, 10 * k + 3, 10 * k + 8))
+    calls = 0
+    overlaps = checker._overlaps
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return overlaps(a, b)
+
+    monkeypatch.setattr(checker, "_overlaps", counted)
+    assert check_property1(h, True).ok
+    assert check_property2(h, True).ok
+    assert 0 < calls <= 1000

@@ -377,6 +377,16 @@ def test_sweep_findings_name_runs_that_reproduce_alone(tmp_path):
                               sim.DEFAULT_PER_OP_BUDGET) == (f["verdict"], f["class"])
 
 
+def test_sweep_reports_a_read_of_a_value_not_written_under_its_k(tmp_path):
+    # Process 2 returns (2, b""), but the writer's second write wrote b"v1".
+    out = tmp_path / "ng.json"
+    assert run_cli(["sweep", "--construction", "naive-gossip", "--n", "3",
+                    "--faults", "one-malicious-reader", "--runs", "1",
+                    "--seed", "91077", "--out", str(out)]) == 1
+    (finding,) = json.loads(out.read_text())["findings"]
+    assert (finding["verdict"], finding["class"]) == ("property1", "Property1")
+
+
 # sha256 (first 16 hex digits) of the sorted verdict JSON of seeds 0..2 of
 # every cell of the benchmark's sweep grid, at per_op_budget 1500 and the
 # default step budget.
