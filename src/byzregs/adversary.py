@@ -27,6 +27,7 @@ from .sim import Engine, OpResult, reset_script
 MARKER: bytes = b"\x01"
 
 DEFAULT_STAGE_BUDGET = 100_000
+DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 class StagePreconditionFailed(Exception):
@@ -286,7 +287,7 @@ class _Search:
 def attack_search(
     name: str,
     n: int,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     stage_budget: int = DEFAULT_STAGE_BUDGET,
 ) -> AttackResult:
     """Search for a concrete counterexample execution against a candidate.

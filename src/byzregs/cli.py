@@ -22,6 +22,7 @@ import random
 import sys
 
 from . import adversary, checker, constructions, sim
+from .constructions import WRITER
 from .core import (
     AccessViolation,
     Commit,
@@ -84,24 +85,24 @@ def random_script(rng: random.Random, specs, proc: int) -> tuple:
 
 
 def build_fault_map(pattern: str, n: int, rng: random.Random, specs):
-    readers = list(range(1, n + 1))
-    faults = {p: Correct() for p in [0] + readers}
+    readers = constructions.reader_ids(n)
+    faults = {p: Correct() for p in [WRITER] + readers}
     if pattern == "all-correct":
         pass
     elif pattern == "writer-crash":
-        faults[0] = Crash(rng.randint(0, 40))
+        faults[WRITER] = Crash(rng.randint(0, 40))
     elif pattern == "one-malicious-reader":
         r = rng.choice(readers)
         faults[r] = Malicious(random_script(rng, specs, r))
     elif pattern == "writer-crash+one-malicious-reader":
-        faults[0] = Crash(rng.randint(0, 40))
+        faults[WRITER] = Crash(rng.randint(0, 40))
         r = rng.choice(readers)
         faults[r] = Malicious(random_script(rng, specs, r))
     elif pattern == "all-readers-malicious":
         for r in readers:
             faults[r] = Malicious(random_script(rng, specs, r))
     elif pattern == "malicious-writer":
-        faults[0] = Malicious(random_script(rng, specs, 0))
+        faults[WRITER] = Malicious(random_script(rng, specs, WRITER))
     elif pattern == "majority-malicious-readers":
         count = n // 2 + 1
         for r in rng.sample(readers, count):
@@ -113,13 +114,13 @@ def build_fault_map(pattern: str, n: int, rng: random.Random, specs):
 
 def random_workload(rng: random.Random, n: int, faults) -> list[sim.WorkItem]:
     honest_readers = [
-        r for r in range(1, n + 1) if not isinstance(faults[r], Malicious)
+        r for r in constructions.reader_ids(n) if not isinstance(faults[r], Malicious)
     ]
     items: list[sim.WorkItem] = []
-    writer_honest = not isinstance(faults[0], Malicious)
+    writer_honest = not isinstance(faults[WRITER], Malicious)
     n_writes = rng.randint(1, 3) if writer_honest else 0
     for i in range(n_writes):
-        items.append(sim.WorkItem(0, "write", value=f"v{i + 1}".encode()))
+        items.append(sim.WorkItem(WRITER, "write", value=f"v{i + 1}".encode()))
     if honest_readers:
         for _ in range(rng.randint(1, 4)):
             reader = rng.choice(honest_readers)
@@ -373,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--construction", required=True,
                           help="implementation name")
     attack_p.add_argument("--n", dest="n_int", type=int, required=True)
-    attack_p.add_argument("--step-budget", type=int, default=10_000_000)
+    attack_p.add_argument("--step-budget", type=int,
+                          default=adversary.DEFAULT_SEARCH_BUDGET)
     attack_p.add_argument("--op-budget", type=int,
                           default=adversary.DEFAULT_STAGE_BUDGET)
     attack_p.add_argument("--trace", default="witness.jsonl")

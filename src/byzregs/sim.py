@@ -13,21 +13,22 @@ A step machine is a Python generator that yields one action per resumption:
 One resumption performs at most one register access; local computation and
 control flow are free. All interleaving decisions flow through the scheduler,
 so a scenario (construction, faults, workload, schedule, budgets) replays to
-a byte-identical trace. A crash point (step, proc) crashes proc once the
-trace holds step events; scenario crash faults and the attack harness's
+a byte-identical trace. Engine.run_queue is the one step loop, for seeded
+scenarios (the queue's head, after workload admission), scripted picks and
+the attack harness's phases. A crash point (step, proc) crashes proc once
+the trace holds step events; scenario crash faults and the attack harness's
 writer crash are both crash points. A step costs O(1) engine work beyond a
-fork's seeded insertions and a budget stop's walk over the stopped op's
-threads, and, in run_queue, the lasso watch of an op past LASSO_THRESHOLD
-steps. A watched state costs the cells written since the watch began, each
-split once, plus the live threads' frames and a pass over the state's
-sequence numbers, not a fresh split of every register.
+fork's seeded insertions, a budget stop's walk over the stopped op's threads
+and the lasso watch of an op past LASSO_THRESHOLD steps. A watched state
+costs the cells written since the watch began, each split once, plus the
+live threads' frames and a pass over the state's sequence numbers.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
 machine whose reads go unused.
 
-Lassos. run_queue, which drives the attack harness, can prove that a
-spinning op never completes instead of spinning it to its per-op budget: it
+Lassos. A seeded scenario run or an attack read can prove that a spinning
+op never completes instead of spinning it to its per-op budget: run_queue
 finds a lasso, a state the run reaches again, so that the cycle between the
 two visits repeats forever (the lasso-shaped liveness counterexample of
 Vardi and Wolper, LICS 1986). Once the op has taken LASSO_THRESHOLD register
@@ -43,14 +44,15 @@ variable, as ``q1`` fixes how far algo1's ``_q_thread2`` has gone over
 of the run record) is compared by identity; key() covers the run record.
 
 A repeat counts only if the cycle is fair and closed (the fair-cycle
-conditions of Musuvathi and Qadeer, PLDI 2008): every live thread belongs
-to the op, every thread runnable at the cycle's start is resumed in it or
-ends, no op responds in it and no crash point is pending. The engine
-checks the first and the last two. The second follows from the FIFO
-pick: every thread resumed in the cycle was ahead of a runnable thread
-that is not, and goes behind it, so that thread moves up the queue and
-the queue order differs. The pick draws nothing, so the run then goes
-round the cycle forever, fairly, and the op never responds.
+conditions of Musuvathi and Qadeer, PLDI 2008), which the engine checks:
+every live thread belongs to the op, every thread runnable at the cycle's
+start is resumed in it or ends, no op responds in it, and no crash point or
+after_step gate lies ahead. A FIFO run that draws nothing (the attack
+harness's) then goes round the cycle forever. A seeded run draws a queue
+place for each forked branch and its RNG state never repeats, so there the
+lasso proves that the fair continuation repeating the cycle's picks never
+completes the op. Scripted runs are never watched: their picks fix the
+schedule.
 
 Step A: the state repeats exactly. Step B: it repeats up to shifted
 sequence numbers. A sequence number is the k of a SeqTuple, or a bare int
@@ -75,7 +77,6 @@ comparison.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import random
 from bisect import bisect_left, bisect_right
@@ -84,6 +85,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Union
 
 from . import constructions
+from .constructions import WRITER, reader_ids
 from .core import (
     Commit,
     Correct,
@@ -216,11 +218,12 @@ def _script_machine(script: tuple) -> Generator:
 
 class Engine:
     """Register substrate plus thread scheduling; shared by scenario runs and
-    the attack harness (which drives phases directly)."""
+    the attack harness (which drives phases directly). A forked branch takes
+    a random queue place only when the engine has a seed."""
 
     def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]],
-                 seed: int = 0, crash_points: Iterable[tuple[int, int]] = (),
-                 state=None):
+                 seed: Optional[int] = None,
+                 crash_points: Iterable[tuple[int, int]] = (), state=None):
         self.registers = RegisterFile(specs)
         # The machines' per-run state (an Instance's state): run_queue
         # watches a spinning op for a lasso only when it can fingerprint it.
@@ -292,14 +295,6 @@ class Engine:
         self._tid_counters[proc] = tid + 1
         return tid
 
-    def _enqueue(self, t: _Thread, randomize: bool = False) -> None:
-        if randomize and self.queue:
-            if self.rng is None:
-                self.rng = random.Random(self.seed)
-            self.queue.insert(self.rng.randrange(len(self.queue) + 1), t)
-        else:
-            self.queue.append(t)
-
     def spawn_op(
         self,
         proc: int,
@@ -317,13 +312,13 @@ class Engine:
         # marks the op crashed-owner.
         self.ops.append(op)
         self._emit(proc, t.tid, "invoke", None, None, kind, arg)
-        self._enqueue(t)
+        self.queue.append(t)
         return op
 
     def spawn_script(self, proc: int, script: tuple) -> _Thread:
         t = _Thread(proc, self._new_tid(proc), _script_machine(script), None)
         self.threads[(proc, t.tid)] = t
-        self._enqueue(t)
+        self.queue.append(t)
         return t
 
     def _cancel_subtree(self, t: _Thread) -> None:
@@ -356,7 +351,7 @@ class Engine:
             parent = fr.parent
             parent.parked = False
             parent.pending = value
-            self._enqueue(parent)
+            self.queue.append(parent)
         else:
             fr.dead += 1
             if fr.dead == len(fr.branches):
@@ -364,10 +359,9 @@ class Engine:
                 parent = fr.parent
                 parent.parked = False
                 parent.pending = None
-                self._enqueue(parent)
+                self.queue.append(parent)
 
-    def _resume(self, t: _Thread, per_op_budget: Optional[int] = None,
-                randomize: bool = False) -> None:
+    def _resume(self, t: _Thread, per_op_budget: Optional[int] = None) -> None:
         owner = t.owner
         if owner in self.crashed:
             raise CrashedActor(f"process {owner} already crashed")
@@ -393,8 +387,13 @@ class Engine:
                 self.threads[(owner, b.tid)] = b
             t.child_frames.append(fr)
             t.parked = True
+            queue = self.queue
             for b in fr.branches:
-                self._enqueue(b, randomize=randomize)
+                if self.seed is None or not queue:
+                    queue.append(b)
+                else:
+                    self.rng = self.rng or random.Random(self.seed)
+                    queue.insert(self.rng.randrange(len(queue) + 1), b)
             return
         else:
             raise RuntimeError(f"unknown machine action {action!r}")
@@ -420,42 +419,66 @@ class Engine:
             t = t.frame.parent
         self._cancel_subtree(t)
 
+    def _runnable(self, t: _Thread) -> bool:
+        op = t.op
+        return not (t.owner in self.crashed or t.parked or t.cancelled or t.done
+                    or (op is not None and op.status != "pending"))
+
     def _pop_runnable(self) -> Optional[_Thread]:
-        queue, crashed = self.queue, self.crashed
+        queue = self.queue
         while queue:
             t = queue.popleft()
-            if t.owner in crashed:
-                continue
-            op = t.op
-            if t.parked or t.cancelled or t.done or \
-                    (op is not None and op.status != "pending"):
-                continue
-            return t
+            if self._runnable(t):
+                return t
         return None
 
-    def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None) -> None:
-        """Drain runnable threads FIFO until quiescence or the event budget.
-
-        With a per-op budget, an op that has taken LASSO_THRESHOLD register
-        steps is watched for a lasso (see the module docstring) and stopped at
-        the first one, with the reason ``blocked (lasso i..j)``.
+    def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None,
+                  admit=None, picks: Optional[Iterable] = None,
+                  watch_from: int = 0) -> None:
+        """Resume threads until quiescence, the end of picks or the event
+        budget. admit(quiescent), a scenario's workload admission, runs
+        before every step, and once more with quiescent=True when nothing is
+        runnable; the run goes on if it spawned an op. picks, a scripted
+        schedule, names each step's thread as (proc, tid); else the queue's
+        head goes. With a per-op budget and the machines' state, a run
+        without picks stops an op past LASSO_THRESHOLD steps at its first
+        lasso from event watch_from on, the last after_step gate (see the
+        module docstring), with the reason ``blocked (lasso i..j)``.
         """
-        watch = None
-        while len(self.events) < step_budget:
-            t = self._pop_runnable()
-            if t is None:
-                return
-            before = len(self.events)
+        watched = per_op_budget is not None and self.state is not None and picks is None
+        picks = None if picks is None else iter(picks)
+        events, watch = self.events, None
+        while len(events) < step_budget:
+            if picks is None:
+                if admit is not None:
+                    admit(False)
+                t = self._pop_runnable()
+                if t is None:
+                    if admit is not None and admit(True):
+                        continue
+                    return
+            else:
+                pick = next(picks, None)
+                if pick is None:
+                    return
+                if admit is not None:
+                    admit(False)
+                # A pick names its thread, so the queue is dropped to stay
+                # bounded; the pick passes the same test as the queue's head.
+                self.queue.clear()
+                t = self.threads.get(pick)
+                if t is None or not self._runnable(t):
+                    raise MalformedScenario(f"scripted pick {pick} is not runnable")
+            before = len(events)
             self._resume(t, per_op_budget)
             op = t.op
             if watch is not None and watch.op is not op:
                 watch = None  # another op's thread acted: no cycle spans it
-            if op is None or op.steps < LASSO_THRESHOLD or per_op_budget is None \
-                    or self.state is None:
+            if not watched or op is None or op.steps < LASSO_THRESHOLD:
                 continue
             if watch is None:
-                watch = _Lasso(self, t)
-            reason = watch.observe(before)
+                watch = _Lasso(self, t, watch_from)
+            reason = watch.observe(t, before)
             if reason is not None:
                 self._stop(t, reason)
 
@@ -556,6 +579,7 @@ class _Point:
     step: int
     seqs: list  # its sequence numbers as (domain, k), in _split's order
     cells: tuple  # the register cells
+    runnable: list  # the op's runnable threads
 
 
 class _Lasso:
@@ -563,37 +587,40 @@ class _Lasso:
     keeps the states it takes by exact and by rank fingerprint and names the
     first repeat that passes the checks."""
 
-    def __init__(self, eng: Engine, t: _Thread):
+    def __init__(self, eng: Engine, t: _Thread, watch_from: int):
         self.eng = eng
         self.op = t.op
+        self.watch_from = watch_from
         while t.frame is not None:
             t = t.frame.parent
         self.root = t
         self.exact: dict = {}  # fingerprint -> _Point
         self.ranked: dict = {}  # rank fingerprint -> _Point
         self.memo: dict = {}  # _split's, for this watch only
+        self.resumed: dict = {}  # thread -> the first event of its last resumption
 
-    def observe(self, before: int) -> Optional[str]:
-        """Take the state after a resumption of one of the op's threads that
+    def observe(self, t: _Thread, before: int) -> Optional[str]:
+        """Take the state after the resumption of the op's thread t that
         began at event before; the stop reason at a lasso."""
         eng, op = self.eng, self.op
+        self.resumed[t] = before
         new = eng.events[before:]
         if not new or op.status != "pending" or op.reason is not None:
             return None  # a fork or a branch's return, or the op is over
         taken = None
         if len(new) == 1 and new[0].kind in ("reg_read", "reg_write") and \
-                eng._next_crash == len(eng.crash_points):
-            taken = self._take(new[0].step)
+                before >= self.watch_from and eng._next_crash == len(eng.crash_points):
+            taken = self._take(before)
         if taken is None:  # no cycle may span this step
             self.exact.clear()
             self.ranked.clear()
             return None
         exact_key, rank_key, q = taken
         p = self.exact.get(exact_key)
-        if p is not None:
+        if p is not None and self._fair(p):
             return f"blocked (lasso {p.step}..{q.step})"
         p = self.ranked.get(rank_key)
-        shift = p is not None and _shift(p.seqs, q.seqs)
+        shift = p is not None and self._fair(p) and _shift(p.seqs, q.seqs)
         if shift:
             return f"blocked (lasso {p.step}..{q.step}; " + ", ".join(
                 f"k of {self._levels(p, q, h)} +{d}"
@@ -601,14 +628,19 @@ class _Lasso:
         self.exact[exact_key] = self.ranked[rank_key] = q
         return None
 
+    def _fair(self, p: _Point) -> bool:
+        """Whether every thread runnable at p has been resumed since or has
+        ended."""
+        return all(u.done or u.cancelled or self.resumed.get(u, -1) > p.step
+                   for u in p.runnable)
+
     def _take(self, step: int) -> Optional[tuple]:
         """The state's exact and rank fingerprints and its _Point, or None
         if a thread of another op or process is runnable."""
         eng, op, state = self.eng, self.op, self.eng.state
         runnable = []
         for u in eng.queue:
-            if u.owner in eng.crashed or u.parked or u.cancelled or u.done or \
-                    (u.op is not None and u.op.status != "pending"):
+            if not eng._runnable(u):
                 continue
             if u.op is not op:
                 return None
@@ -640,7 +672,7 @@ class _Lasso:
             rank[h, k] = h, r
             last = h
         return ((skel, tuple(seqs)), (skel, tuple(map(rank.__getitem__, seqs))),
-                _Point(step, seqs, cells))
+                _Point(step, seqs, cells, runnable))
 
     def _levels(self, p: _Point, q: _Point, h: int) -> str:
         """The levels (register directories) whose cells of height h differ
@@ -663,8 +695,8 @@ def _is_int(value) -> bool:
 def validate_scenario(s: Scenario) -> None:
     if not isinstance(s.construction, str):
         raise MalformedScenario(f"construction must be a name, not {s.construction!r}")
-    if not _is_int(s.n):
-        raise MalformedScenario(f"n must be an integer, not {s.n!r}")
+    constructions.check_n(s.construction, s.n)
+    procs = {WRITER, *reader_ids(s.n)}
     if isinstance(s.schedule, Seeded):
         ints = [s.schedule.seed]
     else:
@@ -675,11 +707,9 @@ def validate_scenario(s: Scenario) -> None:
         budget = getattr(s, name)
         if not _is_int(budget) or budget <= 0:
             raise MalformedScenario(f"{name} must be a positive integer, not {budget!r}")
-    if s.n < 2:
-        raise MalformedScenario("need at least two readers")
     if not s.workload:
         raise MalformedScenario("workload has no items")
-    if not all(_is_int(p) and 0 <= p <= s.n for p in s.faults):
+    if not all(_is_int(p) and p in procs for p in s.faults):
         raise MalformedScenario("fault map references undeclared processes")
     for proc, fault in s.faults.items():
         if isinstance(fault, Crash) and not (
@@ -695,18 +725,18 @@ def validate_scenario(s: Scenario) -> None:
                 )
         if (item.after_step or 0) < 0:
             raise MalformedScenario(f"workload[{i}]: after_step must not be negative")
-        if not 0 <= item.proc <= s.n:
+        if item.proc not in procs:
             raise MalformedScenario(f"workload[{i}] references process {item.proc}")
         if not is_honest(s.faults.get(item.proc, Correct())):
             raise MalformedScenario(
                 f"workload[{i}]: malicious process {item.proc} may only act "
                 "through its script"
             )
-        if item.op == "write" and item.proc != 0:
+        if item.op == "write" and item.proc != WRITER:
             raise MalformedScenario(f"workload[{i}]: only the writer writes")
         if item.op == "write" and item.value is None:
             raise MalformedScenario(f"workload[{i}]: a write needs a value")
-        if item.op == "read" and item.proc == 0:
+        if item.op == "read" and item.proc == WRITER:
             raise MalformedScenario(f"workload[{i}]: the writer does not read")
         if item.op not in ("write", "read"):
             raise MalformedScenario(f"workload[{i}]: unknown op {item.op!r}")
@@ -818,76 +848,42 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     """Execute a scenario to quiescence or budget and return its trace.
 
     Operations of one process run one at a time, in workload order unless
-    an earlier item is still gated. An op stopped by ``per_op_budget`` stays
-    pending, so it holds back its process's later workload items, which are
-    never invoked; items gated on it with ``after_op`` still fire.
+    an earlier item is still gated. An op stopped by ``per_op_budget`` or at
+    a lasso stays pending, so it holds back its process's later workload
+    items, which are never invoked; items gated on it with ``after_op``
+    still fire.
     """
     validate_scenario(scenario)
     seeded = isinstance(scenario.schedule, Seeded)
-    seed = scenario.schedule.seed if seeded else 0
     if instance is None:
         instance = constructions.build_instance(scenario.construction, scenario.n)
-    eng = Engine(instance.by_id, seed=seed,
+    eng = Engine(instance.by_id, seed=scenario.schedule.seed if seeded else None,
                  crash_points=[(fault.at_global_step, proc)
                                for proc, fault in scenario.faults.items()
-                               if isinstance(fault, Crash)])
+                               if isinstance(fault, Crash)],
+                 state=instance.state)
     # Malicious scripts run as plain threads from the start, in process order.
     for proc in sorted(scenario.faults):
         fault = scenario.faults[proc]
         if isinstance(fault, Malicious) and proc not in eng.crashed:
             eng.spawn_script(proc, fault.script)
 
-    admit = _Admission(scenario.workload, instance, eng).admit
-
-    # A seeded run picks the next runnable thread off the randomized queue
-    # until quiescence; a scripted run takes its picks in order and ends
-    # when they run out.
-    picks = itertools.repeat(None) if seeded else scenario.schedule.picks
-    for pick in picks:
-        if len(eng.events) >= scenario.step_budget:
-            break
-        admit(quiescent=False)
-        if seeded:
-            t = eng._pop_runnable()
-            if t is None:
-                # Nothing runnable: pure after_step waits may now fire.
-                if admit(quiescent=True):
-                    continue
-                break
-        else:
-            # A scripted pick names its thread, so the FIFO queue a seeded
-            # pick draws from is dropped before each step to stay bounded;
-            # the pick then passes the same liveness test as a seeded one.
-            eng.queue.clear()
-            t = eng.threads.get(pick)
-            if t is not None:
-                eng.queue.append(t)
-                t = eng._pop_runnable()
-            if t is None:
-                raise MalformedScenario(f"scripted pick {pick} is not runnable")
-        eng._resume(t, scenario.per_op_budget, seeded)
+    # A seeded run goes on until quiescence; a scripted run ends when its
+    # picks run out.
+    eng.run_queue(scenario.step_budget, scenario.per_op_budget,
+                  admit=_Admission(scenario.workload, instance, eng).admit,
+                  picks=None if seeded else scenario.schedule.picks,
+                  watch_from=max((item.after_step for item in scenario.workload
+                                  if item.after_step is not None), default=0))
     exhausted = seeded and len(eng.events) >= scenario.step_budget
-
-    if not seeded:
-        reason = "schedule exhausted"
-    else:
-        reason = "step budget" if exhausted else "quiescence"
+    reason = ("step budget" if exhausted else "quiescence") if seeded \
+        else "schedule exhausted"
     for op in eng.ops:
         if op.status == "pending" and op.reason is None:
             op.reason = reason
-
-    meta = {
-        "construction": scenario.construction,
-        "n": scenario.n,
-        "schedule": "seeded" if seeded else "scripted",
-        "seed": seed,
-        "step_budget": scenario.step_budget,
-        "per_op_budget": scenario.per_op_budget,
-        "budget_exhausted": exhausted,
-        "crashed": sorted(eng.crashed),
-    }
     return Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index),
-                 meta=meta)
+                 meta={"schedule": "seeded" if seeded else "scripted",
+                       "budget_exhausted": exhausted})
 
 
 # ---------------------------------------------------------------------------

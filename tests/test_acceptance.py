@@ -144,7 +144,7 @@ def test_criterion_3_blocking_boundary_scenario(tmp_path):
         and "outside guarantee" in wf.explanation
         and len(pending) == 1
         and pending[0].proc == 3
-        and pending[0].reason == "per-op budget"
+        and pending[0].reason.startswith("blocked (lasso ")
         # the writer stopped after its prepare phase: outer prepare plus the
         # four writes implementing the prepare into the inner instance
         and writer_writes

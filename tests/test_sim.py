@@ -333,6 +333,38 @@ def test_split_memo_follows_each_cell_object():
         assert split(cells, memo) == split(cells, {})
 
 
+def test_an_unfair_repeat_is_not_a_lasso():
+    # The op's two branches each spin reading one register. Resuming only
+    # branch b repeats the state at once, but branch a stays runnable and
+    # unresumed, so no lasso counts until a has been resumed in the cycle.
+    from byzregs.constructions import Vars
+
+    specs = [RegisterSpec("T/R", 2, frozenset([1]), Plain(SeqTuple(0, b"")))]
+
+    def spin():
+        while True:
+            yield ("r", "T/R")
+
+    def forking():
+        return (yield ("fork", spin(), spin()))
+
+    eng = sim.Engine(specs, state=Vars(c=0))
+    eng.spawn_op(1, "Read", None, forking())
+    eng._resume(eng.queue.popleft())
+    a, b = eng.queue
+    watch = sim._Lasso(eng, b, 0)
+
+    def step(t):
+        eng.queue.remove(t)
+        before = len(eng.events)
+        eng._resume(t)
+        return watch.observe(t, before)
+
+    assert [step(b) for _ in range(5)] == [None] * 5
+    assert step(a) is None and step(b) is None
+    assert step(a) == "blocked (lasso 6..8)"
+
+
 def test_budget_stop_ends_both_branches_of_a_forked_read():
     # The writer crashes mid-write, so reader 3's read forks; its budget of
     # four register steps runs out while reader 2's read is still open.
@@ -645,7 +677,7 @@ GOLDEN_TRACES = {
         "99fdd37bcfcde100e540c825a6ade66fd29f4d694aff174e57e17a8d57644860"),
     "blocking_boundary.json": (
         lambda: sim.load_scenario(f"{_SCENARIO_DIR}/blocking_boundary.json"),
-        "f4c4e439d76fe4a65eb826a2ae1ea93b288a817e212b73e9b472c62aed61186e"),
+        "bfea24ef7d809e054ece5fdc821bd32bc0598903e7a5658a77c8ca470e721341"),
     "gated": (
         _gated,
         "5f38ba392f19d0b602e993c6d010fea515406c0dabb28df4c333faa69c8714a4"),
@@ -687,7 +719,7 @@ def test_gated_item_lets_later_items_of_its_process_go_first():
 
 def test_budget_stopped_op_holds_back_its_process():
     # The writer crashes mid-write and a malicious reader lies, so proc 3's
-    # second read spins until per_op_budget stops it. It stays pending, so
+    # second read spins until it is stopped at a lasso. It stays pending, so
     # proc 3's third read is never invoked and the history stays well formed.
     from byzregs import cli
 
@@ -695,12 +727,78 @@ def test_budget_stopped_op_holds_back_its_process():
                                   1803, sim.DEFAULT_STEP_BUDGET, 1500)
     assert [w.proc for w in sc.workload].count(3) == 3
     trace, verdicts = cli.run_and_check(sc)
-    stopped = [op for op in trace.ops if op.reason == "per-op budget"]
+    stopped = [op for op in trace.ops
+               if op.reason and op.reason.startswith("blocked (lasso ")]
     assert [(op.proc, op.status) for op in stopped] == [(3, "pending")]
     assert 5 not in {op.index for op in trace.ops}
     assert sum(e.kind == "invoke" and e.proc == 3 for e in trace.events) == 2
     assert verdicts["wait_freedom"].ok
     assert "outside guarantee" in verdicts["wait_freedom"].explanation
+
+
+# -- lassos in scenario runs -------------------------------------------------
+
+
+def _blocking_boundary():
+    return sim.load_scenario(f"{_SCENARIO_DIR}/blocking_boundary.json")
+
+
+def _sweep_1803():
+    from byzregs import cli
+
+    return cli.build_sweep_scenario("algo1", 3, "writer-crash+one-malicious-reader",
+                                    1803, sim.DEFAULT_STEP_BUDGET, 1500)
+
+
+def _run_outputs(sc):
+    """The pending reasons, trace bytes and verdict bytes that run writes."""
+    from byzregs import cli
+
+    trace, verdicts = cli.run_and_check(sc)
+    return ([op.reason for op in trace.ops if op.status == "pending"],
+            events_to_jsonl(trace.events),
+            cli._json_bytes({name: v.to_json() for name, v in verdicts.items()}))
+
+
+@pytest.mark.parametrize("build", [_blocking_boundary, _sweep_1803])
+def test_scenario_lasso_run_is_a_prefix_of_its_budget_run(monkeypatch, build):
+    reasons, trace, verdicts = _run_outputs(build())
+    assert len(reasons) == 1 and reasons[0].startswith("blocked (lasso ")
+    # With the watch's threshold above the budget the op spins to its budget,
+    # and the run goes on from the same prefix to the same verdicts.
+    monkeypatch.setattr(sim, "LASSO_THRESHOLD", build().per_op_budget + 1)
+    budget_reasons, budget_trace, budget_verdicts = _run_outputs(build())
+    assert budget_reasons == ["per-op budget"]
+    assert len(trace) < len(budget_trace) and budget_trace.startswith(trace)
+    assert verdicts == budget_verdicts
+
+
+def test_no_lasso_counts_before_the_last_step_gate():
+    # Proc 1's read waits for event 1,200, past the 1,011 events at which
+    # proc 3's read is otherwise stopped; the stop waits for the gate.
+    sc = _blocking_boundary()
+    sc.workload.append(sim.WorkItem(1, "read", after_step=1200))
+    tr = sim.run(sc)
+    blocked, gated = tr.ops[1], tr.ops[2]
+    assert blocked.reason.startswith("blocked (lasso ")
+    assert gated.invoke_step == 1200 and gated.status == "completed"
+    assert max(e.step for e in tr.events if e.proc == 3) > gated.invoke_step
+
+
+def test_scripted_run_is_stopped_only_by_its_budget(monkeypatch):
+    # The budget run's resumptions, replayed as picks: proc 3's read passes
+    # LASSO_THRESHOLD but is never watched, so it spins to its budget.
+    sc = _blocking_boundary()
+    picks = []
+    _on_resume(monkeypatch, lambda eng, t: picks.append((t.owner, t.tid)))
+    monkeypatch.setattr(sim, "LASSO_THRESHOLD", sc.per_op_budget + 1)
+    expected = events_to_jsonl(sim.run(sc).events)
+    monkeypatch.undo()
+    sc.schedule = sim.Scripted(tuple(picks))
+    tr = sim.run(sc)
+    read = tr.ops[1]
+    assert (read.status, read.reason, read.steps) == ("pending", "per-op budget", 1500)
+    assert events_to_jsonl(tr.events) == expected
 
 
 def test_after_op_fires_on_budget_stop():
