@@ -181,6 +181,20 @@ class ExecState:
     z: frozenset[int]
 
 
+@dataclass(eq=False)
+class _Plan:
+    """A plan as its search's table keeps it; never its events."""
+
+    phases: list  # the fresh read last
+    accesses: int
+    read: OpResult  # the fresh read's record
+    actions: Optional[tuple] = None  # the fresh reader's, once asked for
+
+    @property
+    def marker(self) -> bool:
+        return isinstance(self.read.ret, SeqTuple) and self.read.ret.u == MARKER
+
+
 class SearchEnd(Exception):
     """Raised to end the search; attack_search returns it. Subclasses keep
     identity equality (eq=False), so they stay hashable like any exception."""
@@ -227,6 +241,13 @@ class _Search:
         self.stage_budget = stage_budget
         self.spent = 0
         self.log: list[str] = []
+        # The plans this search has run, so that each runs once. A key names
+        # a script by its id, so every script must be canonical: reset
+        # scripts are made once per proc, and a recorded one is its plan's
+        # `actions`. A plan's phases hold its key's scripts, so no other
+        # script can take one of their ids while the search lives.
+        self.plans: dict[tuple, _Plan] = {}
+        self.resets = {p: reset_script(self.inst0.specs, p) for p in self.readers}
         # Execution S: the writer's register steps s^1..s^m.
         self.steps, _ = record_solo_write(name, n, stage_budget)
         self.note(f"S: solo write took {len(self.steps)} register steps")
@@ -234,14 +255,23 @@ class _Search:
     def note(self, msg: str) -> None:
         self.log.append(msg)
 
-    def fresh(self, phases: list, reader: int, stage: str):
-        """Run the phases plus a fresh read by reader. Returns the plan and
-        whether the read returned the marker; a read still pending at the
-        stage budget raises a BlockedWitness."""
-        res = run_plan(self.name, self.n, phases + [FreshRead(reader)],
-                       self.stage_budget)
-        self.spent += res.accesses
-        read = res.ops[-1]
+    def fresh(self, phases: list, reader: int,
+              stage: str) -> tuple[_Plan, Optional[PlanResult]]:
+        """Request the phases plus a fresh read by reader. A plan runs the
+        first time the search requests it and is recalled from the table
+        after that; either way its accesses are charged and the same notes
+        are written. Returns the plan and, if this request ran it, its
+        result. A read still pending at the stage budget raises a
+        BlockedWitness."""
+        phases = phases + [FreshRead(reader)]
+        key = self._key(phases)
+        plan = self.plans.get(key)
+        res = None
+        if plan is None:
+            res = run_plan(self.name, self.n, phases, self.stage_budget)
+            plan = self.plans[key] = _Plan(phases, res.accesses, res.ops[-1])
+        self.spent += plan.accesses
+        read = plan.read
         if read.status != "completed":
             self.note(f"{stage}: read by {reader} blocked")
             if read.reason == "per-op budget":
@@ -250,37 +280,69 @@ class _Search:
             else:
                 why = (f"never completes: {read.reason}, a fair cycle that "
                        "repeats forever")
-            raise BlockedWitness(stage, res.events, reader,
+            raise BlockedWitness(stage, self.events(plan, res), reader,
                                  f"read by correct process {reader} {why}",
                                  self.log)
-        if isinstance(read.ret, SeqTuple) and read.ret.u == MARKER:
-            return res, True
-        self.note(f"{stage}: read by {reader} returned {read.ret!r}, not the marker")
-        return res, False
+        if not plan.marker:
+            self.note(f"{stage}: read by {reader} returned {read.ret!r}, "
+                      "not the marker")
+        return plan, res
 
-    def verdicts(self, res: PlanResult, malicious: Optional[int]) -> dict:
+    def _key(self, phases: list) -> tuple:
+        """A plan's table key, made of ints and never of cells: the writer's
+        crash point, each fresh reader, and each script phase's proc and its
+        script's id: a key by value would hash every nested cell of every
+        script on each request."""
+        key = []
+        for ph in phases:
+            if isinstance(ph, ScriptPhase):
+                key.append((ph.proc, id(ph.script)))
+            elif isinstance(ph, WriterPhase):
+                key.append(-1 if ph.crash_after is None else -2 - ph.crash_after)
+            else:
+                key.append(ph.proc)
+        return tuple(key)
+
+    def events(self, plan: _Plan, res: Optional[PlanResult]) -> list[Event]:
+        """The plan's events: those of the request that ran it, or else of
+        a run again, since the table keeps none."""
+        if res is None:
+            res = run_plan(self.name, self.n, plan.phases, self.stage_budget)
+        return res.events
+
+    def actions(self, plan: _Plan, res: Optional[PlanResult]) -> tuple:
+        """The fresh reader's recorded accesses in the plan, kept from the
+        first request on, so that a script phase replaying them has one
+        identity."""
+        if plan.actions is None:
+            plan.actions = recorded_actions(self.events(plan, res),
+                                            plan.phases[-1].proc)
+        return plan.actions
+
+    def verdicts(self, events: list[Event], malicious: Optional[int]) -> dict:
         """Properties 1 and 2 of a plan's history; only the malicious
         process, if any, is exempt."""
         faults = {p: Correct() for p in [WRITER] + self.readers}
         if malicious is not None:
             faults[malicious] = Malicious(())
-        history = checker.extract_history(res.events, faults)
+        history = checker.extract_history(events, faults)
         return {
             "property1": checker.check_property1(history, True),
             "property2": checker.check_property2(history, True),
         }
 
-    def linearizability_violation(self, res: PlanResult, stage: str,
-                                  malicious: Optional[int]) -> None:
+    def linearizability_violation(self, plan: _Plan, res: Optional[PlanResult],
+                                  stage: str, malicious: Optional[int]) -> None:
         """A C/E-stage read that dodges the marker contradicts the proof's
         linearizability step; raise the witness once the checker confirms
         it."""
-        verdicts = self.verdicts(res, malicious)
+        events = self.events(plan, res)
+        verdicts = self.verdicts(events, malicious)
         for name in ("property2", "property1"):
             v = verdicts[name]
             if not v.ok:
                 raise ViolationWitness(
-                    stage, res.events, v.vclass, v.explanation, self.log
+                    stage, events, v.vclass, v.explanation, self.log
                 )
 
 
@@ -300,6 +362,11 @@ def attack_search(
     (terminal ViolationWitness). Candidates outside the register budget make
     every branch die; that is Exhausted, not an error. Spending more than
     ``budget`` register accesses also ends the search with Exhausted.
+
+    Sibling role assignments ask for many of the same plans, so the search
+    runs each distinct plan once and recalls it when asked again. Every
+    request, run or recalled, is charged its plan's accesses, so the
+    result, stage log and witness are those of re-running every request.
     """
     if n < 3:
         raise ValueError("the impossibility setting needs n >= 3")
@@ -323,9 +390,9 @@ def attack_search(
 def _drive_chain(search: _Search, state: ExecState) -> None:
     """Drive one (q, p) role assignment down from P_{m+1} to P_0."""
     # Establish the base execution A_{k}: fresh read after the writer phase.
-    _, marker = search.fresh([state.w_phase, *state.replays], state.x,
-                             f"A_{state.k}(x={state.x})")
-    if not marker:
+    plan, _ = search.fresh([state.w_phase, *state.replays], state.x,
+                           f"A_{state.k}(x={state.x})")
+    if not plan.marker:
         return  # dead branch
 
     while state.k > 0:
@@ -338,15 +405,16 @@ def _drive_chain(search: _Search, state: ExecState) -> None:
     # P_0: the writer crashed right after its invocation. Its invocation is
     # invisible to everyone, so drop the writer entirely (A_0'): a correct
     # reader reading the marker with zero writer steps breaks Property 1.
-    res, marker = search.fresh(list(state.replays), state.x, "A_0'")
-    if not marker:
+    plan, res = search.fresh(list(state.replays), state.x, "A_0'")
+    if not plan.marker:
         return
-    assert not any(e.proc == WRITER for e in res.events), "writer acted in A_0'"
-    v1 = search.verdicts(res, state.p_role)["property1"]
+    events = search.events(plan, res)
+    assert not any(e.proc == WRITER for e in events), "writer acted in A_0'"
+    v1 = search.verdicts(events, state.p_role)["property1"]
     if v1.ok:  # pragma: no cover - the marker was never written
         raise StagePreconditionFailed("A_0' read the marker yet Property 1 holds")
     search.note(f"A_0': reader {state.x} read the marker with zero writer steps")
-    raise ViolationWitness("A_0'", res.events, v1.vclass, v1.explanation,
+    raise ViolationWitness("A_0'", events, v1.vclass, v1.explanation,
                            search.log)
 
 
@@ -359,8 +427,8 @@ def apply_transformation_chain(search: _Search,
     # B_{k-1}: crash the writer one step earlier, replay, rerun x fresh.
     b_w = WriterPhase(min(k - 1, len(search.steps)))
     b_phases: list = [b_w, *state.replays]
-    res_b, marker = search.fresh(b_phases, state.x, f"B_{k-1}(x={state.x})")
-    if not marker:
+    plan_b, res_b = search.fresh(b_phases, state.x, f"B_{k-1}(x={state.x})")
+    if not plan_b.marker:
         return None
 
     prev_step = search.steps[k - 2] if k >= 2 else None  # s^{k-1}; None = invocation
@@ -375,7 +443,7 @@ def apply_transformation_chain(search: _Search,
         return ExecState(k - 1, b_w, state.replays, state.x, state.p_role,
                          state.z)
 
-    x_actions = recorded_actions(res_b.events, state.x)
+    x_actions = search.actions(plan_b, res_b)
 
     # Subcase 2a hands the read to a silent reader the step is invisible
     # to; subcase 2b applies when the step is invisible to the unconstrained
@@ -398,19 +466,20 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     (s^{k-1} invisible to p_role rather than to r), stages E and F."""
     # C_{k-1}^r: after x's read, malicious p_role resets its registers and
     # the correct silent reader r reads; linearizability forces the marker.
-    c_phases = b_phases + [FreshRead(state.x), ScriptPhase(
-        state.p_role, reset_script(search.inst0.specs, state.p_role))]
-    res_c, marker = search.fresh(c_phases, r, f"C_{k-1}^{r}")
-    if not marker:
-        search.linearizability_violation(res_c, f"C_{k-1}^{r}", state.p_role)
+    c_phases = b_phases + [FreshRead(state.x),
+                           ScriptPhase(state.p_role, search.resets[state.p_role])]
+    plan_c, res_c = search.fresh(c_phases, r, f"C_{k-1}^{r}")
+    if not plan_c.marker:
+        search.linearizability_violation(plan_c, res_c, f"C_{k-1}^{r}",
+                                         state.p_role)
         return None
     # D_{k-1}^r: drop p_role's steps; x replays its recorded read.
     d_w = b_phases[0]
     d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
         ScriptPhase(state.x, x_actions),
     )
-    res_d, marker = search.fresh([d_w, *d_replays], r, f"D_{k-1}^{r}")
-    if not marker:
+    plan_d, res_d = search.fresh([d_w, *d_replays], r, f"D_{k-1}^{r}")
+    if not plan_d.marker:
         return None
     if not subcase_b:
         search.note(f"D_{k-1}^{r}: case 2a; x={r}, malicious role -> {state.x}")
@@ -418,18 +487,18 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
                          z=(state.z - {r}) | {state.p_role})
     # E_{k-1}^r: x (malicious now) resets; the removed reader p_role reads.
     e_phases = [d_w, *d_replays, FreshRead(r),
-                ScriptPhase(state.x, reset_script(search.inst0.specs, state.x))]
-    res_e, marker = search.fresh(e_phases, state.p_role, f"E_{k-1}^{r}")
-    if not marker:
-        search.linearizability_violation(res_e, f"E_{k-1}^{r}", state.x)
+                ScriptPhase(state.x, search.resets[state.x])]
+    plan_e, res_e = search.fresh(e_phases, state.p_role, f"E_{k-1}^{r}")
+    if not plan_e.marker:
+        search.linearizability_violation(plan_e, res_e, f"E_{k-1}^{r}", state.x)
         return None
     # F_{k-1}^r: drop x's steps; r replays its D-read; p_role reads fresh.
-    r_actions = recorded_actions(res_d.events, r)
+    r_actions = search.actions(plan_d, res_d)
     f_replays = tuple(rb for rb in d_replays if rb.proc != state.x) + (
         ScriptPhase(r, r_actions),
     )
-    _, marker = search.fresh([d_w, *f_replays], state.p_role, f"F_{k-1}^{r}")
-    if not marker:
+    plan_f, _ = search.fresh([d_w, *f_replays], state.p_role, f"F_{k-1}^{r}")
+    if not plan_f.marker:
         return None
     search.note(f"F_{k-1}^{r}: case 2b; x={state.p_role}, malicious role -> {r}")
     return ExecState(k - 1, d_w, f_replays, x=state.p_role, p_role=r,

@@ -20,8 +20,9 @@ the trace holds step events; scenario crash faults and the attack harness's
 writer crash are both crash points. A step costs O(1) engine work beyond a
 fork's seeded insertions, a budget stop's walk over the stopped op's threads
 and the lasso watch of an op past LASSO_THRESHOLD steps. A watched state
-costs the cells written since the watch began, each split once, plus the
-live threads' frames and a pass over the state's sequence numbers.
+costs every register: each cell is split once per watch, but every state
+taken looks each cell up in that memo, gathers all sequence numbers and
+hashes the whole skeleton, plus the live threads' frames.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -882,8 +883,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
         if op.status == "pending" and op.reason is None:
             op.reason = reason
     return Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index),
-                 meta={"schedule": "seeded" if seeded else "scripted",
-                       "budget_exhausted": exhausted})
+                 meta={"schedule": "seeded" if seeded else "scripted"})
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ LASSOS = {
 }
 
 
-def _blocked_plan(monkeypatch, n):
-    """The blocked witness of algo1 at n, and the phases of its plan."""
+def _record_plans(monkeypatch) -> list:
+    """The phases of every plan the adversary runs from now on, in order."""
     from byzregs import adversary
 
     plans = []
@@ -191,6 +191,12 @@ def _blocked_plan(monkeypatch, n):
         return run_plan(name, n, phases, stage_budget)
 
     monkeypatch.setattr(adversary, "run_plan", recording)
+    return plans
+
+
+def _blocked_plan(monkeypatch, n):
+    """The blocked witness of algo1 at n, and the phases of its plan."""
+    plans = _record_plans(monkeypatch)
     result = attack_search("algo1", n)
     monkeypatch.undo()
     return result, plans[-1]
@@ -302,6 +308,73 @@ def test_golden_attack(name, n):
     assert _sha256("\n".join(result.stage_log).encode()) == stage_log
     events = getattr(result, "events", None)
     assert (None if events is None else _sha256(events_to_jsonl(events))) == witness
+
+
+# Plans one search requests and runs. Sibling role assignments request the
+# same plans; each distinct one runs once (by value there are 52 and 8, but
+# a recorded script is told apart by its identity, not its value).
+PLAN_REQUESTS_AND_RUNS = {("algo3", 4): (116, 68), ("atomic-1wnr", 4): (24, 8)}
+
+
+@pytest.mark.parametrize("name,n", sorted(PLAN_REQUESTS_AND_RUNS))
+def test_search_runs_each_distinct_plan_once(monkeypatch, name, n):
+    from byzregs.adversary import _Search
+
+    requests = []
+    fresh = _Search.fresh
+
+    def counting(self, phases, reader, stage):
+        requests.append(stage)
+        return fresh(self, phases, reader, stage)
+
+    monkeypatch.setattr(_Search, "fresh", counting)
+    plans = _record_plans(monkeypatch)
+    assert isinstance(attack_search(name, n), Exhausted)
+    assert (len(requests), len(plans)) == PLAN_REQUESTS_AND_RUNS[name, n]
+    # The plans live as long as one search: a second one runs them all again.
+    runs = len(plans)
+    attack_search(name, n)
+    assert len(plans) == 2 * runs
+
+
+def test_a_recalled_plan_runs_again_for_what_its_table_does_not_keep(monkeypatch):
+    from byzregs.adversary import WriterPhase, _Search
+
+    search = _Search("algo3", 3, budget=10**9, stage_budget=1000)
+    plan, res = search.fresh([WriterPhase(2)], 1, "B_2(x=1)")
+    again, none = search.fresh([WriterPhase(2)], 1, "B_2(x=1)")
+    assert (again, none) == (plan, None)
+    assert search.spent == 2 * plan.accesses == 2 * res.accesses
+    # The table keeps no events, so a recalled plan runs again for them; the
+    # reader's accesses are kept once asked for.
+    plans = _record_plans(monkeypatch)
+    actions = search.actions(plan, None)
+    assert actions == recorded_actions(res.events, 1)
+    assert search.actions(plan, None) is actions
+    assert events_to_jsonl(search.events(plan, None)) == events_to_jsonl(res.events)
+    assert len(plans) == 2
+
+
+# algo3 n=4's stage log at small search budgets: lines, reason and sha256.
+# A recalled plan is charged as if it ran, so the search ends where
+# re-running every request would.
+BUDGET_STAGE_LOGS = {
+    50: (5, "budget exhausted",
+         "52c97d7c21b0fef7dce01c4ac9e5cdc1f8a83c9db74af41edb2fb3dfebeb4850"),
+    500: (22, "budget exhausted",
+          "3488e527f6536d0542bd3ccc81374d7fa20bdeedb70af381d7d4bfd4d9e8b71a"),
+    5000: (61, "all branches exhausted",
+           "45c834eb795d69c28c4e64beb89b4f55f8aa2f9f30e564c0a03b3821cc8393f5"),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGET_STAGE_LOGS))
+def test_recalled_plans_are_charged_to_the_search_budget(budget):
+    lines, reason, digest = BUDGET_STAGE_LOGS[budget]
+    result = attack_search("algo3", 4, budget=budget)
+    assert isinstance(result, Exhausted)
+    assert (len(result.stage_log), result.reason) == (lines, reason)
+    assert _sha256("\n".join(result.stage_log).encode()) == digest
 
 
 def test_apply_transformation_single_step():

@@ -431,8 +431,9 @@ def test_step_budget_marks_pending():
         sim.WorkItem(1, "read"),
     ], step_budget=4)
     tr = sim.run(sc)
-    assert tr.meta["budget_exhausted"]
-    assert any(op.status == "pending" for op in tr.ops)
+    assert len(tr.events) == 4
+    assert [(op.status, op.reason) for op in tr.ops] == [
+        ("pending", "step budget"), ("pending", "step budget")]
 
 
 def test_scenario_json_roundtrip():
