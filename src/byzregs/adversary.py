@@ -20,8 +20,8 @@ from typing import Optional
 
 from . import checker
 from .core import Correct, Event, Malicious, RegisterSpec, SeqTuple
-from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_THM2,
-                            RULE_UNRESTRICTED, WRITER, build_instance)
+from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_UNRESTRICTED,
+                            WRITER, build_instance)
 from .sim import Engine, OpResult, reset_script
 
 MARKER: bytes = b"\x01"
@@ -67,10 +67,9 @@ def build_candidate(name: str, n: int):
     once per (table entry, n)."""
     inst = build_instance(name, n)
     impl = IMPLEMENTATIONS[name]
-    if impl.rule in (RULE_THM1, RULE_THM2) and (impl, n) not in _WITHIN_BUDGET:
+    if impl.rule == RULE_THM1 and (impl, n) not in _WITHIN_BUDGET:
         for spec in inst.specs:
-            limit = n - 1 if (spec.writer == WRITER or impl.rule == RULE_THM1) else n
-            if len(spec.readers) > limit:
+            if len(spec.readers) > n - 1:
                 raise ValueError(
                     f"candidate {name}: register {spec.reg_id} readable by "
                     f"{len(spec.readers)} readers exceeds the {impl.rule} budget"
@@ -80,21 +79,18 @@ def build_candidate(name: str, n: int):
 
 
 def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
-    """Execution S: a complete solo Write of the marker, readers silent.
+    """Execution S: a complete solo Write of the marker, readers silent, run
+    as every plan's writer phase runs.
 
     Returns (steps, events) where steps are the writer's register access
     events s^1..s^m in order.
     """
-    inst = build_candidate(name, n)
-    eng = Engine(inst.by_id)
-    op = eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
-    eng.run_queue(step_budget=budget)
-    if op.status != "completed":
-        raise WriterBlocked(
-            f"candidate {name}: solo write did not finish within {budget} steps"
-        )
-    steps = [e for e in eng.events if e.kind in ("reg_read", "reg_write")]
-    return steps, eng.events
+    res = run_plan(name, n, [WriterPhase(None)], budget)
+    if res.ops[0].status != "completed":
+        raise WriterBlocked(f"candidate {name}: solo write did not finish "
+                            f"within {budget} steps")
+    steps = [e for e in res.events if e.kind in ("reg_read", "reg_write")]
+    return steps, res.events
 
 
 def invisible_to(step: Optional[Event], specs: dict[str, RegisterSpec],
@@ -171,24 +167,23 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
 
 @dataclass
 class ExecState:
-    """An execution with property P_k, in phase form."""
+    """An execution with property P_k, in phase form: the writer crashed
+    after k of its m register steps (not at all if k > m), then the replays,
+    and every reader but x and p_role silent."""
 
     k: int
-    w_phase: WriterPhase
-    replays: tuple[ScriptPhase, ...]  # recorded accesses, replayed
+    replays: tuple[ScriptPhase, ...]  # p_role's recorded read, if any
     x: int  # the correct reader that read the marker
     p_role: int  # the unconstrained (possibly malicious) reader
-    z: frozenset[int]
 
 
 @dataclass(eq=False)
 class _Plan:
-    """A plan as its search's table keeps it; never its events."""
+    """A plan as its search keeps it; never its phases or events."""
 
-    phases: list  # the fresh read last
     accesses: int
     read: OpResult  # the fresh read's record
-    actions: Optional[tuple] = None  # the fresh reader's, once asked for
+    actions: Optional[tuple] = None  # the fresh reader's, if its stage keeps them
 
     @property
     def marker(self) -> bool:
@@ -230,6 +225,11 @@ AttackResult = ViolationWitness | BlockedWitness | Exhausted
 
 
 class _Search:
+    """One search: its budgets, stage log, the solo write's steps and the
+    plans it has run, so that each runs once. A plan's key names a script by
+    its id, so every script is canonical: reset scripts are made once per
+    proc, and recorded ones are interned by value for the search's life."""
+
     def __init__(self, name: str, n: int, budget: int, stage_budget: int):
         self.name = name
         self.n = n
@@ -241,58 +241,72 @@ class _Search:
         self.stage_budget = stage_budget
         self.spent = 0
         self.log: list[str] = []
-        # The plans this search has run, so that each runs once. A key names
-        # a script by its id, so every script must be canonical: reset
-        # scripts are made once per proc, and a recorded one is its plan's
-        # `actions`. A plan's phases hold its key's scripts, so no other
-        # script can take one of their ids while the search lives.
         self.plans: dict[tuple, _Plan] = {}
+        self.scripts: dict[tuple, tuple] = {}  # recorded script -> its first copy
         self.resets = {p: reset_script(self.inst0.specs, p) for p in self.readers}
         # Execution S: the writer's register steps s^1..s^m.
         self.steps, _ = record_solo_write(name, n, stage_budget)
-        self.note(f"S: solo write took {len(self.steps)} register steps")
+        self.log.append(f"S: solo write took {len(self.steps)} register steps")
 
-    def note(self, msg: str) -> None:
-        self.log.append(msg)
+    def writer(self, k: int) -> WriterPhase:
+        """P_k's writer phase: crashed after k register steps, or complete
+        when k is past the last one."""
+        return WriterPhase(None if k > len(self.steps) else k)
 
-    def fresh(self, phases: list, reader: int,
-              stage: str) -> tuple[_Plan, Optional[PlanResult]]:
+    def fresh(self, phases: list, reader: int, stage: str, record: bool = False,
+              malicious: Optional[int] = None) -> _Plan:
         """Request the phases plus a fresh read by reader. A plan runs the
-        first time the search requests it and is recalled from the table
-        after that; either way its accesses are charged and the same notes
-        are written. Returns the plan and, if this request ran it, its
-        result. A read still pending at the stage budget raises a
-        BlockedWitness."""
+        first time the search requests it and is recalled after that; either
+        way its accesses are charged and the same notes are written. With
+        record, a plan reading the marker keeps the reader's accesses.
+
+        Only a first run can end the search: a read still pending at the
+        stage budget raises a BlockedWitness, and a read that dodges the
+        marker with only malicious exempt raises a ViolationWitness once the
+        checker confirms it. A recalled plan's key fixes its phases, hence
+        its malicious process and verdict: its first run raised nothing."""
         phases = phases + [FreshRead(reader)]
         key = self._key(phases)
         plan = self.plans.get(key)
         res = None
         if plan is None:
             res = run_plan(self.name, self.n, phases, self.stage_budget)
-            plan = self.plans[key] = _Plan(phases, res.accesses, res.ops[-1])
+            plan = self.plans[key] = _Plan(res.accesses, res.ops[-1])
+            if record and plan.marker:
+                actions = recorded_actions(res.events, reader)
+                plan.actions = self.scripts.setdefault(actions, actions)
+        elif record and plan.marker and plan.actions is None:
+            raise StagePreconditionFailed(
+                f"{stage}: the plan's first run kept no accesses to replay")
         self.spent += plan.accesses
         read = plan.read
-        if read.status != "completed":
-            self.note(f"{stage}: read by {reader} blocked")
+        if read.status != "completed":  # a first run: it ends the search
+            self.log.append(f"{stage}: read by {reader} blocked")
             if read.reason == "per-op budget":
                 why = (f"still pending after {self.stage_budget} of its steps "
                        "under a fair schedule")
             else:
                 why = (f"never completes: {read.reason}, a fair cycle that "
                        "repeats forever")
-            raise BlockedWitness(stage, self.events(plan, res), reader,
+            raise BlockedWitness(stage, res.events, reader,
                                  f"read by correct process {reader} {why}",
                                  self.log)
         if not plan.marker:
-            self.note(f"{stage}: read by {reader} returned {read.ret!r}, "
-                      "not the marker")
-        return plan, res
+            self.log.append(f"{stage}: read by {reader} returned {read.ret!r}, "
+                            "not the marker")
+            if res is not None and malicious is not None:
+                # A C/E-stage read that dodges the marker contradicts the
+                # proof's linearizability step.
+                for v in self.verdicts(res.events, malicious):
+                    if not v.ok:
+                        raise ViolationWitness(stage, res.events, v.vclass,
+                                               v.explanation, self.log)
+        return plan
 
     def _key(self, phases: list) -> tuple:
         """A plan's table key, made of ints and never of cells: the writer's
         crash point, each fresh reader, and each script phase's proc and its
-        script's id: a key by value would hash every nested cell of every
-        script on each request."""
+        canonical script's id, which stands for the script's value."""
         key = []
         for ph in phases:
             if isinstance(ph, ScriptPhase):
@@ -303,47 +317,15 @@ class _Search:
                 key.append(ph.proc)
         return tuple(key)
 
-    def events(self, plan: _Plan, res: Optional[PlanResult]) -> list[Event]:
-        """The plan's events: those of the request that ran it, or else of
-        a run again, since the table keeps none."""
-        if res is None:
-            res = run_plan(self.name, self.n, plan.phases, self.stage_budget)
-        return res.events
-
-    def actions(self, plan: _Plan, res: Optional[PlanResult]) -> tuple:
-        """The fresh reader's recorded accesses in the plan, kept from the
-        first request on, so that a script phase replaying them has one
-        identity."""
-        if plan.actions is None:
-            plan.actions = recorded_actions(self.events(plan, res),
-                                            plan.phases[-1].proc)
-        return plan.actions
-
-    def verdicts(self, events: list[Event], malicious: Optional[int]) -> dict:
-        """Properties 1 and 2 of a plan's history; only the malicious
+    def verdicts(self, events: list[Event], malicious: Optional[int]) -> tuple:
+        """Properties 2 and 1 of a plan's history; only the malicious
         process, if any, is exempt."""
         faults = {p: Correct() for p in [WRITER] + self.readers}
         if malicious is not None:
             faults[malicious] = Malicious(())
         history = checker.extract_history(events, faults)
-        return {
-            "property1": checker.check_property1(history, True),
-            "property2": checker.check_property2(history, True),
-        }
-
-    def linearizability_violation(self, plan: _Plan, res: Optional[PlanResult],
-                                  stage: str, malicious: Optional[int]) -> None:
-        """A C/E-stage read that dodges the marker contradicts the proof's
-        linearizability step; raise the witness once the checker confirms
-        it."""
-        events = self.events(plan, res)
-        verdicts = self.verdicts(events, malicious)
-        for name in ("property2", "property1"):
-            v = verdicts[name]
-            if not v.ok:
-                raise ViolationWitness(
-                    stage, events, v.vclass, v.explanation, self.log
-                )
+        return (checker.check_property2(history, True),
+                checker.check_property1(history, True))
 
 
 def attack_search(
@@ -364,9 +346,13 @@ def attack_search(
     ``budget`` register accesses also ends the search with Exhausted.
 
     Sibling role assignments ask for many of the same plans, so the search
-    runs each distinct plan once and recalls it when asked again. Every
-    request, run or recalled, is charged its plan's accesses, so the
-    result, stage log and witness are those of re-running every request.
+    runs each distinct plan once and recalls it when asked again; recorded
+    scripts are interned, so a plan is told apart by value. A plan keeps
+    only its accesses, its fresh read's record and, where a stage replays
+    them, the reader's recorded accesses. Every request, run or recalled,
+    is charged its plan's accesses, so the result, stage log and witness
+    are those of re-running every request; only a first run can end the
+    search.
     """
     if n < 3:
         raise ValueError("the impossibility setting needs n >= 3")
@@ -377,9 +363,8 @@ def attack_search(
     try:
         for q0 in search.readers:
             for p0 in [r for r in search.readers if r != q0]:
-                _drive_chain(search, ExecState(
-                    len(search.steps) + 1, WriterPhase(None), (), x=q0,
-                    p_role=p0, z=frozenset(search.readers) - {q0, p0}))
+                _drive_chain(search, ExecState(len(search.steps) + 1, (),
+                                               x=q0, p_role=p0))
         raise Exhausted("all branches exhausted", search.log)
     except SearchEnd as end:
         # Returned as a value: drop the traceback, which would pin every
@@ -390,8 +375,8 @@ def attack_search(
 def _drive_chain(search: _Search, state: ExecState) -> None:
     """Drive one (q, p) role assignment down from P_{m+1} to P_0."""
     # Establish the base execution A_{k}: fresh read after the writer phase.
-    plan, _ = search.fresh([state.w_phase, *state.replays], state.x,
-                           f"A_{state.k}(x={state.x})")
+    plan = search.fresh([search.writer(state.k), *state.replays], state.x,
+                        f"A_{state.k}(x={state.x})")
     if not plan.marker:
         return  # dead branch
 
@@ -405,15 +390,17 @@ def _drive_chain(search: _Search, state: ExecState) -> None:
     # P_0: the writer crashed right after its invocation. Its invocation is
     # invisible to everyone, so drop the writer entirely (A_0'): a correct
     # reader reading the marker with zero writer steps breaks Property 1.
-    plan, res = search.fresh(list(state.replays), state.x, "A_0'")
-    if not plan.marker:
+    phases = list(state.replays)
+    if not search.fresh(phases, state.x, "A_0'").marker:
         return
-    events = search.events(plan, res)
+    # The plan keeps no events, so its tiny run is made again for them.
+    events = run_plan(search.name, search.n, phases + [FreshRead(state.x)],
+                      search.stage_budget).events
     assert not any(e.proc == WRITER for e in events), "writer acted in A_0'"
-    v1 = search.verdicts(events, state.p_role)["property1"]
+    v1 = search.verdicts(events, state.p_role)[1]
     if v1.ok:  # pragma: no cover - the marker was never written
         raise StagePreconditionFailed("A_0' read the marker yet Property 1 holds")
-    search.note(f"A_0': reader {state.x} read the marker with zero writer steps")
+    search.log.append(f"A_0': reader {state.x} read the marker with zero writer steps")
     raise ViolationWitness("A_0'", events, v1.vclass, v1.explanation,
                            search.log)
 
@@ -424,82 +411,67 @@ def apply_transformation_chain(search: _Search,
     P_{k-1}, or None when every branch dies. A witness found on the way
     ends the search."""
     k = state.k
-    # B_{k-1}: crash the writer one step earlier, replay, rerun x fresh.
-    b_w = WriterPhase(min(k - 1, len(search.steps)))
-    b_phases: list = [b_w, *state.replays]
-    plan_b, res_b = search.fresh(b_phases, state.x, f"B_{k-1}(x={state.x})")
+    prev_step = search.steps[k - 2] if k >= 2 else None  # s^{k-1}; None = invocation
+    inv = invisible_to(prev_step, search.specs, search.readers)
+    case1 = prev_step is None or state.x in inv
+    # B_{k-1}: crash the writer one step earlier, replay, rerun x fresh; in
+    # case 2, x's read is replayed next.
+    b_phases: list = [search.writer(k - 1), *state.replays]
+    plan_b = search.fresh(b_phases, state.x, f"B_{k-1}(x={state.x})",
+                          record=not case1)
     if not plan_b.marker:
         return None
 
-    prev_step = search.steps[k - 2] if k >= 2 else None  # s^{k-1}; None = invocation
-    inv = invisible_to(prev_step, search.specs, search.readers)
     if not inv and search.rule != RULE_UNRESTRICTED:
         raise StagePreconditionFailed(
             f"step s^{k-1} visible to every reader despite the register budget"
         )
 
-    if prev_step is None or state.x in inv:
-        search.note(f"B_{k-1}: s^{k-1} invisible to {state.x}; case 1")
-        return ExecState(k - 1, b_w, state.replays, state.x, state.p_role,
-                         state.z)
-
-    x_actions = search.actions(plan_b, res_b)
+    if case1:
+        search.log.append(f"B_{k-1}: s^{k-1} invisible to {state.x}; case 1")
+        return ExecState(k - 1, state.replays, state.x, state.p_role)
 
     # Subcase 2a hands the read to a silent reader the step is invisible
     # to; subcase 2b applies when the step is invisible to the unconstrained
     # reader, and then any silent reader will do.
-    tries = [(r, False) for r in sorted(inv & state.z)]
+    silent = frozenset(search.readers) - {state.x, state.p_role}
+    tries = [(r, False) for r in sorted(inv & silent)]
     if state.p_role in inv:
-        tries += [(r, True) for r in sorted(state.z)]
+        tries += [(r, True) for r in sorted(silent)]
     for r, subcase_b in tries:
-        nxt = _try_case2(search, state, b_phases, x_actions, r, k, subcase_b)
+        nxt = _try_case2(search, state, b_phases, plan_b.actions, r, subcase_b)
         if nxt is not None:
             return nxt
-    search.note(f"B_{k-1}: no eligible reader for s^{k-1}; branch dead")
+    search.log.append(f"B_{k-1}: no eligible reader for s^{k-1}; branch dead")
     return None
 
 
 def _try_case2(search: _Search, state: ExecState, b_phases: list,
-               x_actions: tuple, r: int, k: int,
-               subcase_b: bool) -> Optional[ExecState]:
+               x_actions: tuple, r: int, subcase_b: bool) -> Optional[ExecState]:
     """Case 2 with the silent reader r: stages C and D, then, in subcase 2b
     (s^{k-1} invisible to p_role rather than to r), stages E and F."""
-    # C_{k-1}^r: after x's read, malicious p_role resets its registers and
-    # the correct silent reader r reads; linearizability forces the marker.
-    c_phases = b_phases + [FreshRead(state.x),
-                           ScriptPhase(state.p_role, search.resets[state.p_role])]
-    plan_c, res_c = search.fresh(c_phases, r, f"C_{k-1}^{r}")
-    if not plan_c.marker:
-        search.linearizability_violation(plan_c, res_c, f"C_{k-1}^{r}",
-                                         state.p_role)
+    k, x, p = state.k, state.x, state.p_role
+    w = b_phases[0]
+    # C_{k-1}^r: after x's read, malicious p resets its registers and the
+    # correct silent reader r reads; linearizability forces the marker.
+    c_phases = b_phases + [FreshRead(x), ScriptPhase(p, search.resets[p])]
+    if not search.fresh(c_phases, r, f"C_{k-1}^{r}", malicious=p).marker:
         return None
-    # D_{k-1}^r: drop p_role's steps; x replays its recorded read.
-    d_w = b_phases[0]
-    d_replays = tuple(rb for rb in state.replays if rb.proc != state.p_role) + (
-        ScriptPhase(state.x, x_actions),
-    )
-    plan_d, res_d = search.fresh([d_w, *d_replays], r, f"D_{k-1}^{r}")
+    # D_{k-1}^r: drop p's steps; x replays its recorded read.
+    d_replay = ScriptPhase(x, x_actions)
+    plan_d = search.fresh([w, d_replay], r, f"D_{k-1}^{r}", record=subcase_b)
     if not plan_d.marker:
         return None
     if not subcase_b:
-        search.note(f"D_{k-1}^{r}: case 2a; x={r}, malicious role -> {state.x}")
-        return ExecState(k - 1, d_w, d_replays, x=r, p_role=state.x,
-                         z=(state.z - {r}) | {state.p_role})
-    # E_{k-1}^r: x (malicious now) resets; the removed reader p_role reads.
-    e_phases = [d_w, *d_replays, FreshRead(r),
-                ScriptPhase(state.x, search.resets[state.x])]
-    plan_e, res_e = search.fresh(e_phases, state.p_role, f"E_{k-1}^{r}")
-    if not plan_e.marker:
-        search.linearizability_violation(plan_e, res_e, f"E_{k-1}^{r}", state.x)
+        search.log.append(f"D_{k-1}^{r}: case 2a; x={r}, malicious role -> {x}")
+        return ExecState(k - 1, (d_replay,), x=r, p_role=x)
+    # E_{k-1}^r: x (malicious now) resets; the removed reader p reads.
+    e_phases = [w, d_replay, FreshRead(r), ScriptPhase(x, search.resets[x])]
+    if not search.fresh(e_phases, p, f"E_{k-1}^{r}", malicious=x).marker:
         return None
-    # F_{k-1}^r: drop x's steps; r replays its D-read; p_role reads fresh.
-    r_actions = search.actions(plan_d, res_d)
-    f_replays = tuple(rb for rb in d_replays if rb.proc != state.x) + (
-        ScriptPhase(r, r_actions),
-    )
-    plan_f, _ = search.fresh([d_w, *f_replays], state.p_role, f"F_{k-1}^{r}")
-    if not plan_f.marker:
+    # F_{k-1}^r: drop x's steps; r replays its D-read; p reads fresh.
+    f_replay = ScriptPhase(r, plan_d.actions)
+    if not search.fresh([w, f_replay], p, f"F_{k-1}^{r}").marker:
         return None
-    search.note(f"F_{k-1}^{r}: case 2b; x={state.p_role}, malicious role -> {r}")
-    return ExecState(k - 1, d_w, f_replays, x=state.p_role, p_role=r,
-                     z=(state.z - {r}) | {state.x})
+    search.log.append(f"F_{k-1}^{r}: case 2b; x={p}, malicious role -> {r}")
+    return ExecState(k - 1, (f_replay,), x=p, p_role=r)

@@ -477,7 +477,6 @@ class AtomicOneWNR(Layout):
 
 # Register budgets the attack harness enforces on an implementation.
 RULE_THM1 = "thm1"  # writer and readers limited to 1W(n-1)R registers
-RULE_THM2 = "thm2"  # readers may additionally own 1WnR registers
 RULE_UNRESTRICTED = "unrestricted"  # control candidates only
 
 

@@ -179,7 +179,7 @@ class _Thread:
         "pending",
         "op",
         "frame",
-        "child_frames",
+        "child",
         "parked",
         "cancelled",
         "done",
@@ -192,7 +192,8 @@ class _Thread:
         self.pending = None
         self.op = op
         self.frame: Optional[_JoinFrame] = None
-        self.child_frames: list[_JoinFrame] = []
+        # Its last fork's frame: it forks only unparked, so older ones are resolved.
+        self.child: Optional[_JoinFrame] = None
         self.parked = False
         self.cancelled = False
         self.done = False
@@ -324,11 +325,11 @@ class Engine:
 
     def _cancel_subtree(self, t: _Thread) -> None:
         t.cancelled = True
-        for fr in t.child_frames:
-            if not fr.resolved:
-                fr.resolved = True
-                for b in fr.branches:
-                    self._cancel_subtree(b)
+        fr = t.child
+        if fr is not None and not fr.resolved:
+            fr.resolved = True
+            for b in fr.branches:
+                self._cancel_subtree(b)
 
     def _on_return(self, t: _Thread, value) -> None:
         t.done = True
@@ -386,7 +387,7 @@ class Engine:
                 b.frame = fr
                 fr.branches.append(b)
                 self.threads[(owner, b.tid)] = b
-            t.child_frames.append(fr)
+            t.child = fr
             t.parked = True
             queue = self.queue
             for b in fr.branches:
@@ -652,7 +653,7 @@ class _Lasso:
         while todo:
             u, name = todo.pop()
             names[u] = name
-            fr = u.child_frames[-1] if u.child_frames else None
+            fr = u.child
             if fr is not None and fr.resolved:
                 fr = None
             threads.append((name, u.parked, u.pending,

@@ -311,9 +311,9 @@ def test_golden_attack(name, n):
 
 
 # Plans one search requests and runs. Sibling role assignments request the
-# same plans; each distinct one runs once (by value there are 52 and 8, but
-# a recorded script is told apart by its identity, not its value).
-PLAN_REQUESTS_AND_RUNS = {("algo3", 4): (116, 68), ("atomic-1wnr", 4): (24, 8)}
+# same plans; each of the 52 and 8 distinct by value runs once, and the
+# solo write runs as one more plan.
+PLAN_REQUESTS_AND_RUNS = {("algo3", 4): (116, 53), ("atomic-1wnr", 4): (24, 9)}
 
 
 @pytest.mark.parametrize("name,n", sorted(PLAN_REQUESTS_AND_RUNS))
@@ -323,9 +323,9 @@ def test_search_runs_each_distinct_plan_once(monkeypatch, name, n):
     requests = []
     fresh = _Search.fresh
 
-    def counting(self, phases, reader, stage):
+    def counting(self, phases, reader, stage, **keep):
         requests.append(stage)
-        return fresh(self, phases, reader, stage)
+        return fresh(self, phases, reader, stage, **keep)
 
     monkeypatch.setattr(_Search, "fresh", counting)
     plans = _record_plans(monkeypatch)
@@ -337,22 +337,30 @@ def test_search_runs_each_distinct_plan_once(monkeypatch, name, n):
     assert len(plans) == 2 * runs
 
 
-def test_a_recalled_plan_runs_again_for_what_its_table_does_not_keep(monkeypatch):
-    from byzregs.adversary import WriterPhase, _Search
+def test_a_recalled_plan_is_charged_but_not_run_again(monkeypatch):
+    from byzregs.adversary import FreshRead, WriterPhase, _Search, run_plan
 
     search = _Search("algo3", 3, budget=10**9, stage_budget=1000)
-    plan, res = search.fresh([WriterPhase(2)], 1, "B_2(x=1)")
-    again, none = search.fresh([WriterPhase(2)], 1, "B_2(x=1)")
-    assert (again, none) == (plan, None)
-    assert search.spent == 2 * plan.accesses == 2 * res.accesses
-    # The table keeps no events, so a recalled plan runs again for them; the
-    # reader's accesses are kept once asked for.
     plans = _record_plans(monkeypatch)
-    actions = search.actions(plan, None)
-    assert actions == recorded_actions(res.events, 1)
-    assert search.actions(plan, None) is actions
-    assert events_to_jsonl(search.events(plan, None)) == events_to_jsonl(res.events)
-    assert len(plans) == 2
+    plan = search.fresh([WriterPhase(2)], 1, "B_2(x=1)", record=True)
+    assert search.fresh([WriterPhase(2)], 1, "B_2(x=1)", record=True) is plan
+    assert len(plans) == 1
+    assert plan.marker and search.spent == 2 * plan.accesses
+    # What the plan keeps is what a fresh run of its phases gives.
+    res = run_plan("algo3", 3, [WriterPhase(2), FreshRead(1)], 1000)
+    assert plan.accesses == res.accesses
+    assert plan.actions == recorded_actions(res.events, 1)
+
+
+def test_a_recalled_plan_never_runs_again_for_accesses_it_did_not_keep():
+    from byzregs.adversary import StagePreconditionFailed, WriterPhase, _Search
+
+    # A stage that replays a plan's read asks to keep it on every request,
+    # so a recall that lacks it is a harness bug, not a reason to re-run.
+    search = _Search("algo3", 3, budget=10**9, stage_budget=1000)
+    assert search.fresh([WriterPhase(2)], 1, "B_2(x=1)").marker
+    with pytest.raises(StagePreconditionFailed):
+        search.fresh([WriterPhase(2)], 1, "B_2(x=1)", record=True)
 
 
 # algo3 n=4's stage log at small search budgets: lines, reason and sha256.
@@ -396,12 +404,14 @@ def test_apply_transformation_single_step():
     ]
     for p_role, silent, log, roles in cases:
         search = _Search("naive-gossip", 3, budget=10**9, stage_budget=1000)
-        base = ExecState(k=2, w_phase=WriterPhase(None), replays=(),
-                         x=1, p_role=p_role, z=frozenset({silent}))
+        assert search.writer(2) == WriterPhase(None)  # k = 2 is past m = 1
+        base = ExecState(k=2, replays=(), x=1, p_role=p_role)
+        assert set(search.readers) - {base.x, base.p_role} == {silent}
         out = apply_transformation_chain(search, base)
         assert isinstance(out, ExecState)
         assert out.k == 1
         assert (out.x, out.p_role) == roles
+        assert [ph.proc for ph in out.replays] == [out.p_role]
         assert search.log == ["S: solo write took 1 register steps", log]
 
 
@@ -420,6 +430,21 @@ def test_writer_phase_crashes_after_its_accesses(name):
     full = run_plan(name, 3, [WriterPhase(None)], 1000)
     assert events_to_jsonl(full.events) == events_to_jsonl(solo)
     assert solo[-1].kind == "respond" and full.accesses == len(steps)
+
+
+@pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3"])
+def test_solo_write_has_a_writer_phase_budget(name):
+    # The solo write is a plan's writer phase: m register steps and the
+    # response fit a budget of m + 1, as every plan's writer phase allows.
+    from byzregs.adversary import WriterBlocked, WriterPhase, run_plan
+
+    m = len(record_solo_write(name, 3)[0])
+    steps, events = record_solo_write(name, 3, budget=m + 1)
+    phase = run_plan(name, 3, [WriterPhase(None)], m + 1)
+    assert len(steps) == m
+    assert events_to_jsonl(events) == events_to_jsonl(phase.events)
+    with pytest.raises(WriterBlocked):
+        record_solo_write(name, 3, budget=m)
 
 
 def test_writer_blocked_when_solo_write_spins(monkeypatch):
