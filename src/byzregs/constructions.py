@@ -105,7 +105,8 @@ class _Algo1Run(list):
     last_written for w, previous_k for p."""
 
     def key(self) -> tuple:
-        return tuple(v.key() for v in self)
+        # A level's Vars holds no signature oracle, so its key is its values.
+        return tuple([tuple(vars(v).values()) for v in self])
 
 
 class Algo1Level:

@@ -263,18 +263,22 @@ def _ret_text(ret, memo: dict) -> str:
 
 def events_to_jsonl(events: Iterable[Event]) -> bytes:
     """One canonical JSON line per event. A cell shared by several events, or
-    nested in an outer cell, is encoded once per call."""
+    nested in an outer cell, is encoded once per call, and so is the text of
+    each (kind, op, proc, reg)."""
     events = list(events)  # keeps alive every object whose id the memo holds
     memo: dict[int, str] = {}
-    lines = [
-        f'{{"arg":{"null" if e.arg is None else _payload_text(e.arg, memo)},'
-        f'"kind":{_json_scalar(e.kind)},"op":{_json_scalar(e.op)},'
-        f'"proc":{_json_scalar(e.proc)},"reg":{_json_scalar(e.reg)},'
-        f'"ret":{_ret_text(e.ret, memo)},"step":{_json_scalar(e.step)},'
-        f'"thread":{_json_scalar(e.thread)},'
-        f'"value":{"null" if e.value is None else _cell_text(e.value, memo)}}}'
-        for e in events
-    ]
+    heads: dict[tuple, str] = {}
+    lines = []
+    for e in events:
+        head = heads.get((e.kind, e.op, e.proc, e.reg))
+        if head is None:
+            head = heads[e.kind, e.op, e.proc, e.reg] = (
+                f'"kind":{_json_scalar(e.kind)},"op":{_json_scalar(e.op)},'
+                f'"proc":{_json_scalar(e.proc)},"reg":{_json_scalar(e.reg)},')
+        lines.append(
+            f'{{"arg":{"null" if e.arg is None else _payload_text(e.arg, memo)},{head}'
+            f'"ret":{_ret_text(e.ret, memo)},"step":{e.step},"thread":{e.thread},'
+            f'"value":{"null" if e.value is None else _cell_text(e.value, memo)}}}')
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 

@@ -18,11 +18,15 @@ scenarios (the queue's head, after workload admission), scripted picks and
 the attack harness's phases. A crash point (step, proc) crashes proc once
 the trace holds step events; scenario crash faults and the attack harness's
 writer crash are both crash points. A step costs O(1) engine work beyond a
-fork's seeded insertions, a budget stop's walk over the stopped op's threads
-and the lasso watch of an op past LASSO_THRESHOLD steps. A watched state
-costs every register: each cell is split once per watch, but every state
-taken looks each cell up in that memo, gathers all sequence numbers and
-hashes the whole skeleton, plus the live threads' frames.
+fork's seeded insertions, a budget stop's walk over the stopped op's threads,
+a crash marker's look back for its process's last event and the lasso watch
+of an op past LASSO_THRESHOLD steps. A watch splits every register at the
+first state it takes. A later state splits again only what changed since
+the one before: the registers that events since then wrote, and the state
+key items (algo1's levels), thread heads and generator frames whose values
+differ. Each part is hashed once, so a state still costs a look at every
+live frame and one step per part and per sequence number to gather and rank
+them, but no walk through the cells nested in a register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -88,6 +92,7 @@ from typing import Generator, Iterable, Optional, Union
 from . import constructions
 from .constructions import WRITER, reader_ids
 from .core import (
+    AccessViolation,
     Commit,
     Correct,
     Crash,
@@ -210,6 +215,7 @@ class _JoinFrame:
 
 
 _SPLIT = (SeqTuple, Commit, Prepare, Plain, Signed)  # what _split memoizes
+_NESTED = (tuple, *_SPLIT)  # what _split does not keep as it is
 _SEQ = object()  # stands for a sequence number in a fingerprint's skeleton
 
 
@@ -242,7 +248,6 @@ class Engine:
         self._next_crash = 0
         self._crash_at = float("inf")
         self._due: list[int] = []  # heap of due, not yet crashed processes
-        self.procs_with_events: set[int] = set()
         self.queue: deque[_Thread] = deque()
         self.threads: dict[tuple[int, int], _Thread] = {}
         self._tid_counters: dict[int, int] = {}
@@ -257,8 +262,6 @@ class Engine:
               op=None, arg=None, ret=None) -> None:
         events = self.events
         events.append(Event(len(events), proc, thread, kind, reg, value, op, arg, ret))
-        if kind != "crash":
-            self.procs_with_events.add(proc)
         if len(events) >= self._crash_at:
             self._sweep_crashes()
 
@@ -286,8 +289,9 @@ class Engine:
         for op in self.ops:
             if op.proc == proc and op.status == "pending":
                 op.status = "crashed-owner"
-        # A crash marker is only informative once the process has acted.
-        if proc in self.procs_with_events:
+        # A crash marker is only informative once the process has acted. It
+        # has no crash event yet, and an active process acted recently.
+        if any(e.proc == proc for e in reversed(self.events)):
             self._emit(proc, -1, "crash")
 
     # -- threads -----------------------------------------------------------
@@ -373,13 +377,23 @@ class Engine:
         except StopIteration as stop:
             self._on_return(t, stop.value)
             return
-        kind = action[0]
+        # A register access is checked, applied and logged here, as
+        # RegisterFile.read and write check and apply it.
+        kind, events = action[0], self.events
         if kind == "r":
-            value = t.pending = self.registers.read(action[1], owner)
-            self._emit(owner, t.tid, "reg_read", action[1], value)
+            reg = action[1]
+            spec = self.registers.specs.get(reg)
+            if spec is None or owner not in spec.readers:
+                raise AccessViolation(f"process {owner} may not read {reg}")
+            value = t.pending = self.registers.cells[reg]
+            events.append(Event(len(events), owner, t.tid, "reg_read", reg, value))
         elif kind == "w":
-            self.registers.write(action[1], owner, action[2])
-            self._emit(owner, t.tid, "reg_write", action[1], action[2])
+            reg, value = action[1], action[2]
+            spec = self.registers.specs.get(reg)
+            if spec is None or owner != spec.writer:
+                raise AccessViolation(f"process {owner} may not write {reg}")
+            self.registers.cells[reg] = value
+            events.append(Event(len(events), owner, t.tid, "reg_write", reg, value))
         elif kind == "fork":
             fr = _JoinFrame(t)
             for gen in action[1:]:
@@ -399,6 +413,8 @@ class Engine:
             return
         else:
             raise RuntimeError(f"unknown machine action {action!r}")
+        if len(events) >= self._crash_at:
+            self._sweep_crashes()
         # After an access t is neither parked nor done, and its op stops being
         # pending only if the owner crashed at this event.
         op = t.op
@@ -426,48 +442,47 @@ class Engine:
         return not (t.owner in self.crashed or t.parked or t.cancelled or t.done
                     or (op is not None and op.status != "pending"))
 
-    def _pop_runnable(self) -> Optional[_Thread]:
-        queue = self.queue
-        while queue:
-            t = queue.popleft()
-            if self._runnable(t):
-                return t
-        return None
-
     def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None,
-                  admit=None, picks: Optional[Iterable] = None,
-                  watch_from: int = 0) -> None:
+                  admission: Optional[_Admission] = None,
+                  picks: Optional[Iterable] = None, watch_from: int = 0) -> None:
         """Resume threads until quiescence, the end of picks or the event
-        budget. admit(quiescent), a scenario's workload admission, runs
-        before every step, and once more with quiescent=True when nothing is
-        runnable; the run goes on if it spawned an op. picks, a scripted
-        schedule, names each step's thread as (proc, tid); else the queue's
-        head goes. With a per-op budget and the machines' state, a run
-        without picks stops an op past LASSO_THRESHOLD steps at its first
-        lasso from event watch_from on, the last after_step gate (see the
-        module docstring), with the reason ``blocked (lasso i..j)``.
+        budget. admission, a scenario's workload admission, admits before a
+        step once the engine changed or the event count reached its gate,
+        and once more with quiescent=True when nothing is runnable; the run
+        goes on if that spawned an op. picks, a scripted schedule, names
+        each step's thread as (proc, tid); else the queue's head goes. With
+        a per-op budget and the machines' state, a run without picks stops
+        an op past LASSO_THRESHOLD steps at its first lasso from event
+        watch_from on, the last after_step gate (see the module docstring),
+        with the reason ``blocked (lasso i..j)``.
         """
         watched = per_op_budget is not None and self.state is not None and picks is None
         picks = None if picks is None else iter(picks)
-        events, watch = self.events, None
+        events, queue, crashed, watch = self.events, self.queue, self.crashed, None
         while len(events) < step_budget:
             if picks is None:
-                if admit is not None:
-                    admit(False)
-                t = self._pop_runnable()
-                if t is None:
-                    if admit is not None and admit(True):
+                if admission is not None and (self.changed or len(events) >= admission.gate):
+                    admission.admit(False)
+                # The queue's first runnable thread (see _runnable).
+                while queue:
+                    t = queue.popleft()
+                    op = t.op
+                    if not (t.owner in crashed or t.parked or t.cancelled or t.done
+                            or (op is not None and op.status != "pending")):
+                        break
+                else:
+                    if admission is not None and admission.admit(True):
                         continue
                     return
             else:
                 pick = next(picks, None)
                 if pick is None:
                     return
-                if admit is not None:
-                    admit(False)
+                if admission is not None and (self.changed or len(events) >= admission.gate):
+                    admission.admit(False)
                 # A pick names its thread, so the queue is dropped to stay
                 # bounded; the pick passes the same test as the queue's head.
-                self.queue.clear()
+                queue.clear()
                 t = self.threads.get(pick)
                 if t is None or not self._runnable(t):
                     raise MalformedScenario(f"scripted pick {pick} is not runnable")
@@ -490,21 +505,45 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
+class _Part:
+    """A skeleton, hashed once, and its sequence numbers in _split's order:
+    what _split keeps of a SeqTuple or cell, and each part of a fingerprint.
+    Parts compare by skeleton; a fingerprint holds the sequence numbers of
+    all its parts beside them."""
+
+    __slots__ = ("skel", "seqs", "hash")
+
+    def __init__(self, skel, seqs: list):
+        self.skel = skel
+        self.seqs = seqs
+        self.hash = hash(skel)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is _Part and self.hash == other.hash
+                                 and self.skel == other.skel)
+
+
 def _split(x, seqs: list, memo: dict) -> tuple:
-    """x with the k of every SeqTuple in it moved to seqs as (height, k), and
-    the height x gives a SeqTuple whose payload it is: 0 if x holds no
-    SeqTuple, else one more than the tallest SeqTuple in it.
+    """x's skeleton, with the k of every SeqTuple in it moved to seqs as
+    (height, k), and the height x gives a SeqTuple whose payload it is: 0 if
+    x holds no SeqTuple, else one more than the tallest SeqTuple in it. In
+    the skeleton each SeqTuple or cell stands as its _Part, so hashing a
+    skeleton does not walk the cells nested in it again.
 
     memo maps the id of each SeqTuple or cell split so far to the object
-    itself, which keeps its id from being reused, its skeleton, its height and
-    its own (height, k) list; cells are immutable, so each is split once."""
+    itself, which keeps its id from being reused, its _Part and its height;
+    cells are immutable, so each is split once."""
     if isinstance(x, tuple):
         skel, height = [type(x)], 0
         for v in x:
-            p, h = _split(v, seqs, memo)
-            skel.append(p)
-            if h > height:
-                height = h
+            if isinstance(v, _NESTED):
+                v, h = _split(v, seqs, memo)
+                if h > height:
+                    height = h
+            skel.append(v)
         return tuple(skel), height
     if not isinstance(x, _SPLIT):
         return x, 0
@@ -519,8 +558,8 @@ def _split(x, seqs: list, memo: dict) -> tuple:
             parts = [_split(getattr(x, f), own, memo) for f in x.__dataclass_fields__]
             skel = (type(x), *(p for p, _ in parts))
             height = max((h for _, h in parts), default=0)
-        e = memo[id(x)] = (x, skel, height, own)
-    seqs += e[3]
+        e = memo[id(x)] = (x, _Part(skel, own), height)
+    seqs += e[1].seqs
     return e[1], e[2]
 
 
@@ -542,16 +581,14 @@ def _split_key(key, seqs: list, memo: dict):
     return tuple(skel)
 
 
-def _frames(gen, state) -> tuple:
-    """A thread's generator chain: each frame's code, position and locals,
-    but for the run record, which key() stands for."""
-    out = []
+def _frames(gen, state):
+    """A thread's generator chain: each generator with its frame's code,
+    position and locals, but for the run record, which key() stands for."""
     while gen is not None:
         f = gen.gi_frame
-        out.append((gen.gi_code, f.f_lasti,
-                    tuple((k, v) for k, v in f.f_locals.items() if v is not state)))
+        yield gen, (gen.gi_code, f.f_lasti,
+                    tuple((k, v) for k, v in f.f_locals.items() if v is not state))
         gen = gen.gi_yieldfrom
-    return tuple(out)
 
 
 def _shift(si: list, sj: list) -> Optional[dict]:
@@ -600,6 +637,13 @@ class _Lasso:
         self.ranked: dict = {}  # rank fingerprint -> _Point
         self.memo: dict = {}  # _split's, for this watch only
         self.resumed: dict = {}  # thread -> the first event of its last resumption
+        # What a take keeps for the next: the event count after it, each
+        # register's part, and the value and part at each slot (a register,
+        # a state key item, a thread's head or the id of a generator, whose
+        # frame is not kept alive). A part is reused only for an equal value.
+        self.at = 0
+        self.regs: dict[str, _Part] = {}
+        self.parts: dict = {}
 
     def observe(self, t: _Thread, before: int) -> Optional[str]:
         """Take the state after the resumption of the op's thread t that
@@ -638,7 +682,12 @@ class _Lasso:
 
     def _take(self, step: int) -> Optional[tuple]:
         """The state's exact and rank fingerprints and its _Point, or None
-        if a thread of another op or process is runnable."""
+        if a thread of another op or process is runnable. Both fingerprints
+        are flat: the registers' parts, the state key's, and each live
+        thread's head and frames in fork-tree order, then the runnable
+        threads' names and the sequence numbers or their ranks. A part is
+        made again only when its value changed since the last take; a
+        register's, only when an event since then wrote it."""
         eng, op, state = self.eng, self.op, self.eng.state
         runnable = []
         for u in eng.queue:
@@ -647,6 +696,17 @@ class _Lasso:
             if u.op is not op:
                 return None
             runnable.append(u)
+        cells, regs, part = eng.registers.cells, self.regs, self._part
+        # The first take splits every register, a later one those written since.
+        written = cells if not regs else \
+            {e.reg for e in eng.events[self.at:] if e.kind == "reg_write"}
+        for reg in written:
+            regs[reg] = part(reg, cells[reg])
+        self.at = len(eng.events)
+        # A tuple of tuples (algo1's levels) has a part per item.
+        key = state.key()
+        items = key if all(type(v) is tuple for v in key) else (key,)
+        parts = [*regs.values(), *(part(i, v, True) for i, v in enumerate(items))]
         names: dict[_Thread, tuple] = {}
         threads = []
         todo = [(self.root, ())]
@@ -656,25 +716,43 @@ class _Lasso:
             fr = u.child
             if fr is not None and fr.resolved:
                 fr = None
-            threads.append((name, u.parked, u.pending,
-                            None if fr is None else fr.dead, _frames(u.gen, state)))
+            frames = [part(id(gen), value) for gen, value in _frames(u.gen, state)]
+            threads.append((name, part(u, (name, u.parked, u.pending,
+                                           None if fr is None else fr.dead, len(frames))),
+                            frames))
             if fr is not None:
                 todo += [(b, name + (i,)) for i, b in enumerate(fr.branches)
                          if not (b.done or b.cancelled)]
         threads.sort(key=lambda th: th[0])
-        cells = tuple(eng.registers.cells.values())
+        for _, head, frames in threads:
+            parts.append(head)
+            parts += frames
         seqs: list = []
-        memo = self.memo
-        skel = (_split(cells, seqs, memo)[0], _split_key(state.key(), seqs, memo),
-                _split(tuple(threads), seqs, memo)[0], tuple(names[u] for u in runnable))
-        rank: dict = {}  # (h, k) -> (h, the rank of k in domain h)
+        for p in parts:
+            seqs += p.seqs
+        runnable_names = tuple(names[u] for u in runnable)
+        # (h, k) -> the rank of k in domain h; the skeleton fixes each h.
+        rank: dict = {}
         r = last = None
         for h, k in sorted(set(seqs)):
             r = r + 1 if h == last else 0
-            rank[h, k] = h, r
+            rank[h, k] = r
             last = h
-        return ((skel, tuple(seqs)), (skel, tuple(map(rank.__getitem__, seqs))),
-                _Point(step, seqs, cells, runnable))
+        return (_Part((*parts, runnable_names, tuple(seqs)), seqs),
+                _Part((*parts, runnable_names, tuple(map(rank.__getitem__, seqs))), seqs),
+                _Point(step, seqs, tuple(cells.values()), runnable))
+
+    def _part(self, slot, value, key: bool = False) -> _Part:
+        """The part of value at slot, a state key item's if key: the last
+        take's if its value there was equal, else value split anew."""
+        last = self.parts.get(slot)
+        if last is not None and (last[0] is value or last[0] == value):
+            return last[1]
+        seqs: list = []
+        skel = _split_key(value, seqs, self.memo) if key else _split(value, seqs, self.memo)[0]
+        part = _Part(skel, seqs)
+        self.parts[slot] = value, part
+        return part
 
     def _levels(self, p: _Point, q: _Point, h: int) -> str:
         """The levels (register directories) whose cells of height h differ
@@ -747,7 +825,7 @@ def validate_scenario(s: Scenario) -> None:
 
 
 class _Admission:
-    """Admits a scenario's workload items; ``admit`` runs before every step.
+    """Admits a scenario's workload items; run_queue calls ``admit``.
 
     Each call acts as one scan of the unspawned items in index order that
     admits every item eligible when reached. An item of a crashed process is
@@ -757,11 +835,12 @@ class _Admission:
     count reaches its ``after_step``.
 
     Eligibility changes only when an op resolves, a process crashes, the
-    event count reaches an ``after_step`` or the run goes quiescent, so a
-    scan runs only then. It merges in index order the items of the processes
-    whose last op is not pending, and leaves a process once it admits an op
-    for it, unless that process crashes in the same scan. A scan thus costs
-    the processes plus the gated items it skips, not the whole workload.
+    event count reaches an ``after_step`` (``gate``, the next one) or the
+    run goes quiescent, so a scan runs only then. It merges in index order
+    the items of the processes whose last op is not pending, and leaves a
+    process once it admits an op for it, unless that process crashes in the
+    same scan. A scan thus costs the processes plus the gated items it
+    skips, not the whole workload.
     """
 
     def __init__(self, workload: list[WorkItem], instance, eng: Engine):
@@ -773,9 +852,10 @@ class _Admission:
             self.waiting.setdefault(item.proc, []).append(i)
         self.last_op: dict[int, OpResult] = {}
         self.op_for_item: dict[int, OpResult] = {}
-        self.step_gates = sorted({item.after_step for item in workload
-                                  if item.after_step is not None})
-        self.next_gate = 0
+        # The after_step gates not yet reached, descending, and the next one.
+        self.gates = sorted({item.after_step for item in workload
+                             if item.after_step is not None}, reverse=True)
+        self.gate = self.gates.pop() if self.gates else float("inf")
 
     def _open(self, proc: int) -> bool:
         last = self.last_op.get(proc)
@@ -789,13 +869,11 @@ class _Admission:
             heapq.heappush(heap, (items[k], proc))
 
     def admit(self, quiescent: bool) -> bool:
+        """One scan; run_queue calls it only when the engine changed, the
+        event count reached gate or the run is quiescent."""
         eng = self.eng
-        gates = self.step_gates
-        while self.next_gate < len(gates) and gates[self.next_gate] <= len(eng.events):
-            self.next_gate += 1
-            eng.changed = True
-        if not (eng.changed or quiescent):
-            return False
+        while len(eng.events) >= self.gate:
+            self.gate = self.gates.pop() if self.gates else float("inf")
         eng.changed = False
         heap = [(items[0], proc) for proc, items in self.waiting.items()
                 if items and self._open(proc)]
@@ -873,7 +951,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     # A seeded run goes on until quiescence; a scripted run ends when its
     # picks run out.
     eng.run_queue(scenario.step_budget, scenario.per_op_budget,
-                  admit=_Admission(scenario.workload, instance, eng).admit,
+                  admission=_Admission(scenario.workload, instance, eng),
                   picks=None if seeded else scenario.schedule.picks,
                   watch_from=max((item.after_step for item in scenario.workload
                                   if item.after_step is not None), default=0))

@@ -102,6 +102,23 @@ def test_adversary_actions_stay_access_checked():
         eng.run_queue(step_budget=10)
 
 
+@pytest.mark.parametrize("script, message", [
+    ((("r", "NG/W"),), "process 3 may not read NG/W"),
+    ((("r", "NG/X"),), "process 3 may not read NG/X"),
+    ((("w", "NG/X", Plain(SeqTuple(1, b"x"))),), "process 3 may not write NG/X"),
+])
+def test_engine_rejects_a_disallowed_read_and_an_unknown_register(script, message):
+    # Reader 3 does not read the writer's NG/W at n = 3, and NG/X is no
+    # register; run_queue raises before the access is applied or logged.
+    inst = build_candidate("naive-gossip", 3)
+    eng = Engine(inst.specs)
+    eng.spawn_script(3, script)
+    with pytest.raises(AccessViolation, match=f"^{message}$"):
+        eng.run_queue(step_budget=10)
+    assert eng.events == []
+    assert eng.registers.cells == {s.reg_id: s.initial for s in inst.specs}
+
+
 def test_resetall_touches_only_own_registers_in_id_order():
     inst = build_candidate("naive-gossip", 3)
     eng = Engine(inst.specs)

@@ -288,8 +288,9 @@ def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
 
 
 def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
-    # Every state the watch takes in algo1's blocked reads: its memo, grown
-    # over the watch, changes none of the exact key, rank key and seqs.
+    # Every state the watch takes in algo1's blocked reads: what it keeps
+    # from take to take (its memo and its parts) changes none of the exact
+    # key, rank key and seqs of the take a new watch makes from nothing.
     from byzregs.adversary import attack_search
 
     take = sim._Lasso._take
@@ -297,9 +298,7 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
 
     def both(self, step):
         got = take(self, step)
-        memo, self.memo = self.memo, {}
-        fresh = take(self, step)
-        self.memo = memo
+        fresh = take(sim._Lasso(self.eng, self.root, self.watch_from), step)
         assert (got is None) == (fresh is None)
         if got is not None:
             assert got[:2] == fresh[:2]
@@ -311,6 +310,63 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
     for n in (3, 4, 5):
         attack_search("algo1", n)
     assert set(states) == {3, 4, 5}
+
+
+def test_incremental_take_follows_every_register_write():
+    # Between two takes of one watch, another process rewrites a register:
+    # with an equal but distinct cell, with its old cell, and with cells
+    # that die, so that a later cell may take a dead one's id. Each take
+    # equals the take a new watch makes from nothing.
+    from byzregs.constructions import Vars
+
+    initial = Plain(SeqTuple(0, b""))
+    specs = [RegisterSpec("T/R", 2, frozenset([1]), initial),
+             RegisterSpec("T/S", 2, frozenset([1]), initial)]
+
+    def spin():
+        while True:
+            yield ("r", "T/S")
+
+    eng = sim.Engine(specs, state=Vars(c=0))
+    eng.spawn_op(1, "Read", None, spin())
+    (t,) = eng.queue
+    watch = sim._Lasso(eng, t, 0)
+
+    def write(*cells):
+        s = eng.spawn_script(2, tuple(("w", "T/R", c) for c in cells))
+        while not s.done:
+            eng.queue.remove(s)
+            eng._resume(s)
+        # The trace lets go of the cells, so that only the register and
+        # the watch can keep them alive.
+        for e in eng.events[-len(cells):]:
+            e.value = None
+
+    def take():
+        eng.queue.remove(t)
+        before = len(eng.events)
+        eng._resume(t)
+        got = watch._take(before)
+        fresh = sim._Lasso(eng, t, 0)._take(before)
+        assert got[:2] == fresh[:2]
+        assert got[2].seqs == fresh[2].seqs
+        return got
+
+    old = Plain(SeqTuple(1, Commit(SeqTuple(4, b"x"))))
+    write(old)
+    first = take()
+    write(Plain(SeqTuple(1, Commit(SeqTuple(4, b"x")))))
+    assert take()[0] == first[0]
+    write(old)
+    assert take()[0] == first[0]
+    write(Plain(SeqTuple(2, Commit(SeqTuple(4, b"x")))))
+    assert take()[0] != first[0]
+    for k in range(100):
+        write(Plain(SeqTuple(k, Commit(SeqTuple(100 - k, b"y")))),
+              Plain(SeqTuple(k + 1, Commit(SeqTuple(k, b"y")))))
+        take()
+    write(initial)
+    take()
 
 
 def test_split_memo_follows_each_cell_object():
