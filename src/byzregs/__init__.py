@@ -15,7 +15,6 @@ from .core import (
     MalformedScenario,
     Plain,
     Prepare,
-    RegisterFile,
     RegisterSpec,
     SeqTuple,
     SignatureOracle,
@@ -39,7 +38,6 @@ __all__ = [
     "MalformedScenario",
     "Plain",
     "Prepare",
-    "RegisterFile",
     "RegisterSpec",
     "Scenario",
     "Seeded",

@@ -140,7 +140,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     inst = build_candidate(name, n)
     crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
              if isinstance(ph, WriterPhase) and ph.crash_after is not None]
-    eng = Engine(inst.by_id, crash_points=crash, state=inst.state)
+    eng = Engine(inst.by_id, inst.state, crash_points=crash)
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
             eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))

@@ -245,7 +245,7 @@ def check_bottom_returns(history: list[OpRecord], writer_honest: bool) -> Verdic
 def check_wait_freedom(trace, faults: dict[int, FaultModel]) -> Verdict:
     """Wait-free if the writer is correct or no reader is malicious: under
     that condition no operation by a Correct process may stay pending."""
-    if trace.meta.get("schedule") == "scripted":
+    if trace.scripted:
         starved = [op for op in trace.ops if op.status == "pending"]
         if starved:
             raise UnfairScheduleError(

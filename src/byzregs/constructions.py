@@ -96,7 +96,7 @@ class _AtomicHandle:
         cell = yield ("r", self.reg_id)
         return cell
 
-    def write(self, run, actor: int, cell: CellValue):
+    def write(self, run, cell: CellValue):
         yield ("w", self.reg_id, cell)
 
 
@@ -163,24 +163,19 @@ class Algo1Level:
             return t.u
         return BOTTOM
 
-    def write(self, run: _Algo1Run, actor: int, cell: CellValue):
-        if actor != self.writer:
-            raise AssertionError("inner write by non-writer")
-        yield from self.write_cell(run, cell)
-
     # -- machines ----------------------------------------------------------
 
-    def write_cell(self, run: _Algo1Run, payload: Payload):
+    def write(self, run: _Algo1Run, payload: Payload):
         """Write(u) then w(<k,u>): prepare to p, prepare to Q, commit to p,
         commit to Q, in exactly that order."""
         v = run[self.idx]
         v.c += 1
         t = SeqTuple(v.c, payload)
         lw = v.last_written
-        yield from self.rwp.write(run, self.writer, Prepare(lw, t))
-        yield from self.rwq.write(run, self.writer, Prepare(lw, t))
-        yield from self.rwp.write(run, self.writer, Commit(t))
-        yield from self.rwq.write(run, self.writer, Commit(t))
+        yield from self.rwp.write(run, Prepare(lw, t))
+        yield from self.rwq.write(run, Prepare(lw, t))
+        yield from self.rwp.write(run, Commit(t))
+        yield from self.rwq.write(run, Commit(t))
         v.last_written = t
         return DONE
 
@@ -195,7 +190,7 @@ class Algo1Level:
         v = run[self.idx]
         x = yield from self.rwp.read(run, self.p)
         if isinstance(x, Commit) and x.t.k >= v.previous_k:
-            yield from self.rpq.write(run, self.p, Plain(x.t))
+            yield from self.rpq.write(run, Plain(x.t))
             v.previous_k = x.t.k
             return x.t
         if isinstance(x, Prepare):
@@ -270,7 +265,7 @@ class Algo1Construction(Layout):
                          for level in self.levels)
 
     def write_machine(self, run: _Algo1Run, value: Payload) -> Generator:
-        return self.root.write_cell(run, value)
+        return self.root.write(run, value)
 
     def read_machine(self, run: _Algo1Run, proc: int) -> Generator:
         return self.root.read_tuple(run, proc)

@@ -1,10 +1,9 @@
-"""Domain values, the access-controlled atomic register substrate, fault
-models, and the signature oracle.
+"""Domain values, register specs, fault models, and the signature oracle.
 
 Everything the rest of the package touches flows through here: register cells
-are tagged immutable values, every register access is checked against the
-declared writer/reader sets, and "unforgeable" signatures are enforced by an
-issuance table rather than cryptography.
+are tagged immutable values, each register's spec declares its writer and
+readers (sim.Engine checks every access against them), and "unforgeable"
+signatures are enforced by an issuance table rather than cryptography.
 """
 
 from __future__ import annotations
@@ -160,12 +159,17 @@ def encode_cell(c: CellValue) -> dict:
     return json.loads(_cell_text(c, {}))
 
 
-def decode_payload(obj) -> Payload:
+# The most cells a decoded cell or payload may nest: far above algo1's one per
+# level (10 at n = 10), far below what recursion in decoding and splitting allows.
+MAX_NESTING = 64
+
+
+def decode_payload(obj, depth: int = 0) -> Payload:
     if isinstance(obj, str):
         return obj.encode("utf-8")
     if isinstance(obj, dict) and "b64" in obj:
-        return base64.b64decode(obj["b64"])
-    return decode_cell(obj)
+        return base64.b64decode(obj["b64"], validate=True)
+    return decode_cell(obj, depth)
 
 
 def _typed(value, kind: type, name: str):
@@ -175,25 +179,30 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def decode_tuple(obj: dict) -> SeqTuple:
-    return SeqTuple(_typed(obj["k"], int, "sequence number"), decode_payload(obj["u"]))
+def decode_tuple(obj: dict, depth: int = 0) -> SeqTuple:
+    return SeqTuple(_typed(obj["k"], int, "sequence number"),
+                    decode_payload(obj["u"], depth))
 
 
-def decode_cell(obj: dict) -> CellValue:
+def decode_cell(obj: dict, depth: int = 0) -> CellValue:
+    """The cell obj encodes; depth counts the cells it is nested in."""
+    if depth >= MAX_NESTING:
+        raise ValueError(f"cells nested more than {MAX_NESTING} deep")
+    depth += 1
     tag = obj["t"]
     if tag == "commit":
-        return Commit(decode_tuple(obj["tuple"]))
+        return Commit(decode_tuple(obj["tuple"], depth))
     if tag == "prepare":
-        return Prepare(decode_tuple(obj["prev"]), decode_tuple(obj["next"]))
+        return Prepare(decode_tuple(obj["prev"], depth), decode_tuple(obj["next"], depth))
     if tag == "plain":
-        return Plain(decode_tuple(obj["tuple"]))
+        return Plain(decode_tuple(obj["tuple"], depth))
     if tag == "signed":
-        return Signed(decode_tuple(obj["tuple"]), _typed(obj["signer"], int, "signer"),
+        return Signed(decode_tuple(obj["tuple"], depth), _typed(obj["signer"], int, "signer"),
                       _typed(obj["token"], str, "token"))
     if tag == "bottom":
         return BOTTOM
     if tag == "garbage":
-        return Garbage(base64.b64decode(obj["data"]))
+        return Garbage(base64.b64decode(obj["data"], validate=True))
     raise ValueError(f"unknown cell tag {tag!r}")
 
 
@@ -347,32 +356,6 @@ def specs_by_id(specs: Iterable[RegisterSpec]) -> dict[str, RegisterSpec]:
             raise ValueError(f"duplicate register id {s.reg_id}")
         by_id[s.reg_id] = s
     return by_id
-
-
-class RegisterFile:
-    """Access-controlled last-write-wins cells, one per RegisterSpec.
-
-    specs is a list of specs, or a layout's specs by id, which is shared
-    rather than copied; the cells are this file's own, set to the initials.
-    """
-
-    def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]]):
-        self.specs = specs if isinstance(specs, dict) else specs_by_id(specs)
-        self.cells: dict[str, CellValue] = {
-            rid: s.initial for rid, s in self.specs.items()
-        }
-
-    def read(self, reg_id: str, actor: int) -> CellValue:
-        spec = self.specs.get(reg_id)
-        if spec is None or actor not in spec.readers:
-            raise AccessViolation(f"process {actor} may not read {reg_id}")
-        return self.cells[reg_id]
-
-    def write(self, reg_id: str, actor: int, value: CellValue) -> None:
-        spec = self.specs.get(reg_id)
-        if spec is None or actor != spec.writer:
-            raise AccessViolation(f"process {actor} may not write {reg_id}")
-        self.cells[reg_id] = value
 
 
 # ---------------------------------------------------------------------------

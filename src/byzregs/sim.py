@@ -11,22 +11,25 @@ A step machine is a Python generator that yields one action per resumption:
                                 resumption point.
 
 One resumption performs at most one register access; local computation and
-control flow are free. All interleaving decisions flow through the scheduler,
-so a scenario (construction, faults, workload, schedule, budgets) replays to
-a byte-identical trace. Engine.run_queue is the one step loop, for seeded
-scenarios (the queue's head, after workload admission), scripted picks and
-the attack harness's phases. A crash point (step, proc) crashes proc once
-the trace holds step events; scenario crash faults and the attack harness's
-writer crash are both crash points. A step costs O(1) engine work beyond a
-fork's seeded insertions, a budget stop's walk over the stopped op's threads,
-a crash marker's look back for its process's last event and the lasso watch
-of an op past LASSO_THRESHOLD steps. A watch splits every register at the
-first state it takes. A later state splits again only what changed since
-the one before: the registers that events since then wrote, and the state
-key items (algo1's levels), thread heads and generator frames whose values
-differ. Each part is hashed once, so a state still costs a look at every
-live frame and one step per part and per sequence number to gather and rank
-them, but no walk through the cells nested in a register.
+control flow are free. The engine keeps each run's register cells and is the
+one place that checks an access against its register's spec: one writer and
+its readers, as in the paper's 1W1R and 1W(n-1)R registers. All interleaving
+decisions flow through the scheduler, so a scenario (construction, faults,
+workload, schedule, budgets) replays to a byte-identical trace.
+Engine.run_queue is the one step loop, for seeded scenarios (the queue's
+head, after workload admission), scripted picks and the attack harness's
+phases. A crash point (step, proc) crashes proc once the trace holds step
+events; scenario crash faults and the attack harness's writer crash are both
+crash points. A step costs O(1) engine work beyond a fork's seeded
+insertions, a budget stop's walk over the stopped op's threads, a crash
+marker's look back for its process's last event and the lasso watch of an op
+past LASSO_THRESHOLD steps. A watch splits every register at the first state
+it takes. A later state splits again only what changed since the one before:
+the registers that events since then wrote, and the state key items (algo1's
+levels), thread heads and generator frames whose values differ. Each part is
+hashed once, so a state still costs a look at every live frame and one step
+per part and per sequence number to gather and rank them, but no walk
+through the cells nested in a register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -104,7 +107,6 @@ from .core import (
     Payload,
     Plain,
     Prepare,
-    RegisterFile,
     RegisterSpec,
     SeqTuple,
     Signed,
@@ -173,7 +175,7 @@ class OpResult:
 class Trace:
     events: list[Event]
     ops: list[OpResult]
-    meta: dict
+    scripted: bool  # its schedule was scripted picks, whose fairness is unknown
 
 
 class _Thread:
@@ -227,14 +229,14 @@ def _script_machine(script: tuple) -> Generator:
 class Engine:
     """Register substrate plus thread scheduling; shared by scenario runs and
     the attack harness (which drives phases directly). A forked branch takes
-    a random queue place only when the engine has a seed."""
+    a random queue place only when the engine has a seed. specs, a layout's
+    specs by id, is shared; cells and state (the machines') are the run's."""
 
-    def __init__(self, specs: Union[Iterable[RegisterSpec], dict[str, RegisterSpec]],
+    def __init__(self, specs: dict[str, RegisterSpec], state,
                  seed: Optional[int] = None,
-                 crash_points: Iterable[tuple[int, int]] = (), state=None):
-        self.registers = RegisterFile(specs)
-        # The machines' per-run state (an Instance's state): run_queue
-        # watches a spinning op for a lasso only when it can fingerprint it.
+                 crash_points: Iterable[tuple[int, int]] = ()):
+        self.specs = specs
+        self.cells = {rid: s.initial for rid, s in specs.items()}
         self.state = state
         self.seed = seed
         self.rng = None  # seeded at its first draw: most runs never draw
@@ -377,22 +379,22 @@ class Engine:
         except StopIteration as stop:
             self._on_return(t, stop.value)
             return
-        # A register access is checked, applied and logged here, as
-        # RegisterFile.read and write check and apply it.
+        # The one access check: a register access is checked against its
+        # spec's writer and readers, applied and logged here.
         kind, events = action[0], self.events
         if kind == "r":
             reg = action[1]
-            spec = self.registers.specs.get(reg)
+            spec = self.specs.get(reg)
             if spec is None or owner not in spec.readers:
                 raise AccessViolation(f"process {owner} may not read {reg}")
-            value = t.pending = self.registers.cells[reg]
+            value = t.pending = self.cells[reg]
             events.append(Event(len(events), owner, t.tid, "reg_read", reg, value))
         elif kind == "w":
             reg, value = action[1], action[2]
-            spec = self.registers.specs.get(reg)
+            spec = self.specs.get(reg)
             if spec is None or owner != spec.writer:
                 raise AccessViolation(f"process {owner} may not write {reg}")
-            self.registers.cells[reg] = value
+            self.cells[reg] = value
             events.append(Event(len(events), owner, t.tid, "reg_write", reg, value))
         elif kind == "fork":
             fr = _JoinFrame(t)
@@ -451,12 +453,12 @@ class Engine:
         and once more with quiescent=True when nothing is runnable; the run
         goes on if that spawned an op. picks, a scripted schedule, names
         each step's thread as (proc, tid); else the queue's head goes. With
-        a per-op budget and the machines' state, a run without picks stops
-        an op past LASSO_THRESHOLD steps at its first lasso from event
-        watch_from on, the last after_step gate (see the module docstring),
-        with the reason ``blocked (lasso i..j)``.
+        a per-op budget, a run without picks stops an op past
+        LASSO_THRESHOLD steps at its first lasso from event watch_from on,
+        the last after_step gate (see the module docstring), with the reason
+        ``blocked (lasso i..j)``.
         """
-        watched = per_op_budget is not None and self.state is not None and picks is None
+        watched = per_op_budget is not None and picks is None
         picks = None if picks is None else iter(picks)
         events, queue, crashed, watch = self.events, self.queue, self.crashed, None
         while len(events) < step_budget:
@@ -696,7 +698,7 @@ class _Lasso:
             if u.op is not op:
                 return None
             runnable.append(u)
-        cells, regs, part = eng.registers.cells, self.regs, self._part
+        cells, regs, part = eng.cells, self.regs, self._part
         # The first take splits every register, a later one those written since.
         written = cells if not regs else \
             {e.reg for e in eng.events[self.at:] if e.kind == "reg_write"}
@@ -757,7 +759,7 @@ class _Lasso:
     def _levels(self, p: _Point, q: _Point, h: int) -> str:
         """The levels (register directories) whose cells of height h differ
         between p and q."""
-        regs, memo = self.eng.registers.cells, self.memo
+        regs, memo = self.eng.cells, self.memo
         levels = sorted({reg.rsplit("/", 1)[0] for reg, a, b in zip(regs, p.cells, q.cells)
                          if a != b and _split(a, [], memo)[1] - 1 == h})
         return "+".join(levels) or f"height {h}"
@@ -937,11 +939,11 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     seeded = isinstance(scenario.schedule, Seeded)
     if instance is None:
         instance = constructions.build_instance(scenario.construction, scenario.n)
-    eng = Engine(instance.by_id, seed=scenario.schedule.seed if seeded else None,
+    eng = Engine(instance.by_id, instance.state,
+                 seed=scenario.schedule.seed if seeded else None,
                  crash_points=[(fault.at_global_step, proc)
                                for proc, fault in scenario.faults.items()
-                               if isinstance(fault, Crash)],
-                 state=instance.state)
+                               if isinstance(fault, Crash)])
     # Malicious scripts run as plain threads from the start, in process order.
     for proc in sorted(scenario.faults):
         fault = scenario.faults[proc]
@@ -962,7 +964,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
         if op.status == "pending" and op.reason is None:
             op.reason = reason
     return Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index),
-                 meta={"schedule": "seeded" if seeded else "scripted"})
+                 scripted=not seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1063,15 @@ def scenario_to_json(s: Scenario) -> dict:
     }
 
 
+def _proc_key(key: str) -> int:
+    """The process a fault map key names, written as str(process) writes it:
+    "02", " 2" and "+2" would name process 2 beside "2"."""
+    proc = int(key)
+    if key != str(proc):
+        raise MalformedScenario(f"fault map key {key!r} is not a process id")
+    return proc
+
+
 def scenario_from_json(obj: dict) -> Scenario:
     try:
         sched = obj["schedule"]
@@ -1075,7 +1086,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         scenario = Scenario(
             construction=obj["construction"],
             n=obj["n"],
-            faults={int(p): fault_from_json(f, specs, int(p))
+            faults={_proc_key(p): fault_from_json(f, specs, int(p))
                     for p, f in obj.get("faults", {}).items()},
             workload=[
                 WorkItem(
@@ -1099,4 +1110,8 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise MalformedScenario("scenario document nested too deeply") from exc
+    return scenario_from_json(doc)

@@ -81,13 +81,13 @@ def test_registration_budget_enforced(monkeypatch):
 
 def test_replay_fidelity_on_unchanged_state():
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs)
+    eng = Engine(inst.by_id, inst.state)
     eng.spawn_script(1, (("w", "NG/G1", Plain(SeqTuple(4, b"zz"))),))
     eng.run_queue(step_budget=100)
     actions = recorded_actions(eng.events, 1)
 
     inst2 = build_candidate("naive-gossip", 3)
-    eng2 = Engine(inst2.specs)
+    eng2 = Engine(inst2.by_id, inst2.state)
     eng2.spawn_script(1, actions)
     eng2.run_queue(step_budget=100)
     assert events_to_jsonl(eng.events) == events_to_jsonl(eng2.events)
@@ -95,7 +95,7 @@ def test_replay_fidelity_on_unchanged_state():
 
 def test_adversary_actions_stay_access_checked():
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs)
+    eng = Engine(inst.by_id, inst.state)
     # Reader 1 does not write NG/G2; the substrate rejects the script.
     eng.spawn_script(1, (("w", "NG/G2", Plain(SeqTuple(1, b"x"))),))
     with pytest.raises(AccessViolation):
@@ -111,23 +111,23 @@ def test_engine_rejects_a_disallowed_read_and_an_unknown_register(script, messag
     # Reader 3 does not read the writer's NG/W at n = 3, and NG/X is no
     # register; run_queue raises before the access is applied or logged.
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs)
+    eng = Engine(inst.by_id, inst.state)
     eng.spawn_script(3, script)
     with pytest.raises(AccessViolation, match=f"^{message}$"):
         eng.run_queue(step_budget=10)
     assert eng.events == []
-    assert eng.registers.cells == {s.reg_id: s.initial for s in inst.specs}
+    assert eng.cells == {s.reg_id: s.initial for s in inst.specs}
 
 
 def test_resetall_touches_only_own_registers_in_id_order():
     inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.specs)
-    eng.registers.write("NG/G2", 2, Plain(SeqTuple(3, b"x")))
+    eng = Engine(inst.by_id, inst.state)
+    eng.cells["NG/G2"] = Plain(SeqTuple(3, b"x"))
     eng.spawn_script(2, script_from_json({"kind": "resetall"}, inst.specs, 2))
     eng.run_queue(step_budget=100)
     writes = [e.reg for e in eng.events if e.kind == "reg_write"]
     assert writes == ["NG/G2"]
-    assert eng.registers.cells["NG/G2"] == Plain(SeqTuple(0, b""))
+    assert eng.cells["NG/G2"] == Plain(SeqTuple(0, b""))
 
 
 def test_script_json_roundtrip():

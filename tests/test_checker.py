@@ -125,8 +125,8 @@ def test_no_bottoms_passes():
 # -- wait freedom -------------------------------------------------------------
 
 
-def _trace(ops, schedule="seeded"):
-    return sim.Trace(events=[], ops=ops, meta={"schedule": schedule})
+def _trace(ops, scripted=False):
+    return sim.Trace(events=[], ops=ops, scripted=scripted)
 
 
 def test_wait_freedom_violation_when_guaranteed():
@@ -148,7 +148,7 @@ def test_wait_freedom_scripted_pending_refuses():
     ops = [sim.OpResult(0, 1, "Read", None, invoke_step=0, status="pending",
                         reason="schedule exhausted")]
     with pytest.raises(UnfairScheduleError):
-        check_wait_freedom(_trace(ops, "scripted"), {0: Correct(), 1: Correct()})
+        check_wait_freedom(_trace(ops, scripted=True), {0: Correct(), 1: Correct()})
 
 
 def test_wait_freedom_crashed_owner_not_counted():

@@ -6,7 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byzregs import cli, sim
+from byzregs import cli, core, sim
 from byzregs.core import (
     Commit,
     Plain,
@@ -519,6 +519,9 @@ def _set(path, value):
     _set(("workload", 3, "after_step"), -5),
     _set(("faults", "0"), {"kind": "crash", "at_step": -3}),
     _set(("faults", "x"), {"kind": "correct"}),
+    _set(("faults", "02"), {"kind": "correct"}),
+    _set(("faults", " 2"), {"kind": "correct"}),
+    _set(("faults", "+2"), {"kind": "correct"}),
     lambda doc: doc["workload"][0].pop("value"),
     _set(("faults",), []),
     _set(("n",), 2**70),
@@ -530,7 +533,8 @@ def _set(path, value):
     "step_budget=-1", "step_budget=0", "per_op_budget=0", "per_op_budget=str",
     "n=str", "n=bool", "n=float", "proc=str", "proc=bool", "after_op=str",
     "after_op=bool", "after_step=float", "after_step=-5", "crash-at_step=-3",
-    "fault-key=str", "write-without-value",
+    "fault-key=str", "fault-key=02", "fault-key=space-2", "fault-key=+2",
+    "write-without-value",
     "faults=list", "n=2**70", "n=11", "empty-workload",
 ])
 def test_invalid_scenario_exits_two(tmp_path, edit):
@@ -646,6 +650,73 @@ def test_lie_cell_with_an_ill_typed_scalar_exits_two(tmp_path, capsys, command, 
                     "--out", str(out)]) == 2
     assert "must be of type" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _nested_cell(depth: int) -> dict:
+    """A plain cell with depth cells nested in it, itself included."""
+    cell = {"t": "plain", "tuple": {"k": 1, "u": "x"}}
+    for _ in range(depth - 1):
+        cell = {"t": "plain", "tuple": {"k": 1, "u": cell}}
+    return cell
+
+
+def _lie(doc, cell):
+    doc["faults"]["3"] = {"kind": "malicious",
+                          "script": {"kind": "lie", "reg": "I3/R3_2", "cell": cell}}
+    doc["workload"] = [w for w in doc["workload"] if w["proc"] != 3]
+
+
+def _scenario_text(edit) -> str:
+    with open(ALL_CORRECT) as fh:
+        doc = json.load(fh)
+    text = edit(doc)
+    return json.dumps(doc) if text is None else text
+
+
+def _run_and_check_codes(tmp_path, capsys, text):
+    """run's and check's exit codes on a scenario text, each with its stderr,
+    and whether either left an output file."""
+    scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    scenario.write_text(text)
+    results = []
+    for command in ("run", "check"):
+        trace.write_bytes(b"")
+        out, run_trace = tmp_path / "v.json", tmp_path / "r.jsonl"
+        code = run_cli([command, "--scenario", str(scenario), "--out", str(out),
+                        "--trace", str(run_trace if command == "run" else trace)])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err,
+                        out.exists() or run_trace.exists()))
+    return results
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: json.dumps(doc)[:-1] + ', "deep": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    lambda doc: _lie(doc, _nested_cell(core.MAX_NESTING + 1)),
+    lambda doc: doc["workload"][0].update(value=_nested_cell(core.MAX_NESTING + 1)),
+    lambda doc: doc["workload"][0].update(value={"b64": "!!!"}),
+    lambda doc: doc["workload"][0].update(value={"b64": "YWJj!*"}),
+    lambda doc: _lie(doc, {"t": "garbage", "data": "YWJj!*"}),
+], ids=["json-nested-1e5-deep", "lie-cell-past-the-bound", "write-value-past-the-bound",
+        "b64-no-base64", "b64-trailing-junk", "garbage-trailing-junk"])
+def test_too_deep_or_bad_base64_scenario_exits_two(tmp_path, capsys, edit):
+    for code, out, err, wrote in _run_and_check_codes(tmp_path, capsys, _scenario_text(edit)):
+        assert (code, out, wrote) == (2, "", False)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _lie(doc, _nested_cell(core.MAX_NESTING)),
+    lambda doc: doc["workload"][0].update(value=_nested_cell(core.MAX_NESTING)),
+], ids=["lie-cell-at-the-bound", "write-value-at-the-bound"])
+def test_cells_nested_up_to_the_bound_run_and_check(tmp_path, edit):
+    scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    scenario.write_text(_scenario_text(edit))
+    code = run_cli(["run", "--scenario", str(scenario), "--trace", str(trace),
+                    "--out", str(tmp_path / "v.json")])
+    assert code in (0, 1)
+    assert run_cli(["check", "--scenario", str(scenario), "--trace", str(trace),
+                    "--out", str(tmp_path / "c.json")]) == code
 
 
 # -- fuzzing the input decoders ---------------------------------------------

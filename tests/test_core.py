@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from byzregs.constructions import Vars
 from byzregs.core import (
     BOTTOM,
     AccessViolation,
@@ -11,7 +12,6 @@ from byzregs.core import (
     Garbage,
     Plain,
     Prepare,
-    RegisterFile,
     RegisterSpec,
     SeqTuple,
     SignatureOracle,
@@ -20,46 +20,51 @@ from byzregs.core import (
     encode_cell,
     events_from_jsonl,
     events_to_jsonl,
+    specs_by_id,
     Event,
 )
+from byzregs.sim import Engine
+
+SPECS = [
+    RegisterSpec("Rwp", 0, frozenset([1]), Commit(SeqTuple(0, b""))),
+    RegisterSpec("Rpq", 1, frozenset([2]), Plain(SeqTuple(0, b""))),
+]
 
 
-def make_regs():
-    specs = [
-        RegisterSpec("Rwp", 0, frozenset([1]), Commit(SeqTuple(0, b""))),
-        RegisterSpec("Rpq", 1, frozenset([2]), Plain(SeqTuple(0, b""))),
-    ]
-    return specs, RegisterFile(specs)
+def run_accesses(*accesses):
+    """Each (proc, access) as a one-access script, run in turn on fresh
+    registers; the values of the reads."""
+    eng = Engine(specs_by_id(SPECS), Vars(c=0))
+    for proc, access in accesses:
+        eng.spawn_script(proc, (access,))
+        eng.run_queue(step_budget=len(eng.events) + 1)
+    return [e.value for e in eng.events if e.kind == "reg_read"]
 
 
 def test_write_then_read_last_write_wins():
-    _, regs = make_regs()
-    regs.write("Rwp", 0, Commit(SeqTuple(1, b"a")))
-    assert regs.read("Rwp", 1) == Commit(SeqTuple(1, b"a"))
-    regs.write("Rwp", 0, Commit(SeqTuple(2, b"b")))
-    assert regs.read("Rwp", 1) == Commit(SeqTuple(2, b"b"))
+    a, b = Commit(SeqTuple(1, b"a")), Commit(SeqTuple(2, b"b"))
+    assert run_accesses((0, ("w", "Rwp", a)), (1, ("r", "Rwp")),
+                        (0, ("w", "Rwp", b)), (1, ("r", "Rwp"))) == [a, b]
 
 
 def test_read_untouched_returns_initial():
-    _, regs = make_regs()
-    assert regs.read("Rwp", 1) == Commit(SeqTuple(0, b""))
-    assert regs.read("Rpq", 2) == Plain(SeqTuple(0, b""))
+    assert run_accesses((1, ("r", "Rwp")), (2, ("r", "Rpq"))) == \
+        [Commit(SeqTuple(0, b"")), Plain(SeqTuple(0, b""))]
 
 
 def test_access_control():
-    _, regs = make_regs()
     with pytest.raises(AccessViolation):
-        regs.write("Rwp", 2, Plain(SeqTuple(1, b"a")))
+        run_accesses((2, ("w", "Rwp", Plain(SeqTuple(1, b"a")))))
     with pytest.raises(AccessViolation):
-        regs.read("Rwp", 2)
+        run_accesses((2, ("r", "Rwp")))
     with pytest.raises(AccessViolation):
-        regs.read("Rpq", 0)
+        run_accesses((0, ("r", "Rpq")))
 
 
 def test_duplicate_register_ids_rejected():
     spec = RegisterSpec("R", 0, frozenset([1]), Plain(SeqTuple(0, b"")))
     with pytest.raises(ValueError):
-        RegisterFile([spec, spec])
+        specs_by_id([spec, spec])
 
 
 def test_sign_verify_bindings():

@@ -11,10 +11,10 @@ from byzregs.core import (
     Event,
     Malicious,
     MalformedScenario,
-    RegisterFile,
     RegisterSpec,
     SeqTuple,
     events_to_jsonl,
+    specs_by_id,
 )
 from byzregs.core import Plain
 
@@ -255,7 +255,7 @@ def _climb(lie: int, done, per_op_budget: int) -> sim.OpResult:
             if done(v.c, x.t.k):
                 return v.last_written
 
-    eng = sim.Engine(specs, state=state)
+    eng = sim.Engine(specs_by_id(specs), state)
     op = eng.spawn_op(1, "Read", None, climb(state))
     eng.run_queue(step_budget=10**6, per_op_budget=per_op_budget)
     return op
@@ -327,7 +327,7 @@ def test_incremental_take_follows_every_register_write():
         while True:
             yield ("r", "T/S")
 
-    eng = sim.Engine(specs, state=Vars(c=0))
+    eng = sim.Engine(specs_by_id(specs), Vars(c=0))
     eng.spawn_op(1, "Read", None, spin())
     (t,) = eng.queue
     watch = sim._Lasso(eng, t, 0)
@@ -404,7 +404,7 @@ def test_an_unfair_repeat_is_not_a_lasso():
     def forking():
         return (yield ("fork", spin(), spin()))
 
-    eng = sim.Engine(specs, state=Vars(c=0))
+    eng = sim.Engine(specs_by_id(specs), Vars(c=0))
     eng.spawn_op(1, "Read", None, forking())
     eng._resume(eng.queue.popleft())
     a, b = eng.queue
@@ -515,7 +515,7 @@ def test_crashed_actor_cannot_be_resumed():
     from byzregs.core import CrashedActor
 
     inst = constructions.build_instance("algo1", 3)
-    eng = sim.Engine(inst.specs)
+    eng = sim.Engine(inst.by_id, inst.state)
     eng.spawn_op(0, "Write", b"a", inst.write_machine(b"a"))
     t = eng.threads[(0, 0)]
     eng._mark_crashed(0)
@@ -566,17 +566,19 @@ def test_fork_thread2_can_return_last_written_despite_commit():
 
 
 def replay_registers(events, specs) -> None:
-    """Replay register events on fresh registers: every access must obey the
-    specs' access rules and every read return the cell last written to its
+    """Replay register events on fresh cells: every access must obey the
+    specs (by id) and every read return the cell last written to its
     register."""
-    registers = RegisterFile(specs)
+    cells = {rid: s.initial for rid, s in specs.items()}
     for e in events:
         if e.kind == "reg_read":
-            cell = registers.read(e.reg, e.proc)
+            assert e.proc in specs[e.reg].readers, f"step {e.step}: read of {e.reg}"
+            cell = cells[e.reg]
             assert e.value == cell, (f"step {e.step}: read of {e.reg} returned "
                                      f"{e.value!r}, not its last written cell {cell!r}")
         elif e.kind == "reg_write":
-            registers.write(e.reg, e.proc, e.value)
+            assert e.proc == specs[e.reg].writer, f"step {e.step}: write of {e.reg}"
+            cells[e.reg] = e.value
 
 
 def test_register_replay_catches_divergence():
