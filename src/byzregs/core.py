@@ -297,7 +297,7 @@ def events_from_jsonl(data: bytes) -> list[Event]:
         if line.strip():
             try:
                 events.append(decode_event(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"trace line {i}: bad event ({exc!r})") from exc
     return events
 

@@ -62,24 +62,24 @@ lasso proves that the fair continuation repeating the cycle's picks never
 completes the op. Scripted runs are never watched: their picks fix the
 schedule.
 
-Step A: the state repeats exactly. Step B: it repeats up to shifted
-sequence numbers. A sequence number is the k of a SeqTuple, or a bare int
-of a state key tuple beside SeqTuples of one height (algo1's c and
-previous_k beside last_written); bare ints anywhere else must repeat
-exactly. Its domain is the height of its SeqTuple, the number of SeqTuples
-nested in its payload, which for algo1 is the depth of the level that
-wrote it. A rank fingerprint, with each number replaced by its rank within
-its domain, only proposes a pair of states i, j. The concrete states must
-confirm it: in each domain, every number that differs between i and j
-grows by one d > 0, and every such number exceeds every number of the
-domain that does not. Let f fix each number up to the largest unmoved one
-of its domain and add d to every larger one. The machines compare
-sequence numbers only with each other within a domain and make new ones
-only by adding 1 to a counter, which the cycle moves, so f, being
-monotone, commutes with every step of the cycle: the run from j is the run
-from i with f applied, and so on forever. Without the confirmation a
-counter could climb past a fixed value, such as a lie's k, and flip a
-comparison.
+A state repeats up to a shift of its sequence numbers, and the shift may be
+empty. A sequence number is the k of a SeqTuple, or a bare int of a state
+key tuple beside SeqTuples of one height (algo1's c and previous_k beside
+last_written); bare ints anywhere else must repeat exactly. Its domain is
+the height of its SeqTuple, the number of SeqTuples nested in its payload,
+which for algo1 is the depth of the level that wrote it. The fingerprint,
+with each number replaced by its rank within its domain, only proposes a
+pair of states i, j. The concrete states must confirm it: in each domain,
+every number that differs between i and j grows by one d > 0, and every
+such number exceeds every number of the domain that does not. Let f fix
+each number up to the largest unmoved one of its domain and add d to every
+larger one; with no number moved, f is the identity and j repeats i
+exactly. The machines compare sequence numbers only with each other within
+a domain and make new ones only by adding 1 to a counter, which the cycle
+moves, so f, being monotone, commutes with every step of the cycle: the run
+from j is the run from i with f applied, and so on forever. Without the
+confirmation a counter could climb past a fixed value, such as a lie's k,
+and flip a comparison.
 """
 
 from __future__ import annotations
@@ -446,7 +446,7 @@ class Engine:
 
     def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None,
                   admission: Optional[_Admission] = None,
-                  picks: Optional[Iterable] = None, watch_from: int = 0) -> None:
+                  picks: Optional[Iterable] = None) -> None:
         """Resume threads until quiescence, the end of picks or the event
         budget. admission, a scenario's workload admission, admits before a
         step once the engine changed or the event count reached its gate,
@@ -454,8 +454,8 @@ class Engine:
         goes on if that spawned an op. picks, a scripted schedule, names
         each step's thread as (proc, tid); else the queue's head goes. With
         a per-op budget, a run without picks stops an op past
-        LASSO_THRESHOLD steps at its first lasso from event watch_from on,
-        the last after_step gate (see the module docstring), with the reason
+        LASSO_THRESHOLD steps at its first lasso from admission's last
+        after_step gate on (see the module docstring), with the reason
         ``blocked (lasso i..j)``.
         """
         watched = per_op_budget is not None and picks is None
@@ -496,7 +496,7 @@ class Engine:
             if not watched or op is None or op.steps < LASSO_THRESHOLD:
                 continue
             if watch is None:
-                watch = _Lasso(self, t, watch_from)
+                watch = _Lasso(self, t, 0 if admission is None else admission.last_gate)
             reason = watch.observe(t, before)
             if reason is not None:
                 self._stop(t, reason)
@@ -594,9 +594,9 @@ def _frames(gen, state):
 
 
 def _shift(si: list, sj: list) -> Optional[dict]:
-    """The shift d > 0 per domain that takes the sequence numbers si to sj,
-    if every moved number exceeds every unmoved one of its domain; else
-    None."""
+    """The shift d > 0 per domain that takes the sequence numbers si to sj
+    (empty if none moves), if every moved number exceeds every unmoved one
+    of its domain; else None."""
     shift: dict[int, int] = {}
     moved: dict[int, int] = {}
     fixed: dict[int, int] = {}
@@ -625,8 +625,8 @@ class _Point:
 
 class _Lasso:
     """Watches one spinning op for a lasso (see the module docstring): it
-    keeps the states it takes by exact and by rank fingerprint and names the
-    first repeat that passes the checks."""
+    keeps the states it takes by fingerprint and names the first repeat
+    that passes the checks."""
 
     def __init__(self, eng: Engine, t: _Thread, watch_from: int):
         self.eng = eng
@@ -635,8 +635,7 @@ class _Lasso:
         while t.frame is not None:
             t = t.frame.parent
         self.root = t
-        self.exact: dict = {}  # fingerprint -> _Point
-        self.ranked: dict = {}  # rank fingerprint -> _Point
+        self.seen: dict = {}  # fingerprint -> the latest _Point with it
         self.memo: dict = {}  # _split's, for this watch only
         self.resumed: dict = {}  # thread -> the first event of its last resumption
         # What a take keeps for the next: the event count after it, each
@@ -660,21 +659,17 @@ class _Lasso:
                 before >= self.watch_from and eng._next_crash == len(eng.crash_points):
             taken = self._take(before)
         if taken is None:  # no cycle may span this step
-            self.exact.clear()
-            self.ranked.clear()
+            self.seen.clear()
             return None
-        exact_key, rank_key, q = taken
-        p = self.exact.get(exact_key)
-        if p is not None and self._fair(p):
-            return f"blocked (lasso {p.step}..{q.step})"
-        p = self.ranked.get(rank_key)
-        shift = p is not None and self._fair(p) and _shift(p.seqs, q.seqs)
-        if shift:
-            return f"blocked (lasso {p.step}..{q.step}; " + ", ".join(
-                f"k of {self._levels(p, q, h)} +{d}"
-                for h, d in sorted(shift.items())) + ")"
-        self.exact[exact_key] = self.ranked[rank_key] = q
-        return None
+        key, q = taken
+        p, self.seen[key] = self.seen.get(key), q
+        shift = None if p is None or not self._fair(p) else _shift(p.seqs, q.seqs)
+        if shift is None:
+            return None
+        # An exact repeat moves no number: its reason names only i..j.
+        moved = ", ".join(f"k of {self._levels(p, q, h)} +{d}"
+                          for h, d in sorted(shift.items()))
+        return f"blocked (lasso {p.step}..{q.step}{moved and '; ' + moved})"
 
     def _fair(self, p: _Point) -> bool:
         """Whether every thread runnable at p has been resumed since or has
@@ -683,13 +678,13 @@ class _Lasso:
                    for u in p.runnable)
 
     def _take(self, step: int) -> Optional[tuple]:
-        """The state's exact and rank fingerprints and its _Point, or None
-        if a thread of another op or process is runnable. Both fingerprints
-        are flat: the registers' parts, the state key's, and each live
-        thread's head and frames in fork-tree order, then the runnable
-        threads' names and the sequence numbers or their ranks. A part is
-        made again only when its value changed since the last take; a
-        register's, only when an event since then wrote it."""
+        """The state's fingerprint and its _Point, or None if a thread of
+        another op or process is runnable. The fingerprint is flat: the
+        registers' parts, the state key's, and each live thread's head and
+        frames in fork-tree order, then the runnable threads' names and the
+        ranks of the sequence numbers. A part is made again only when its
+        value changed since the last take; a register's, only when an event
+        since then wrote it."""
         eng, op, state = self.eng, self.op, self.eng.state
         runnable = []
         for u in eng.queue:
@@ -740,8 +735,7 @@ class _Lasso:
             r = r + 1 if h == last else 0
             rank[h, k] = r
             last = h
-        return (_Part((*parts, runnable_names, tuple(seqs)), seqs),
-                _Part((*parts, runnable_names, tuple(map(rank.__getitem__, seqs))), seqs),
+        return (_Part((*parts, runnable_names, tuple(map(rank.__getitem__, seqs))), seqs),
                 _Point(step, seqs, tuple(cells.values()), runnable))
 
     def _part(self, slot, value, key: bool = False) -> _Part:
@@ -854,9 +848,11 @@ class _Admission:
             self.waiting.setdefault(item.proc, []).append(i)
         self.last_op: dict[int, OpResult] = {}
         self.op_for_item: dict[int, OpResult] = {}
-        # The after_step gates not yet reached, descending, and the next one.
+        # The after_step gates not yet reached, descending, the next one and
+        # the last, from which on run_queue may look for a lasso.
         self.gates = sorted({item.after_step for item in workload
                              if item.after_step is not None}, reverse=True)
+        self.last_gate = self.gates[0] if self.gates else 0
         self.gate = self.gates.pop() if self.gates else float("inf")
 
     def _open(self, proc: int) -> bool:
@@ -954,9 +950,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     # picks run out.
     eng.run_queue(scenario.step_budget, scenario.per_op_budget,
                   admission=_Admission(scenario.workload, instance, eng),
-                  picks=None if seeded else scenario.schedule.picks,
-                  watch_from=max((item.after_step for item in scenario.workload
-                                  if item.after_step is not None), default=0))
+                  picks=None if seeded else scenario.schedule.picks)
     exhausted = seeded and len(eng.events) >= scenario.step_budget
     reason = ("step budget" if exhausted else "quiescence") if seeded \
         else "schedule exhausted"

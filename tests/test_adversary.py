@@ -22,6 +22,7 @@ from byzregs.constructions import (
     algo1_write_step_count,
 )
 from byzregs.core import (
+    DONE,
     AccessViolation,
     Correct,
     Event,
@@ -186,8 +187,59 @@ def test_attack_algo1_blocks():
     assert pending
 
 
-# The lasso each blocked algo1 attack read stops at: Step A (a plain repeat)
-# at n = 3, Step B (a repeat up to shifted counters) at n = 4 and 5.
+class _Relay(constructions.Layout):
+    """A 3-reader candidate: the writer writes RL/W, which readers 1 and 2
+    read; reader 2 copies what it reads into RL/R2, which reader 3 reads."""
+
+    def __init__(self, n):
+        t0 = Plain(SeqTuple(0, b""))
+        super().__init__([1, 2, 3], [RegisterSpec("RL/W", 0, frozenset([1, 2]), t0),
+                                     RegisterSpec("RL/R2", 2, frozenset([1, 3]), t0)],
+                         {"RL/W": "candidate", "RL/R2": "candidate"})
+
+    def write_machine(self, state, value):
+        state.c += 1
+        yield ("w", "RL/W", Plain(SeqTuple(state.c, value)))
+        return DONE
+
+    def read_machine(self, state, proc):
+        x = yield ("r", "RL/R2" if proc == 3 else "RL/W")
+        if proc == 2:
+            yield ("w", "RL/R2", x)
+        return x.t
+
+
+def test_a_forced_read_that_dodges_the_marker_is_a_violation_witness(monkeypatch):
+    # In C_1^3 reader 1 returns the marker, and then reader 3 returns the
+    # initial value, which reader 2, the process allowed to misbehave, wrote
+    # back to RL/R2.
+    monkeypatch.setitem(constructions.IMPLEMENTATIONS, "_relay",
+                        Implementation(_Relay, RULE_THM1, 3))
+    result = attack_search("_relay", 3)
+    assert isinstance(result, ViolationWitness)
+    assert (result.stage, result.vclass) == ("C_1^3", "Property2")
+    assert result.explanation == "read by 1 returned v_1, then read by 3 returned v_0"
+    assert result.stage_log[-1] == \
+        "C_1^3: read by 3 returned SeqTuple(k=0, u=b''), not the marker"
+    reads = [(e.proc, e.ret) for e in result.events
+             if e.kind == "respond" and e.op == "Read"]
+    assert reads == [(1, SeqTuple(1, MARKER)), (3, SeqTuple(0, b""))]
+
+
+def test_a_read_past_the_stage_budget_is_a_blocked_witness():
+    # A naive-gossip read by 1 after the write takes two register steps, so
+    # a stage budget of 2 stops it before it responds.
+    result = attack_search("naive-gossip", 3, stage_budget=2)
+    assert isinstance(result, BlockedWitness)
+    assert (result.stage, result.reader) == ("A_2(x=1)", 1)
+    assert result.explanation == ("read by correct process 1 still pending after 2 "
+                                  "of its steps under a fair schedule")
+    assert result.stage_log[-1] == "A_2(x=1): read by 1 blocked"
+    assert [e.kind for e in result.events if e.proc == 1] == ["invoke", "reg_read", "reg_write"]
+
+
+# The lasso each blocked algo1 attack read stops at: an exact repeat (an
+# empty shift) at n = 3, a repeat up to shifted counters at n = 4 and 5.
 LASSOS = {
     3: "blocked (lasso 1024..1028)",
     4: "blocked (lasso 1041..1051; k of I4/RwQ/I3/RpQ/I2 +2)",

@@ -2,7 +2,7 @@ import pickle
 
 import pytest
 
-from byzregs import constructions, sim
+from byzregs import cli, constructions, sim
 from byzregs.adversary import record_solo_write
 from byzregs.constructions import (
     Algo1Construction,
@@ -146,6 +146,64 @@ def test_read_q_all_stale_returns_last_written():
         sim.WorkItem(3, "read"),
     ], schedule=sim.Scripted(tuple(picks)))
     assert tr.ops[1].ret == SeqTuple(0, b"")
+
+
+def _all_correct_scripted(n, workload, picks):
+    """The trace of an all-correct scripted algo1 run, whose ops all
+    complete and whose verdicts all pass."""
+    sc = sim.Scenario("algo1", n, correct(n), workload, sim.Scripted(tuple(picks)))
+    tr, verdicts = cli.run_and_check(sc)
+    assert all(op.status == "completed" for op in tr.ops)
+    assert all(v.ok for v in verdicts.values())
+    return tr
+
+
+def test_read_q_thread1_returns_on_a_strictly_newer_prepare():
+    # q = 2 forks on write 1's prepare; Thread 1 then reads write 2's
+    # prepare twice, the second time past its commit check, and returns.
+    picks = [(0, 0), (0, 0), (2, 0), (0, 0), (0, 0), (0, 0), (0, 1), (2, 0),
+             (0, 1), (2, 1), (2, 1), (0, 1), (0, 1), (2, 1), (2, 0), (0, 1)]
+    tr = _all_correct_scripted(2, [
+        sim.WorkItem(0, "write", value=b"a"),
+        sim.WorkItem(0, "write", value=b"b"),
+        sim.WorkItem(2, "read"),
+    ], picks)
+    q = [e for e in tr.events if e.proc == 2]
+    fork, last, respond = q[1], q[-2], q[-1]
+    assert (fork.reg, last.reg) == ("I2/RwQ", "I2/RwQ")
+    assert isinstance(fork.value, Prepare) and isinstance(last.value, Prepare)
+    assert last.value.next.k > fork.value.next.k
+    assert last.thread == fork.thread + 1  # Thread 1, the fork's first branch
+    assert (respond.kind, respond.ret) == ("respond", fork.value.next)
+
+
+def test_read_q_thread2_rereads_and_broadcasts_after_a_gossip_hit():
+    # q = 3's second read forks on write 1's prepare. Thread 2 reads a
+    # stale R_pQ, then finds t in R_2_3, reads R_pQ again, now fresh, and
+    # broadcasts t before the read returns it.
+    picks = [
+        (1, 0), (1, 0), (2, 0), (0, 0), (1, 0), (3, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+        (3, 0), (1, 0), (1, 0), (1, 0), (3, 1), (0, 0), (2, 0), (1, 1), (1, 1), (2, 0),
+        (1, 1), (3, 1), (3, 3), (1, 1), (3, 3), (3, 5), (0, 0), (2, 1), (3, 5), (0, 0),
+        (2, 1), (2, 3), (2, 3), (1, 1), (0, 0), (2, 3), (2, 3), (0, 0), (3, 5), (2, 3),
+        (0, 0), (0, 1), (2, 1), (3, 3), (0, 1), (0, 1), (1, 1), (3, 3), (3, 3), (3, 3),
+        (3, 3), (3, 1), *[(0, 1)] * 8, *[(0, 2)] * 11,
+    ]
+    tr = _all_correct_scripted(3, [
+        *(sim.WorkItem(0, "write", value=v) for v in (b"a", b"b", b"c")),
+        *(sim.WorkItem(p, "read") for p in (1, 2, 3, 1, 2, 3)),
+    ], picks)
+    t = SeqTuple(1, b"a")
+    q = [e for e in tr.events if e.proc == 3]
+    hit = next(i for i, e in enumerate(q) if e.reg == "I3/R2_3")
+    assert (q[hit].kind, q[hit].value) == ("reg_read", Plain(t))
+    reread, *broadcast, respond = q[hit + 1:]
+    assert (reread.kind, reread.reg) == ("reg_read", "I3/RpQ/I2/RwQ")
+    assert reread.value.t.u == Plain(t)
+    assert [(e.kind, e.reg, e.value) for e in broadcast] == [
+        ("reg_write", "I3/R3_2", Plain(t)), ("reg_write", "I3/R3_3", Plain(t))]
+    assert (respond.kind, respond.ret) == ("respond", t)
+    assert q[hit].thread == reread.thread == broadcast[0].thread
 
 
 def test_algo1_rejects_single_reader():

@@ -198,3 +198,11 @@ def test_jsonl_roundtrip_and_ret_kinds():
     assert events_from_jsonl(data) == events
     # byte-stable re-encoding
     assert events_to_jsonl(events_from_jsonl(data)) == data
+
+
+def test_deeply_nested_trace_line_is_a_bad_event():
+    # json.loads gives up on the nesting with a RecursionError, which must
+    # surface as the codec's own error naming the line.
+    nested = b'{"step":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    with pytest.raises(ValueError, match=r"^trace line 2: bad event"):
+        events_from_jsonl(events_to_jsonl([Event(0, 1, 0, "invoke", op="Read")]) + nested)

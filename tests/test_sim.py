@@ -270,7 +270,7 @@ def test_counter_above_every_fixed_k_is_a_lasso():
 
 
 def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
-    # Below the lie's k the rank fingerprint repeats every two steps, but the
+    # Below the lie's k the fingerprint repeats every two steps, but the
     # counter would cross the lie: the read does complete, at c = 1,501.
     shifts = []
     shift = sim._shift
@@ -289,8 +289,8 @@ def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
 
 def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
     # Every state the watch takes in algo1's blocked reads: what it keeps
-    # from take to take (its memo and its parts) changes none of the exact
-    # key, rank key and seqs of the take a new watch makes from nothing.
+    # from take to take (its memo and its parts) changes neither the
+    # fingerprint nor the seqs of the take a new watch makes from nothing.
     from byzregs.adversary import attack_search
 
     take = sim._Lasso._take
@@ -301,8 +301,7 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
         fresh = take(sim._Lasso(self.eng, self.root, self.watch_from), step)
         assert (got is None) == (fresh is None)
         if got is not None:
-            assert got[:2] == fresh[:2]
-            assert got[2].seqs == fresh[2].seqs
+            assert (got[0], got[1].seqs) == (fresh[0], fresh[1].seqs)
             states.append(n)
         return got
 
@@ -348,19 +347,20 @@ def test_incremental_take_follows_every_register_write():
         eng._resume(t)
         got = watch._take(before)
         fresh = sim._Lasso(eng, t, 0)._take(before)
-        assert got[:2] == fresh[:2]
-        assert got[2].seqs == fresh[2].seqs
+        # The fingerprint and the seqs whose ranks it holds.
+        got, fresh = (got[0], got[1].seqs), (fresh[0], fresh[1].seqs)
+        assert got == fresh
         return got
 
     old = Plain(SeqTuple(1, Commit(SeqTuple(4, b"x"))))
     write(old)
     first = take()
     write(Plain(SeqTuple(1, Commit(SeqTuple(4, b"x")))))
-    assert take()[0] == first[0]
+    assert take() == first
     write(old)
-    assert take()[0] == first[0]
+    assert take() == first
     write(Plain(SeqTuple(2, Commit(SeqTuple(4, b"x")))))
-    assert take()[0] != first[0]
+    assert take() != first
     for k in range(100):
         write(Plain(SeqTuple(k, Commit(SeqTuple(100 - k, b"y")))),
               Plain(SeqTuple(k + 1, Commit(SeqTuple(k, b"y")))))
