@@ -8,7 +8,9 @@ recorded register accesses verbatim. A script is the tuple of accesses a
 process issues, as ``recorded_actions`` extracts them. Every execution is a
 strict sequence of phases (writer prefix, replay and reset scripts, one
 fresh read), which is exactly the shape of the proof's executions S, A_k,
-B_{k-1}, C/D/E/F.
+B_{k-1}, C/D/E/F. The solo write and every fresh read run under one per-op
+budget, the stage budget (``--op-budget``): an op of m register steps fits
+a budget of m, and one that asks for a step past it is stopped there.
 A found witness or the spent search budget ends the search: it is raised
 from the stage that finds it, and ``attack_search`` returns it.
 """
@@ -144,18 +146,15 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
             eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
-            eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, ScriptPhase):
             eng.spawn_script(ph.proc, ph.script)
-            eng.run_queue(step_budget=len(eng.events) + stage_budget)
         elif isinstance(ph, FreshRead):
             eng.spawn_op(ph.proc, "Read", None, inst.read_machine(ph.proc))
-            eng.run_queue(
-                step_budget=len(eng.events) + 4 * stage_budget,
-                per_op_budget=stage_budget,
-            )
         else:
             raise TypeError(ph)
+        # An op's phase logs its invoke, at most stage_budget accesses, a
+        # crash and a respond, so the op's budget binds before the bound.
+        eng.run_queue(len(eng.events) + 4 * stage_budget, stage_budget)
     accesses = sum(e.kind in ("reg_read", "reg_write") for e in eng.events)
     return PlanResult(eng.events, eng.ops, accesses)
 

@@ -148,15 +148,8 @@ def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
     specs = constructions.layout_of(construction, n).specs
     faults = build_fault_map(pattern, n, rng, specs)
     workload = random_workload(rng, n, faults)
-    return sim.Scenario(
-        construction=construction,
-        n=n,
-        faults=faults,
-        workload=workload,
-        schedule=sim.Seeded(seed),
-        step_budget=step_budget,
-        per_op_budget=per_op_budget,
-    )
+    return sim.Scenario(construction, n, faults, workload, sim.Seeded(seed),
+                        step_budget=step_budget, per_op_budget=per_op_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +170,19 @@ def _json_bytes(obj) -> bytes:
 
 
 def _write_outputs(*outputs: tuple[str, bytes]) -> None:
-    """Write each (path, data) only once every path opens; otherwise raise
-    having written nothing and removed the files this call created."""
+    """Write each (path, data) only once every path opens and no two name
+    one file, by any link; otherwise raise having written nothing and
+    removed the files this call created."""
     created = [path for path, _ in outputs if not os.path.lexists(path)]
+    files: dict[tuple, int] = {}  # (device, inode) -> the first output's index
     try:
-        for path, _ in outputs:
+        for i, (path, _) in enumerate(outputs):
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
-    except OSError:
+            st = os.stat(path)
+            first = files.setdefault((st.st_dev, st.st_ino), i)
+            if first != i:
+                raise ValueError(f"outputs {outputs[first][0]} and {path} name the same file")
+    except (OSError, ValueError):
         for path in created:
             if os.path.lexists(path):
                 os.remove(path)

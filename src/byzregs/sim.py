@@ -20,36 +20,41 @@ Engine.run_queue is the one step loop, for seeded scenarios (the queue's
 head, after workload admission), scripted picks and the attack harness's
 phases. A crash point (step, proc) crashes proc once the trace holds step
 events; scenario crash faults and the attack harness's writer crash are both
-crash points. A step costs O(1) engine work beyond a fork's seeded
-insertions, a budget stop's walk over the stopped op's threads, a crash
-marker's look back for its process's last event and the lasso watch of an op
-past LASSO_THRESHOLD steps. A watch splits every register at the first state
-it takes. A later state splits again only what changed since the one before:
-the registers that events since then wrote, and the state key items (algo1's
-levels), thread heads and generator frames whose values differ. Each part is
-hashed once, so a state still costs a look at every live frame and one step
-per part and per sequence number to gather and rank them, but no walk
-through the cells nested in a register.
+crash points. Every op runs under a per-op budget: an op of m register steps
+fits a budget of m, and a thread of the op that asks for a register access
+past it is stopped there, before the access is checked or applied. A step
+costs O(1) engine work beyond a fork's seeded insertions, a budget stop's
+walk over the stopped op's threads, a crash marker's look back for its
+process's last event and the lasso watch of a read past LASSO_THRESHOLD
+steps. A watch splits every register at the first state it takes. A later
+state splits again only what changed since the one before: the registers
+that events since then wrote, and the state key items (algo1's levels),
+thread heads and generator frames whose values differ. Each part is hashed
+once, so a state still costs a look at every live frame and one step per
+part and per sequence number to gather and rank them, but no walk through
+the cells nested in a register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
 machine whose reads go unused.
 
 Lassos. A seeded scenario run or an attack read can prove that a spinning
-op never completes instead of spinning it to its per-op budget: run_queue
+read never completes instead of spinning it to its per-op budget: run_queue
 finds a lasso, a state the run reaches again, so that the cycle between the
 two visits repeats forever (the lasso-shaped liveness counterexample of
-Vardi and Wolper, LICS 1986). Once the op has taken LASSO_THRESHOLD register
-steps, the engine takes its state after each of its register accesses: the
-register cells, the per-run state's key(), the queue order of the runnable
-threads, and each live thread of the op with its parked flag, pending
-value, unresolved join frame and generator chain (code, f_lasti and
-locals). Threads are named by their place in the op's fork tree, not by
-id, since every cycle forks fresh ids. A frame's state is assumed to be its
-f_lasti plus its locals: a loop over a static list is fixed by its loop
-variable, as ``q1`` fixes how far algo1's ``_q_thread2`` has gone over
-``q_list``. A local that is not a value (a layout's static object, a part
-of the run record) is compared by identity; key() covers the run record.
+Vardi and Wolper, LICS 1986). Only reads are watched: no write machine here
+reads, so no other process can hold a write back, and its budget bounds it.
+Once a read has taken LASSO_THRESHOLD register steps, the engine takes its
+state after each of its register accesses: the register cells, the per-run
+state's key(), the queue order of the runnable threads, and each live thread
+of the op with its parked flag, pending value, unresolved join frame and
+generator chain (code, f_lasti and locals). Threads are named by their place
+in the op's fork tree, not by id, since every cycle forks fresh ids. A
+frame's state is assumed to be its f_lasti plus its locals: a loop over a
+static list is fixed by its loop variable, as ``q1`` fixes how far algo1's
+``_q_thread2`` has gone over ``q_list``. A local that is not a value (a
+layout's static object, a part of the run record) is compared by identity;
+key() covers the run record.
 
 A repeat counts only if the cycle is fair and closed (the fair-cycle
 conditions of Musuvathi and Qadeer, PLDI 2008), which the engine checks:
@@ -118,8 +123,8 @@ from .core import (
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
-# Register steps an op takes before run_queue watches it for a lasso: far
-# above any wait-free op's steps in the constructions here.
+# Register steps a read takes before run_queue watches it for a lasso. Only
+# reads are watched, since only a read can be held back by other processes.
 LASSO_THRESHOLD = 1_000
 DEFAULT_PER_OP_BUDGET = 100_000
 
@@ -154,6 +159,8 @@ class Scenario:
     workload: list[WorkItem]
     schedule: Schedule
     step_budget: int = DEFAULT_STEP_BUDGET
+    # Admits every op of at most this many register steps; an op that asks
+    # for one more is stopped there and stays pending.
     per_op_budget: int = DEFAULT_PER_OP_BUDGET
 
 
@@ -369,7 +376,7 @@ class Engine:
                 parent.pending = None
                 self.queue.append(parent)
 
-    def _resume(self, t: _Thread, per_op_budget: Optional[int] = None) -> None:
+    def _resume(self, t: _Thread, per_op_budget: int) -> None:
         owner = t.owner
         if owner in self.crashed:
             raise CrashedActor(f"process {owner} already crashed")
@@ -379,9 +386,14 @@ class Engine:
         except StopIteration as stop:
             self._on_return(t, stop.value)
             return
+        # An op of m register steps fits a budget of m: asking for access
+        # m + 1 stops it before the access is checked. Forks and returns run.
+        kind, events, op = action[0], self.events, t.op
+        if op is not None and op.steps >= per_op_budget and kind in ("r", "w"):
+            self._stop(t, "per-op budget")
+            return
         # The one access check: a register access is checked against its
         # spec's writer and readers, applied and logged here.
-        kind, events = action[0], self.events
         if kind == "r":
             reg = action[1]
             spec = self.specs.get(reg)
@@ -417,19 +429,12 @@ class Engine:
             raise RuntimeError(f"unknown machine action {action!r}")
         if len(events) >= self._crash_at:
             self._sweep_crashes()
-        # After an access t is neither parked nor done, and its op stops being
-        # pending only if the owner crashed at this event.
-        op = t.op
+        # After an access t is neither parked nor done; it goes on unless its
+        # owner crashed at this event, which leaves its op crashed-owner.
         if op is not None:
             op.steps += 1
-            if op.status != "pending":
-                return
-            if per_op_budget is not None and op.steps >= per_op_budget:
-                self._stop(t, "per-op budget")
-                return
-        elif owner in self.crashed:
-            return
-        self.queue.append(t)
+        if owner not in self.crashed:
+            self.queue.append(t)
 
     def _stop(self, t: _Thread, reason: str) -> None:
         """Leave t's op pending with reason and cancel its whole fork tree."""
@@ -444,21 +449,21 @@ class Engine:
         return not (t.owner in self.crashed or t.parked or t.cancelled or t.done
                     or (op is not None and op.status != "pending"))
 
-    def run_queue(self, step_budget: int, per_op_budget: Optional[int] = None,
+    def run_queue(self, step_budget: int, per_op_budget: int,
                   admission: Optional[_Admission] = None,
                   picks: Optional[Iterable] = None) -> None:
         """Resume threads until quiescence, the end of picks or the event
-        budget. admission, a scenario's workload admission, admits before a
+        budget; an op that asks for an access past per_op_budget is stopped
+        there. admission, a scenario's workload admission, admits before a
         step once the engine changed or the event count reached its gate,
         and once more with quiescent=True when nothing is runnable; the run
         goes on if that spawned an op. picks, a scripted schedule, names
-        each step's thread as (proc, tid); else the queue's head goes. With
-        a per-op budget, a run without picks stops an op past
-        LASSO_THRESHOLD steps at its first lasso from admission's last
-        after_step gate on (see the module docstring), with the reason
-        ``blocked (lasso i..j)``.
+        each step's thread as (proc, tid); else the queue's head goes. A run
+        without picks stops a Read past LASSO_THRESHOLD steps at its first
+        lasso from admission's last after_step gate on (see the module
+        docstring), with the reason ``blocked (lasso i..j)``.
         """
-        watched = per_op_budget is not None and picks is None
+        watched = picks is None
         picks = None if picks is None else iter(picks)
         events, queue, crashed, watch = self.events, self.queue, self.crashed, None
         while len(events) < step_budget:
@@ -493,7 +498,8 @@ class Engine:
             op = t.op
             if watch is not None and watch.op is not op:
                 watch = None  # another op's thread acted: no cycle spans it
-            if not watched or op is None or op.steps < LASSO_THRESHOLD:
+            if not watched or op is None or op.steps < LASSO_THRESHOLD \
+                    or op.kind != "Read":
                 continue
             if watch is None:
                 watch = _Lasso(self, t, 0 if admission is None else admission.last_gate)
@@ -1082,16 +1088,10 @@ def scenario_from_json(obj: dict) -> Scenario:
             n=obj["n"],
             faults={_proc_key(p): fault_from_json(f, specs, int(p))
                     for p, f in obj.get("faults", {}).items()},
-            workload=[
-                WorkItem(
-                    proc=w["proc"],
-                    op=w["op"],
-                    value=decode_payload(w["value"]) if "value" in w else None,
-                    after_op=w.get("after_op"),
-                    after_step=w.get("after_step"),
-                )
-                for w in obj.get("workload", [])
-            ],
+            workload=[WorkItem(w["proc"], w["op"],
+                               decode_payload(w["value"]) if "value" in w else None,
+                               w.get("after_op"), w.get("after_step"))
+                      for w in obj.get("workload", [])],
             schedule=schedule,
             step_budget=obj.get("step_budget", DEFAULT_STEP_BUDGET),
             per_op_budget=obj.get("per_op_budget", DEFAULT_PER_OP_BUDGET),

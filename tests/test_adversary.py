@@ -84,13 +84,13 @@ def test_replay_fidelity_on_unchanged_state():
     inst = build_candidate("naive-gossip", 3)
     eng = Engine(inst.by_id, inst.state)
     eng.spawn_script(1, (("w", "NG/G1", Plain(SeqTuple(4, b"zz"))),))
-    eng.run_queue(step_budget=100)
+    eng.run_queue(step_budget=100, per_op_budget=1)
     actions = recorded_actions(eng.events, 1)
 
     inst2 = build_candidate("naive-gossip", 3)
     eng2 = Engine(inst2.by_id, inst2.state)
     eng2.spawn_script(1, actions)
-    eng2.run_queue(step_budget=100)
+    eng2.run_queue(step_budget=100, per_op_budget=1)
     assert events_to_jsonl(eng.events) == events_to_jsonl(eng2.events)
 
 
@@ -100,7 +100,7 @@ def test_adversary_actions_stay_access_checked():
     # Reader 1 does not write NG/G2; the substrate rejects the script.
     eng.spawn_script(1, (("w", "NG/G2", Plain(SeqTuple(1, b"x"))),))
     with pytest.raises(AccessViolation):
-        eng.run_queue(step_budget=10)
+        eng.run_queue(step_budget=10, per_op_budget=1)
 
 
 @pytest.mark.parametrize("script, message", [
@@ -115,7 +115,7 @@ def test_engine_rejects_a_disallowed_read_and_an_unknown_register(script, messag
     eng = Engine(inst.by_id, inst.state)
     eng.spawn_script(3, script)
     with pytest.raises(AccessViolation, match=f"^{message}$"):
-        eng.run_queue(step_budget=10)
+        eng.run_queue(step_budget=10, per_op_budget=1)
     assert eng.events == []
     assert eng.cells == {s.reg_id: s.initial for s in inst.specs}
 
@@ -125,7 +125,7 @@ def test_resetall_touches_only_own_registers_in_id_order():
     eng = Engine(inst.by_id, inst.state)
     eng.cells["NG/G2"] = Plain(SeqTuple(3, b"x"))
     eng.spawn_script(2, script_from_json({"kind": "resetall"}, inst.specs, 2))
-    eng.run_queue(step_budget=100)
+    eng.run_queue(step_budget=100, per_op_budget=1)
     writes = [e.reg for e in eng.events if e.kind == "reg_write"]
     assert writes == ["NG/G2"]
     assert eng.cells["NG/G2"] == Plain(SeqTuple(0, b""))
@@ -227,15 +227,20 @@ def test_a_forced_read_that_dodges_the_marker_is_a_violation_witness(monkeypatch
 
 
 def test_a_read_past_the_stage_budget_is_a_blocked_witness():
-    # A naive-gossip read by 1 after the write takes two register steps, so
-    # a stage budget of 2 stops it before it responds.
-    result = attack_search("naive-gossip", 3, stage_budget=2)
+    # An algo3 read at n = 3 takes 2n + 1 = 7 register steps, so a stage
+    # budget of 6 stops it when it asks for its 7th, before it responds.
+    result = attack_search("algo3", 3, stage_budget=6)
     assert isinstance(result, BlockedWitness)
-    assert (result.stage, result.reader) == ("A_2(x=1)", 1)
-    assert result.explanation == ("read by correct process 1 still pending after 2 "
+    assert (result.stage, result.reader) == ("A_4(x=1)", 1)
+    assert result.explanation == ("read by correct process 1 still pending after 6 "
                                   "of its steps under a fair schedule")
-    assert result.stage_log[-1] == "A_2(x=1): read by 1 blocked"
-    assert [e.kind for e in result.events if e.proc == 1] == ["invoke", "reg_read", "reg_write"]
+    assert result.stage_log[-1] == "A_4(x=1): read by 1 blocked"
+    assert [e.kind for e in result.events if e.proc == 1] == \
+        ["invoke"] + ["reg_read"] * 4 + ["reg_write"] * 2
+    # A budget of 7 admits the read, and the search exhausts as at the default.
+    exhausted = attack_search("algo3", 3, stage_budget=7)
+    assert isinstance(exhausted, Exhausted)
+    assert exhausted.stage_log == attack_search("algo3", 3).stage_log
 
 
 # The lasso each blocked algo1 attack read stops at: an exact repeat (an
@@ -503,17 +508,17 @@ def test_writer_phase_crashes_after_its_accesses(name):
 
 @pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3"])
 def test_solo_write_has_a_writer_phase_budget(name):
-    # The solo write is a plan's writer phase: m register steps and the
-    # response fit a budget of m + 1, as every plan's writer phase allows.
+    # The solo write is a plan's writer phase: its m register steps fit a
+    # budget of m, as every plan's ops do, and m - 1 stops it.
     from byzregs.adversary import WriterBlocked, WriterPhase, run_plan
 
     m = len(record_solo_write(name, 3)[0])
-    steps, events = record_solo_write(name, 3, budget=m + 1)
-    phase = run_plan(name, 3, [WriterPhase(None)], m + 1)
+    steps, events = record_solo_write(name, 3, budget=m)
+    phase = run_plan(name, 3, [WriterPhase(None)], m)
     assert len(steps) == m
     assert events_to_jsonl(events) == events_to_jsonl(phase.events)
     with pytest.raises(WriterBlocked):
-        record_solo_write(name, 3, budget=m)
+        record_solo_write(name, 3, budget=m - 1)
 
 
 def test_writer_blocked_when_solo_write_spins(monkeypatch):

@@ -493,6 +493,36 @@ def test_unwritable_second_output_leaves_the_first_unchanged(tmp_path, monkeypat
     assert (tmp_path / other).read_bytes() == b"earlier output"
 
 
+def _snapshot(d) -> dict:
+    """Each entry of directory d: a symlink's target, else the file's bytes."""
+    return {name: os.readlink(d / name) if os.path.islink(d / name)
+            else (d / name).read_bytes() for name in os.listdir(d)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", ALL_CORRECT],
+    ["attack", "--construction", "naive-gossip", "--n", "3"],
+], ids=["run", "attack"])
+@pytest.mark.parametrize("link", ["path", "symlink", "hardlink"])
+def test_outputs_naming_one_file_exit_two(tmp_path, monkeypatch, capsys, argv, link):
+    # --trace and --out name one file: as one path spelt twice, through a
+    # symlink to a file not yet made, or as two hard links to an old output.
+    monkeypatch.chdir(tmp_path)
+    trace, out = "x.json", "./x.json"
+    if link == "symlink":
+        os.symlink("x.json", "y.json")
+        out = "y.json"
+    elif link == "hardlink":
+        (tmp_path / "x.json").write_bytes(b"earlier output")
+        os.link("x.json", "y.json")
+        out = "y.json"
+    before = _snapshot(tmp_path)
+    assert run_cli(argv + ["--trace", trace, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("name the same file")
+    assert _snapshot(tmp_path) == before
+
+
 def _set(path, value):
     """Return an edit that sets a key path (a tuple) in a scenario document."""
     def edit(doc):

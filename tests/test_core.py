@@ -37,7 +37,7 @@ def run_accesses(*accesses):
     eng = Engine(specs_by_id(SPECS), Vars(c=0))
     for proc, access in accesses:
         eng.spawn_script(proc, (access,))
-        eng.run_queue(step_budget=len(eng.events) + 1)
+        eng.run_queue(step_budget=len(eng.events) + 1, per_op_budget=1)
     return [e.value for e in eng.events if e.kind == "reg_read"]
 
 

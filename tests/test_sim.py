@@ -335,7 +335,7 @@ def test_incremental_take_follows_every_register_write():
         s = eng.spawn_script(2, tuple(("w", "T/R", c) for c in cells))
         while not s.done:
             eng.queue.remove(s)
-            eng._resume(s)
+            eng._resume(s, sim.DEFAULT_PER_OP_BUDGET)
         # The trace lets go of the cells, so that only the register and
         # the watch can keep them alive.
         for e in eng.events[-len(cells):]:
@@ -344,7 +344,7 @@ def test_incremental_take_follows_every_register_write():
     def take():
         eng.queue.remove(t)
         before = len(eng.events)
-        eng._resume(t)
+        eng._resume(t, sim.DEFAULT_PER_OP_BUDGET)
         got = watch._take(before)
         fresh = sim._Lasso(eng, t, 0)._take(before)
         # The fingerprint and the seqs whose ranks it holds.
@@ -406,14 +406,14 @@ def test_an_unfair_repeat_is_not_a_lasso():
 
     eng = sim.Engine(specs_by_id(specs), Vars(c=0))
     eng.spawn_op(1, "Read", None, forking())
-    eng._resume(eng.queue.popleft())
+    eng._resume(eng.queue.popleft(), sim.DEFAULT_PER_OP_BUDGET)
     a, b = eng.queue
     watch = sim._Lasso(eng, b, 0)
 
     def step(t):
         eng.queue.remove(t)
         before = len(eng.events)
-        eng._resume(t)
+        eng._resume(t, sim.DEFAULT_PER_OP_BUDGET)
         return watch.observe(t, before)
 
     assert [step(b) for _ in range(5)] == [None] * 5
@@ -520,7 +520,7 @@ def test_crashed_actor_cannot_be_resumed():
     t = eng.threads[(0, 0)]
     eng._mark_crashed(0)
     with pytest.raises(CrashedActor):
-        eng._resume(t)
+        eng._resume(t, sim.DEFAULT_PER_OP_BUDGET)
 
 
 def test_due_crashes_go_lowest_process_first():
@@ -858,6 +858,67 @@ def test_scripted_run_is_stopped_only_by_its_budget(monkeypatch):
     read = tr.ops[1]
     assert (read.status, read.reason, read.steps) == ("pending", "per-op budget", 1500)
     assert events_to_jsonl(tr.events) == expected
+
+
+def test_a_budget_of_m_admits_an_op_of_m_steps():
+    # An algo2 write takes 4 register steps and a read at most 2, so a
+    # per-op budget of 4 passes every verdict; 3 stops each write when it
+    # asks for its 4th step, and the correct writer's op is a violation.
+    from byzregs import cli
+
+    sc = _alternating("algo2", 2, 20)
+    sc.per_op_budget = 4
+    trace, verdicts = cli.run_and_check(sc)
+    assert all(op.status == "completed" for op in trace.ops)
+    assert all(v.status == "pass" for v in verdicts.values())
+    sc.per_op_budget = 3
+    trace, verdicts = cli.run_and_check(sc)
+    assert (trace.ops[0].status, trace.ops[0].reason, trace.ops[0].steps) == \
+        ("pending", "per-op budget", 3)
+    assert verdicts["wait_freedom"].vclass == "WaitFreedom"
+
+
+def test_a_forked_read_responds_at_exactly_its_budget():
+    # The writer crashes after three steps, mid-write, so proc 3's read sees
+    # a prepare and forks. Its 6th and last access is a branch's; the branch
+    # then returns, the fork resolves and the read responds with no further
+    # access, so a budget of 6 gives the unbudgeted run and 5 stops it.
+    faults = all_correct(3)
+    faults[0] = Crash(4)
+    sc = scenario(faults=faults, workload=[sim.WorkItem(0, "write", value=b"a"),
+                                           sim.WorkItem(3, "read", after_step=5)])
+    free = sim.run(sc)
+    read = free.ops[1]
+    assert (read.status, read.steps) == ("completed", 6)
+    assert len({e.thread for e in free.events if e.proc == 3}) == 3
+    sc.per_op_budget = 6
+    assert events_to_jsonl(sim.run(sc).events) == events_to_jsonl(free.events)
+    sc.per_op_budget = 5
+    read = sim.run(sc).ops[1]
+    assert (read.status, read.reason, read.steps) == ("pending", "per-op budget", 5)
+
+
+def test_writes_are_never_watched(monkeypatch):
+    # An algo1 write at n = 10 takes 1,534 register steps, past
+    # LASSO_THRESHOLD, yet only reads are watched: no write reads, so no
+    # other process can hold it back, and its budget bounds it.
+    from byzregs.constructions import algo1_write_step_count
+
+    built = []
+
+    class Counted(sim._Lasso):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sim, "_Lasso", Counted)
+    sc = scenario(n=10, faults=all_correct(10),
+                  workload=[sim.WorkItem(0, "write", value=b"a"),
+                            sim.WorkItem(0, "write", value=b"b")])
+    m = algo1_write_step_count(10)
+    assert m > sim.LASSO_THRESHOLD
+    assert [(op.status, op.steps) for op in sim.run(sc).ops] == [("completed", m)] * 2
+    assert built == []
 
 
 def test_after_op_fires_on_budget_stop():
