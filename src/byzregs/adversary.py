@@ -23,7 +23,7 @@ from typing import Optional
 from . import checker
 from .core import Correct, Event, Malicious, RegisterSpec, SeqTuple
 from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_UNRESTRICTED,
-                            WRITER, build_instance)
+                            WRITER, Layout, layout_of)
 from .sim import Engine, OpResult, reset_script
 
 MARKER: bytes = b"\x01"
@@ -64,20 +64,20 @@ def recorded_actions(events: list[Event], proc: int) -> tuple[tuple, ...]:
 _WITHIN_BUDGET: set[tuple] = set()
 
 
-def build_candidate(name: str, n: int):
-    """Build an implementation and enforce its register budget, checked
+def build_candidate(name: str, n: int) -> Layout:
+    """An implementation's layout, with its register budget enforced, checked
     once per (table entry, n)."""
-    inst = build_instance(name, n)
+    layout = layout_of(name, n)
     impl = IMPLEMENTATIONS[name]
     if impl.rule == RULE_THM1 and (impl, n) not in _WITHIN_BUDGET:
-        for spec in inst.specs:
+        for spec in layout.specs:
             if len(spec.readers) > n - 1:
                 raise ValueError(
                     f"candidate {name}: register {spec.reg_id} readable by "
                     f"{len(spec.readers)} readers exceeds the {impl.rule} budget"
                 )
         _WITHIN_BUDGET.add((impl, n))
-    return inst
+    return layout
 
 
 def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
@@ -133,23 +133,22 @@ class PlanResult:
 
 
 def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
-    """Run phases strictly in order on a fresh candidate instance.
+    """Run phases strictly in order on a fresh run of the candidate.
 
     A writer phase may only come first, and it runs solo: event 0 is its
     invoke and events 1..a its first a register accesses. Crashing the
     writer after a accesses is therefore the crash point (a + 1, WRITER).
     """
-    inst = build_candidate(name, n)
     crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
              if isinstance(ph, WriterPhase) and ph.crash_after is not None]
-    eng = Engine(inst.by_id, inst.state, crash_points=crash)
+    eng = Engine(build_candidate(name, n), crash_points=crash)
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
-            eng.spawn_op(WRITER, "Write", MARKER, inst.write_machine(MARKER))
+            eng.spawn_write(MARKER)
         elif isinstance(ph, ScriptPhase):
             eng.spawn_script(ph.proc, ph.script)
         elif isinstance(ph, FreshRead):
-            eng.spawn_op(ph.proc, "Read", None, inst.read_machine(ph.proc))
+            eng.spawn_read(ph.proc)
         else:
             raise TypeError(ph)
         # An op's phase logs its invoke, at most stage_budget accesses, a
@@ -232,17 +231,17 @@ class _Search:
     def __init__(self, name: str, n: int, budget: int, stage_budget: int):
         self.name = name
         self.n = n
-        self.inst0 = build_candidate(name, n)
+        self.layout = build_candidate(name, n)
         self.rule = IMPLEMENTATIONS[name].rule
-        self.specs = self.inst0.by_id
-        self.readers = list(self.inst0.readers)
+        self.specs = self.layout.by_id
+        self.readers = list(self.layout.readers)
         self.budget = budget
         self.stage_budget = stage_budget
         self.spent = 0
         self.log: list[str] = []
         self.plans: dict[tuple, _Plan] = {}
         self.scripts: dict[tuple, tuple] = {}  # recorded script -> its first copy
-        self.resets = {p: reset_script(self.inst0.specs, p) for p in self.readers}
+        self.resets = {p: reset_script(self.layout.specs, p) for p in self.readers}
         # Execution S: the writer's register steps s^1..s^m.
         self.steps, _ = record_solo_write(name, n, stage_budget)
         self.log.append(f"S: solo write took {len(self.steps)} register steps")

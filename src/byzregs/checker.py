@@ -1,6 +1,7 @@
 """Trace validation: Byzantine register linearizability (reading a current
-value, no new-old inversion), conditional wait-freedom monitoring, internal
-trace invariants, and an independent brute-force linearization oracle.
+value, no new-old inversion), conditional wait-freedom monitoring and
+internal trace invariants. The tests check these passes against an
+independent brute-force linearization oracle (tests/linearize_oracle.py).
 
 All checks constrain only processes that are not malicious; when the writer
 itself is malicious the two linearizability properties hold vacuously.

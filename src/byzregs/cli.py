@@ -158,10 +158,10 @@ def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
 
 
 def run_and_check(scenario: sim.Scenario):
-    inst = constructions.build_instance(scenario.construction, scenario.n)
-    trace = sim.run(scenario, instance=inst)
+    layout = constructions.layout_of(scenario.construction, scenario.n)
+    trace = sim.run(scenario)
     verdicts = checker.run_all_checks(trace, scenario.faults,
-                                      specs=inst.by_id, classify=inst.classify)
+                                      specs=layout.by_id, classify=layout.classify)
     return trace, verdicts
 
 
@@ -169,19 +169,22 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _write_outputs(*outputs: tuple[str, bytes]) -> None:
-    """Write each (path, data) only once every path opens and no two name
-    one file, by any link; otherwise raise having written nothing and
-    removed the files this call created."""
+def _write_outputs(inputs: tuple[str, ...], *outputs: tuple[str, bytes]) -> None:
+    """Write each (path, data) only once every path opens and no output
+    names an input's file or another output's, by any link; otherwise raise
+    having written nothing and removed the files this call created."""
     created = [path for path, _ in outputs if not os.path.lexists(path)]
-    files: dict[tuple, int] = {}  # (device, inode) -> the first output's index
+    names = [*inputs, *(path for path, _ in outputs)]
+    files: dict[tuple, int] = {}  # (device, inode) -> the first name's index
     try:
-        for i, (path, _) in enumerate(outputs):
-            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        for i, path in enumerate(names):
+            if i >= len(inputs):  # an output
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             st = os.stat(path)
             first = files.setdefault((st.st_dev, st.st_ino), i)
-            if first != i:
-                raise ValueError(f"outputs {outputs[first][0]} and {path} name the same file")
+            if first != i and i >= len(inputs):
+                kind = "input" if first < len(inputs) else "output"
+                raise ValueError(f"{kind} {names[first]} and output {path} name the same file")
     except (OSError, ValueError):
         for path in created:
             if os.path.lexists(path):
@@ -203,9 +206,9 @@ def _input_error(exc) -> int:
     return 2
 
 
-def _report(out: str, verdicts, *first: tuple[str, bytes]) -> int:
+def _report(inputs: tuple[str, ...], out: str, verdicts, *first: tuple[str, bytes]) -> int:
     verdict_json = _json_bytes({name: v.to_json() for name, v in verdicts.items()})
-    _write_outputs(*first, (out, verdict_json))
+    _write_outputs(inputs, *first, (out, verdict_json))
     for name, v in sorted(verdicts.items()):
         print(f"{name}: {v.status}" + (f" ({v.explanation})" if v.explanation else ""))
     return 0 if all(v.ok for v in verdicts.values()) else 1
@@ -218,7 +221,8 @@ def _report(out: str, verdicts, *first: tuple[str, bytes]) -> int:
 
 def cmd_run(args) -> int:
     trace, verdicts = run_and_check(sim.load_scenario(args.scenario))
-    return _report(args.out, verdicts, (args.trace, events_to_jsonl(trace.events)))
+    return _report((args.scenario,), args.out, verdicts,
+                   (args.trace, events_to_jsonl(trace.events)))
 
 
 def parse_n_range(text: str) -> range:
@@ -287,7 +291,7 @@ def cmd_sweep(args) -> int:
             raise MalformedScenario(f"unknown fault pattern {p!r}")
     summary = run_sweep(args.construction, ns, patterns, args.runs, args.seed,
                         args.step_budget, args.op_budget)
-    _write_outputs((args.out, _json_bytes(summary)))
+    _write_outputs((), (args.out, _json_bytes(summary)))
     total_viol = sum(summary["violations"].values())
     print(
         f"{summary['runs']} runs, {total_viol} violations, "
@@ -301,8 +305,8 @@ def cmd_attack(args) -> int:
                                      budget=args.step_budget,
                                      stage_budget=args.op_budget)
     if isinstance(result, adversary.Exhausted):
-        _write_outputs((args.out, _json_bytes({"result": "exhausted", "reason": result.reason,
-                                               "stages": result.stage_log})))
+        report = {"result": "exhausted", "reason": result.reason, "stages": result.stage_log}
+        _write_outputs((), (args.out, _json_bytes(report)))
         print(f"exhausted: {result.reason}")
         return 0
     report = {
@@ -314,7 +318,7 @@ def cmd_attack(args) -> int:
         report.update({"result": "violation", "class": result.vclass})
     else:
         report.update({"result": "blocked", "reader": result.reader})
-    _write_outputs((args.out, _json_bytes(report)),
+    _write_outputs((), (args.out, _json_bytes(report)),
                    (args.trace, events_to_jsonl(result.events)))
     print(f"{report['result']} witness at stage {result.stage}")
     return 1
@@ -339,7 +343,7 @@ def cmd_check(args) -> int:
         return _input_error(
             f"trace line {line}: the stored trace is not the scenario's run\n"
             f"  stored: {_show(ours)}\n  re-run: {_show(theirs)}")
-    return _report(args.out, verdicts)
+    return _report((args.scenario, args.trace), args.out, verdicts)
 
 
 # ---------------------------------------------------------------------------

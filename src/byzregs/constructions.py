@@ -5,10 +5,11 @@ Each implementation is a layout, fixed by n, plus a small per-run state. The
 layout holds the registers, their classes and any handle tree; it is built
 once per (implementation, n) and no run changes it. The state holds only the
 paper's local variables. A layout's Write(u) and Read() machines take that
-state as their first argument; build_instance binds the cached layout to a
-fresh state. Machines are generators over primitive actions (see sim); an
-operation on an inner implemented register is a plain sub-generator, so its
-steps are exactly the inner machine's steps.
+state as their first argument; each sim.Engine, one run, makes its state
+from the cached layout and its machines over that state. Machines are
+generators over primitive actions (see sim); an operation on an inner
+implemented register is a plain sub-generator, so its steps are exactly the
+inner machine's steps.
 
 Register value domains nest: the recursive construction stores the outer
 algorithm's cells as the payloads of the inner instance's tuples, so a
@@ -522,24 +523,6 @@ def layout_of(name: str, n: int) -> Layout:
     return layout
 
 
-class Instance:
-    """A cached layout bound to one run's fresh state; the machines it makes
-    share that state and no other run's."""
-
-    __slots__ = ("layout", "state", "specs", "by_id", "classify", "readers")
-
-    def __init__(self, layout: Layout):
-        self.layout = layout
-        self.state = layout.new_state()
-        self.specs, self.by_id = layout.specs, layout.by_id
-        self.classify, self.readers = layout.classify, layout.readers
-
-    def write_machine(self, value: Payload) -> Generator:
-        return self.layout.write_machine(self.state, value)
-
-    def read_machine(self, proc: int) -> Generator:
-        return self.layout.read_machine(self.state, proc)
-
-
-def build_instance(name: str, n: int) -> Instance:
-    return Instance(layout_of(name, n))
+# perfbench's name for layout_of; nothing in byzregs calls it.
+def build_instance(name: str, n: int) -> Layout:
+    return layout_of(name, n)

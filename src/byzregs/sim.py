@@ -11,9 +11,10 @@ A step machine is a Python generator that yields one action per resumption:
                                 resumption point.
 
 One resumption performs at most one register access; local computation and
-control flow are free. The engine keeps each run's register cells and is the
-one place that checks an access against its register's spec: one writer and
-its readers, as in the paper's 1W1R and 1W(n-1)R registers. All interleaving
+control flow are free. An Engine is one run of a layout: it makes the run's
+register cells, its state and its op machines, and it is the one place that
+checks an access against its register's spec: one writer and its readers, as
+in the paper's 1W1R and 1W(n-1)R registers. All interleaving
 decisions flow through the scheduler, so a scenario (construction, faults,
 workload, schedule, budgets) replays to a byte-identical trace.
 Engine.run_queue is the one step loop, for seeded scenarios (the queue's
@@ -234,17 +235,18 @@ def _script_machine(script: tuple) -> Generator:
 
 
 class Engine:
-    """Register substrate plus thread scheduling; shared by scenario runs and
-    the attack harness (which drives phases directly). A forked branch takes
-    a random queue place only when the engine has a seed. specs, a layout's
-    specs by id, is shared; cells and state (the machines') are the run's."""
+    """One run of a layout: its register cells, its state (the machines'
+    local variables), its threads, events and ops. Scenario runs and the
+    attack harness's phases both drive one. The layout and specs, its
+    specs by id, are shared; everything else is the run's. A forked branch
+    takes a random queue place only when the engine has a seed."""
 
-    def __init__(self, specs: dict[str, RegisterSpec], state,
-                 seed: Optional[int] = None,
+    def __init__(self, layout: constructions.Layout, seed: Optional[int] = None,
                  crash_points: Iterable[tuple[int, int]] = ()):
-        self.specs = specs
-        self.cells = {rid: s.initial for rid, s in specs.items()}
-        self.state = state
+        self.layout = layout
+        self.specs = layout.by_id
+        self.cells = {rid: s.initial for rid, s in self.specs.items()}
+        self.state = layout.new_state()
         self.seed = seed
         self.rng = None  # seeded at its first draw: most runs never draw
         self.events: list[Event] = []
@@ -329,6 +331,14 @@ class Engine:
         self._emit(proc, t.tid, "invoke", None, None, kind, arg)
         self.queue.append(t)
         return op
+
+    def spawn_write(self, value: Payload, index: Optional[int] = None) -> OpResult:
+        return self.spawn_op(WRITER, "Write", value,
+                             self.layout.write_machine(self.state, value), index)
+
+    def spawn_read(self, proc: int, index: Optional[int] = None) -> OpResult:
+        return self.spawn_op(proc, "Read", None,
+                             self.layout.read_machine(self.state, proc), index)
 
     def spawn_script(self, proc: int, script: tuple) -> _Thread:
         t = _Thread(proc, self._new_tid(proc), _script_machine(script), None)
@@ -845,9 +855,8 @@ class _Admission:
     skips, not the whole workload.
     """
 
-    def __init__(self, workload: list[WorkItem], instance, eng: Engine):
+    def __init__(self, workload: list[WorkItem], eng: Engine):
         self.workload = workload
-        self.instance = instance
         self.eng = eng
         self.waiting: dict[int, list[int]] = {}  # unspawned indices, ascending
         for i, item in enumerate(workload):
@@ -904,12 +913,8 @@ class _Admission:
                 self._push_after(heap, proc, i)
                 continue
             crashed_before = len(eng.crashed)
-            if item.op == "write":
-                gen = self.instance.write_machine(item.value)
-                op = eng.spawn_op(proc, "Write", item.value, gen, index=i)
-            else:
-                gen = self.instance.read_machine(proc)
-                op = eng.spawn_op(proc, "Read", None, gen, index=i)
+            op = eng.spawn_write(item.value, i) if item.op == "write" \
+                else eng.spawn_read(proc, i)
             self._record(i, op)
             did = True
             if len(eng.crashed) != crashed_before:
@@ -928,7 +933,7 @@ class _Admission:
         self.last_op[op.proc] = op
 
 
-def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
+def run(scenario: Scenario) -> Trace:
     """Execute a scenario to quiescence or budget and return its trace.
 
     Operations of one process run one at a time, in workload order unless
@@ -939,9 +944,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     """
     validate_scenario(scenario)
     seeded = isinstance(scenario.schedule, Seeded)
-    if instance is None:
-        instance = constructions.build_instance(scenario.construction, scenario.n)
-    eng = Engine(instance.by_id, instance.state,
+    eng = Engine(constructions.layout_of(scenario.construction, scenario.n),
                  seed=scenario.schedule.seed if seeded else None,
                  crash_points=[(fault.at_global_step, proc)
                                for proc, fault in scenario.faults.items()
@@ -955,7 +958,7 @@ def run(scenario: Scenario, instance: Optional[object] = None) -> Trace:
     # A seeded run goes on until quiescence; a scripted run ends when its
     # picks run out.
     eng.run_queue(scenario.step_budget, scenario.per_op_budget,
-                  admission=_Admission(scenario.workload, instance, eng),
+                  admission=_Admission(scenario.workload, eng),
                   picks=None if seeded else scenario.schedule.picks)
     exhausted = seeded and len(eng.events) >= scenario.step_budget
     reason = ("step budget" if exhausted else "quiescence") if seeded \

@@ -15,7 +15,7 @@ import pytest
 from byzregs import adversary, checker, cli, sim
 from byzregs.adversary import MARKER, attack_search
 from byzregs.checker import OpRecord, check_property1, check_property2
-from byzregs.constructions import build_instance
+from byzregs.constructions import layout_of
 from byzregs.core import (
     Commit,
     Correct,
@@ -353,7 +353,7 @@ def test_criterion_7_internal_invariant_suite():
     stats, _ = _crit1_stats()
     live_ok = stats["invariant_failures"] == 0
 
-    inst1 = build_instance("algo1", 3)
+    inst1 = layout_of("algo1", 3)
     specs1 = {s.reg_id: s for s in inst1.specs}
     commit_inversion = [
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
@@ -362,7 +362,7 @@ def test_criterion_7_internal_invariant_suite():
     v1 = checker.validate_internal_invariants(
         commit_inversion, specs1, inst1.classify, {0: Correct()})
 
-    inst2 = build_instance("algo1", 2)
+    inst2 = layout_of("algo1", 2)
     specs2 = {s.reg_id: s for s in inst2.specs}
     announce_break = [
         Event(0, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(2, b"b"))),
@@ -371,7 +371,7 @@ def test_criterion_7_internal_invariant_suite():
     v2 = checker.validate_internal_invariants(
         announce_break, specs2, inst2.classify, {1: Correct()})
 
-    inst3 = build_instance("algo3", 3)
+    inst3 = layout_of("algo3", 3)
     specs3 = {s.reg_id: s for s in inst3.specs}
     fake = Signed(SeqTuple(5, b"evil"), 0, sig_token(SeqTuple(5, b"evil"), 0))
     bad_signature = [Event(0, 2, 0, "reg_write", reg="Is/R2_1", value=fake)]

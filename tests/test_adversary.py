@@ -61,11 +61,11 @@ def test_record_solo_write_algo1_matches_recurrence():
 
 def test_every_solo_step_invisible_to_someone_in_budget_settings():
     for name in ("naive-gossip", "algo1", "algo3"):
-        inst = build_candidate(name, 3)
-        specs = {s.reg_id: s for s in inst.specs}
+        layout = build_candidate(name, 3)
+        specs = {s.reg_id: s for s in layout.specs}
         steps, _ = record_solo_write(name, 3)
         for s in steps:
-            assert invisible_to(s, specs, inst.readers)
+            assert invisible_to(s, specs, layout.readers)
 
 
 def test_registration_budget_enforced(monkeypatch):
@@ -81,22 +81,19 @@ def test_registration_budget_enforced(monkeypatch):
 
 
 def test_replay_fidelity_on_unchanged_state():
-    inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.by_id, inst.state)
+    eng = Engine(build_candidate("naive-gossip", 3))
     eng.spawn_script(1, (("w", "NG/G1", Plain(SeqTuple(4, b"zz"))),))
     eng.run_queue(step_budget=100, per_op_budget=1)
     actions = recorded_actions(eng.events, 1)
 
-    inst2 = build_candidate("naive-gossip", 3)
-    eng2 = Engine(inst2.by_id, inst2.state)
+    eng2 = Engine(build_candidate("naive-gossip", 3))
     eng2.spawn_script(1, actions)
     eng2.run_queue(step_budget=100, per_op_budget=1)
     assert events_to_jsonl(eng.events) == events_to_jsonl(eng2.events)
 
 
 def test_adversary_actions_stay_access_checked():
-    inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.by_id, inst.state)
+    eng = Engine(build_candidate("naive-gossip", 3))
     # Reader 1 does not write NG/G2; the substrate rejects the script.
     eng.spawn_script(1, (("w", "NG/G2", Plain(SeqTuple(1, b"x"))),))
     with pytest.raises(AccessViolation):
@@ -111,20 +108,20 @@ def test_adversary_actions_stay_access_checked():
 def test_engine_rejects_a_disallowed_read_and_an_unknown_register(script, message):
     # Reader 3 does not read the writer's NG/W at n = 3, and NG/X is no
     # register; run_queue raises before the access is applied or logged.
-    inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.by_id, inst.state)
+    layout = build_candidate("naive-gossip", 3)
+    eng = Engine(layout)
     eng.spawn_script(3, script)
     with pytest.raises(AccessViolation, match=f"^{message}$"):
         eng.run_queue(step_budget=10, per_op_budget=1)
     assert eng.events == []
-    assert eng.cells == {s.reg_id: s.initial for s in inst.specs}
+    assert eng.cells == {s.reg_id: s.initial for s in layout.specs}
 
 
 def test_resetall_touches_only_own_registers_in_id_order():
-    inst = build_candidate("naive-gossip", 3)
-    eng = Engine(inst.by_id, inst.state)
+    layout = build_candidate("naive-gossip", 3)
+    eng = Engine(layout)
     eng.cells["NG/G2"] = Plain(SeqTuple(3, b"x"))
-    eng.spawn_script(2, script_from_json({"kind": "resetall"}, inst.specs, 2))
+    eng.spawn_script(2, script_from_json({"kind": "resetall"}, layout.specs, 2))
     eng.run_queue(step_budget=100, per_op_budget=1)
     writes = [e.reg for e in eng.events if e.kind == "reg_write"]
     assert writes == ["NG/G2"]
@@ -135,10 +132,10 @@ def test_script_json_roundtrip():
     # Every script kind parses to the register accesses it issues. resetall
     # writes proc 3's registers in id order, not in declaration order
     # (which puts I3/RwQ before I3/RpQ).
-    inst = build_candidate("algo1", 3)
-    specs = inst.specs
+    layout = build_candidate("algo1", 3)
+    specs = layout.specs
     reset = script_from_json({"kind": "resetall"}, specs, 3)
-    assert reset == tuple(("w", r, inst.by_id[r].initial) for r in [
+    assert reset == tuple(("w", r, layout.by_id[r].initial) for r in [
         "I3/R3_2", "I3/R3_3", "I3/RpQ/I2/R3_3", "I3/RwQ/I2/R3_3"])
     lie = {"kind": "lie", "reg": "I3/R3_2",
            "cell": encode_cell(Plain(SeqTuple(9, b"\xff")))}

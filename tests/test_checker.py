@@ -12,7 +12,7 @@ from byzregs.checker import (
     extract_history,
     validate_internal_invariants,
 )
-from byzregs.constructions import build_instance
+from byzregs.constructions import layout_of
 from byzregs.core import (
     Commit,
     Correct,
@@ -161,7 +161,7 @@ def test_wait_freedom_crashed_owner_not_counted():
 
 
 def _algo1_ctx(n=3):
-    inst = build_instance("algo1", n)
+    inst = layout_of("algo1", n)
     return {s.reg_id: s for s in inst.specs}, inst.classify
 
 
@@ -218,7 +218,7 @@ def test_internal_invariants_announce_monotonicity_break():
 
 
 def test_internal_invariants_invalid_signature_acceptance():
-    inst = build_instance("algo3", 3)
+    inst = layout_of("algo3", 3)
     specs = {s.reg_id: s for s in inst.specs}
     fake = Signed(SeqTuple(5, b"evil"), 0, sig_token(SeqTuple(5, b"evil"), 0))
     events = [

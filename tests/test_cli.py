@@ -523,6 +523,41 @@ def test_outputs_naming_one_file_exit_two(tmp_path, monkeypatch, capsys, argv, l
     assert _snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize("command, flag, named", [
+    ("run", "--out", "s.json"),
+    ("run", "--trace", "s.json"),
+    ("check", "--out", "s.json"),
+    ("check", "--out", "t.jsonl"),
+], ids=["run-out-scenario", "run-trace-scenario", "check-out-scenario",
+        "check-out-trace"])
+@pytest.mark.parametrize("link", ["path", "symlink", "hardlink"])
+def test_an_output_naming_an_input_exits_two(tmp_path, monkeypatch, capsys,
+                                             command, flag, named, link):
+    # An output names the scenario or the stored trace: as the same path
+    # spelt otherwise, through a symlink or as a hard link. The command
+    # makes and changes no file, and the input keeps its bytes.
+    monkeypatch.chdir(tmp_path)
+    with open(ALL_CORRECT, "rb") as fh:
+        (tmp_path / "s.json").write_bytes(fh.read())
+    assert run_cli(["run", "--scenario", "s.json", "--trace", "t.jsonl",
+                    "--out", "v.json"]) == 0
+    os.remove("v.json")
+    path = "./" + named
+    if link == "symlink":
+        os.symlink(named, path := "link")
+    elif link == "hardlink":
+        os.link(named, path := "hard")
+    paths = {"--trace": "t.jsonl", "--out": "v.json", flag: path}
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    argv = [command, "--scenario", "s.json"]
+    assert run_cli(argv + [a for item in paths.items() for a in item]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input ") \
+        and err[0].endswith("name the same file")
+    assert _snapshot(tmp_path) == before
+
+
 def _set(path, value):
     """Return an edit that sets a key path (a tuple) in a scenario document."""
     def edit(doc):

@@ -11,7 +11,7 @@ from byzregs.constructions import (
     Implementation,
     RULE_UNRESTRICTED,
     algo1_write_step_count,
-    build_instance,
+    layout_of,
 )
 from byzregs.core import (
     BOTTOM,
@@ -208,7 +208,7 @@ def test_read_q_thread2_rereads_and_broadcasts_after_a_gossip_hit():
 
 def test_algo1_rejects_single_reader():
     with pytest.raises(MalformedScenario):
-        build_instance("algo1", 1)
+        layout_of("algo1", 1)
 
 
 def test_nested_layout_paths_unique_and_hierarchical():
@@ -346,36 +346,42 @@ def test_algo3_forged_signature_fails_verification():
 NAMES_AND_N = [(name, 2 if name == "algo2" else 3) for name in IMPLEMENTATIONS]
 
 
+def engine(name, n):
+    return sim.Engine(layout_of(name, n))
+
+
+def first_k(eng, value):
+    """The k of the first cell a write of value writes; the write runs to
+    its end."""
+    start = len(eng.events)
+    eng.spawn_write(value)
+    eng.run_queue(start + 10_000, 10_000)
+    cell = next(e.value for e in eng.events[start:] if e.kind == "reg_write")
+    return (cell.next if isinstance(cell, Prepare) else cell.t).k
+
+
 @pytest.mark.parametrize("name, n", NAMES_AND_N)
 def test_instances_share_the_layout_not_the_state(name, n):
-    a, b = build_instance(name, n), build_instance(name, n)
-    assert a.specs is b.specs and a.by_id is b.by_id
+    a, b = engine(name, n), engine(name, n)
+    assert a.layout is b.layout and a.specs is b.specs
     assert a.state is not b.state
     assert a.state.key() == b.state.key()
 
-    def first_k(machine):
-        cell = next(machine)[2]
-        return (cell.next if isinstance(cell, Prepare) else cell.t).k
-
-    # Interleaved writes of two instances: each has its own counter.
-    wa, wb = a.write_machine(b"a"), b.write_machine(b"b")
-    assert (first_k(wa), first_k(wb)) == (1, 1)
-    for machine in (wa, wb):
-        for _ in machine:
-            pass
-    assert a.state.key() != build_instance(name, n).state.key()
+    # Writes of two runs: each has its own counter.
+    assert (first_k(a, b"a"), first_k(b, b"b")) == (1, 1)
+    assert a.state.key() != engine(name, n).state.key()
     hash(a.state.key())
-    assert first_k(a.write_machine(b"c")) == 2
-    assert first_k(build_instance(name, n).write_machine(b"d")) == 1
+    assert first_k(a, b"c") == 2
+    assert first_k(engine(name, n), b"d") == 1
 
 
 def test_swapped_table_entry_gets_its_own_layout(monkeypatch):
     algo1 = constructions.layout_of("algo1", 3)
     monkeypatch.setitem(IMPLEMENTATIONS, "algo1",
                         Implementation(AtomicOneWNR, RULE_UNRESTRICTED, 64))
-    assert [s.reg_id for s in build_instance("algo1", 3).specs] == ["AT/R"]
+    assert [s.reg_id for s in layout_of("algo1", 3).specs] == ["AT/R"]
     monkeypatch.undo()
-    assert build_instance("algo1", 3).layout is algo1
+    assert layout_of("algo1", 3) is algo1
 
 
 @pytest.mark.parametrize("name, n", NAMES_AND_N)
@@ -394,7 +400,9 @@ def test_a_run_leaves_the_layout_unchanged(name, n):
 
 
 def test_algo3_cell_signed_in_one_instance_fails_in_another():
-    a, b = build_instance("algo3", 3), build_instance("algo3", 3)
-    cell = next(a.write_machine(b"x"))[2]
+    a, b = engine("algo3", 3), engine("algo3", 3)
+    a.spawn_write(b"x")
+    a.run_queue(100, 100)
+    cell = a.events[1].value
     assert a.state.oracle.verify(cell, 0)
     assert not b.state.oracle.verify(cell, 0)

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from byzregs.constructions import Vars
+from byzregs.constructions import Layout
 from byzregs.core import (
     BOTTOM,
     AccessViolation,
@@ -34,7 +34,7 @@ SPECS = [
 def run_accesses(*accesses):
     """Each (proc, access) as a one-access script, run in turn on fresh
     registers; the values of the reads."""
-    eng = Engine(specs_by_id(SPECS), Vars(c=0))
+    eng = Engine(Layout([1, 2], SPECS, {}))
     for proc, access in accesses:
         eng.spawn_script(proc, (access,))
         eng.run_queue(step_budget=len(eng.events) + 1, per_op_budget=1)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from byzregs import sim
+from byzregs.constructions import Layout
 from byzregs.core import (
     Commit,
     Correct,
@@ -14,7 +15,6 @@ from byzregs.core import (
     RegisterSpec,
     SeqTuple,
     events_to_jsonl,
-    specs_by_id,
 )
 from byzregs.core import Plain
 
@@ -25,6 +25,11 @@ FAIRNESS_CONSTANT = 4
 
 def all_correct(n):
     return {p: Correct() for p in range(n + 1)}
+
+
+def engine(specs):
+    """An engine over hand-written registers, for hand-written machines."""
+    return sim.Engine(Layout(sorted({r for s in specs for r in s.readers}), specs, {}))
 
 
 def scenario(n=3, construction="algo1", faults=None, workload=None,
@@ -240,11 +245,11 @@ def test_step_accounting():
 def _climb(lie: int, done, per_op_budget: int) -> sim.OpResult:
     """Process 1 raises a counter and writes it, then reads a fixed lie,
     until done(counter, the lie's k); run_queue drives it."""
-    from byzregs.constructions import Vars
-
-    state = Vars(c=0, last_written=SeqTuple(0, b""))
     specs = [RegisterSpec("T/C", 1, frozenset([1]), Plain(SeqTuple(0, b""))),
              RegisterSpec("T/L", 2, frozenset([1]), Plain(SeqTuple(lie, b"")))]
+    eng = engine(specs)
+    state = eng.state
+    state.last_written = SeqTuple(0, b"")
 
     def climb(v):
         while True:
@@ -255,7 +260,6 @@ def _climb(lie: int, done, per_op_budget: int) -> sim.OpResult:
             if done(v.c, x.t.k):
                 return v.last_written
 
-    eng = sim.Engine(specs_by_id(specs), state)
     op = eng.spawn_op(1, "Read", None, climb(state))
     eng.run_queue(step_budget=10**6, per_op_budget=per_op_budget)
     return op
@@ -316,8 +320,6 @@ def test_incremental_take_follows_every_register_write():
     # with an equal but distinct cell, with its old cell, and with cells
     # that die, so that a later cell may take a dead one's id. Each take
     # equals the take a new watch makes from nothing.
-    from byzregs.constructions import Vars
-
     initial = Plain(SeqTuple(0, b""))
     specs = [RegisterSpec("T/R", 2, frozenset([1]), initial),
              RegisterSpec("T/S", 2, frozenset([1]), initial)]
@@ -326,7 +328,7 @@ def test_incremental_take_follows_every_register_write():
         while True:
             yield ("r", "T/S")
 
-    eng = sim.Engine(specs_by_id(specs), Vars(c=0))
+    eng = engine(specs)
     eng.spawn_op(1, "Read", None, spin())
     (t,) = eng.queue
     watch = sim._Lasso(eng, t, 0)
@@ -393,8 +395,6 @@ def test_an_unfair_repeat_is_not_a_lasso():
     # The op's two branches each spin reading one register. Resuming only
     # branch b repeats the state at once, but branch a stays runnable and
     # unresumed, so no lasso counts until a has been resumed in the cycle.
-    from byzregs.constructions import Vars
-
     specs = [RegisterSpec("T/R", 2, frozenset([1]), Plain(SeqTuple(0, b"")))]
 
     def spin():
@@ -404,7 +404,7 @@ def test_an_unfair_repeat_is_not_a_lasso():
     def forking():
         return (yield ("fork", spin(), spin()))
 
-    eng = sim.Engine(specs_by_id(specs), Vars(c=0))
+    eng = engine(specs)
     eng.spawn_op(1, "Read", None, forking())
     eng._resume(eng.queue.popleft(), sim.DEFAULT_PER_OP_BUDGET)
     a, b = eng.queue
@@ -510,13 +510,47 @@ def test_scenario_json_roundtrip():
     assert a == b
 
 
+def test_a_fork_whose_branches_all_end_without_a_value_resumes_with_none():
+    # No construction reaches this join: algo1's Thread 1 never ends without
+    # a value. Each branch reads once and returns None; the parent resumes
+    # with None and the op completes with it.
+    specs = [RegisterSpec("T/R", 2, frozenset([1]), Plain(SeqTuple(0, b"")))]
+    resumed = []
+
+    def branch():
+        yield ("r", "T/R")
+        return None
+
+    def forking():
+        got = yield ("fork", branch(), branch())
+        resumed.append(got)
+        return got
+
+    eng = engine(specs)
+    op = eng.spawn_op(1, "Read", None, forking())
+    eng.run_queue(step_budget=100, per_op_budget=100)
+    assert resumed == [None]
+    assert (op.status, op.ret, op.steps) == ("completed", None, 2)
+    assert [e.kind for e in eng.events] == ["invoke", "reg_read", "reg_read", "respond"]
+
+
+def test_shift_takes_one_amount_per_domain():
+    # Domain 0 moves by 1 above its fixed 1, and domain 1 by 2: a shift.
+    assert sim._shift([(0, 1), (0, 3), (1, 5)], [(0, 1), (0, 4), (1, 7)]) == {0: 1, 1: 2}
+    assert sim._shift([(0, 3), (1, 5)], [(0, 3), (1, 5)]) == {}
+    # Two numbers of domain 0 move by 1 and by 2: no shift.
+    assert sim._shift([(0, 3), (0, 5)], [(0, 4), (0, 7)]) is None
+    # A number that moves down, or not above a fixed one, is no shift either.
+    assert sim._shift([(0, 3)], [(0, 2)]) is None
+    assert sim._shift([(0, 1), (0, 3)], [(0, 2), (0, 3)]) is None
+
+
 def test_crashed_actor_cannot_be_resumed():
     from byzregs import constructions
     from byzregs.core import CrashedActor
 
-    inst = constructions.build_instance("algo1", 3)
-    eng = sim.Engine(inst.by_id, inst.state)
-    eng.spawn_op(0, "Write", b"a", inst.write_machine(b"a"))
+    eng = sim.Engine(constructions.layout_of("algo1", 3))
+    eng.spawn_write(b"a")
     t = eng.threads[(0, 0)]
     eng._mark_crashed(0)
     with pytest.raises(CrashedActor):
@@ -540,15 +574,15 @@ def test_access_closure_over_real_traces():
     # writer/reader sets.
     from byzregs import constructions
 
-    inst = constructions.build_instance("algo1", 4)
+    layout = constructions.layout_of("algo1", 4)
     sc = scenario(n=4, workload=[
         sim.WorkItem(0, "write", value=b"a"),
         sim.WorkItem(1, "read"),
         sim.WorkItem(2, "read"),
         sim.WorkItem(4, "read", after_op=0),
     ], faults={p: Correct() for p in range(5)}, schedule=sim.Seeded(17))
-    tr = sim.run(sc, instance=inst)
-    specs = {s.reg_id: s for s in inst.specs}
+    tr = sim.run(sc)
+    specs = {s.reg_id: s for s in layout.specs}
     for e in tr.events:
         if e.kind == "reg_write":
             assert specs[e.reg].writer == e.proc
@@ -597,7 +631,7 @@ def test_register_replay_catches_divergence():
 def test_atomicity_replay_on_real_trace():
     from byzregs import constructions
 
-    inst = constructions.build_instance("algo1", 4)
+    layout = constructions.layout_of("algo1", 4)
     sc = scenario(n=4, faults={p: Correct() for p in range(5)}, workload=[
         sim.WorkItem(0, "write", value=b"a"),
         sim.WorkItem(0, "write", value=b"b"),
@@ -605,8 +639,8 @@ def test_atomicity_replay_on_real_trace():
         sim.WorkItem(3, "read", after_op=0),
         sim.WorkItem(4, "read"),
     ], schedule=sim.Seeded(23))
-    tr = sim.run(sc, instance=inst)
-    replay_registers(tr.events, inst.by_id)
+    tr = sim.run(sc)
+    replay_registers(tr.events, layout.by_id)
 
 
 from hypothesis import given, settings, strategies as st
@@ -625,16 +659,15 @@ def test_random_scenarios_hold_core_invariants(seed, n, pattern):
     from byzregs import cli, constructions
 
     sc = cli.build_sweep_scenario("algo1", n, pattern, seed, 200_000, 50_000)
-    inst = constructions.build_instance("algo1", n)
-    tr = sim.run(sc, instance=inst)
+    layout = constructions.layout_of("algo1", n)
+    tr = sim.run(sc)
     # determinism
-    inst2 = constructions.build_instance("algo1", n)
-    tr2 = sim.run(sc, instance=inst2)
+    tr2 = sim.run(sc)
     assert events_to_jsonl(tr.events) == events_to_jsonl(tr2.events)
     # atomicity: replay reproduces every read
-    replay_registers(tr.events, inst.by_id)
+    replay_registers(tr.events, layout.by_id)
     # access closure and single-writer
-    specs = {s.reg_id: s for s in inst.specs}
+    specs = {s.reg_id: s for s in layout.specs}
     for e in tr.events:
         if e.kind == "reg_write":
             assert specs[e.reg].writer == e.proc
@@ -977,8 +1010,8 @@ def test_crash_at_its_own_invoke_marks_the_op_crashed_owner():
 class _ScanAdmission:
     """Reference admission: every step scans the whole workload in order."""
 
-    def __init__(self, workload, instance, eng):
-        self.workload, self.instance, self.eng = workload, instance, eng
+    def __init__(self, workload, eng):
+        self.workload, self.eng = workload, eng
         self.op_for_item = {}
 
     def admit(self, quiescent):
@@ -1005,11 +1038,9 @@ class _ScanAdmission:
                     and not quiescent:
                 continue
             if item.op == "write":
-                gen = self.instance.write_machine(item.value)
-                op = eng.spawn_op(item.proc, "Write", item.value, gen, index=i)
+                op = eng.spawn_write(item.value, index=i)
             else:
-                gen = self.instance.read_machine(item.proc)
-                op = eng.spawn_op(item.proc, "Read", None, gen, index=i)
+                op = eng.spawn_read(item.proc, index=i)
             self.op_for_item[i] = op
             did = True
         return did
@@ -1023,7 +1054,7 @@ def _random_gated_scenario(seed):
     rng = random.Random(seed)
     construction = rng.choice(["algo1", "algo2", "algo3"])
     n = 2 if construction == "algo2" else rng.randint(2, 4)
-    specs = constructions.build_instance(construction, n).specs
+    specs = constructions.layout_of(construction, n).specs
     faults = all_correct(n)
     for p in range(n + 1):
         roll = rng.random()
