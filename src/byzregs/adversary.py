@@ -295,7 +295,7 @@ class _Search:
             if res is not None and malicious is not None:
                 # A C/E-stage read that dodges the marker contradicts the
                 # proof's linearizability step.
-                for v in self.verdicts(res.events, malicious):
+                for v in self.verdicts(res.ops, malicious):
                     if not v.ok:
                         raise ViolationWitness(stage, res.events, v.vclass,
                                                v.explanation, self.log)
@@ -315,13 +315,13 @@ class _Search:
                 key.append(ph.proc)
         return tuple(key)
 
-    def verdicts(self, events: list[Event], malicious: Optional[int]) -> tuple:
+    def verdicts(self, ops: list[OpResult], malicious: Optional[int]) -> tuple:
         """Properties 2 and 1 of a plan's history; only the malicious
         process, if any, is exempt."""
         faults = {p: Correct() for p in [WRITER] + self.readers}
         if malicious is not None:
             faults[malicious] = Malicious(())
-        history = checker.extract_history(events, faults)
+        history = checker.extract_history(ops, faults)
         return (checker.check_property2(history, True),
                 checker.check_property1(history, True))
 
@@ -391,15 +391,16 @@ def _drive_chain(search: _Search, state: ExecState) -> None:
     phases = list(state.replays)
     if not search.fresh(phases, state.x, "A_0'").marker:
         return
-    # The plan keeps no events, so its tiny run is made again for them.
-    events = run_plan(search.name, search.n, phases + [FreshRead(state.x)],
-                      search.stage_budget).events
-    assert not any(e.proc == WRITER for e in events), "writer acted in A_0'"
-    v1 = search.verdicts(events, state.p_role)[1]
+    # The plan keeps no events and only its read's record, so its tiny run
+    # is made again for the witness's events and the history's ops.
+    res = run_plan(search.name, search.n, phases + [FreshRead(state.x)],
+                   search.stage_budget)
+    assert not any(e.proc == WRITER for e in res.events), "writer acted in A_0'"
+    v1 = search.verdicts(res.ops, state.p_role)[1]
     if v1.ok:  # pragma: no cover - the marker was never written
         raise StagePreconditionFailed("A_0' read the marker yet Property 1 holds")
     search.log.append(f"A_0': reader {state.x} read the marker with zero writer steps")
-    raise ViolationWitness("A_0'", events, v1.vclass, v1.explanation,
+    raise ViolationWitness("A_0'", res.events, v1.vclass, v1.explanation,
                            search.log)
 
 

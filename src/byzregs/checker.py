@@ -3,6 +3,10 @@ value, no new-old inversion), conditional wait-freedom monitoring and
 internal trace invariants. The tests check these passes against an
 independent brute-force linearization oracle (tests/linearize_oracle.py).
 
+A run's history is the engine's op records (``Trace.ops``), each with its
+invoke and respond step and its return. The trace's invoke/respond events
+are output only; nothing here reads them.
+
 All checks constrain only processes that are not malicious; when the writer
 itself is malicious the two linearizability properties hold vacuously.
 """
@@ -19,7 +23,6 @@ from .core import (
     CellValue,
     Commit,
     Correct,
-    Event,
     FaultModel,
     Garbage,
     Plain,
@@ -31,10 +34,6 @@ from .core import (
     is_honest,
 )
 from .constructions import U0, WRITER
-
-
-class MalformedHistory(Exception):
-    pass
 
 
 class UnfairScheduleError(Exception):
@@ -91,11 +90,9 @@ def _violated(vclass: str, witnesses: list[int], explanation: str) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def extract_history(
-    events: Iterable[Event],
-    faults: dict[int, FaultModel],
-) -> list[OpRecord]:
-    """Build the operation history from a trace's invoke/respond events.
+def extract_history(ops: Iterable, faults: dict[int, FaultModel]) -> list[OpRecord]:
+    """Build the operation history from a run's op records (``sim.OpResult``):
+    every invoked op, in invoke order; write k is the k-th write invoked.
 
     A read's index is the sequence number of the tuple it returned. A read
     that returned Bottom is marked bottom; any other return keeps no index,
@@ -103,40 +100,29 @@ def extract_history(
     a tuple (k, u) whose u is not the value of v_k (U0 for k = 0) when the
     write of v_k was invoked before the read responded.
     """
-    ops: list[OpRecord] = []
-    open_ops: dict[int, OpRecord] = {}
-    written = [U0]  # the value of v_k, for each write invoked so far
-    for e in events:
-        if e.kind == "invoke":
-            if e.proc in open_ops:
-                raise MalformedHistory(f"overlapping ops by process {e.proc}")
-            rec = OpRecord(
-                proc=e.proc,
-                kind=e.op,
-                index=None,
-                value=e.arg,
-                invoke_step=e.step,
-                honest=is_honest(faults.get(e.proc, Correct())),
-            )
-            if e.op == "Write":
-                rec.index = len(written)
-                written.append(e.arg)
-            open_ops[e.proc] = rec
-            ops.append(rec)
-        elif e.kind == "respond":
-            rec = open_ops.pop(e.proc, None)
-            if rec is None:
-                raise MalformedHistory(f"respond without invoke at step {e.step}")
-            rec.respond_step = e.step
-            if rec.kind == "Read":
-                ret = e.ret
-                if isinstance(ret, SeqTuple):
-                    rec.value = ret.u
-                    if not 0 <= ret.k < len(written) or written[ret.k] == ret.u:
-                        rec.index = ret.k
-                elif isinstance(ret, Bottom):
-                    rec.bottom = True
-    return ops
+    invoked = sorted((op for op in ops if op.invoke_step is not None),
+                     key=lambda op: op.invoke_step)
+    writes = [op for op in invoked if op.kind == "Write"]
+    written = [U0] + [w.arg for w in writes]  # the value of v_k
+    invoked_at = [-1] + [w.invoke_step for w in writes]  # and its invoke step
+    history = []
+    for op in invoked:
+        rec = OpRecord(op.proc, op.kind, None, op.arg,
+                       invoke_step=op.invoke_step, respond_step=op.respond_step,
+                       honest=is_honest(faults.get(op.proc, Correct())))
+        ret = op.ret
+        if op.kind == "Write":
+            rec.index = bisect_left(invoked_at, op.invoke_step)
+        elif isinstance(ret, SeqTuple):
+            rec.value = ret.u
+            k = ret.k
+            if not 0 <= k < len(written) or written[k] == ret.u or \
+                    invoked_at[k] > op.respond_step:
+                rec.index = k
+        elif isinstance(ret, Bottom):
+            rec.bottom = True
+        history.append(rec)
+    return history
 
 
 def _overlaps(w: OpRecord, r: OpRecord) -> bool:
@@ -320,7 +306,7 @@ def _instance_writer(reg_id: str, specs: dict[str, RegisterSpec]) -> Optional[in
 
 
 def validate_internal_invariants(
-    events: list[Event],
+    trace,
     specs: dict[str, RegisterSpec],
     classify: dict[str, str],
     faults: dict[int, FaultModel],
@@ -341,7 +327,7 @@ def validate_internal_invariants(
     oracle = SignatureOracle({(s.initial.signer, s.initial.t): s.initial.token
                               for s in specs.values() if isinstance(s.initial, Signed)})
 
-    for e in events:
+    for e in trace.events:
         if e.kind != "reg_write":
             continue
         cls = classify.get(e.reg)
@@ -420,42 +406,38 @@ def validate_internal_invariants(
                 )
 
     # Read-return forms: each honest completed read must have observed the
-    # writer channel (possibly nested) carrying the tuple index it returned.
-    # Implementations without a writer channel or signed tuples leave no
-    # such evidence.
+    # writer channel (possibly nested) carrying the tuple index it returned,
+    # among its own register reads. Implementations without a writer channel
+    # or signed tuples leave no such evidence.
     if not {"wchan", "sig"} & set(classify.values()):
         return _passed()
-    open_reads: dict[int, tuple[int, list[Event]]] = {}
-    for e in events:
-        if e.kind == "invoke" and e.op == "Read" and is_honest_proc(e.proc):
-            open_reads[e.proc] = (e.step, [])
-        elif e.kind == "reg_read" and e.proc in open_reads:
-            open_reads[e.proc][1].append(e)
-        elif e.kind == "respond" and e.op == "Read" and e.proc in open_reads:
-            _, reads = open_reads.pop(e.proc)
-            ret = e.ret
-            if not isinstance(ret, SeqTuple):
+    reads = sorted((op for op in trace.ops
+                    if op.kind == "Read" and op.respond_step is not None
+                    and isinstance(op.ret, SeqTuple) and is_honest_proc(op.proc)),
+                   key=lambda op: op.respond_step)
+    for op in reads:
+        k = op.ret.k
+        evidence = False
+        for ev in trace.events[op.invoke_step:op.respond_step]:
+            if ev.kind != "reg_read" or ev.proc != op.proc:
                 continue
-            k = ret.k
-            evidence = False
-            for ev in reads:
-                for c in _unwrap_cells(ev.value):
-                    if isinstance(c, Commit) and c.t.k == k:
-                        evidence = True
-                    elif isinstance(c, Prepare) and k in (c.prev.k, c.next.k):
-                        evidence = True
-                    elif isinstance(c, Signed) and c.t.k == k and \
-                            classify.get(ev.reg) == "sig":
-                        evidence = True
-                if evidence:
-                    break
-            if not evidence:
-                return _violated(
-                    "InternalInvariant",
-                    [e.step],
-                    f"read by {e.proc} returned v_{k} without observing a "
-                    "matching writer-channel cell",
-                )
+            for c in _unwrap_cells(ev.value):
+                if isinstance(c, Commit) and c.t.k == k:
+                    evidence = True
+                elif isinstance(c, Prepare) and k in (c.prev.k, c.next.k):
+                    evidence = True
+                elif isinstance(c, Signed) and c.t.k == k and \
+                        classify.get(ev.reg) == "sig":
+                    evidence = True
+            if evidence:
+                break
+        if not evidence:
+            return _violated(
+                "InternalInvariant",
+                [op.respond_step],
+                f"read by {op.proc} returned v_{k} without observing a "
+                "matching writer-channel cell",
+            )
     return _passed()
 
 
@@ -471,13 +453,13 @@ def run_all_checks(
     classify: dict[str, str],
 ) -> dict[str, Verdict]:
     writer_honest = is_honest(faults.get(WRITER, Correct()))
-    history = extract_history(trace.events, faults)
+    history = extract_history(trace.ops, faults)
     return {
         "property1": check_property1(history, writer_honest),
         "property2": check_property2(history, writer_honest),
         "bottom_returns": check_bottom_returns(history, writer_honest),
         "wait_freedom": check_wait_freedom(trace, faults),
         "internal_invariants": validate_internal_invariants(
-            trace.events, specs, classify, faults
+            trace, specs, classify, faults
         ),
     }

@@ -1,5 +1,7 @@
 """Brute-force linearization oracle: a second judge of the checker's
-linearizability verdicts, for small histories only."""
+linearizability verdicts, for small histories only. Also the reference
+forms the checker must agree with: the all-pairs property passes, and a
+history parsed from a trace's invoke/respond events."""
 
 from byzregs.checker import (
     OpRecord,
@@ -9,6 +11,8 @@ from byzregs.checker import (
     _passed,
     _violated,
 )
+from byzregs.constructions import U0
+from byzregs.core import Bottom, Correct, SeqTuple, is_honest
 
 
 class TooLarge(Exception):
@@ -131,3 +135,35 @@ def check_property2_pairs(history: list[OpRecord], writer_honest: bool) -> Verdi
                     f"{r2.proc} returned v_{r2.index}",
                 )
     return _passed()
+
+
+def history_from_events(events, faults) -> list[OpRecord]:
+    """The history as the trace's invoke/respond events tell it; the
+    reference for checker.extract_history, which reads the run's op records.
+    A respond with no open op, or two open ops of one process, fails."""
+    ops: list[OpRecord] = []
+    open_ops: dict[int, OpRecord] = {}
+    written = [U0]  # the value of v_k, for each write invoked so far
+    for e in events:
+        if e.kind == "invoke":
+            assert e.proc not in open_ops, f"overlapping ops by process {e.proc}"
+            rec = OpRecord(e.proc, e.op, None, value=e.arg, invoke_step=e.step,
+                           honest=is_honest(faults.get(e.proc, Correct())))
+            if e.op == "Write":
+                rec.index = len(written)
+                written.append(e.arg)
+            open_ops[e.proc] = rec
+            ops.append(rec)
+        elif e.kind == "respond":
+            rec = open_ops.pop(e.proc, None)
+            assert rec is not None, f"respond without invoke at step {e.step}"
+            rec.respond_step = e.step
+            if rec.kind == "Read":
+                ret = e.ret
+                if isinstance(ret, SeqTuple):
+                    rec.value = ret.u
+                    if not 0 <= ret.k < len(written) or written[ret.k] == ret.u:
+                        rec.index = ret.k
+                elif isinstance(ret, Bottom):
+                    rec.bottom = True
+    return ops

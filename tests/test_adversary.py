@@ -34,6 +34,7 @@ from byzregs.core import (
     events_to_jsonl,
 )
 from byzregs.sim import Engine, script_from_json
+from linearize_oracle import history_from_events
 
 
 def test_invisible_to_classification():
@@ -172,7 +173,7 @@ def test_attack_naive_gossip_finds_no_write_violation():
     assert marker_reads
     # the witness independently fails Property 1
     faults = {p: Correct() for p in range(4)}
-    history = checker.extract_history(result.events, faults)
+    history = history_from_events(result.events, faults)
     assert not checker.check_property1(history, True).ok
 
 

@@ -172,8 +172,7 @@ def test_internal_invariants_pass_on_real_trace():
                       sim.Seeded(5))
     tr = sim.run(sc)
     specs, classify = _algo1_ctx()
-    assert validate_internal_invariants(tr.events, specs, classify,
-                                        sc.faults).ok
+    assert validate_internal_invariants(tr, specs, classify, sc.faults).ok
 
 
 def test_internal_invariants_commit_order_inversion():
@@ -182,7 +181,8 @@ def test_internal_invariants_commit_order_inversion():
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(events, specs, classify, {0: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     classify, {0: Correct()})
     assert not v.ok and v.witnesses == [1]
 
 
@@ -201,10 +201,32 @@ def test_internal_invariants_writer_channel_rank(prev_tag, next_tag, dk):
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell(prev_tag, 2)),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=cell(next_tag, 2 + dk)),
     ]
-    v = validate_internal_invariants(events, specs, classify, {0: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     classify, {0: Correct()})
     assert v.ok == (dk == 1 or (prev_tag, next_tag) == ("prepare", "commit"))
     if not v.ok:
         assert v.witnesses == [1]
+
+
+@pytest.mark.parametrize("cell", [Plain(SeqTuple(1, b"a")),
+                                  Commit(SeqTuple(0, b""))],
+                         ids=["plain", "commit-k=0"])
+def test_internal_invariants_malformed_writer_cell(cell):
+    specs, classify = _algo1_ctx()
+    events = [Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell)]
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     classify, {0: Correct()})
+    assert not v.ok and v.witnesses == [0] and "malformed" in v.explanation
+
+
+def test_internal_invariants_non_tuple_in_gossip_register():
+    specs, classify = _algo1_ctx()
+    assert classify["I3/R2_3"] == "gossip"
+    events = [Event(0, 2, 0, "reg_write", reg="I3/R2_3",
+                    value=Commit(SeqTuple(1, b"a")))]
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     classify, {2: Correct()})
+    assert not v.ok and v.witnesses == [0] and "non-tuple" in v.explanation
 
 
 def test_internal_invariants_announce_monotonicity_break():
@@ -213,7 +235,8 @@ def test_internal_invariants_announce_monotonicity_break():
         Event(0, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(2, b"b"))),
         Event(1, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(events, specs, classify, {1: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     classify, {1: Correct()})
     assert not v.ok and v.witnesses == [1]
 
 
@@ -224,7 +247,8 @@ def test_internal_invariants_invalid_signature_acceptance():
     events = [
         Event(0, 1, 0, "reg_write", reg="Is/R1_2", value=fake),
     ]
-    v = validate_internal_invariants(events, specs, inst.classify, {1: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     inst.classify, {1: Correct()})
     assert not v.ok and "signed" in v.explanation
 
 
@@ -234,8 +258,8 @@ def test_internal_invariants_skip_malicious_events():
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(events, specs, classify,
-                                     {0: Malicious(())})
+    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+                                     classify, {0: Malicious(())})
     assert v.ok
 
 
@@ -247,7 +271,10 @@ def test_read_return_needs_writer_channel_evidence():
               value=Commit(SeqTuple(0, Plain(SeqTuple(0, b""))))),
         Event(2, 2, 0, "respond", op="Read", ret=SeqTuple(4, b"x")),
     ]
-    v = validate_internal_invariants(events, specs, classify, {2: Correct()})
+    read = sim.OpResult(0, 2, "Read", None, invoke_step=0, respond_step=2,
+                        ret=SeqTuple(4, b"x"), status="completed")
+    v = validate_internal_invariants(sim.Trace(events, [read], False), specs,
+                                     classify, {2: Correct()})
     assert not v.ok and "without observing" in v.explanation
 
 
@@ -300,7 +327,7 @@ def test_extract_history_from_trace():
                        sim.WorkItem(2, "read", after_op=0)],
                       sim.Seeded(5))
     tr = sim.run(sc)
-    h = extract_history(tr.events, sc.faults)
+    h = extract_history(tr.ops, sc.faults)
     assert [op.kind for op in h] == ["Write", "Read"]
     assert h[0].index == 1
     assert h[1].index == 1
@@ -317,28 +344,43 @@ def test_witness_soundness_property1():
     assert not check_property1(sub, True).ok
 
 
-def _events(*items):
-    """Invoke/respond events, one step each, from (kind, proc, op, payload)."""
-    return [Event(step, proc, 0, kind, op=op,
-                  **({"arg": x} if kind == "invoke" else {"ret": x}))
-            for step, (kind, proc, op, x) in enumerate(items)]
+def _ops(*items):
+    """Completed op records, one invoke and one respond step each, from
+    (proc, kind, arg or return)."""
+    return [sim.OpResult(i, proc, kind, x if kind == "Write" else None,
+                         invoke_step=2 * i, respond_step=2 * i + 1,
+                         ret=None if kind == "Write" else x, status="completed")
+            for i, (proc, kind, x) in enumerate(items)]
 
 
 def test_extract_history_drops_a_read_whose_value_was_not_written_under_k():
-    events = _events(
-        ("invoke", 0, "Write", b"a"), ("respond", 0, "Write", None),
-        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(1, b"a")),
-        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(1, b"b")),
-        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(0, b"")),
-        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(0, b"a")),
+    ops = _ops(
+        (0, "Write", b"a"),
+        (1, "Read", SeqTuple(1, b"a")),
+        (1, "Read", SeqTuple(1, b"b")),
+        (1, "Read", SeqTuple(0, b"")),
+        (1, "Read", SeqTuple(0, b"a")),
         # v_2 is not yet invoked: its value is unknown, so k stands.
-        ("invoke", 1, "Read", None), ("respond", 1, "Read", SeqTuple(2, b"z")),
+        (1, "Read", SeqTuple(2, b"z")),
     )
-    h = extract_history(events, {0: Correct(), 1: Correct()})
+    h = extract_history(ops, {0: Correct(), 1: Correct()})
     assert [op.index for op in h] == [1, 1, None, 0, None, 2]
     assert [op.value for op in h[1:]] == [b"a", b"b", b"", b"a", b"z"]
     v = check_property1(h[:3], True)
     assert not v.ok and "never wrote" in v.explanation
+
+
+def test_extract_history_judges_a_read_by_the_writes_invoked_before_it_responds():
+    # Both reads return (2, b"z"); v_2 = b"b" is invoked after the first
+    # read responds and before the second is invoked.
+    ops = _ops(
+        (0, "Write", b"a"),
+        (1, "Read", SeqTuple(2, b"z")),
+        (0, "Write", b"b"),
+        (1, "Read", SeqTuple(2, b"z")),
+    )
+    h = extract_history(ops, {0: Correct(), 1: Correct()})
+    assert [op.index for op in h] == [1, 2, 2, None]
 
 
 # -- agreement with the all-pairs reference -----------------------------------

@@ -122,6 +122,23 @@ def test_attack_witness_exit_one(tmp_path):
     assert not any(e.proc == 0 for e in events)
 
 
+def test_attack_blocked_exit_one(tmp_path):
+    # algo1's blocked read at n = 3: the state repeats exactly, so the
+    # witness trace ends one event past its lasso.
+    out = tmp_path / "attack.json"
+    trace = tmp_path / "witness.jsonl"
+    code = run_cli([
+        "attack", "--construction", "algo1", "--n", "3",
+        "--trace", str(trace), "--out", str(out),
+    ])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert (report["result"], report["stage"], report["reader"]) == \
+        ("blocked", "C_5^2", 2)
+    assert "lasso 1024..1028" in report["explanation"]
+    assert len(trace.read_bytes().splitlines()) == 1029
+
+
 def test_attack_exhausted_exit_zero(tmp_path):
     out = tmp_path / "attack.json"
     code = run_cli([
@@ -594,13 +611,22 @@ def _set(path, value):
     lambda doc: (doc.clear(), doc.update({
         "construction": "algo1", "n": 3, "workload": [],
         "schedule": {"kind": "seeded", "seed": 1}})),
+    _set(("faults", "9"), {"kind": "correct"}),
+    _set(("workload", 3, "proc"), 9),
+    _set(("workload", 3), {"op": "write", "proc": 1, "value": "x"}),
+    _set(("workload", 0), {"op": "read", "proc": 0}),
+    _set(("workload", 1, "after_op"), 1),
+    _set(("workload", 1, "after_op"), 2),
+    _set(("schedule",), {"kind": "scripted", "picks": [["a", 0]]}),
 ], ids=[
     "step_budget=-1", "step_budget=0", "per_op_budget=0", "per_op_budget=str",
     "n=str", "n=bool", "n=float", "proc=str", "proc=bool", "after_op=str",
     "after_op=bool", "after_step=float", "after_step=-5", "crash-at_step=-3",
     "fault-key=str", "fault-key=02", "fault-key=space-2", "fault-key=+2",
     "write-without-value",
-    "faults=list", "n=2**70", "n=11", "empty-workload",
+    "faults=list", "n=2**70", "n=11", "empty-workload", "fault-proc=9",
+    "workload-proc=9", "write-by-reader", "read-by-writer", "after_op=self",
+    "after_op=later", "picks=str",
 ])
 def test_invalid_scenario_exits_two(tmp_path, edit):
     with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
@@ -635,6 +661,14 @@ def test_n_above_the_maximum_exits_two(tmp_path, argv):
 def test_n_below_two_exits_two(tmp_path, n):
     argv = ["sweep", "--construction", "atomic-1wnr", "--n", n, "--runs", "1",
             "--faults", "one-malicious-reader", "--out", str(tmp_path / "o.json")]
+    assert run_cli(argv) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_sweep_of_naive_gossip_below_three_readers_exits_two(tmp_path):
+    # check_n admits n = 2; the candidate itself needs n >= 3.
+    argv = ["sweep", "--construction", "naive-gossip", "--n", "2", "--runs", "1",
+            "--out", str(tmp_path / "o.json")]
     assert run_cli(argv) == 2
     assert not (tmp_path / "o.json").exists()
 

@@ -494,20 +494,27 @@ def test_step_budget_marks_pending():
 
 def test_scenario_json_roundtrip():
     poison = (("w", "I3/R2_3", Plain(SeqTuple(9, b"x"))),)
-    sc = scenario(
-        faults={0: Crash(7), 1: Correct(), 2: Malicious(poison), 3: Correct()},
-        workload=[
-            sim.WorkItem(0, "write", value=b"a"),
-            sim.WorkItem(3, "read", after_step=8),
-        ],
-        step_budget=500,
-    )
-    doc = sim.scenario_to_json(sc)
-    back = sim.scenario_from_json(doc)
-    assert sim.scenario_to_json(back) == doc
-    a = events_to_jsonl(sim.run(sc).events)
-    b = events_to_jsonl(sim.run(back).events)
-    assert a == b
+    for schedule in [
+        sim.Seeded(11),
+        # The malicious script's write, then the writer's first three steps.
+        sim.Scripted(((2, 0), (0, 0), (0, 0), (0, 0))),
+    ]:
+        sc = scenario(
+            faults={0: Crash(7), 1: Correct(), 2: Malicious(poison), 3: Correct()},
+            workload=[
+                sim.WorkItem(0, "write", value=b"a"),
+                sim.WorkItem(3, "read", after_step=8),
+            ],
+            schedule=schedule,
+            step_budget=500,
+        )
+        doc = sim.scenario_to_json(sc)
+        back = sim.scenario_from_json(doc)
+        assert sim.scenario_to_json(back) == doc
+        assert back.schedule == schedule
+        a = events_to_jsonl(sim.run(sc).events)
+        b = events_to_jsonl(sim.run(back).events)
+        assert a == b
 
 
 def test_a_fork_whose_branches_all_end_without_a_value_resumes_with_none():
@@ -1094,3 +1101,25 @@ def test_admission_matches_full_workload_scan(monkeypatch):
     monkeypatch.setattr(sim, "_Admission", _ScanAdmission)
     for seed, (sc, got) in enumerate(zip(scenarios, fast)):
         assert got == outcome(sc), f"scenario seed {seed}"
+
+
+def test_op_records_tell_the_history_the_events_tell():
+    # The checker's history comes from the engine's op records; the trace's
+    # invoke/respond events, parsed as the reference does, must agree, and
+    # must never show two open ops of one process or a stray respond.
+    from byzregs import checker, cli
+    from linearize_oracle import history_from_events
+
+    every = cli.CANONICAL_PATTERNS + cli.EXTRA_PATTERNS
+    cells = [("algo1", n, p) for n in range(2, 6) for p in cli.CANONICAL_PATTERNS]
+    cells += [("algo2", 2, p) for p in every]
+    cells += [("algo3", n, p) for n in (3, 5) for p in every]
+    assert len(cells) == 41
+    scenarios = [_random_gated_scenario(seed) for seed in range(400)]
+    scenarios += [cli.build_sweep_scenario(c, n, p, seed, sim.DEFAULT_STEP_BUDGET,
+                                           1500)
+                  for c, n, p in cells for seed in range(3)]
+    for i, sc in enumerate(scenarios):
+        tr = sim.run(sc)
+        assert checker.extract_history(tr.ops, sc.faults) == \
+            history_from_events(tr.events, sc.faults), f"scenario {i}"
