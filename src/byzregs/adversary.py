@@ -2,22 +2,24 @@
 the impossibility argument's execution transformations.
 
 The harness operationalizes indistinguishability: instead of reasoning about
-what a reader can know, it re-runs executions from scratch with the writer
-crashed one step earlier and the would-be malicious process replaying its
-recorded register accesses verbatim. A script is the tuple of accesses a
-process issues, as ``recorded_actions`` extracts them. Every execution is a
-strict sequence of phases (writer prefix, replay and reset scripts, one
-fresh read), which is exactly the shape of the proof's executions S, A_k,
-B_{k-1}, C/D/E/F. The solo write and every fresh read run under one per-op
-budget, the stage budget (``--op-budget``): an op of m register steps fits
-a budget of m, and one that asks for a step past it is stopped there.
-A found witness or the spent search budget ends the search: it is raised
-from the stage that finds it, and ``attack_search`` returns it.
+what a reader can know, it runs executions with the writer crashed one step
+earlier and the would-be malicious process replaying its recorded register
+accesses verbatim. A script is the tuple of accesses a process issues, as
+``recorded_actions`` extracts them. Every execution is a strict sequence of
+phases (writer prefix, replay and reset scripts, one fresh read), which is
+exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F; a
+writer prefix starts from a copy of S's run at its crash point. The solo
+write and every fresh read run under one per-op budget, the stage budget
+(``--op-budget``): an op of m register steps fits a budget of m, and one
+that asks for a step past it is stopped there. A found witness or the spent
+search budget ends the search: it is raised from the stage that finds it,
+and ``attack_search`` returns it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from . import checker
@@ -80,14 +82,15 @@ def build_candidate(name: str, n: int) -> Layout:
     return layout
 
 
-def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET):
+def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET,
+                      starts: Optional[dict] = None):
     """Execution S: a complete solo Write of the marker, readers silent, run
-    as every plan's writer phase runs.
+    as every plan's writer phase runs (for starts, see run_plan).
 
     Returns (steps, events) where steps are the writer's register access
     events s^1..s^m in order.
     """
-    res = run_plan(name, n, [WriterPhase(None)], budget)
+    res = run_plan(name, n, [WriterPhase(None)], budget, starts)
     if res.ops[0].status != "completed":
         raise WriterBlocked(f"candidate {name}: solo write did not finish "
                             f"within {budget} steps")
@@ -132,19 +135,33 @@ class PlanResult:
     accesses: int
 
 
-def run_plan(name: str, n: int, phases: list, stage_budget: int) -> PlanResult:
-    """Run phases strictly in order on a fresh run of the candidate.
+def run_plan(name: str, n: int, phases: list, stage_budget: int,
+             starts: Optional[dict] = None) -> PlanResult:
+    """Run phases strictly in order on a run of the candidate.
 
     A writer phase may only come first, and it runs solo: event 0 is its
     invoke and events 1..a its first a register accesses. Crashing the
-    writer after a accesses is therefore the crash point (a + 1, WRITER).
+    writer after a accesses is therefore the crash point (a + 1, WRITER):
+    the phase is the solo write S up to there. S fills an empty starts with
+    a copier of its run at each a and None, which a writer phase starts from.
     """
     crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
              if isinstance(ph, WriterPhase) and ph.crash_after is not None]
-    eng = Engine(build_candidate(name, n), crash_points=crash)
+    kept = starts and any(isinstance(ph, WriterPhase) for ph in phases[:1])
+    eng = starts[phases[0].crash_after](crash_points=crash) if kept \
+        else Engine(build_candidate(name, n), crash_points=crash)
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
-            eng.spawn_write(MARKER)
+            if kept:
+                continue
+            op, state = eng.spawn_write(MARKER), None
+            if starts is not None:  # S, one access at a time
+                starts[None] = eng.copy
+                while op.status == "pending" and op.reason is None and eng.queue:
+                    state = eng.state.copy(state)
+                    starts[op.steps] = partial(eng.copy, len(eng.events), state,
+                                               [replace(op)])
+                    eng.run_queue(len(eng.events) + 1, stage_budget)
         elif isinstance(ph, ScriptPhase):
             eng.spawn_script(ph.proc, ph.script)
         elif isinstance(ph, FreshRead):
@@ -242,8 +259,9 @@ class _Search:
         self.plans: dict[tuple, _Plan] = {}
         self.scripts: dict[tuple, tuple] = {}  # recorded script -> its first copy
         self.resets = {p: reset_script(self.layout.specs, p) for p in self.readers}
-        # Execution S: the writer's register steps s^1..s^m.
-        self.steps, _ = record_solo_write(name, n, stage_budget)
+        # Execution S: its register steps s^1..s^m and its kept runs.
+        self.starts: dict = {}
+        self.steps, _ = record_solo_write(name, n, stage_budget, self.starts)
         self.log.append(f"S: solo write took {len(self.steps)} register steps")
 
     def writer(self, k: int) -> WriterPhase:
@@ -268,7 +286,7 @@ class _Search:
         plan = self.plans.get(key)
         res = None
         if plan is None:
-            res = run_plan(self.name, self.n, phases, self.stage_budget)
+            res = run_plan(self.name, self.n, phases, self.stage_budget, self.starts)
             plan = self.plans[key] = _Plan(res.accesses, res.ops[-1])
             if record and plan.marker:
                 actions = recorded_actions(res.events, reader)

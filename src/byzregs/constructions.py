@@ -18,7 +18,7 @@ register three levels deep holds tuples of cells of tuples of cells.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, NamedTuple, Union
+from typing import Callable, Generator, NamedTuple, Optional, Union
 
 from .core import (
     BOTTOM,
@@ -66,16 +66,23 @@ class Vars:
         return tuple(frozenset(v.issued.items()) if isinstance(v, SignatureOracle)
                      else v for v in self.__dict__.values())
 
+    def copy(self, like: Optional[Vars] = None) -> Vars:
+        """A copy to run on, with a signature oracle's issued table copied.
+        (like, an earlier kept copy, is for a state of many Vars to share.)"""
+        return Vars(**{k: SignatureOracle(v.issued) if isinstance(v, SignatureOracle)
+                       else v for k, v in vars(self).items()})
+
 
 class Layout:
     """What an implementation fixes for a given n: its readers, its registers
-    in declaration order and by id, and their classes for the checker."""
+    in declaration order and by id, their initial cells and checker classes."""
 
     def __init__(self, readers: list[int], specs: list[RegisterSpec],
                  classify: dict[str, str]):
         self.readers = readers
         self.specs = tuple(specs)
         self.by_id = specs_by_id(self.specs)
+        self.initial = {rid: s.initial for rid, s in self.by_id.items()}
         self.classify = classify
 
     def new_state(self) -> Vars:
@@ -108,6 +115,12 @@ class _Algo1Run(list):
     def key(self) -> tuple:
         # A level's Vars holds no signature oracle, so its key is its values.
         return tuple([tuple(vars(v).values()) for v in self])
+
+    def copy(self, like: Optional[_Algo1Run] = None) -> _Algo1Run:
+        """A copy of each level's Vars (none holds an oracle); a copy only
+        kept shares like's, an earlier kept one's, where its values equal."""
+        return _Algo1Run([l if l is not None and vars(l) == vars(v) else Vars(**vars(v))
+                          for v, l in zip(self, like or [None] * len(self))])
 
 
 class Algo1Level:

@@ -30,10 +30,10 @@ process's last event and the lasso watch of a read past LASSO_THRESHOLD
 steps. A watch splits every register at the first state it takes. A later
 state splits again only what changed since the one before: the registers
 that events since then wrote, and the state key items (algo1's levels),
-thread heads and generator frames whose values differ. Each part is hashed
-once, so a state still costs a look at every live frame and one step per
-part and per sequence number to gather and rank them, but no walk through
-the cells nested in a register.
+thread heads and the generator frames of threads resumed since whose values
+differ. Each part is hashed once, so a state still costs a look at every
+live thread's head and one step per part and per sequence number to gather
+and rank them, but no walk through the cells nested in a register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -90,12 +90,13 @@ and flip a comparison.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generator, Iterable, Optional, Union
 
 from . import constructions
@@ -245,7 +246,7 @@ class Engine:
                  crash_points: Iterable[tuple[int, int]] = ()):
         self.layout = layout
         self.specs = layout.by_id
-        self.cells = {rid: s.initial for rid, s in self.specs.items()}
+        self.cells = dict(layout.initial)
         self.state = layout.new_state()
         self.seed = seed
         self.rng = None  # seeded at its first draw: most runs never draw
@@ -266,6 +267,29 @@ class Engine:
         # admission re-examines its workload only after such a change.
         self.changed = True
         self._sweep_crashes()
+
+    def copy(self, upto: Optional[int] = None, state=None,
+             ops: Optional[list] = None, crash_points: Iterable = ()) -> Engine:
+        """A run going on from this run's first upto events (all by default)
+        with copies of state and ops kept then (its own by default), cells
+        made by the events' writes and no thread (none is live but a crashed
+        process's). All due crash points, this run's and crash_points, crash."""
+        events = self.events[:upto]
+        cells = dict(self.layout.initial)
+        cells.update((e.reg, e.value) for e in events if e.kind == "reg_write")
+        # Assigned in __init__'s order, so the copy's attributes stay inline.
+        eng = Engine.__new__(Engine)
+        eng.layout, eng.specs, eng.cells = self.layout, self.specs, cells
+        eng.state = (self.state if state is None else state).copy()
+        eng.seed, eng.rng, eng.events = self.seed, copy.copy(self.rng), events
+        eng.ops = [replace(op) for op in (self.ops if ops is None else ops)]
+        eng.crashed = set(self.crashed)
+        eng.crash_points = sorted([*self.crash_points, *crash_points])
+        eng._next_crash, eng._crash_at, eng._due = 0, float("inf"), []
+        eng.queue, eng.threads = deque(), {}
+        eng._tid_counters, eng.changed = dict(self._tid_counters), self.changed
+        eng._sweep_crashes()
+        return eng
 
     # -- events ------------------------------------------------------------
 
@@ -661,6 +685,7 @@ class _Lasso:
         self.at = 0
         self.regs: dict[str, _Part] = {}
         self.parts: dict = {}
+        self.frames: dict = {}  # each live thread's frame parts
 
     def observe(self, t: _Thread, before: int) -> Optional[str]:
         """Take the state after the resumption of the op's thread t that
@@ -700,7 +725,7 @@ class _Lasso:
         frames in fork-tree order, then the runnable threads' names and the
         ranks of the sequence numbers. A part is made again only when its
         value changed since the last take; a register's, only when an event
-        since then wrote it."""
+        since then wrote it; a thread's frames, only when it was resumed."""
         eng, op, state = self.eng, self.op, self.eng.state
         runnable = []
         for u in eng.queue:
@@ -711,11 +736,11 @@ class _Lasso:
             runnable.append(u)
         cells, regs, part = eng.cells, self.regs, self._part
         # The first take splits every register, a later one those written since.
+        since, self.at = self.at, len(eng.events)
         written = cells if not regs else \
-            {e.reg for e in eng.events[self.at:] if e.kind == "reg_write"}
+            {e.reg for e in eng.events[since:] if e.kind == "reg_write"}
         for reg in written:
             regs[reg] = part(reg, cells[reg])
-        self.at = len(eng.events)
         # A tuple of tuples (algo1's levels) has a part per item.
         key = state.key()
         items = key if all(type(v) is tuple for v in key) else (key,)
@@ -723,13 +748,17 @@ class _Lasso:
         names: dict[_Thread, tuple] = {}
         threads = []
         todo = [(self.root, ())]
+        cached, self.frames = self.frames, {}
         while todo:
             u, name = todo.pop()
             names[u] = name
             fr = u.child
             if fr is not None and fr.resolved:
                 fr = None
-            frames = [part(id(gen), value) for gen, value in _frames(u.gen, state)]
+            frames = cached.get(u)  # only a resumption changes a thread's frames
+            if frames is None or self.resumed.get(u, -1) >= since:
+                frames = [part(id(gen), value) for gen, value in _frames(u.gen, state)]
+            self.frames[u] = frames
             threads.append((name, part(u, (name, u.parked, u.pending,
                                            None if fr is None else fr.dead, len(frames))),
                             frames))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import pytest
@@ -258,9 +259,9 @@ def _record_plans(monkeypatch) -> list:
     plans = []
     run_plan = adversary.run_plan
 
-    def recording(name, n, phases, stage_budget):
+    def recording(name, n, phases, stage_budget, *starts):
         plans.append(phases)
-        return run_plan(name, n, phases, stage_budget)
+        return run_plan(name, n, phases, stage_budget, *starts)
 
     monkeypatch.setattr(adversary, "run_plan", recording)
     return plans
@@ -545,3 +546,69 @@ def test_writer_blocked_when_solo_write_spins(monkeypatch):
                         Implementation(Spinner, RULE_THM1, 64))
     with pytest.raises(WriterBlocked):
         record_solo_write("_spinner", 3, budget=200)
+
+
+@pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3", "atomic-1wnr"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
+    # Every writer phase starts from a copy of the solo write's run at its
+    # crash point: each plan shape gives the events, op records and
+    # accesses that running it on a fresh engine gives, and a kept run
+    # gives them again on a second copy. The D-shaped plan replays a read
+    # of the marker, which verifies only where the writer signed it.
+    from byzregs.adversary import (FreshRead, ScriptPhase, WriterPhase,
+                                   recorded_actions, run_plan)
+    from byzregs.sim import reset_script
+
+    def same(a, b):
+        assert events_to_jsonl(a.events) == events_to_jsonl(b.events)
+        assert a.ops == b.ops and a.accesses == b.accesses
+
+    starts = {}
+    steps, _ = record_solo_write(name, n, 1000, starts)
+    assert set(starts) == {*range(len(steps) + 1), None}
+    x, p, r = 1, 2, 3
+    read = run_plan(name, n, [WriterPhase(None), FreshRead(x)], 1000)
+    replay = ScriptPhase(x, recorded_actions(read.events, x))
+    reset = ScriptPhase(p, reset_script(build_candidate(name, n).specs, p))
+    for a in [*range(len(steps) + 1), None]:
+        w = WriterPhase(a)
+        for phases in ([w, FreshRead(r)], [w, FreshRead(x), reset, FreshRead(r)],
+                       [w, replay, FreshRead(r)]):
+            kept = run_plan(name, n, phases, 1000, starts)
+            same(kept, run_plan(name, n, phases, 1000))
+            same(kept, run_plan(name, n, phases, 1000, starts))
+
+
+# sha256 (first 16 hex digits) of every attack_search outcome of a table
+# entry at n = 3..6 and stage budgets default, 2000, 10 and 7: the result's
+# type, stage, explanation, reason, stage log and witness JSONL, or the
+# raised exception's type and text.
+ATTACK_CORPUS = {
+    "algo1": "6c47586504b5ba67",
+    "algo2": "3e1c46a0f902a401",
+    "algo3": "83a57a4d6af49d53",
+    "atomic-1wnr": "96018dae80a693a3",
+    "naive-gossip": "84c8b91e9f3dfb50",
+}
+
+
+def _attack_outcome(name, n, stage_budget):
+    kw = {} if stage_budget is None else {"stage_budget": stage_budget}
+    try:
+        r = attack_search(name, n, **kw)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    events = getattr(r, "events", None)
+    return [type(r).__name__, getattr(r, "stage", None),
+            getattr(r, "explanation", None), getattr(r, "reason", None),
+            r.stage_log, None if events is None else events_to_jsonl(events).decode()]
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_CORPUS))
+def test_attack_corpus_is_pinned(name):
+    assert set(ATTACK_CORPUS) == set(constructions.IMPLEMENTATIONS)
+    outcomes = [_attack_outcome(name, n, b)
+                for n in range(3, 7) for b in (None, 2000, 10, 7)]
+    text = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+    assert _sha256(text.encode())[:16] == ATTACK_CORPUS[name]
