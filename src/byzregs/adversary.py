@@ -18,7 +18,7 @@ and ``attack_search`` returns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -150,6 +150,8 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
     kept = starts and any(isinstance(ph, WriterPhase) for ph in phases[:1])
     eng = starts[phases[0].crash_after](crash_points=crash) if kept \
         else Engine(build_candidate(name, n), crash_points=crash)
+    # A kept run's events are the writer's invoke, its accesses and a crash.
+    start, accesses = len(eng.events), eng.ops[0].steps if kept else 0
     for i, ph in enumerate(phases):
         if isinstance(ph, WriterPhase) and i == 0:
             if kept:
@@ -160,7 +162,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
                 while op.status == "pending" and op.reason is None and eng.queue:
                     state = eng.state.copy(state)
                     starts[op.steps] = partial(eng.copy, len(eng.events), state,
-                                               [replace(op)])
+                                               [op.copy()])
                     eng.run_queue(len(eng.events) + 1, stage_budget)
         elif isinstance(ph, ScriptPhase):
             eng.spawn_script(ph.proc, ph.script)
@@ -171,7 +173,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
         # An op's phase logs its invoke, at most stage_budget accesses, a
         # crash and a respond, so the op's budget binds before the bound.
         eng.run_queue(len(eng.events) + 4 * stage_budget, stage_budget)
-    accesses = sum(e.kind in ("reg_read", "reg_write") for e in eng.events)
+    accesses += sum(e.kind in ("reg_read", "reg_write") for e in eng.events[start:])
     return PlanResult(eng.events, eng.ops, accesses)
 
 

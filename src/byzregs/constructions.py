@@ -117,10 +117,16 @@ class _Algo1Run(list):
         return tuple([tuple(vars(v).values()) for v in self])
 
     def copy(self, like: Optional[_Algo1Run] = None) -> _Algo1Run:
-        """A copy of each level's Vars (none holds an oracle); a copy only
-        kept shares like's, an earlier kept one's, where its values equal."""
-        return _Algo1Run([l if l is not None and vars(l) == vars(v) else Vars(**vars(v))
-                          for v, l in zip(self, like or [None] * len(self))])
+        """A copy of each level's Vars (none holds an oracle), its dict filled
+        directly; a copy only kept shares like's, an earlier kept one's,
+        where its values equal."""
+        run = _Algo1Run()
+        for v, l in zip(self, like or self):
+            if like is None or vars(l) != vars(v):
+                l = Vars.__new__(Vars)
+                l.__dict__.update(vars(v))
+            run.append(l)
+        return run
 
 
 class Algo1Level:
@@ -129,7 +135,9 @@ class Algo1Level:
     It appends its registers, and then its nested levels', to specs and
     classify, and itself to levels. Its local variables in a run are
     run[self.idx], bound once when a machine starts. A nested level serves
-    its parent as an implemented register (read/write).
+    its parent as an implemented register (read/write). Rwp is always an
+    atomic register, so rwp is its id; rwq and rpq are handles or levels.
+    A write makes one Prepare and one Commit, each written to both channels.
     """
 
     def __init__(self, path: str, writer: int, readers: list[int], u0: Payload,
@@ -146,8 +154,8 @@ class Algo1Level:
             specs.append(RegisterSpec(rid, w, frozenset(rs), initial))
             classify[rid] = cls
 
-        add(f"{path}/Rwp", writer, [self.p], Commit(t0), "wchan")
-        self.rwp = _AtomicHandle(f"{path}/Rwp")
+        self.rwp = f"{path}/Rwp"
+        add(self.rwp, writer, [self.p], Commit(t0), "wchan")
         self.rqq: dict[tuple[int, int], str] = {}
         for q1 in self.q_list:
             for q2 in self.q_list:
@@ -185,24 +193,22 @@ class Algo1Level:
         v = run[self.idx]
         v.c += 1
         t = SeqTuple(v.c, payload)
-        lw = v.last_written
-        yield from self.rwp.write(run, Prepare(lw, t))
-        yield from self.rwq.write(run, Prepare(lw, t))
-        yield from self.rwp.write(run, Commit(t))
-        yield from self.rwq.write(run, Commit(t))
+        prepare = Prepare(v.last_written, t)
+        yield ("w", self.rwp, prepare)
+        yield from self.rwq.write(run, prepare)
+        commit = Commit(t)
+        yield ("w", self.rwp, commit)
+        yield from self.rwq.write(run, commit)
         v.last_written = t
         return DONE
 
-    def read_tuple(self, run: _Algo1Run, actor: int):
-        if actor == self.p:
-            result = yield from self._r_p(run)
-        else:
-            result = yield from self._r_q(run, actor)
-        return result
+    def read_tuple(self, run: _Algo1Run, actor: int) -> Generator:
+        """actor's read machine, _r_p or _r_q: the root's Read, and read's."""
+        return self._r_p(run) if actor == self.p else self._r_q(run, actor)
 
     def _r_p(self, run: _Algo1Run):
         v = run[self.idx]
-        x = yield from self.rwp.read(run, self.p)
+        x = yield ("r", self.rwp)
         if isinstance(x, Commit) and x.t.k >= v.previous_k:
             yield from self.rpq.write(run, Plain(x.t))
             v.previous_k = x.t.k

@@ -27,13 +27,14 @@ past it is stopped there, before the access is checked or applied. A step
 costs O(1) engine work beyond a fork's seeded insertions, a budget stop's
 walk over the stopped op's threads, a crash marker's look back for its
 process's last event and the lasso watch of a read past LASSO_THRESHOLD
-steps. A watch splits every register at the first state it takes. A later
-state splits again only what changed since the one before: the registers
-that events since then wrote, and the state key items (algo1's levels),
-thread heads and the generator frames of threads resumed since whose values
-differ. Each part is hashed once, so a state still costs a look at every
-live thread's head and one step per part and per sequence number to gather
-and rank them, but no walk through the cells nested in a register.
+steps. A layout's initial cells are split once, so a watch's first state
+splits only the cells its run wrote, and a later state only what changed
+since the one before: the registers that events since then wrote, and the
+state key items (algo1's levels), thread heads and the generator frames of
+threads resumed since whose values differ. Each part is hashed once and each
+sequence number is one int, so a state still costs a look at every register
+and live thread's head and one step per part and per sequence number to
+gather, rank and hash them, but no walk through the cells nested in one.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -96,7 +97,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Union
 
 from . import constructions
@@ -179,6 +180,9 @@ class OpResult:
     reason: Optional[str] = None
     steps: int = 0
 
+    def copy(self) -> OpResult:
+        return OpResult(*vars(self).values())  # the fields, in order
+
 
 @dataclass
 class Trace:
@@ -228,6 +232,8 @@ class _JoinFrame:
 _SPLIT = (SeqTuple, Commit, Prepare, Plain, Signed)  # what _split memoizes
 _NESTED = (tuple, *_SPLIT)  # what _split does not keep as it is
 _SEQ = object()  # stands for a sequence number in a fingerprint's skeleton
+_DOMAIN = 127  # k of domain h is coded k << 7 | h; h <= core.MAX_NESTING
+_INITIAL: dict = {}  # layout -> a _Lasso's memo and slots of its initial cells
 
 
 def _script_machine(script: tuple) -> Generator:
@@ -282,7 +288,7 @@ class Engine:
         eng.layout, eng.specs, eng.cells = self.layout, self.specs, cells
         eng.state = (self.state if state is None else state).copy()
         eng.seed, eng.rng, eng.events = self.seed, copy.copy(self.rng), events
-        eng.ops = [replace(op) for op in (self.ops if ops is None else ops)]
+        eng.ops = [op.copy() for op in (self.ops if ops is None else ops)]
         eng.crashed = set(self.crashed)
         eng.crash_points = sorted([*self.crash_points, *crash_points])
         eng._next_crash, eng._crash_at, eng._due = 0, float("inf"), []
@@ -569,9 +575,9 @@ class _Part:
 
 
 def _split(x, seqs: list, memo: dict) -> tuple:
-    """x's skeleton, with the k of every SeqTuple in it moved to seqs as
-    (height, k), and the height x gives a SeqTuple whose payload it is: 0 if
-    x holds no SeqTuple, else one more than the tallest SeqTuple in it. In
+    """x's skeleton, with the k of every SeqTuple in it moved to seqs coded as
+    k << 7 | height, and the height x gives a SeqTuple whose payload it is: 0
+    if x holds no SeqTuple, else one more than the tallest SeqTuple in it. In
     the skeleton each SeqTuple or cell stands as its _Part, so hashing a
     skeleton does not walk the cells nested in it again.
 
@@ -594,7 +600,7 @@ def _split(x, seqs: list, memo: dict) -> tuple:
         own: list = []
         if isinstance(x, SeqTuple):
             skel, height = _split(x.u, own, memo)
-            own.append((height, x.k))
+            own.append(x.k << 7 | height)
             skel, height = (_SEQ, skel), height + 1
         else:
             parts = [_split(getattr(x, f), own, memo) for f in x.__dataclass_fields__]
@@ -618,7 +624,7 @@ def _split_key(key, seqs: list, memo: dict):
         h -= 1
         for i, v in enumerate(key):
             if type(v) is int:
-                seqs.append((h, v))
+                seqs.append(v << 7 | h)
                 skel[i] = _SEQ
     return tuple(skel)
 
@@ -634,13 +640,15 @@ def _frames(gen, state):
 
 
 def _shift(si: list, sj: list) -> Optional[dict]:
-    """The shift d > 0 per domain that takes the sequence numbers si to sj
-    (empty if none moves), if every moved number exceeds every unmoved one
-    of its domain; else None."""
+    """The shift d > 0 per domain that takes the coded sequence numbers si to
+    sj (empty if none moves), if every moved number exceeds every unmoved
+    one of its domain; else None. Within a domain codes compare as their
+    numbers do, and differ by d << 7."""
     shift: dict[int, int] = {}
     moved: dict[int, int] = {}
     fixed: dict[int, int] = {}
-    for (h, a), (_, b) in zip(si, sj):
+    for a, b in zip(si, sj):
+        h = a & _DOMAIN
         if a == b:
             fixed[h] = max(fixed.get(h, a), a)
         elif shift.setdefault(h, b - a) != b - a:
@@ -650,7 +658,7 @@ def _shift(si: list, sj: list) -> Optional[dict]:
     if any(d <= 0 for d in shift.values()) or \
             any(low <= fixed.get(h, low - 1) for h, low in moved.items()):
         return None
-    return shift
+    return {h: d >> 7 for h, d in shift.items()}
 
 
 @dataclass
@@ -658,7 +666,7 @@ class _Point:
     """A state the watch took, after the op's register access at step."""
 
     step: int
-    seqs: list  # its sequence numbers as (domain, k), in _split's order
+    seqs: list  # its coded sequence numbers, in _split's order
     cells: tuple  # the register cells
     runnable: list  # the op's runnable threads
 
@@ -676,15 +684,22 @@ class _Lasso:
             t = t.frame.parent
         self.root = t
         self.seen: dict = {}  # fingerprint -> the latest _Point with it
-        self.memo: dict = {}  # _split's, for this watch only
         self.resumed: dict = {}  # thread -> the first event of its last resumption
         # What a take keeps for the next: the event count after it, each
         # register's part, and the value and part at each slot (a register,
         # a state key item, a thread's head or the id of a generator, whose
         # frame is not kept alive). A part is reused only for an equal value.
+        # _split's memo and the slots start from the layout's initial cells,
+        # parted by the layout's first watch.
+        base = _INITIAL.get(eng.layout)
+        if base is None:
+            self.memo, self.parts = {}, {}
+            for reg, cell in eng.layout.initial.items():
+                self._part(reg, cell)
+            base = _INITIAL[eng.layout] = self.memo, self.parts
+        self.memo, self.parts = dict(base[0]), dict(base[1])
         self.at = 0
         self.regs: dict[str, _Part] = {}
-        self.parts: dict = {}
         self.frames: dict = {}  # each live thread's frame parts
 
     def observe(self, t: _Thread, before: int) -> Optional[str]:
@@ -735,7 +750,8 @@ class _Lasso:
                 return None
             runnable.append(u)
         cells, regs, part = eng.cells, self.regs, self._part
-        # The first take splits every register, a later one those written since.
+        # The first take parts every register (one still holding its initial
+        # cell reuses the layout's part), a later one those written since.
         since, self.at = self.at, len(eng.events)
         written = cells if not regs else \
             {e.reg for e in eng.events[since:] if e.kind == "reg_write"}
@@ -773,13 +789,14 @@ class _Lasso:
         for p in parts:
             seqs += p.seqs
         runnable_names = tuple(names[u] for u in runnable)
-        # (h, k) -> the rank of k in domain h; the skeleton fixes each h.
+        # A code -> the rank of its number in its domain; the skeleton fixes
+        # each domain.
         rank: dict = {}
-        r = last = None
-        for h, k in sorted(set(seqs)):
-            r = r + 1 if h == last else 0
-            rank[h, k] = r
-            last = h
+        next_rank = [0] * (_DOMAIN + 1)
+        for c in sorted(set(seqs)):
+            h = c & _DOMAIN
+            rank[c] = next_rank[h]
+            next_rank[h] += 1
         return (_Part((*parts, runnable_names, tuple(map(rank.__getitem__, seqs))), seqs),
                 _Point(step, seqs, tuple(cells.values()), runnable))
 

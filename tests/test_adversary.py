@@ -249,6 +249,9 @@ LASSOS = {
     4: "blocked (lasso 1041..1051; k of I4/RwQ/I3/RpQ/I2 +2)",
     5: "blocked (lasso 1074..1096; k of I5/RwQ/I4/RpQ/I3 +2, "
        "k of I5/RwQ/I4/RpQ/I3/RwQ/I2 +4)",
+    6: "blocked (lasso 1137..1183; k of I6/RwQ/I5/RpQ/I4 +2, "
+       "k of I6/RwQ/I5/RpQ/I4/RwQ/I3 +4, "
+       "k of I6/RwQ/I5/RpQ/I4/RwQ/I3/RwQ/I2 +8)",
 }
 
 
@@ -578,6 +581,29 @@ def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
             kept = run_plan(name, n, phases, 1000, starts)
             same(kept, run_plan(name, n, phases, 1000))
             same(kept, run_plan(name, n, phases, 1000, starts))
+
+
+@pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3", "atomic-1wnr"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_plan_counts_the_accesses_of_all_its_events(monkeypatch, name, n):
+    # A plan started from a kept run counts the accesses of its own events
+    # and adds the kept prefix's; the sum is the count over all its events.
+    from byzregs import adversary
+
+    run_plan, counted = adversary.run_plan, []
+
+    def scanned(*args):
+        res = run_plan(*args)
+        assert res.accesses == sum(e.kind in ("reg_read", "reg_write")
+                                   for e in res.events)
+        counted.append(args[2][0])
+        return res
+
+    monkeypatch.setattr(adversary, "run_plan", scanned)
+    attack_search(name, n)
+    # The solo write, plans started from its kept runs and writer-less ones.
+    assert any(isinstance(ph, adversary.WriterPhase) and ph.crash_after is not None
+               for ph in counted)
 
 
 # sha256 (first 16 hex digits) of every attack_search outcome of a table

@@ -293,8 +293,9 @@ def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
 
 def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
     # Every state the watch takes in algo1's blocked reads: what it keeps
-    # from take to take (its memo and its parts) changes neither the
-    # fingerprint nor the seqs of the take a new watch makes from nothing.
+    # from take to take (its memo and its parts) and the layout's split of
+    # its initial cells change neither the fingerprint nor the seqs of the
+    # take a new watch makes from nothing, with an empty memo and no parts.
     from byzregs.adversary import attack_search
 
     take = sim._Lasso._take
@@ -302,7 +303,9 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
 
     def both(self, step):
         got = take(self, step)
-        fresh = take(sim._Lasso(self.eng, self.root, self.watch_from), step)
+        fresh = sim._Lasso(self.eng, self.root, self.watch_from)
+        fresh.memo, fresh.parts = {}, {}
+        fresh = take(fresh, step)
         assert (got is None) == (fresh is None)
         if got is not None:
             assert (got[0], got[1].seqs) == (fresh[0], fresh[1].seqs)
@@ -310,9 +313,9 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
         return got
 
     monkeypatch.setattr(sim._Lasso, "_take", both)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         attack_search("algo1", n)
-    assert set(states) == {3, 4, 5}
+    assert set(states) == {3, 4, 5, 6}
 
 
 def test_incremental_take_follows_every_register_write():
@@ -542,14 +545,19 @@ def test_a_fork_whose_branches_all_end_without_a_value_resumes_with_none():
 
 
 def test_shift_takes_one_amount_per_domain():
+    # Sequence number k of domain h is coded as k << 7 | h.
+    def seqs(*pairs):
+        return [k << 7 | h for h, k in pairs]
+
     # Domain 0 moves by 1 above its fixed 1, and domain 1 by 2: a shift.
-    assert sim._shift([(0, 1), (0, 3), (1, 5)], [(0, 1), (0, 4), (1, 7)]) == {0: 1, 1: 2}
-    assert sim._shift([(0, 3), (1, 5)], [(0, 3), (1, 5)]) == {}
+    assert sim._shift(seqs((0, 1), (0, 3), (1, 5)),
+                      seqs((0, 1), (0, 4), (1, 7))) == {0: 1, 1: 2}
+    assert sim._shift(seqs((0, 3), (1, 5)), seqs((0, 3), (1, 5))) == {}
     # Two numbers of domain 0 move by 1 and by 2: no shift.
-    assert sim._shift([(0, 3), (0, 5)], [(0, 4), (0, 7)]) is None
+    assert sim._shift(seqs((0, 3), (0, 5)), seqs((0, 4), (0, 7))) is None
     # A number that moves down, or not above a fixed one, is no shift either.
-    assert sim._shift([(0, 3)], [(0, 2)]) is None
-    assert sim._shift([(0, 1), (0, 3)], [(0, 2), (0, 3)]) is None
+    assert sim._shift(seqs((0, 3)), seqs((0, 2))) is None
+    assert sim._shift(seqs((0, 1), (0, 3)), seqs((0, 2), (0, 3))) is None
 
 
 def test_crashed_actor_cannot_be_resumed():
