@@ -56,15 +56,16 @@ def _plain_ge(cell: CellValue, k: int) -> bool:
 
 
 class Vars:
-    """A run's local variables; key() is a hashable snapshot of them, which
-    takes a signature oracle by its issued table."""
+    """A run's local variables."""
 
     def __init__(self, **values):
         self.__dict__.update(values)
 
-    def key(self) -> tuple:
-        return tuple(frozenset(v.issued.items()) if isinstance(v, SignatureOracle)
-                     else v for v in self.__dict__.values())
+    def key_items(self, every: bool = True) -> dict:
+        """A hashable snapshot of the variables, which takes a signature
+        oracle by its issued table, as the one item of a lasso watch's key."""
+        return {0: tuple(frozenset(v.issued.items()) if isinstance(v, SignatureOracle)
+                         else v for v in self.__dict__.values())}
 
     def copy(self, like: Optional[Vars] = None) -> Vars:
         """A copy to run on, with a signature oracle's issued table copied.
@@ -110,11 +111,20 @@ class _AtomicHandle:
 
 class _Algo1Run(list):
     """The Vars of every level of one run, indexed by Algo1Level.idx: c and
-    last_written for w, previous_k for p."""
+    last_written for w, previous_k for p. changed holds the idx of each
+    level whose Vars a machine set since key_items last looked."""
 
-    def key(self) -> tuple:
-        # A level's Vars holds no signature oracle, so its key is its values.
-        return tuple([tuple(vars(v).values()) for v in self])
+    def __init__(self, levels=()):
+        super().__init__(levels)
+        self.changed: set[int] = set()
+
+    def key_items(self, every: bool = True) -> dict:
+        """Each level's values by idx (none holds an oracle): every level's,
+        or those of the levels changed since the last call."""
+        items = {i: tuple(vars(self[i]).values())
+                 for i in (range(len(self)) if every else self.changed)}
+        self.changed.clear()
+        return items
 
     def copy(self, like: Optional[_Algo1Run] = None) -> _Algo1Run:
         """A copy of each level's Vars (none holds an oracle), its dict filled
@@ -192,6 +202,7 @@ class Algo1Level:
         commit to Q, in exactly that order."""
         v = run[self.idx]
         v.c += 1
+        run.changed.add(self.idx)
         t = SeqTuple(v.c, payload)
         prepare = Prepare(v.last_written, t)
         yield ("w", self.rwp, prepare)
@@ -200,6 +211,7 @@ class Algo1Level:
         yield ("w", self.rwp, commit)
         yield from self.rwq.write(run, commit)
         v.last_written = t
+        run.changed.add(self.idx)
         return DONE
 
     def read_tuple(self, run: _Algo1Run, actor: int) -> Generator:
@@ -212,6 +224,7 @@ class Algo1Level:
         if isinstance(x, Commit) and x.t.k >= v.previous_k:
             yield from self.rpq.write(run, Plain(x.t))
             v.previous_k = x.t.k
+            run.changed.add(self.idx)
             return x.t
         if isinstance(x, Prepare):
             return x.prev

@@ -27,14 +27,12 @@ past it is stopped there, before the access is checked or applied. A step
 costs O(1) engine work beyond a fork's seeded insertions, a budget stop's
 walk over the stopped op's threads, a crash marker's look back for its
 process's last event and the lasso watch of a read past LASSO_THRESHOLD
-steps. A layout's initial cells are split once, so a watch's first state
-splits only the cells its run wrote, and a later state only what changed
-since the one before: the registers that events since then wrote, and the
-state key items (algo1's levels), thread heads and the generator frames of
-threads resumed since whose values differ. Each part is hashed once and each
-sequence number is one int, so a state still costs a look at every register
-and live thread's head and one step per part and per sequence number to
-gather, rank and hash them, but no walk through the cells nested in one.
+steps. A watch keeps a running hash of its states' skeletons (Zobrist
+hashing, as in SPIN's incremental state hashing, Nguyen and Ruys 2008), so a
+state costs what changed since the one before: the registers events wrote,
+the state key items the state names (algo1's levels), the frames that ran
+and each live thread's head. Only a repeated hash costs a look at every
+register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -48,15 +46,15 @@ Vardi and Wolper, LICS 1986). Only reads are watched: no write machine here
 reads, so no other process can hold a write back, and its budget bounds it.
 Once a read has taken LASSO_THRESHOLD register steps, the engine takes its
 state after each of its register accesses: the register cells, the per-run
-state's key(), the queue order of the runnable threads, and each live thread
-of the op with its parked flag, pending value, unresolved join frame and
-generator chain (code, f_lasti and locals). Threads are named by their place
-in the op's fork tree, not by id, since every cycle forks fresh ids. A
+state's key_items(), the queue order of the runnable threads, and each live
+thread of the op with its parked flag, pending value, unresolved join frame
+and generator chain (code, f_lasti and locals). Threads are named by their
+place in the op's fork tree, not by id, since every cycle forks fresh ids. A
 frame's state is assumed to be its f_lasti plus its locals: a loop over a
 static list is fixed by its loop variable, as ``q1`` fixes how far algo1's
 ``_q_thread2`` has gone over ``q_list``. A local that is not a value (a
 layout's static object, a part of the run record) is compared by identity;
-key() covers the run record.
+key_items() covers the run record.
 
 A repeat counts only if the cycle is fair and closed (the fair-cycle
 conditions of Musuvathi and Qadeer, PLDI 2008), which the engine checks:
@@ -74,24 +72,26 @@ empty. A sequence number is the k of a SeqTuple, or a bare int of a state
 key tuple beside SeqTuples of one height (algo1's c and previous_k beside
 last_written); bare ints anywhere else must repeat exactly. Its domain is
 the height of its SeqTuple, the number of SeqTuples nested in its payload,
-which for algo1 is the depth of the level that wrote it. The fingerprint,
-with each number replaced by its rank within its domain, only proposes a
-pair of states i, j. The concrete states must confirm it: in each domain,
-every number that differs between i and j grows by one d > 0, and every
-such number exceeds every number of the domain that does not. Let f fix
-each number up to the largest unmoved one of its domain and add d to every
-larger one; with no number moved, f is the identity and j repeats i
-exactly. The machines compare sequence numbers only with each other within
-a domain and make new ones only by adding 1 to a counter, which the cycle
-moves, so f, being monotone, commutes with every step of the cycle: the run
-from j is the run from i with f applied, and so on forever. Without the
-confirmation a counter could climb past a fixed value, such as a lie's k,
-and flip a comparison.
+which for algo1 is the depth of the level that wrote it. A repeat of the
+hash of the skeleton, the state with each number replaced by its domain,
+only proposes a pair of states i, j. Their fingerprints, the skeleton with
+each number's rank within its domain, must be equal, and the concrete states
+must confirm the pair: in each domain, every number that differs between i
+and j grows by one d > 0, and every such number exceeds every number of the
+domain that does not. Let f fix each number up to the largest unmoved one of
+its domain and add d to every larger one; with no number moved, f is the
+identity and j repeats i exactly. The machines compare sequence numbers only
+with each other within a domain and make new ones only by adding 1 to a
+counter, which the cycle moves, so f, being monotone, commutes with every
+step of the cycle: the run from j is the run from i with f applied, and so
+on forever. Without the confirmation a counter could climb past a fixed
+value, such as a lie's k, and flip a comparison.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import json
 import random
@@ -233,7 +233,6 @@ _SPLIT = (SeqTuple, Commit, Prepare, Plain, Signed)  # what _split memoizes
 _NESTED = (tuple, *_SPLIT)  # what _split does not keep as it is
 _SEQ = object()  # stands for a sequence number in a fingerprint's skeleton
 _DOMAIN = 127  # k of domain h is coded k << 7 | h; h <= core.MAX_NESTING
-_INITIAL: dict = {}  # layout -> a _Lasso's memo and slots of its initial cells
 
 
 def _script_machine(script: tuple) -> Generator:
@@ -584,59 +583,70 @@ def _split(x, seqs: list, memo: dict) -> tuple:
     memo maps the id of each SeqTuple or cell split so far to the object
     itself, which keeps its id from being reused, its _Part and its height;
     cells are immutable, so each is split once."""
-    if isinstance(x, tuple):
-        skel, height = [type(x)], 0
-        for v in x:
-            if isinstance(v, _NESTED):
-                v, h = _split(v, seqs, memo)
-                if h > height:
-                    height = h
-            skel.append(v)
-        return tuple(skel), height
-    if not isinstance(x, _SPLIT):
-        return x, 0
-    e = memo.get(id(x))
+    e = memo.get(id(x))  # a live x is the only object with its id
     if e is None:
+        if isinstance(x, tuple):
+            skel, height = [type(x)], 0
+            for v in x:
+                if isinstance(v, _NESTED):
+                    v, h = _split(v, seqs, memo)
+                    if h > height:
+                        height = h
+                skel.append(v)
+            return tuple(skel), height
+        if not isinstance(x, _SPLIT):
+            return x, 0
         own: list = []
         if isinstance(x, SeqTuple):
             skel, height = _split(x.u, own, memo)
             own.append(x.k << 7 | height)
             skel, height = (_SEQ, skel), height + 1
         else:
-            parts = [_split(getattr(x, f), own, memo) for f in x.__dataclass_fields__]
-            skel = (type(x), *(p for p, _ in parts))
-            height = max((h for _, h in parts), default=0)
+            skel, height = [type(x)], 0
+            for f in x.__dataclass_fields__:
+                v, h = _split(getattr(x, f), own, memo)
+                skel.append(v)
+                if h > height:
+                    height = h
+            skel = tuple(skel)
         e = memo[id(x)] = (x, _Part(skel, own), height)
     seqs += e[1].seqs
     return e[1], e[2]
 
 
-def _split_key(key, seqs: list, memo: dict):
-    """_split of a state key, in which a tuple's bare ints are sequence
-    numbers too when its SeqTuples all have one height: algo1's c and
-    previous_k beside last_written."""
-    if not isinstance(key, tuple):
-        return _split(key, seqs, memo)[0]
-    skel = [_split_key(v, seqs, memo) for v in key]
-    heights = {memo[id(v)][2] for v in key if isinstance(v, SeqTuple)}
+def _part(x, memo: dict, key: bool = False) -> _Part:
+    """x's part: a cell's own from the memo, else x split anew. In a state key
+    item (key) bare ints are sequence numbers too when its SeqTuples all have
+    one height: algo1's c and previous_k beside last_written."""
+    seqs: list = []
+    skel = _split(x, seqs, memo)[0]
+    if type(skel) is _Part:
+        return skel
+    heights = {memo[id(v)][2] for v in x if isinstance(v, SeqTuple)} if key else ()
     if len(heights) == 1:
-        (h,) = heights
-        h -= 1
-        for i, v in enumerate(key):
+        skel, h = list(skel), heights.pop() - 1
+        for i, v in enumerate(x, 1):
             if type(v) is int:
                 seqs.append(v << 7 | h)
                 skel[i] = _SEQ
-    return tuple(skel)
+        skel = tuple(skel)
+    return _Part(skel, seqs)
 
 
-def _frames(gen, state):
-    """A thread's generator chain: each generator with its frame's code,
-    position and locals, but for the run record, which key() stands for."""
-    while gen is not None:
-        f = gen.gi_frame
-        yield gen, (gen.gi_code, f.f_lasti,
-                    tuple((k, v) for k, v in f.f_locals.items() if v is not state))
-        gen = gen.gi_yieldfrom
+def _slot_hash(slot, part: _Part) -> int:
+    """A slot's share of a state's skeleton hash, the xor of every slot's:
+    its part's hash salted by the slot (Zobrist hashing)."""
+    return hash((slot, part.hash))
+
+
+@functools.cache
+def _initial(layout: constructions.Layout) -> tuple:
+    """The split memo of the layout's initial cells and the skeleton hash of
+    its registers holding them, where every watch of it starts."""
+    memo, h = {}, 0
+    for reg, cell in layout.initial.items():
+        h ^= _slot_hash(reg, _part(cell, memo))
+    return memo, h
 
 
 def _shift(si: list, sj: list) -> Optional[dict]:
@@ -647,7 +657,7 @@ def _shift(si: list, sj: list) -> Optional[dict]:
     shift: dict[int, int] = {}
     moved: dict[int, int] = {}
     fixed: dict[int, int] = {}
-    for a, b in zip(si, sj):
+    for a, b in set(zip(si, sj)):  # which pairs occur decides: each once
         h = a & _DOMAIN
         if a == b:
             fixed[h] = max(fixed.get(h, a), a)
@@ -661,20 +671,25 @@ def _shift(si: list, sj: list) -> Optional[dict]:
     return {h: d >> 7 for h, d in shift.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class _Point:
-    """A state the watch took, after the op's register access at step."""
+    """A state the watch took, after the op's register access at step, kept
+    by C-level copies. Its fingerprint and seqs are made if its hash repeats."""
 
     step: int
-    seqs: list  # its coded sequence numbers, in _split's order
     cells: tuple  # the register cells
+    keys: tuple  # the state key items' parts
+    threads: list  # each live thread's name, head part and frame parts, by name
     runnable: list  # the op's runnable threads
+    names: tuple  # and their names
+    fp: Optional[tuple] = None
+    seqs: Optional[list] = None  # the coded sequence numbers, in _split's order
 
 
 class _Lasso:
     """Watches one spinning op for a lasso (see the module docstring): it
-    keeps the states it takes by fingerprint and names the first repeat
-    that passes the checks."""
+    keeps the states it takes by skeleton hash and names the first repeat of
+    a fingerprint that passes the checks."""
 
     def __init__(self, eng: Engine, t: _Thread, watch_from: int):
         self.eng = eng
@@ -683,24 +698,19 @@ class _Lasso:
         while t.frame is not None:
             t = t.frame.parent
         self.root = t
-        self.seen: dict = {}  # fingerprint -> the latest _Point with it
+        self.seen: dict = {}  # hash -> the latest _Point of each fingerprint with it
         self.resumed: dict = {}  # thread -> the first event of its last resumption
-        # What a take keeps for the next: the event count after it, each
-        # register's part, and the value and part at each slot (a register,
-        # a state key item, a thread's head or the id of a generator, whose
-        # frame is not kept alive). A part is reused only for an equal value.
-        # _split's memo and the slots start from the layout's initial cells,
-        # parted by the layout's first watch.
-        base = _INITIAL.get(eng.layout)
-        if base is None:
-            self.memo, self.parts = {}, {}
-            for reg, cell in eng.layout.initial.items():
-                self._part(reg, cell)
-            base = _INITIAL[eng.layout] = self.memo, self.parts
-        self.memo, self.parts = dict(base[0]), dict(base[1])
+        # What a take keeps for the next: the event count after it, the
+        # running hash of the registers and state key items, their parts (a
+        # register's once a take finds it written), and each live thread's
+        # generator chain and head. The memo and the hash start from the
+        # layout's initial cells.
+        memo, self.hash = _initial(eng.layout)
+        self.memo = dict(memo)
         self.at = 0
-        self.regs: dict[str, _Part] = {}
-        self.frames: dict = {}  # each live thread's frame parts
+        self.regs: dict = {}
+        self.keys: dict = {}
+        self.threads: dict = {}
 
     def observe(self, t: _Thread, before: int) -> Optional[str]:
         """Take the state after the resumption of the op's thread t that
@@ -717,8 +727,13 @@ class _Lasso:
         if taken is None:  # no cycle may span this step
             self.seen.clear()
             return None
+        # The hash only proposes: p is the latest state with q's fingerprint.
         key, q = taken
-        p, self.seen[key] = self.seen.get(key), q
+        points = self.seen.setdefault(key, [])
+        p = next((p for p in points if self._fingerprint(p) == self._fingerprint(q)), None)
+        if p is not None:
+            points.remove(p)
+        points.append(q)
         shift = None if p is None or not self._fair(p) else _shift(p.seqs, q.seqs)
         if shift is None:
             return None
@@ -734,90 +749,110 @@ class _Lasso:
                    for u in p.runnable)
 
     def _take(self, step: int) -> Optional[tuple]:
-        """The state's fingerprint and its _Point, or None if a thread of
-        another op or process is runnable. The fingerprint is flat: the
-        registers' parts, the state key's, and each live thread's head and
-        frames in fork-tree order, then the runnable threads' names and the
-        ranks of the sequence numbers. A part is made again only when its
-        value changed since the last take; a register's, only when an event
-        since then wrote it; a thread's frames, only when it was resumed."""
-        eng, op, state = self.eng, self.op, self.eng.state
-        runnable = []
-        for u in eng.queue:
-            if not eng._runnable(u):
-                continue
-            if u.op is not op:
-                return None
-            runnable.append(u)
-        cells, regs, part = eng.cells, self.regs, self._part
-        # The first take parts every register (one still holding its initial
-        # cell reuses the layout's part), a later one those written since.
+        """The state's skeleton hash and its _Point, or None if a thread of
+        another op or process is runnable. The hash xors the shares of the
+        registers, the state key items, each live thread's head and frames,
+        and the runnable threads' names. A take parts anew only what changed
+        since the last: the registers events since then wrote (at a first
+        take, those not holding their initial cells), the key items the
+        state names, the frames that ran and the heads that differ."""
+        eng, op, state, memo = self.eng, self.op, self.eng.state, self.memo
+        runnable = [u for u in eng.queue if eng._runnable(u)]
+        if any(u.op is not op for u in runnable):
+            return None
+        regs, keys, h, cells = self.regs, self.keys, self.hash, eng.cells
+        initial = eng.layout.initial
         since, self.at = self.at, len(eng.events)
-        written = cells if not regs else \
-            {e.reg for e in eng.events[since:] if e.kind == "reg_write"}
+        written = {e.reg for e in eng.events[since:] if e.kind == "reg_write"} if since \
+            else [reg for reg, cell in cells.items() if cell is not initial[reg]]
         for reg in written:
-            regs[reg] = part(reg, cells[reg])
-        # A tuple of tuples (algo1's levels) has a part per item.
-        key = state.key()
-        items = key if all(type(v) is tuple for v in key) else (key,)
-        parts = [*regs.values(), *(part(i, v, True) for i, v in enumerate(items))]
+            old, new = regs.get(reg) or _part(initial[reg], memo), _part(cells[reg], memo)
+            h ^= _slot_hash(reg, old) ^ _slot_hash(reg, new)
+            regs[reg] = new
+        for i, item in state.key_items(not since).items():
+            old, new = keys.get(i), _part(item, memo, True)
+            h ^= _slot_hash(i, new) ^ (_slot_hash(i, old) if old else 0)
+            keys[i] = new
+        self.hash = h
         names: dict[_Thread, tuple] = {}
         threads = []
         todo = [(self.root, ())]
-        cached, self.frames = self.frames, {}
+        cached, self.threads = self.threads, {}
         while todo:
             u, name = todo.pop()
             names[u] = name
             fr = u.child
             if fr is not None and fr.resolved:
                 fr = None
-            frames = cached.get(u)  # only a resumption changes a thread's frames
-            if frames is None or self.resumed.get(u, -1) >= since:
-                frames = [part(id(gen), value) for gen, value in _frames(u.gen, state)]
-            self.frames[u] = frames
-            threads.append((name, part(u, (name, u.parked, u.pending,
-                                           None if fr is None else fr.dead, len(frames))),
-                            frames))
+            chain, head, part = cached.get(u) or ((), None, None)  # as last taken
+            if part is None or self.resumed.get(u, -1) >= since:
+                chain = self._chain(u.gen, name, chain)  # only a resumption changes it
+            value = (name, u.parked, u.pending, None if fr is None else fr.dead, len(chain))
+            if value != head:
+                head, part = value, _part(value, memo)
+            self.threads[u] = chain, head, part
+            h ^= _slot_hash(name, part)
+            for link in chain:
+                h ^= link[3]
+            threads.append((name, part, [link[2] for link in chain]))
             if fr is not None:
                 todo += [(b, name + (i,)) for i, b in enumerate(fr.branches)
                          if not (b.done or b.cancelled)]
         threads.sort(key=lambda th: th[0])
-        for _, head, frames in threads:
-            parts.append(head)
-            parts += frames
-        seqs: list = []
-        for p in parts:
-            seqs += p.seqs
         runnable_names = tuple(names[u] for u in runnable)
-        # A code -> the rank of its number in its domain; the skeleton fixes
-        # each domain.
-        rank: dict = {}
-        next_rank = [0] * (_DOMAIN + 1)
-        for c in sorted(set(seqs)):
-            h = c & _DOMAIN
-            rank[c] = next_rank[h]
-            next_rank[h] += 1
-        return (_Part((*parts, runnable_names, tuple(map(rank.__getitem__, seqs))), seqs),
-                _Point(step, seqs, tuple(cells.values()), runnable))
+        return h ^ hash(runnable_names), _Point(step, tuple(cells.values()),
+                                                tuple(keys.values()), threads, runnable,
+                                                runnable_names)
 
-    def _part(self, slot, value, key: bool = False) -> _Part:
-        """The part of value at slot, a state key item's if key: the last
-        take's if its value there was equal, else value split anew."""
-        last = self.parts.get(slot)
-        if last is not None and (last[0] is value or last[0] == value):
-            return last[1]
-        seqs: list = []
-        skel = _split_key(value, seqs, self.memo) if key else _split(value, seqs, self.memo)[0]
-        part = _Part(skel, seqs)
-        self.parts[slot] = value, part
-        return part
+    def _chain(self, gen, name: tuple, last) -> list:
+        """The generator chain of thread name from gen: each generator, the
+        one it delegates to, its frame's part and its share. A frame is its
+        code, position and locals' names and values but for the run record,
+        which key_items() stands for. One that delegates to the generator it
+        did at the last take (last) has not run since and keeps its part."""
+        chain = []
+        while gen is not None:
+            sub, i = gen.gi_yieldfrom, len(chain)
+            if i < len(last) and last[i][0] is gen and sub is not None and last[i][1] is sub:
+                chain.append(last[i])
+            else:
+                value = [gen.gi_code, gen.gi_frame.f_lasti]
+                for k, v in gen.gi_frame.f_locals.items():
+                    if v is not self.eng.state:
+                        value += k, v
+                part = _part(tuple(value), self.memo)
+                chain.append((gen, sub, part, _slot_hash((name, i), part)))
+            gen = sub
+        return chain
+
+    def _fingerprint(self, p: _Point) -> tuple:
+        """p's fingerprint, made once, and p.seqs: its parts (the registers',
+        the key items' and each live thread's head and frames), its runnable
+        threads' names and the ranks of its sequence numbers."""
+        if p.fp is None:
+            parts = [*(_part(cell, self.memo) for cell in p.cells), *p.keys]
+            for _, head, frames in p.threads:
+                parts += head, *frames
+            p.seqs = seqs = []
+            for x in parts:
+                seqs += x.seqs
+            # A code -> the rank of its number in its domain; the skeleton
+            # fixes each domain.
+            rank: dict = {}
+            next_rank = [0] * (_DOMAIN + 1)
+            for c in sorted(set(seqs)):
+                h = c & _DOMAIN
+                rank[c] = next_rank[h]
+                next_rank[h] += 1
+            p.fp = (*parts, p.names, tuple(map(rank.__getitem__, seqs)))
+        return p.fp
 
     def _levels(self, p: _Point, q: _Point, h: int) -> str:
         """The levels (register directories) whose cells of height h differ
         between p and q."""
         regs, memo = self.eng.cells, self.memo
         levels = sorted({reg.rsplit("/", 1)[0] for reg, a, b in zip(regs, p.cells, q.cells)
-                         if a != b and _split(a, [], memo)[1] - 1 == h})
+                         if a is not b and a != b and _split(a, [], memo)[1] - 1 == h})
         return "+".join(levels) or f"height {h}"
 
 

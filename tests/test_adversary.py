@@ -311,6 +311,43 @@ def test_wait_free_reads_are_never_fingerprinted(monkeypatch):
     assert taken == []
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_blocked_algo1_cycle_is_lambda_n_steps(n):
+    # The blocked read's cycle is lambda(n) = 3 * 2^(n-2) - 2 steps long,
+    # (W(n) - 2) / 2 for a write of W(n) register steps: 4, 10, 22, 46, 94.
+    result = attack_search("algo1", n)
+    assert isinstance(result, BlockedWitness)
+    i, j = map(int, re.search(r"lasso (\d+)\.\.(\d+)", result.explanation).groups())
+    assert j - i == 3 * 2 ** (n - 2) - 2 == (algo1_write_step_count(n) - 2) // 2
+
+
+def test_the_skeleton_hash_only_proposes_a_lasso(monkeypatch):
+    # With every slot's share of the skeleton hash equal, the hash repeats at
+    # nearly every take, and the fingerprints and the shift alone must find
+    # the same lassos and witnesses.
+    from byzregs import sim
+
+    expected = {n: attack_search("algo1", n) for n in sorted(LASSOS)}
+    made = []
+    fingerprint = sim._Lasso._fingerprint
+
+    def counted(self, p):
+        made.append(p.step)
+        return fingerprint(self, p)
+
+    monkeypatch.setattr(sim, "_slot_hash", lambda slot, part: 0)
+    monkeypatch.setattr(sim._Lasso, "_fingerprint", counted)
+    for n in sorted(LASSOS):
+        made.clear()
+        result = attack_search("algo1", n)
+        assert LASSOS[n] in result.explanation
+        assert result.explanation == expected[n].explanation
+        assert events_to_jsonl(result.events) == events_to_jsonl(expected[n].events)
+        # Unpatched, only the lasso's two states are fingerprinted.
+        i, j = map(int, re.search(r"lasso (\d+)\.\.(\d+)", result.explanation).groups())
+        assert len(set(made)) > (j - i) // 2
+
+
 def test_attack_atomic_control_exhausts():
     result = attack_search("atomic-1wnr", 3)
     assert isinstance(result, Exhausted)

@@ -365,14 +365,38 @@ def test_instances_share_the_layout_not_the_state(name, n):
     a, b = engine(name, n), engine(name, n)
     assert a.layout is b.layout and a.specs is b.specs
     assert a.state is not b.state
-    assert a.state.key() == b.state.key()
+    assert a.state.key_items() == b.state.key_items()
 
     # Writes of two runs: each has its own counter.
     assert (first_k(a, b"a"), first_k(b, b"b")) == (1, 1)
-    assert a.state.key() != engine(name, n).state.key()
-    hash(a.state.key())
+    assert a.state.key_items() != engine(name, n).state.key_items()
+    hash(tuple(a.state.key_items().values()))
     assert first_k(a, b"c") == 2
     assert first_k(engine(name, n), b"d") == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_algo1_run_names_every_level_a_step_changed(n):
+    # Writes and every reader's reads, one event at a time: after each step,
+    # key_items(False) holds at least the levels whose values changed, as
+    # they are now. A lasso watch re-keys only these.
+    eng = engine("algo1", n)
+    state = eng.state
+    last = state.key_items()
+    for op in ["a", *range(1, n + 1), "b", *range(n, 0, -1)]:
+        if isinstance(op, str):
+            eng.spawn_write(op.encode())
+        else:
+            eng.spawn_read(op)
+        while eng.queue:
+            eng.run_queue(len(eng.events) + 1, 10_000)
+            now = {i: tuple(vars(v).values()) for i, v in enumerate(state)}
+            items = state.key_items(False)
+            assert {i for i in now if now[i] != last[i]} <= set(items)
+            assert all(items[i] == now[i] for i in items)
+            last = now
+    # The writes moved c and the reads previous_k (the last item).
+    assert any(now[i][0] for i in now) and any(now[i][-1] for i in now)
 
 
 def test_swapped_table_entry_gets_its_own_layout(monkeypatch):

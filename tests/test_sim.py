@@ -292,10 +292,11 @@ def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
 
 
 def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
-    # Every state the watch takes in algo1's blocked reads: what it keeps
-    # from take to take (its memo and its parts) and the layout's split of
-    # its initial cells change neither the fingerprint nor the seqs of the
-    # take a new watch makes from nothing, with an empty memo and no parts.
+    # Every state the watch takes in algo1's blocked reads at n = 3..7: what
+    # it keeps from take to take (its memo, running hash, parts, chains and
+    # heads) changes neither the hash nor the fingerprint and seqs of the
+    # take a new watch makes from nothing, with the memo and hash of the
+    # layout's initial cells made anew.
     from byzregs.adversary import attack_search
 
     take = sim._Lasso._take
@@ -304,18 +305,20 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
     def both(self, step):
         got = take(self, step)
         fresh = sim._Lasso(self.eng, self.root, self.watch_from)
-        fresh.memo, fresh.parts = {}, {}
-        fresh = take(fresh, step)
-        assert (got is None) == (fresh is None)
+        fresh.memo, fresh.hash = sim._initial.__wrapped__(self.eng.layout)
+        made = take(fresh, step)
+        assert (got is None) == (made is None)
         if got is not None:
-            assert (got[0], got[1].seqs) == (fresh[0], fresh[1].seqs)
+            assert (got[0], self.hash) == (made[0], fresh.hash)
+            assert self._fingerprint(got[1]) == fresh._fingerprint(made[1])
+            assert got[1].seqs == made[1].seqs
             states.append(n)
         return got
 
     monkeypatch.setattr(sim._Lasso, "_take", both)
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7):
         attack_search("algo1", n)
-    assert set(states) == {3, 4, 5, 6}
+    assert set(states) == {3, 4, 5, 6, 7}
 
 
 def test_incremental_take_follows_every_register_write():
@@ -350,11 +353,11 @@ def test_incremental_take_follows_every_register_write():
         eng.queue.remove(t)
         before = len(eng.events)
         eng._resume(t, sim.DEFAULT_PER_OP_BUDGET)
-        got = watch._take(before)
-        fresh = sim._Lasso(eng, t, 0)._take(before)
-        # The fingerprint and the seqs whose ranks it holds.
-        got, fresh = (got[0], got[1].seqs), (fresh[0], fresh[1].seqs)
-        assert got == fresh
+        fresh = sim._Lasso(eng, t, 0)
+        (key, p), (fresh_key, q) = watch._take(before), fresh._take(before)
+        # The hash, the fingerprint and the seqs whose ranks it holds.
+        got = key, watch._fingerprint(p), p.seqs
+        assert got == (fresh_key, fresh._fingerprint(q), q.seqs)
         return got
 
     old = Plain(SeqTuple(1, Commit(SeqTuple(4, b"x"))))
