@@ -11,9 +11,12 @@ exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F; a
 writer prefix starts from a copy of S's run at its crash point. The solo
 write and every fresh read run under one per-op budget, the stage budget
 (``--op-budget``): an op of m register steps fits a budget of m, and one
-that asks for a step past it is stopped there. A found witness or the spent
-search budget ends the search: it is raised from the stage that finds it,
-and ``attack_search`` returns it.
+that asks for a step past it is stopped there. A search watches a fresh
+read for a lasso once it has taken more steps than any op the search has
+completed. A plan draws nothing, so a lasso proves that its read never
+completes, and the watch start moves only where a blocked witness ends. A
+found witness or the spent search budget ends the search: it is raised from
+the stage that finds it, and ``attack_search`` returns it.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class PlanResult:
 
 
 def run_plan(name: str, n: int, phases: list, stage_budget: int,
-             starts: Optional[dict] = None) -> PlanResult:
+             starts: Optional[dict] = None, watch_at: Optional[int] = None) -> PlanResult:
     """Run phases strictly in order on a run of the candidate.
 
     A writer phase may only come first, and it runs solo: event 0 is its
@@ -144,6 +147,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
     writer after a accesses is therefore the crash point (a + 1, WRITER):
     the phase is the solo write S up to there. S fills an empty starts with
     a copier of its run at each a and None, which a writer phase starts from.
+    A read is watched for a lasso from watch_at steps on (see run_queue).
     """
     crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
              if isinstance(ph, WriterPhase) and ph.crash_after is not None]
@@ -172,7 +176,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
             raise TypeError(ph)
         # An op's phase logs its invoke, at most stage_budget accesses, a
         # crash and a respond, so the op's budget binds before the bound.
-        eng.run_queue(len(eng.events) + 4 * stage_budget, stage_budget)
+        eng.run_queue(len(eng.events) + 4 * stage_budget, stage_budget, watch_at=watch_at)
     accesses += sum(e.kind in ("reg_read", "reg_write") for e in eng.events[start:])
     return PlanResult(eng.events, eng.ops, accesses)
 
@@ -264,6 +268,7 @@ class _Search:
         # Execution S: its register steps s^1..s^m and its kept runs.
         self.starts: dict = {}
         self.steps, _ = record_solo_write(name, n, stage_budget, self.starts)
+        self.longest = len(self.steps)  # the most steps of an op it completed
         self.log.append(f"S: solo write took {len(self.steps)} register steps")
 
     def writer(self, k: int) -> WriterPhase:
@@ -278,7 +283,7 @@ class _Search:
         way its accesses are charged and the same notes are written. With
         record, a plan reading the marker keeps the reader's accesses.
 
-        Only a first run can end the search: a read still pending at the
+        Only a first run can end the search: a read stopped at a lasso or the
         stage budget raises a BlockedWitness, and a read that dodges the
         marker with only malicious exempt raises a ViolationWitness once the
         checker confirms it. A recalled plan's key fixes its phases, hence
@@ -288,8 +293,11 @@ class _Search:
         plan = self.plans.get(key)
         res = None
         if plan is None:
-            res = run_plan(self.name, self.n, phases, self.stage_budget, self.starts)
+            res = run_plan(self.name, self.n, phases, self.stage_budget, self.starts,
+                           self.longest + 1)
             plan = self.plans[key] = _Plan(res.accesses, res.ops[-1])
+            if plan.read.status == "completed":
+                self.longest = max(self.longest, plan.read.steps)
             if record and plan.marker:
                 actions = recorded_actions(res.events, reader)
                 plan.actions = self.scripts.setdefault(actions, actions)

@@ -26,7 +26,7 @@ fits a budget of m, and a thread of the op that asks for a register access
 past it is stopped there, before the access is checked or applied. A step
 costs O(1) engine work beyond a fork's seeded insertions, a budget stop's
 walk over the stopped op's threads, a crash marker's look back for its
-process's last event and the lasso watch of a read past LASSO_THRESHOLD
+process's last event and the lasso watch of a read past its watch_at
 steps. A watch keeps a running hash of its states' skeletons (Zobrist
 hashing, as in SPIN's incremental state hashing, Nguyen and Ruys 2008), so a
 state costs what changed since the one before: the registers events wrote,
@@ -44,7 +44,7 @@ finds a lasso, a state the run reaches again, so that the cycle between the
 two visits repeats forever (the lasso-shaped liveness counterexample of
 Vardi and Wolper, LICS 1986). Only reads are watched: no write machine here
 reads, so no other process can hold a write back, and its budget bounds it.
-Once a read has taken LASSO_THRESHOLD register steps, the engine takes its
+Once a read has taken watch_at register steps, the engine takes its
 state after each of its register accesses: the register cells, the per-run
 state's key_items(), the queue order of the runnable threads, and each live
 thread of the op with its parked flag, pending value, unresolved join frame
@@ -64,8 +64,11 @@ after_step gate lies ahead. A FIFO run that draws nothing (the attack
 harness's) then goes round the cycle forever. A seeded run draws a queue
 place for each forked branch and its RNG state never repeats, so there the
 lasso proves that the fair continuation repeating the cycle's picks never
-completes the op. Scripted runs are never watched: their picks fix the
-schedule.
+completes the op, and a watch that started earlier could change the run, so
+seeded runs keep watch_at = LASSO_THRESHOLD. In a run that draws nothing a
+lasso stops only a read that never completes, wherever its watch starts, so
+an attack search watches a read once it outlasts every op the search has
+completed. Scripted runs are never watched: their picks fix the schedule.
 
 A state repeats up to a shift of its sequence numbers, and the shift may be
 empty. A sequence number is the k of a SeqTuple, or a bare int of a state
@@ -126,8 +129,8 @@ from .core import (
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
-# Register steps a read takes before run_queue watches it for a lasso. Only
-# reads are watched, since only a read can be held back by other processes.
+# Register steps a read takes before run_queue watches it for a lasso, unless
+# its caller says. Only reads, which other processes can hold back, are watched.
 LASSO_THRESHOLD = 1_000
 DEFAULT_PER_OP_BUDGET = 100_000
 
@@ -230,7 +233,7 @@ class _JoinFrame:
 
 
 _SPLIT = (SeqTuple, Commit, Prepare, Plain, Signed)  # what _split memoizes
-_NESTED = (tuple, *_SPLIT)  # what _split does not keep as it is
+_NESTED = (tuple, list, *_SPLIT)  # what _split does not keep as it is
 _SEQ = object()  # stands for a sequence number in a fingerprint's skeleton
 _DOMAIN = 127  # k of domain h is coded k << 7 | h; h <= core.MAX_NESTING
 
@@ -490,7 +493,8 @@ class Engine:
 
     def run_queue(self, step_budget: int, per_op_budget: int,
                   admission: Optional[_Admission] = None,
-                  picks: Optional[Iterable] = None) -> None:
+                  picks: Optional[Iterable] = None,
+                  watch_at: Optional[int] = None) -> None:
         """Resume threads until quiescence, the end of picks or the event
         budget; an op that asks for an access past per_op_budget is stopped
         there. admission, a scenario's workload admission, admits before a
@@ -498,11 +502,13 @@ class Engine:
         and once more with quiescent=True when nothing is runnable; the run
         goes on if that spawned an op. picks, a scripted schedule, names
         each step's thread as (proc, tid); else the queue's head goes. A run
-        without picks stops a Read past LASSO_THRESHOLD steps at its first
-        lasso from admission's last after_step gate on (see the module
-        docstring), with the reason ``blocked (lasso i..j)``.
+        without picks stops a Read of watch_at (default LASSO_THRESHOLD)
+        steps or more at its first lasso from admission's last after_step
+        gate on (see the module docstring), with the reason ``blocked
+        (lasso i..j)``.
         """
         watched = picks is None
+        watch_at = LASSO_THRESHOLD if watch_at is None else watch_at
         picks = None if picks is None else iter(picks)
         events, queue, crashed, watch = self.events, self.queue, self.crashed, None
         while len(events) < step_budget:
@@ -537,7 +543,7 @@ class Engine:
             op = t.op
             if watch is not None and watch.op is not op:
                 watch = None  # another op's thread acted: no cycle spans it
-            if not watched or op is None or op.steps < LASSO_THRESHOLD \
+            if not watched or op is None or op.steps < watch_at \
                     or op.kind != "Read":
                 continue
             if watch is None:
@@ -578,14 +584,15 @@ def _split(x, seqs: list, memo: dict) -> tuple:
     k << 7 | height, and the height x gives a SeqTuple whose payload it is: 0
     if x holds no SeqTuple, else one more than the tallest SeqTuple in it. In
     the skeleton each SeqTuple or cell stands as its _Part, so hashing a
-    skeleton does not walk the cells nested in it again.
+    skeleton does not walk the cells nested in it again, and a tuple or list
+    (a frame's local may be one) as a tuple of its type and items.
 
     memo maps the id of each SeqTuple or cell split so far to the object
     itself, which keeps its id from being reused, its _Part and its height;
     cells are immutable, so each is split once."""
     e = memo.get(id(x))  # a live x is the only object with its id
     if e is None:
-        if isinstance(x, tuple):
+        if isinstance(x, (tuple, list)):
             skel, height = [type(x)], 0
             for v in x:
                 if isinstance(v, _NESTED):

@@ -28,6 +28,7 @@ from byzregs.core import (
     Correct,
     Event,
     Malicious,
+    MalformedScenario,
     Plain,
     RegisterSpec,
     SeqTuple,
@@ -245,11 +246,11 @@ def test_a_read_past_the_stage_budget_is_a_blocked_witness():
 # The lasso each blocked algo1 attack read stops at: an exact repeat (an
 # empty shift) at n = 3, a repeat up to shifted counters at n = 4 and 5.
 LASSOS = {
-    3: "blocked (lasso 1024..1028)",
-    4: "blocked (lasso 1041..1051; k of I4/RwQ/I3/RpQ/I2 +2)",
-    5: "blocked (lasso 1074..1096; k of I5/RwQ/I4/RpQ/I3 +2, "
+    3: "blocked (lasso 40..44)",
+    4: "blocked (lasso 72..82; k of I4/RwQ/I3/RpQ/I2 +2)",
+    5: "blocked (lasso 135..157; k of I5/RwQ/I4/RpQ/I3 +2, "
        "k of I5/RwQ/I4/RpQ/I3/RwQ/I2 +4)",
-    6: "blocked (lasso 1137..1183; k of I6/RwQ/I5/RpQ/I4 +2, "
+    6: "blocked (lasso 258..304; k of I6/RwQ/I5/RpQ/I4 +2, "
        "k of I6/RwQ/I5/RpQ/I4/RwQ/I3 +4, "
        "k of I6/RwQ/I5/RpQ/I4/RwQ/I3/RwQ/I2 +8)",
 }
@@ -302,16 +303,96 @@ def test_wait_free_reads_are_never_fingerprinted(monkeypatch):
     from byzregs import sim
     from byzregs.adversary import FreshRead, WriterPhase, run_plan
 
-    taken = []
-    monkeypatch.setattr(sim._Lasso, "_take", lambda self, step: taken.append(step))
+    taken, made = [], []
+    take, fingerprint = sim._Lasso._take, sim._Lasso._fingerprint
+
+    def counted_take(self, step):
+        taken.append(step)
+        return take(self, step)
+
+    def counted_fingerprint(self, p):
+        made.append(p.step)
+        return fingerprint(self, p)
+
+    monkeypatch.setattr(sim._Lasso, "_take", counted_take)
+    monkeypatch.setattr(sim._Lasso, "_fingerprint", counted_fingerprint)
+    # A search watches a read only past its longest completed op: algo3's
+    # first fresh read, one take per step past the solo write's n steps.
     assert isinstance(attack_search("algo3", 3), Exhausted)
-    # An algo1 read after a complete (correct) write.
+    assert 0 < len(taken) <= 3 + 1
+    assert made == []
+    # An algo1 read after a complete (correct) write, run without a search,
+    # is watched only from LASSO_THRESHOLD steps on.
+    taken.clear()
     res = run_plan("algo1", 4, [WriterPhase(None), FreshRead(2)], 100_000)
     assert res.ops[-1].status == "completed"
     assert taken == []
 
 
-@pytest.mark.parametrize("n", range(3, 8))
+def _searched(monkeypatch, name, n, stage_budget, watch_at=None):
+    """The outcome of attack_search, or the input error it raised, and its
+    search; with watch_at, every plan runs with that watch start."""
+    from byzregs import adversary
+
+    searches = []
+    init, run_plan = adversary._Search.__init__, adversary.run_plan
+
+    def keep(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    def watched(name, n, phases, budget, starts=None, at=None):
+        return run_plan(name, n, phases, budget, starts, watch_at or at)
+
+    monkeypatch.setattr(adversary._Search, "__init__", keep)
+    monkeypatch.setattr(adversary, "run_plan", watched)
+    try:
+        result = attack_search(name, n, stage_budget=stage_budget)
+    except MalformedScenario as exc:  # the candidate does not run at this n
+        result = exc
+    monkeypatch.undo()
+    return result, searches[0] if searches else None
+
+
+@pytest.mark.parametrize("name", sorted(constructions.IMPLEMENTATIONS))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_watch_start_changes_nothing_but_the_witness(monkeypatch, name, n):
+    # The same search with the watch off (past the stage budget) runs every
+    # plan to its end: each plan's read record and the stage log are equal,
+    # but for where a blocked read stops. So are they with every read
+    # watched from its first step.
+    budget = 2000
+    result, search = _searched(monkeypatch, name, n, budget)
+    off, unwatched = _searched(monkeypatch, name, n, budget, watch_at=budget + 1)
+    first, watched = _searched(monkeypatch, name, n, budget, watch_at=1)
+    assert type(result) is type(off) is type(first)
+    if search is None:
+        assert str(result) == str(off) == str(first)
+        return
+
+    def records(search):
+        # A key names each script by its id: name it by its value instead.
+        scripts = {id(x): x for x in [*search.scripts.values(), *search.resets.values()]}
+        return [(tuple((x[0], scripts[x[1]]) if type(x) is tuple else x for x in key),
+                 plan.read.status, plan.read.ret,
+                 plan.read.steps if plan.read.status == "completed" else None)
+                for key, plan in search.plans.items()]
+
+    assert records(search) == records(unwatched) == records(watched)
+    assert search.log == unwatched.log == watched.log
+    if isinstance(result, BlockedWitness):
+        assert result.explanation == first.explanation
+        assert "still pending after 2000" in off.explanation
+        assert off.events[:len(result.events)] == result.events
+
+
+# The events of algo1's blocked witness: a search watches its read from the
+# first step past every op it completed, so the witness is the writer's
+# prefix, the replays and the read up to its lasso's repeat.
+WITNESS_LENGTHS = {3: 45, 4: 83, 5: 158, 6: 305, 7: 596, 8: 1175}
+
+
+@pytest.mark.parametrize("n", sorted(WITNESS_LENGTHS))
 def test_blocked_algo1_cycle_is_lambda_n_steps(n):
     # The blocked read's cycle is lambda(n) = 3 * 2^(n-2) - 2 steps long,
     # (W(n) - 2) / 2 for a write of W(n) register steps: 4, 10, 22, 46, 94.
@@ -319,6 +400,7 @@ def test_blocked_algo1_cycle_is_lambda_n_steps(n):
     assert isinstance(result, BlockedWitness)
     i, j = map(int, re.search(r"lasso (\d+)\.\.(\d+)", result.explanation).groups())
     assert j - i == 3 * 2 ** (n - 2) - 2 == (algo1_write_step_count(n) - 2) // 2
+    assert len(result.events) == WITNESS_LENGTHS[n] == j + 1
 
 
 def test_the_skeleton_hash_only_proposes_a_lasso(monkeypatch):
@@ -374,15 +456,15 @@ GOLDEN_ATTACKS = {
     ("algo1", 3): (
         BlockedWitness, "C_5^2", None,
         "77900f613284d202715be11eaffc7896e4dbd3b9246fe144fb3b5ed3c1b04f78",
-        "d519bae9be4d66fee654875866df440970843d97e39f9b70854a127ce76ce7b8"),
+        "e7096db3442b987e4edff9857ae23c04a93bb50715818138ed0ba37891d65d71"),
     ("algo1", 4): (
         BlockedWitness, "C_10^2", None,
         "1c2e2d9414dbea9df93e6841fe245d8f9a0c96bd9a33d08730ca44f8f5e0849f",
-        "55c244d4aa8bb075145e54c1bd2b9d998272c1608b220bdc25d028b78c7d375b"),
+        "097ab3d96a5769ebb0f6f5713e45cf9dbd521e90590aed9f4eb065c66666fbfe"),
     ("algo1", 5): (
         BlockedWitness, "C_19^2", None,
         "1bc56cd0395395db129311da690bdcecd5a567be3e979db976f9ef1d95cd6ba4",
-        "97a5e924091cfa940c0e6a80d8673b2de02e727f56b73cb4802ff9495d05f930"),
+        "f0670ffd19115de1003542f81ef51b82185fc74d6f5010d3857a07a332062e74"),
     ("algo3", 3): (
         Exhausted, None, "all branches exhausted",
         "562caad14ac07da091094dd1de81f22b81005ef29462b5a693cedf180ca55485", None),
@@ -648,7 +730,7 @@ def test_a_plan_counts_the_accesses_of_all_its_events(monkeypatch, name, n):
 # type, stage, explanation, reason, stage log and witness JSONL, or the
 # raised exception's type and text.
 ATTACK_CORPUS = {
-    "algo1": "6c47586504b5ba67",
+    "algo1": "e8b824d774199303",
     "algo2": "3e1c46a0f902a401",
     "algo3": "83a57a4d6af49d53",
     "atomic-1wnr": "96018dae80a693a3",

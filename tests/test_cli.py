@@ -135,8 +135,8 @@ def test_attack_blocked_exit_one(tmp_path):
     report = json.loads(out.read_text())
     assert (report["result"], report["stage"], report["reader"]) == \
         ("blocked", "C_5^2", 2)
-    assert "lasso 1024..1028" in report["explanation"]
-    assert len(trace.read_bytes().splitlines()) == 1029
+    assert "lasso 40..44" in report["explanation"]
+    assert len(trace.read_bytes().splitlines()) == 45
 
 
 def test_attack_exhausted_exit_zero(tmp_path):

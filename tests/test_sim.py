@@ -397,6 +397,29 @@ def test_split_memo_follows_each_cell_object():
         assert split(cells, memo) == split(cells, {})
 
 
+def test_a_take_splits_a_list_local_like_a_tuple():
+    # An algo3 read keeps the signed cells it verified in a list local: a
+    # take splits it like a tuple, with list first in its skeleton, at each
+    # of the read's steps.
+    from byzregs import constructions
+
+    seqs = []
+    cell = Plain(SeqTuple(3, b"a"))
+    skel, height = sim._split([cell, 1], seqs, {})
+    assert (skel[0], skel[2], height, seqs) == (list, 1, 1, [3 << 7])
+    assert sim._split((cell, 1), [], {})[0][1:] == skel[1:]
+    eng = sim.Engine(constructions.layout_of("algo3", 3))
+    op = eng.spawn_read(1)
+    (t,) = eng.queue
+    watch = sim._Lasso(eng, t, 0)
+    while op.status == "pending":
+        before = len(eng.events)
+        eng.run_queue(before + 1, sim.DEFAULT_PER_OP_BUDGET)
+        assert watch.observe(t, before) is None
+    # Each of the read's 2n + 1 steps is a state of its own.
+    assert op.steps == 7 and len(watch.seen) == 7
+
+
 def test_an_unfair_repeat_is_not_a_lasso():
     # The op's two branches each spin reading one register. Resuming only
     # branch b repeats the state at once, but branch a stays runnable and
