@@ -36,11 +36,6 @@ from .core import (
 from .constructions import U0, WRITER
 
 
-class UnfairScheduleError(Exception):
-    """A scripted schedule starved a runnable thread; the wait-freedom
-    monitor refuses to conclude anything from such a trace."""
-
-
 @dataclass
 class OpRecord:
     proc: int
@@ -232,12 +227,6 @@ def check_bottom_returns(history: list[OpRecord], writer_honest: bool) -> Verdic
 def check_wait_freedom(trace, faults: dict[int, FaultModel]) -> Verdict:
     """Wait-free if the writer is correct or no reader is malicious: under
     that condition no operation by a Correct process may stay pending."""
-    if trace.scripted:
-        starved = [op for op in trace.ops if op.status == "pending"]
-        if starved:
-            raise UnfairScheduleError(
-                "scripted schedule left operations pending; fairness unknown"
-            )
     writer_correct = isinstance(faults.get(WRITER, Correct()), Correct)
     no_reader_malicious = all(
         is_honest(f) for p, f in faults.items() if p != WRITER

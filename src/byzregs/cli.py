@@ -195,10 +195,10 @@ def _write_outputs(inputs: tuple[str, ...], *outputs: tuple[str, bytes]) -> None
             fh.write(data)
 
 
-# What bad input raises (a scenario, trace or output path, a flag, a solo
-# write over its budget); each exits 2.
+# What bad input raises (a scenario, trace or output path, a flag, a scripted
+# pick of no runnable thread, a solo write over its budget); each exits 2.
 INPUT_ERRORS = (OSError, ValueError, MalformedScenario, AccessViolation,
-                checker.UnfairScheduleError, adversary.WriterBlocked)
+                adversary.WriterBlocked)
 
 
 def _input_error(exc) -> int:

@@ -18,27 +18,27 @@ in the paper's 1W1R and 1W(n-1)R registers. All interleaving
 decisions flow through the scheduler, so a scenario (construction, faults,
 workload, schedule, budgets) replays to a byte-identical trace.
 Engine.run_queue is the one step loop, for seeded scenarios (the queue's
-head, after workload admission), scripted picks and the attack harness's
-phases. A crash point (step, proc) crashes proc once the trace holds step
-events; scenario crash faults and the attack harness's writer crash are both
-crash points. Every op runs under a per-op budget: an op of m register steps
-fits a budget of m, and a thread of the op that asks for a register access
-past it is stopped there, before the access is checked or applied. A step
-costs O(1) engine work beyond a fork's seeded insertions, a budget stop's
-walk over the stopped op's threads, a crash marker's look back for its
-process's last event and the lasso watch of a read past its watch_at
-steps. A watch keeps a running hash of its states' skeletons (Zobrist
-hashing, as in SPIN's incremental state hashing, Nguyen and Ruys 2008), so a
-state costs what changed since the one before: the registers events wrote,
-the state key items the state names (algo1's levels), the frames that ran
-and each live thread's head. Only a repeated hash costs a look at every
-register.
+head, after workload admission), scripted ones (a prefix of picks, then the
+queue's head) and the attack harness's phases. A crash point (step, proc)
+crashes proc once the trace holds step events; scenario crash faults and the
+attack harness's writer crash are both crash points. Every op runs under a
+per-op budget: an op of m register steps fits a budget of m, and a thread of
+the op that asks for a register access past it is stopped there, before the
+access is checked or applied. A step costs O(1) engine work beyond a fork's
+seeded insertions, a budget stop's walk over the stopped op's threads, a
+crash marker's look back for its process's last event and the lasso watch of
+a read past its watch_at steps. A watch keeps a running hash of its states'
+skeletons (Zobrist hashing, as in SPIN's incremental state hashing, Nguyen
+and Ruys 2008), so a state costs what changed since the one before: the
+registers events wrote, the state key items the state names (algo1's
+levels), the frames that ran and each live thread's head. Only a repeated
+hash costs a look at every register.
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
 machine whose reads go unused.
 
-Lassos. A seeded scenario run or an attack read can prove that a spinning
+Lassos. A scenario run or an attack read can prove that a spinning
 read never completes instead of spinning it to its per-op budget: run_queue
 finds a lasso, a state the run reaches again, so that the cycle between the
 two visits repeats forever (the lasso-shaped liveness counterexample of
@@ -68,7 +68,9 @@ completes the op, and a watch that started earlier could change the run, so
 seeded runs keep watch_at = LASSO_THRESHOLD. In a run that draws nothing a
 lasso stops only a read that never completes, wherever its watch starts, so
 an attack search watches a read once it outlasts every op the search has
-completed. Scripted runs are never watched: their picks fix the schedule.
+completed. A scripted run's picks go unwatched, since a pick clears the
+queue that a take reads; the FIFO continuation after them is watched from
+LASSO_THRESHOLD, as a seeded run is.
 
 A state repeats up to a shift of its sequence numbers, and the shift may be
 empty. A sequence number is the k of a SeqTuple, or a bare int of a state
@@ -142,6 +144,9 @@ class Seeded:
 
 @dataclass(frozen=True)
 class Scripted:
+    """A prefix of the run: each pick (proc, tid) names the thread that takes
+    a step. Once the picks run out the run goes on as a seed-less one does."""
+
     picks: tuple[tuple[int, int], ...]
 
 
@@ -191,7 +196,6 @@ class OpResult:
 class Trace:
     events: list[Event]
     ops: list[OpResult]
-    scripted: bool  # its schedule was scripted picks, whose fairness is unknown
 
 
 class _Thread:
@@ -401,22 +405,18 @@ class Engine:
         if fr.resolved:
             return
         if value is not None:
-            fr.resolved = True
             for sib in fr.branches:
                 if sib is not t:
                     self._cancel_subtree(sib)
-            parent = fr.parent
-            parent.parked = False
-            parent.pending = value
-            self.queue.append(parent)
         else:
             fr.dead += 1
-            if fr.dead == len(fr.branches):
-                fr.resolved = True
-                parent = fr.parent
-                parent.parked = False
-                parent.pending = None
-                self.queue.append(parent)
+            if fr.dead < len(fr.branches):
+                return
+        fr.resolved = True
+        parent = fr.parent
+        parent.parked = False
+        parent.pending = value
+        self.queue.append(parent)
 
     def _resume(self, t: _Thread, per_op_budget: int) -> None:
         owner = t.owner
@@ -495,26 +495,40 @@ class Engine:
                   admission: Optional[_Admission] = None,
                   picks: Optional[Iterable] = None,
                   watch_at: Optional[int] = None) -> None:
-        """Resume threads until quiescence, the end of picks or the event
-        budget; an op that asks for an access past per_op_budget is stopped
-        there. admission, a scenario's workload admission, admits before a
-        step once the engine changed or the event count reached its gate,
-        and once more with quiescent=True when nothing is runnable; the run
-        goes on if that spawned an op. picks, a scripted schedule, names
-        each step's thread as (proc, tid); else the queue's head goes. A run
-        without picks stops a Read of watch_at (default LASSO_THRESHOLD)
-        steps or more at its first lasso from admission's last after_step
-        gate on (see the module docstring), with the reason ``blocked
-        (lasso i..j)``.
+        """Resume threads until quiescence or the event budget; an op that
+        asks for an access past per_op_budget is stopped there. admission, a
+        scenario's workload admission, admits before a step once the engine
+        changed or the event count reached its gate, and once more with
+        quiescent=True when nothing is runnable; the run goes on if that
+        spawned an op. picks, a scripted schedule's prefix, names each
+        step's thread as (proc, tid) while any remain; once they run out
+        the queue is refilled with the live runnable threads in creation
+        order, and from then on, as in a run without picks, the queue's
+        head goes. A step no pick named stops a Read of watch_at (default
+        LASSO_THRESHOLD) steps or more at its first lasso from admission's
+        last after_step gate on (see the module docstring), with the reason
+        ``blocked (lasso i..j)``.
         """
-        watched = picks is None
         watch_at = LASSO_THRESHOLD if watch_at is None else watch_at
         picks = None if picks is None else iter(picks)
         events, queue, crashed, watch = self.events, self.queue, self.crashed, None
         while len(events) < step_budget:
+            if admission is not None and (self.changed or len(events) >= admission.gate):
+                admission.admit(False)
+            if picks is not None:
+                # A pick names its thread, so the queue is dropped to stay
+                # bounded, and refilled once the picks run out.
+                queue.clear()
+                pick = next(picks, None)
+                if pick is None:
+                    picks = None
+                    queue.extend(u for u in self.threads.values() if self._runnable(u))
+                else:
+                    # The pick passes the same test as the queue's head.
+                    t = self.threads.get(pick)
+                    if t is None or not self._runnable(t):
+                        raise MalformedScenario(f"scripted pick {pick} is not runnable")
             if picks is None:
-                if admission is not None and (self.changed or len(events) >= admission.gate):
-                    admission.admit(False)
                 # The queue's first runnable thread (see _runnable).
                 while queue:
                     t = queue.popleft()
@@ -526,24 +540,13 @@ class Engine:
                     if admission is not None and admission.admit(True):
                         continue
                     return
-            else:
-                pick = next(picks, None)
-                if pick is None:
-                    return
-                if admission is not None and (self.changed or len(events) >= admission.gate):
-                    admission.admit(False)
-                # A pick names its thread, so the queue is dropped to stay
-                # bounded; the pick passes the same test as the queue's head.
-                queue.clear()
-                t = self.threads.get(pick)
-                if t is None or not self._runnable(t):
-                    raise MalformedScenario(f"scripted pick {pick} is not runnable")
             before = len(events)
             self._resume(t, per_op_budget)
             op = t.op
             if watch is not None and watch.op is not op:
                 watch = None  # another op's thread acted: no cycle spans it
-            if not watched or op is None or op.steps < watch_at \
+            # A lasso take reads the queue, which a pick has cleared.
+            if picks is not None or op is None or op.steps < watch_at \
                     or op.kind != "Read":
                 continue
             if watch is None:
@@ -1022,7 +1025,9 @@ class _Admission:
 
 
 def run(scenario: Scenario) -> Trace:
-    """Execute a scenario to quiescence or budget and return its trace.
+    """Execute a scenario to quiescence, budget or a lasso and return its
+    trace. A scripted schedule's picks are the run's prefix; after them the
+    run goes on FIFO, as a run without a seed does.
 
     Operations of one process run one at a time, in workload order unless
     an earlier item is still gated. An op stopped by ``per_op_budget`` or at
@@ -1043,19 +1048,14 @@ def run(scenario: Scenario) -> Trace:
         if isinstance(fault, Malicious) and proc not in eng.crashed:
             eng.spawn_script(proc, fault.script)
 
-    # A seeded run goes on until quiescence; a scripted run ends when its
-    # picks run out.
     eng.run_queue(scenario.step_budget, scenario.per_op_budget,
                   admission=_Admission(scenario.workload, eng),
                   picks=None if seeded else scenario.schedule.picks)
-    exhausted = seeded and len(eng.events) >= scenario.step_budget
-    reason = ("step budget" if exhausted else "quiescence") if seeded \
-        else "schedule exhausted"
+    reason = "step budget" if len(eng.events) >= scenario.step_budget else "quiescence"
     for op in eng.ops:
         if op.status == "pending" and op.reason is None:
             op.reason = reason
-    return Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index),
-                 scripted=not seeded)
+    return Trace(events=eng.events, ops=sorted(eng.ops, key=lambda o: o.index))
 
 
 # ---------------------------------------------------------------------------

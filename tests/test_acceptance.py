@@ -360,7 +360,7 @@ def test_criterion_7_internal_invariant_suite():
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
     v1 = checker.validate_internal_invariants(
-        sim.Trace(commit_inversion, [], False), specs1, inst1.classify, {0: Correct()})
+        sim.Trace(commit_inversion, []), specs1, inst1.classify, {0: Correct()})
 
     inst2 = layout_of("algo1", 2)
     specs2 = {s.reg_id: s for s in inst2.specs}
@@ -369,14 +369,14 @@ def test_criterion_7_internal_invariant_suite():
         Event(1, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(1, b"a"))),
     ]
     v2 = checker.validate_internal_invariants(
-        sim.Trace(announce_break, [], False), specs2, inst2.classify, {1: Correct()})
+        sim.Trace(announce_break, []), specs2, inst2.classify, {1: Correct()})
 
     inst3 = layout_of("algo3", 3)
     specs3 = {s.reg_id: s for s in inst3.specs}
     fake = Signed(SeqTuple(5, b"evil"), 0, sig_token(SeqTuple(5, b"evil"), 0))
     bad_signature = [Event(0, 2, 0, "reg_write", reg="Is/R2_1", value=fake)]
     v3 = checker.validate_internal_invariants(
-        sim.Trace(bad_signature, [], False), specs3, inst3.classify, {2: Correct()})
+        sim.Trace(bad_signature, []), specs3, inst3.classify, {2: Correct()})
 
     ok = live_ok and not v1.ok and not v2.ok and not v3.ok
     _report(

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from byzregs import checker, sim
 from byzregs.checker import (
     OpRecord,
-    UnfairScheduleError,
     check_bottom_returns,
     check_property1,
     check_property2,
@@ -125,8 +124,8 @@ def test_no_bottoms_passes():
 # -- wait freedom -------------------------------------------------------------
 
 
-def _trace(ops, scripted=False):
-    return sim.Trace(events=[], ops=ops, scripted=scripted)
+def _trace(ops):
+    return sim.Trace(events=[], ops=ops)
 
 
 def test_wait_freedom_violation_when_guaranteed():
@@ -142,13 +141,6 @@ def test_wait_freedom_outside_guarantee_passes_with_note():
     faults = {0: Crash(3), 1: Correct(), 2: Malicious(())}
     v = check_wait_freedom(_trace(ops), faults)
     assert v.ok and "outside guarantee" in v.explanation
-
-
-def test_wait_freedom_scripted_pending_refuses():
-    ops = [sim.OpResult(0, 1, "Read", None, invoke_step=0, status="pending",
-                        reason="schedule exhausted")]
-    with pytest.raises(UnfairScheduleError):
-        check_wait_freedom(_trace(ops, scripted=True), {0: Correct(), 1: Correct()})
 
 
 def test_wait_freedom_crashed_owner_not_counted():
@@ -181,7 +173,7 @@ def test_internal_invariants_commit_order_inversion():
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      classify, {0: Correct()})
     assert not v.ok and v.witnesses == [1]
 
@@ -201,7 +193,7 @@ def test_internal_invariants_writer_channel_rank(prev_tag, next_tag, dk):
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell(prev_tag, 2)),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=cell(next_tag, 2 + dk)),
     ]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      classify, {0: Correct()})
     assert v.ok == (dk == 1 or (prev_tag, next_tag) == ("prepare", "commit"))
     if not v.ok:
@@ -214,7 +206,7 @@ def test_internal_invariants_writer_channel_rank(prev_tag, next_tag, dk):
 def test_internal_invariants_malformed_writer_cell(cell):
     specs, classify = _algo1_ctx()
     events = [Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell)]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      classify, {0: Correct()})
     assert not v.ok and v.witnesses == [0] and "malformed" in v.explanation
 
@@ -224,7 +216,7 @@ def test_internal_invariants_non_tuple_in_gossip_register():
     assert classify["I3/R2_3"] == "gossip"
     events = [Event(0, 2, 0, "reg_write", reg="I3/R2_3",
                     value=Commit(SeqTuple(1, b"a")))]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      classify, {2: Correct()})
     assert not v.ok and v.witnesses == [0] and "non-tuple" in v.explanation
 
@@ -235,7 +227,7 @@ def test_internal_invariants_announce_monotonicity_break():
         Event(0, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(2, b"b"))),
         Event(1, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      classify, {1: Correct()})
     assert not v.ok and v.witnesses == [1]
 
@@ -247,7 +239,7 @@ def test_internal_invariants_invalid_signature_acceptance():
     events = [
         Event(0, 1, 0, "reg_write", reg="Is/R1_2", value=fake),
     ]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      inst.classify, {1: Correct()})
     assert not v.ok and "signed" in v.explanation
 
@@ -258,7 +250,7 @@ def test_internal_invariants_skip_malicious_events():
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(sim.Trace(events, [], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, []), specs,
                                      classify, {0: Malicious(())})
     assert v.ok
 
@@ -273,7 +265,7 @@ def test_read_return_needs_writer_channel_evidence():
     ]
     read = sim.OpResult(0, 2, "Read", None, invoke_step=0, respond_step=2,
                         ret=SeqTuple(4, b"x"), status="completed")
-    v = validate_internal_invariants(sim.Trace(events, [read], False), specs,
+    v = validate_internal_invariants(sim.Trace(events, [read]), specs,
                                      classify, {2: Correct()})
     assert not v.ok and "without observing" in v.explanation
 

@@ -342,7 +342,7 @@ def test_blocking_boundary_scenario_runs_deterministically(tmp_path):
 
 def test_scripted_crash_at_the_writers_invoke_leaves_nothing_pending(tmp_path):
     # The write's invoke reaches the writer's crash point; the write is
-    # crashed-owner, not pending, so the scripted run is judged (exit 0).
+    # crashed-owner, not pending, so the scripted run passes (exit 0).
     scn = {
         "construction": "algo2", "n": 2,
         "faults": {"0": {"kind": "crash", "at_step": 1}},
@@ -354,6 +354,59 @@ def test_scripted_crash_at_the_writers_invoke_leaves_nothing_pending(tmp_path):
     path.write_text(json.dumps(scn))
     assert run_cli(["run", "--scenario", str(path), "--trace",
                     str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "v.json")]) == 0
+
+
+def _run_files(tmp_path, tag, scenario, command="run"):
+    """The exit code, trace bytes and verdict bytes of one command; a dict
+    scenario is written to a file first."""
+    if isinstance(scenario, dict):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(scenario))
+        scenario = str(path)
+    trace, out = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}-{command}.json"
+    code = run_cli([command, "--scenario", scenario, "--trace", str(trace),
+                    "--out", str(out)])
+    return code, trace.read_bytes(), out.read_bytes()
+
+
+def _with_picks(name, picks):
+    with open(os.path.join(SCENARIOS, name)) as fh:
+        doc = json.load(fh)
+    return {**doc, "schedule": {"kind": "scripted", "picks": picks}}
+
+
+def test_empty_picks_run_the_whole_workload(tmp_path):
+    # Picks are a prefix of the run: with none, it goes on as the FIFO run,
+    # admits every item and writes the seeded run's trace.
+    seeded = _run_files(tmp_path, "seeded", os.path.join(SCENARIOS, "all_correct.json"))
+    scripted = _run_files(tmp_path, "scripted", _with_picks("all_correct.json", []))
+    assert scripted == seeded
+    assert scripted[0] == 0 and scripted[1].count(b"\n") == 26
+
+
+def test_a_scripted_prefix_runs_on_to_its_lasso(tmp_path, monkeypatch):
+    # The first 600 resumptions of the seeded run, as picks: proc 3's read
+    # is watched after them and stopped at the seeded run's lasso.
+    picks = []
+    resume = sim.Engine._resume
+
+    def record(eng, t, *args):
+        resume(eng, t, *args)
+        picks.append([t.owner, t.tid])
+
+    monkeypatch.setattr(sim.Engine, "_resume", record)
+    path = os.path.join(SCENARIOS, "blocking_boundary.json")
+    sim.run(sim.load_scenario(path))
+    monkeypatch.undo()
+    doc = _with_picks("blocking_boundary.json", picks[:600])
+    scripted = _run_files(tmp_path, "scripted", doc)
+    assert scripted == _run_files(tmp_path, "seeded", path)
+    assert scripted[0] == 0
+    trace = sim.run(sim.scenario_from_json(doc))
+    assert [op.reason for op in trace.ops if op.proc == 3] == ["blocked (lasso 1008..1010)"]
+    # check re-runs the scripted scenario to the same trace and verdicts.
+    assert _run_files(tmp_path, "scripted", str(tmp_path / "scripted.json"),
+                      "check") == scripted
 
 
 def test_sweep_combined_pattern_blocks_without_violations():

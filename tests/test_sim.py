@@ -223,6 +223,12 @@ def test_scripted_run_keeps_its_queue_within_the_live_threads(monkeypatch):
     assert events_to_jsonl(sim.run(sc).events) == expected
     assert len(excesses) == len(picks) > 1000
     assert max(excesses) <= 0
+    # Cut in half, the picks hand over to a FIFO queue of the live threads.
+    excesses.clear()
+    sc.schedule = sim.Scripted(tuple(picks[:len(picks) // 2]))
+    tr = sim.run(sc)
+    assert all(op.status == "completed" for op in tr.ops)
+    assert len(excesses) > len(picks) // 2 and max(excesses) <= 0
 
 
 def test_step_accounting():
@@ -749,7 +755,7 @@ def _scripted_fork_and_crash():
     # Reader 3 forks on the writer's prepare, the writer crashes at step 13
     # (its second write becomes crashed-owner), Thread 2 wins the race, and
     # the picks end as the read responds: reader 1's read, gated on it, is
-    # never admitted.
+    # admitted and completes after the picks.
     picks = [(0, 0)] * 5 + [(3, 0)] * 2 + [(0, 0)] * 3 + [(3, 2)] * 4 + [(3, 0)]
     return scenario(
         faults={0: Crash(13), 1: Correct(), 2: Correct(), 3: Correct()},
@@ -816,7 +822,7 @@ GOLDEN_TRACES = {
         "5f38ba392f19d0b602e993c6d010fea515406c0dabb28df4c333faa69c8714a4"),
     "scripted-fork-crash": (
         _scripted_fork_and_crash,
-        "1a9eda727566891dfe90db31e437356a4190011b84748a7fcc856a52693a12d2"),
+        "9d5029daf0d59f7ecfcd2e3d58d97e90c9ef4363767fb5fd201af38d84f8a117"),
 }
 
 
@@ -932,6 +938,43 @@ def test_scripted_run_is_stopped_only_by_its_budget(monkeypatch):
     read = tr.ops[1]
     assert (read.status, read.reason, read.steps) == ("pending", "per-op budget", 1500)
     assert events_to_jsonl(tr.events) == expected
+
+
+def test_seeded_runs_replay_from_their_picks(monkeypatch):
+    # A seeded run's resumptions, replayed as a scripted schedule, give the
+    # same run: its end, quiescent admission included, follows the picks as
+    # it follows the seed. A run a lasso stopped is left out, since picks go
+    # unwatched and its read spins on. The cells are the benchmark's sweep.
+    from byzregs import cli
+
+    every = cli.CANONICAL_PATTERNS + cli.EXTRA_PATTERNS
+    cells = ([("algo1", n, p) for n in range(2, 6) for p in cli.CANONICAL_PATTERNS]
+             + [("algo2", 2, p) for p in every]
+             + [("algo3", n, p) for n in (3, 5) for p in every])
+
+    def outputs(sc):
+        trace, verdicts = cli.run_and_check(sc)
+        return (events_to_jsonl(trace.events),
+                cli._json_bytes({name: v.to_json() for name, v in verdicts.items()}),
+                [(op.index, op.status, op.reason, op.steps, op.invoke_step,
+                  op.respond_step, op.ret) for op in trace.ops])
+
+    picks = []
+    _on_resume(monkeypatch, lambda eng, t: picks.append((t.owner, t.tid)))
+    replayed = 0
+    for construction, n, pattern in cells:
+        for seed in range(3):
+            sc = cli.build_sweep_scenario(construction, n, pattern, seed,
+                                          sim.DEFAULT_STEP_BUDGET, 1500)
+            picks.clear()
+            expected = outputs(sc)
+            if any((reason or "").startswith("blocked (lasso ")
+                   for _, _, reason, *_ in expected[2]):
+                continue
+            sc.schedule = sim.Scripted(tuple(picks))
+            assert outputs(sc) == expected, (construction, n, pattern, seed)
+            replayed += 1
+    assert replayed >= 120
 
 
 def test_a_budget_of_m_admits_an_op_of_m_steps():
