@@ -7,9 +7,10 @@ earlier and the would-be malicious process replaying its recorded register
 accesses verbatim. A script is the tuple of accesses a process issues, as
 ``recorded_actions`` extracts them. Every execution is a strict sequence of
 phases (writer prefix, replay and reset scripts, one fresh read), which is
-exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F; a
-writer prefix starts from a copy of S's run at its crash point. The solo
-write and every fresh read run under one per-op budget, the stage budget
+exactly the shape of the proof's executions S, A_k, B_{k-1}, C/D/E/F. A
+plan starts from a copy of the longest run its search kept of its first
+phases: S's at its crash point, or the B or D run its C or E extends. The
+solo write and every fresh read run under one per-op budget, the stage budget
 (``--op-budget``): an op of m register steps fits a budget of m, and one
 that asks for a step past it is stopped there. A search watches a fresh
 read for a lasso once it has taken more steps than any op the search has
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 from . import checker
 from .core import Correct, Event, Malicious, RegisterSpec, SeqTuple
@@ -86,14 +87,14 @@ def build_candidate(name: str, n: int) -> Layout:
 
 
 def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET,
-                      starts: Optional[dict] = None):
+                      runs: Optional[dict] = None):
     """Execution S: a complete solo Write of the marker, readers silent, run
-    as every plan's writer phase runs (for starts, see run_plan).
+    as every plan's writer phase runs (for runs, see run_plan).
 
     Returns (steps, events) where steps are the writer's register access
     events s^1..s^m in order.
     """
-    res = run_plan(name, n, [WriterPhase(None)], budget, starts)
+    res = run_plan(name, n, [WriterPhase(None)], budget, runs)
     if res.ops[0].status != "completed":
         raise WriterBlocked(f"candidate {name}: solo write did not finish "
                             f"within {budget} steps")
@@ -136,38 +137,60 @@ class PlanResult:
     events: list[Event]
     ops: list[OpResult]  # the engine's op records, in spawn order
     accesses: int
+    copy: Callable[[], Engine]  # a copier of the finished run
+
+
+def plan_key(phases: list) -> tuple:
+    """A plan's table key, made of ints and never of cells: the writer's
+    crash point, each fresh reader, and each script phase's proc and its
+    canonical script's id (see _Search), which stands for its value."""
+    key = []
+    for ph in phases:
+        if isinstance(ph, ScriptPhase):
+            key.append((ph.proc, id(ph.script)))
+        elif isinstance(ph, WriterPhase):
+            key.append(-1 if ph.crash_after is None else -2 - ph.crash_after)
+        else:
+            key.append(ph.proc)
+    return tuple(key)
 
 
 def run_plan(name: str, n: int, phases: list, stage_budget: int,
-             starts: Optional[dict] = None, watch_at: Optional[int] = None) -> PlanResult:
+             runs: Optional[dict] = None, watch_at: Optional[int] = None) -> PlanResult:
     """Run phases strictly in order on a run of the candidate.
 
     A writer phase may only come first, and it runs solo: event 0 is its
     invoke and events 1..a its first a register accesses. Crashing the
     writer after a accesses is therefore the crash point (a + 1, WRITER):
-    the phase is the solo write S up to there. S fills an empty starts with
-    a copier of its run at each a and None, which a writer phase starts from.
-    A read is watched for a lasso from watch_at steps on (see run_queue).
+    the phase is the solo write S up to there. runs maps plan keys to a
+    copier of their finished run and its accesses: a plan starts from a copy
+    of the run kept under its key's longest prefix and runs only the phases
+    after it. S fills an empty runs at each crash point and complete. A read
+    is watched for a lasso from watch_at steps on (see run_queue).
     """
-    crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
-             if isinstance(ph, WriterPhase) and ph.crash_after is not None]
-    kept = starts and any(isinstance(ph, WriterPhase) for ph in phases[:1])
-    eng = starts[phases[0].crash_after](crash_points=crash) if kept \
-        else Engine(build_candidate(name, n), crash_points=crash)
-    # A kept run's events are the writer's invoke, its accesses and a crash.
-    start, accesses = len(eng.events), eng.ops[0].steps if kept else 0
-    for i, ph in enumerate(phases):
+    key = plan_key(phases)
+    done = len(key) if runs else 0  # phases the kept run has run
+    while done and key[:done] not in runs:
+        done -= 1
+    if done:
+        copier, accesses = runs[key[:done]]
+        eng = copier()
+    else:
+        crash = [(ph.crash_after + 1, WRITER) for ph in phases[:1]
+                 if isinstance(ph, WriterPhase) and ph.crash_after is not None]
+        eng, accesses = Engine(build_candidate(name, n), crash_points=crash), 0
+    start = len(eng.events)
+    for i, ph in enumerate(phases[done:], done):
         if isinstance(ph, WriterPhase) and i == 0:
-            if kept:
-                continue
             op, state = eng.spawn_write(MARKER), None
-            if starts is not None:  # S, one access at a time
-                starts[None] = eng.copy
+            if runs is not None:  # S, one access at a time
                 while op.status == "pending" and op.reason is None and eng.queue:
                     state = eng.state.copy(state)
-                    starts[op.steps] = partial(eng.copy, len(eng.events), state,
-                                               [op.copy()])
+                    runs[plan_key([WriterPhase(op.steps)])] = partial(  # crash included
+                        eng.copy, len(eng.events), state, [op.copy()],
+                        [(op.steps + 1, WRITER)]), op.steps
                     eng.run_queue(len(eng.events) + 1, stage_budget)
+                runs[plan_key([WriterPhase(None)])] = eng.copy, op.steps
         elif isinstance(ph, ScriptPhase):
             eng.spawn_script(ph.proc, ph.script)
         elif isinstance(ph, FreshRead):
@@ -178,7 +201,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
         # crash and a respond, so the op's budget binds before the bound.
         eng.run_queue(len(eng.events) + 4 * stage_budget, stage_budget, watch_at=watch_at)
     accesses += sum(e.kind in ("reg_read", "reg_write") for e in eng.events[start:])
-    return PlanResult(eng.events, eng.ops, accesses)
+    return PlanResult(eng.events, eng.ops, accesses, eng.copy)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +269,10 @@ AttackResult = ViolationWitness | BlockedWitness | Exhausted
 
 
 class _Search:
-    """One search: its budgets, stage log, the solo write's steps and the
-    plans it has run, so that each runs once. A plan's key names a script by
-    its id, so every script is canonical: reset scripts are made once per
-    proc, and recorded ones are interned by value for the search's life."""
+    """One search: its budgets, stage log, the solo write's steps, the plans
+    it has run, so that each runs once, and the runs later plans extend. A
+    plan's key names a script by its id, so every script is canonical: reset
+    scripts are made once per proc, recorded ones interned for its life."""
 
     def __init__(self, name: str, n: int, budget: int, stage_budget: int):
         self.name = name
@@ -265,9 +288,9 @@ class _Search:
         self.plans: dict[tuple, _Plan] = {}
         self.scripts: dict[tuple, tuple] = {}  # recorded script -> its first copy
         self.resets = {p: reset_script(self.layout.specs, p) for p in self.readers}
-        # Execution S: its register steps s^1..s^m and its kept runs.
-        self.starts: dict = {}
-        self.steps, _ = record_solo_write(name, n, stage_budget, self.starts)
+        # Execution S: its register steps s^1..s^m; its runs are the first kept.
+        self.runs: dict = {}
+        self.steps, _ = record_solo_write(name, n, stage_budget, self.runs)
         self.longest = len(self.steps)  # the most steps of an op it completed
         self.log.append(f"S: solo write took {len(self.steps)} register steps")
 
@@ -281,7 +304,8 @@ class _Search:
         """Request the phases plus a fresh read by reader. A plan runs the
         first time the search requests it and is recalled after that; either
         way its accesses are charged and the same notes are written. With
-        record, a plan reading the marker keeps the reader's accesses.
+        record, a plan reading the marker keeps the reader's accesses, and
+        the search its finished run, which a C or E plan extends.
 
         Only a first run can end the search: a read stopped at a lasso or the
         stage budget raises a BlockedWitness, and a read that dodges the
@@ -289,11 +313,11 @@ class _Search:
         checker confirms it. A recalled plan's key fixes its phases, hence
         its malicious process and verdict: its first run raised nothing."""
         phases = phases + [FreshRead(reader)]
-        key = self._key(phases)
+        key = plan_key(phases)
         plan = self.plans.get(key)
         res = None
         if plan is None:
-            res = run_plan(self.name, self.n, phases, self.stage_budget, self.starts,
+            res = run_plan(self.name, self.n, phases, self.stage_budget, self.runs,
                            self.longest + 1)
             plan = self.plans[key] = _Plan(res.accesses, res.ops[-1])
             if plan.read.status == "completed":
@@ -301,6 +325,7 @@ class _Search:
             if record and plan.marker:
                 actions = recorded_actions(res.events, reader)
                 plan.actions = self.scripts.setdefault(actions, actions)
+                self.runs[key] = res.copy, res.accesses
         elif record and plan.marker and plan.actions is None:
             raise StagePreconditionFailed(
                 f"{stage}: the plan's first run kept no accesses to replay")
@@ -328,20 +353,6 @@ class _Search:
                         raise ViolationWitness(stage, res.events, v.vclass,
                                                v.explanation, self.log)
         return plan
-
-    def _key(self, phases: list) -> tuple:
-        """A plan's table key, made of ints and never of cells: the writer's
-        crash point, each fresh reader, and each script phase's proc and its
-        canonical script's id, which stands for the script's value."""
-        key = []
-        for ph in phases:
-            if isinstance(ph, ScriptPhase):
-                key.append((ph.proc, id(ph.script)))
-            elif isinstance(ph, WriterPhase):
-                key.append(-1 if ph.crash_after is None else -2 - ph.crash_after)
-            else:
-                key.append(ph.proc)
-        return tuple(key)
 
     def verdicts(self, ops: list[OpResult], malicious: Optional[int]) -> tuple:
         """Properties 2 and 1 of a plan's history; only the malicious
@@ -375,7 +386,8 @@ def attack_search(
     runs each distinct plan once and recalls it when asked again; recorded
     scripts are interned, so a plan is told apart by value. A plan keeps
     only its accesses, its fresh read's record and, where a stage replays
-    them, the reader's recorded accesses. Every request, run or recalled,
+    them, the reader's recorded accesses and its finished run, which the
+    next stage's plan starts from. Every request, run or recalled,
     is charged its plan's accesses, so the result, stage log and witness
     are those of re-running every request; only a first run can end the
     search.

@@ -283,12 +283,14 @@ class Engine:
     def copy(self, upto: Optional[int] = None, state=None,
              ops: Optional[list] = None, crash_points: Iterable = ()) -> Engine:
         """A run going on from this run's first upto events (all by default)
-        with copies of state and ops kept then (its own by default), cells
-        made by the events' writes and no thread (none is live but a crashed
-        process's). All due crash points, this run's and crash_points, crash."""
+        with copies of state and ops kept then (its own by default), its
+        cells (made by the events' writes if upto is given) and no thread
+        (none is live but a crashed process's, or a finished op's). All due
+        crash points, this run's and crash_points, crash."""
         events = self.events[:upto]
-        cells = dict(self.layout.initial)
-        cells.update((e.reg, e.value) for e in events if e.kind == "reg_write")
+        cells = dict(self.cells if upto is None else self.layout.initial)
+        if upto is not None:
+            cells.update((e.reg, e.value) for e in events if e.kind == "reg_write")
         # Assigned in __init__'s order, so the copy's attributes stay inline.
         eng = Engine.__new__(Engine)
         eng.layout, eng.specs, eng.cells = self.layout, self.specs, cells
@@ -1187,7 +1189,9 @@ def scenario_from_json(obj: dict) -> Scenario:
             step_budget=obj.get("step_budget", DEFAULT_STEP_BUDGET),
             per_op_budget=obj.get("per_op_budget", DEFAULT_PER_OP_BUDGET),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except KeyError as exc:
+        raise MalformedScenario(f"bad scenario document: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedScenario(f"bad scenario document: {exc}") from exc
     validate_scenario(scenario)
     return scenario

@@ -263,9 +263,9 @@ def _record_plans(monkeypatch) -> list:
     plans = []
     run_plan = adversary.run_plan
 
-    def recording(name, n, phases, stage_budget, *starts):
+    def recording(name, n, phases, stage_budget, *runs):
         plans.append(phases)
-        return run_plan(name, n, phases, stage_budget, *starts)
+        return run_plan(name, n, phases, stage_budget, *runs)
 
     monkeypatch.setattr(adversary, "run_plan", recording)
     return plans
@@ -341,8 +341,8 @@ def _searched(monkeypatch, name, n, stage_budget, watch_at=None):
         init(self, *args)
         searches.append(self)
 
-    def watched(name, n, phases, budget, starts=None, at=None):
-        return run_plan(name, n, phases, budget, starts, watch_at or at)
+    def watched(name, n, phases, budget, runs=None, at=None):
+        return run_plan(name, n, phases, budget, runs, watch_at or at)
 
     monkeypatch.setattr(adversary._Search, "__init__", keep)
     monkeypatch.setattr(adversary, "run_plan", watched)
@@ -670,6 +670,11 @@ def test_writer_blocked_when_solo_write_spins(monkeypatch):
         record_solo_write("_spinner", 3, budget=200)
 
 
+def _same_run(a, b):
+    assert events_to_jsonl(a.events) == events_to_jsonl(b.events)
+    assert a.ops == b.ops and a.accesses == b.accesses
+
+
 @pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3", "atomic-1wnr"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
@@ -678,17 +683,14 @@ def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
     # accesses that running it on a fresh engine gives, and a kept run
     # gives them again on a second copy. The D-shaped plan replays a read
     # of the marker, which verifies only where the writer signed it.
-    from byzregs.adversary import (FreshRead, ScriptPhase, WriterPhase,
+    from byzregs.adversary import (FreshRead, ScriptPhase, WriterPhase, plan_key,
                                    recorded_actions, run_plan)
     from byzregs.sim import reset_script
 
-    def same(a, b):
-        assert events_to_jsonl(a.events) == events_to_jsonl(b.events)
-        assert a.ops == b.ops and a.accesses == b.accesses
-
-    starts = {}
-    steps, _ = record_solo_write(name, n, 1000, starts)
-    assert set(starts) == {*range(len(steps) + 1), None}
+    runs = {}
+    steps, _ = record_solo_write(name, n, 1000, runs)
+    assert set(runs) == {plan_key([WriterPhase(a)])
+                         for a in [*range(len(steps) + 1), None]}
     x, p, r = 1, 2, 3
     read = run_plan(name, n, [WriterPhase(None), FreshRead(x)], 1000)
     replay = ScriptPhase(x, recorded_actions(read.events, x))
@@ -697,9 +699,89 @@ def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
         w = WriterPhase(a)
         for phases in ([w, FreshRead(r)], [w, FreshRead(x), reset, FreshRead(r)],
                        [w, replay, FreshRead(r)]):
-            kept = run_plan(name, n, phases, 1000, starts)
-            same(kept, run_plan(name, n, phases, 1000))
-            same(kept, run_plan(name, n, phases, 1000, starts))
+            kept = run_plan(name, n, phases, 1000, runs)
+            _same_run(kept, run_plan(name, n, phases, 1000))
+            _same_run(kept, run_plan(name, n, phases, 1000, runs))
+
+
+@pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3", "atomic-1wnr"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_plan_started_from_a_finished_plan_equals_a_fresh_run(name, n):
+    # A C-shaped plan goes on from B's finished run (x's read), an E-shaped
+    # one from D's (x's replay and r's read): started from a copy of the
+    # kept run, each gives the events, op records and accesses of a fresh
+    # run, again on a second copy, and leaves the kept run as it was.
+    from byzregs.adversary import (FreshRead, ScriptPhase, WriterPhase, plan_key,
+                                   recorded_actions, run_plan)
+    from byzregs.sim import reset_script
+
+    runs = {}
+    steps, _ = record_solo_write(name, n, 1000, runs)
+    x, p, r = 1, 2, 3
+    specs = build_candidate(name, n).specs
+    read = run_plan(name, n, [WriterPhase(None), FreshRead(x)], 1000)
+    replay = ScriptPhase(x, recorded_actions(read.events, x))
+    resets = {q: ScriptPhase(q, reset_script(specs, q)) for q in (x, p)}
+    for a in [*range(len(steps) + 1), None]:
+        w = WriterPhase(a)
+        for kept_phases, rest in (([w, FreshRead(x)], [resets[p], FreshRead(r)]),
+                                  ([w, replay, FreshRead(r)], [resets[x], FreshRead(p)])):
+            kept = run_plan(name, n, kept_phases, 1000, runs)
+            eng, copies = kept.copy.__self__, []
+
+            def copier(eng=eng, copies=copies):
+                copies.append(eng)
+                return eng.copy()
+
+            runs[plan_key(kept_phases)] = copier, kept.accesses
+            before = (events_to_jsonl(eng.events), dict(eng.cells),
+                      eng.state.key_items(), [op.copy() for op in eng.ops])
+            started = run_plan(name, n, kept_phases + rest, 1000, runs)
+            assert len(copies) == 1
+            _same_run(started, run_plan(name, n, kept_phases + rest, 1000))
+            _same_run(started, run_plan(name, n, kept_phases + rest, 1000, runs))
+            assert len(copies) == 2
+            assert (events_to_jsonl(eng.events), dict(eng.cells),
+                    eng.state.key_items(), eng.ops) == before
+
+
+# First runs that start from a finished plan (a kept B or D run), of all
+# first runs, the solo write's included.
+FINISHED_STARTS = {("algo3", 4): (17, 53), ("algo3", 5): (27, 78),
+                   ("atomic-1wnr", 4): (0, 9)}
+
+
+def _record_starts(monkeypatch) -> list:
+    """For every plan the adversary runs from now on, in order: its table of
+    kept runs and whether it starts from a finished plan's run."""
+    from byzregs import adversary
+
+    starts = []
+    run_plan = adversary.run_plan
+
+    def recording(name, n, phases, stage_budget, runs=None, watch_at=None):
+        key = adversary.plan_key(phases)
+        starts.append((runs, bool(runs) and any(key[:i] in runs
+                                                for i in range(2, len(key) + 1))))
+        return run_plan(name, n, phases, stage_budget, runs, watch_at)
+
+    monkeypatch.setattr(adversary, "run_plan", recording)
+    return starts
+
+
+@pytest.mark.parametrize("name,n", sorted(FINISHED_STARTS))
+def test_plans_start_from_finished_plans_of_their_own_search(monkeypatch, name, n):
+    # The atomic control's one write step is visible to every reader, so no
+    # C or E stage runs and no plan extends a kept B.
+    starts = _record_starts(monkeypatch)
+    assert isinstance(attack_search(name, n), Exhausted)
+    first = list(starts)
+    assert (sum(s for _, s in first), len(first)) == FINISHED_STARTS[name, n]
+    # The kept runs live as long as one search: a second one keeps its own.
+    starts.clear()
+    attack_search(name, n)
+    assert [s for _, s in starts] == [s for _, s in first]
+    assert not any(runs is table for runs, _ in starts for table, _ in first)
 
 
 @pytest.mark.parametrize("name", ["naive-gossip", "algo1", "algo3", "atomic-1wnr"])
@@ -709,6 +791,7 @@ def test_a_plan_counts_the_accesses_of_all_its_events(monkeypatch, name, n):
     # and adds the kept prefix's; the sum is the count over all its events.
     from byzregs import adversary
 
+    starts = _record_starts(monkeypatch)
     run_plan, counted = adversary.run_plan, []
 
     def scanned(*args):
@@ -723,6 +806,9 @@ def test_a_plan_counts_the_accesses_of_all_its_events(monkeypatch, name, n):
     # The solo write, plans started from its kept runs and writer-less ones.
     assert any(isinstance(ph, adversary.WriterPhase) and ph.crash_after is not None
                for ph in counted)
+    # And, but for the atomic control (see above), plans started from a
+    # finished plan's run.
+    assert any(s for _, s in starts) is (name != "atomic-1wnr")
 
 
 # sha256 (first 16 hex digits) of every attack_search outcome of a table

@@ -204,6 +204,29 @@ def test_replay_action_neither_write_nor_read_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,drop", [
+    ("construction", lambda doc: doc.pop("construction")),
+    ("schedule", lambda doc: doc.pop("schedule")),
+    ("op", lambda doc: doc["workload"][0].pop("op")),
+    ("cell", lambda doc: doc["faults"].update({"3": {"kind": "malicious", "script": {
+        "kind": "replay", "actions": [{"a": "w", "reg": "I3/R2_3"}]}}})),
+], ids=["construction", "schedule", "op", "cell"])
+def test_a_missing_key_exits_two_naming_it(tmp_path, capsys, key, drop):
+    with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
+        doc = json.load(fh)
+    drop(doc)
+    scenario, out = tmp_path / "s.json", tmp_path / "v.json"
+    scenario.write_text(json.dumps(doc))
+    trace = tmp_path / "t.jsonl"
+    for command in ("run", "check"):
+        trace.write_bytes(b"")
+        assert run_cli([command, "--scenario", str(scenario), "--trace",
+                        str(trace), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing key '{key}'" in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("construction", ["atomic-1wnr", "naive-gossip"])
 def test_run_and_check_attack_candidates_all_correct(tmp_path, construction):
     with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
