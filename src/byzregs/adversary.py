@@ -89,11 +89,22 @@ def build_candidate(name: str, n: int) -> Layout:
 def record_solo_write(name: str, n: int, budget: int = DEFAULT_STAGE_BUDGET,
                       runs: Optional[dict] = None):
     """Execution S: a complete solo Write of the marker, readers silent, run
-    as every plan's writer phase runs (for runs, see run_plan).
+    one access at a time. runs (see run_plan) keeps S up to each crash point,
+    the writer crashed there, and S complete, which is read back as a plan.
 
     Returns (steps, events) where steps are the writer's register access
     events s^1..s^m in order.
     """
+    runs = {} if runs is None else runs
+    eng = Engine(build_candidate(name, n))
+    op, state = eng.spawn_write(MARKER), None
+    while op.status == "pending" and op.reason is None and eng.queue:
+        state = eng.state.copy(state)
+        runs[plan_key([WriterPhase(op.steps)])] = partial(  # crash included
+            eng.copy, len(eng.events), state, [op.copy()],
+            [(op.steps + 1, WRITER)]), op.steps
+        eng.run_queue(len(eng.events) + 1, budget)
+    runs[plan_key([WriterPhase(None)])] = eng.copy, op.steps
     res = run_plan(name, n, [WriterPhase(None)], budget, runs)
     if res.ops[0].status != "completed":
         raise WriterBlocked(f"candidate {name}: solo write did not finish "
@@ -165,8 +176,8 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
     the phase is the solo write S up to there. runs maps plan keys to a
     copier of their finished run and its accesses: a plan starts from a copy
     of the run kept under its key's longest prefix and runs only the phases
-    after it. S fills an empty runs at each crash point and complete. A read
-    is watched for a lasso from watch_at steps on (see run_queue).
+    after it; only record_solo_write adds to runs. A read is watched for a
+    lasso from watch_at steps on (see run_queue).
     """
     key = plan_key(phases)
     done = len(key) if runs else 0  # phases the kept run has run
@@ -182,15 +193,7 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
     start = len(eng.events)
     for i, ph in enumerate(phases[done:], done):
         if isinstance(ph, WriterPhase) and i == 0:
-            op, state = eng.spawn_write(MARKER), None
-            if runs is not None:  # S, one access at a time
-                while op.status == "pending" and op.reason is None and eng.queue:
-                    state = eng.state.copy(state)
-                    runs[plan_key([WriterPhase(op.steps)])] = partial(  # crash included
-                        eng.copy, len(eng.events), state, [op.copy()],
-                        [(op.steps + 1, WRITER)]), op.steps
-                    eng.run_queue(len(eng.events) + 1, stage_budget)
-                runs[plan_key([WriterPhase(None)])] = eng.copy, op.steps
+            eng.spawn_write(MARKER)
         elif isinstance(ph, ScriptPhase):
             eng.spawn_script(ph.proc, ph.script)
         elif isinstance(ph, FreshRead):
@@ -454,10 +457,10 @@ def apply_transformation_chain(search: _Search,
     inv = invisible_to(prev_step, search.specs, search.readers)
     case1 = prev_step is None or state.x in inv
     # B_{k-1}: crash the writer one step earlier, replay, rerun x fresh; in
-    # case 2, x's read is replayed next.
+    # case 2, x's read is replayed next if some reader misses s^{k-1}.
     b_phases: list = [search.writer(k - 1), *state.replays]
     plan_b = search.fresh(b_phases, state.x, f"B_{k-1}(x={state.x})",
-                          record=not case1)
+                          record=not case1 and bool(inv))
     if not plan_b.marker:
         return None
 

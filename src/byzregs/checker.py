@@ -55,7 +55,7 @@ class OpRecord:
 class Verdict:
     status: str  # "pass" | "violation"
     vclass: Optional[str] = None  # Property1 | Property2 | BottomReturn |
-    #                               WaitFreedom | InternalInvariant
+    #                               WaitFreedom | InternalInvariant | Vacuous
     witnesses: list[int] = field(default_factory=list)
     explanation: str = ""
 
@@ -443,7 +443,7 @@ def run_all_checks(
 ) -> dict[str, Verdict]:
     writer_honest = is_honest(faults.get(WRITER, Correct()))
     history = extract_history(trace.ops, faults)
-    return {
+    verdicts = {
         "property1": check_property1(history, writer_honest),
         "property2": check_property2(history, writer_honest),
         "bottom_returns": check_bottom_returns(history, writer_honest),
@@ -452,3 +452,6 @@ def run_all_checks(
             trace, specs, classify, faults
         ),
     }
+    if not history:  # every check above passes on a run that invokes nothing
+        verdicts["vacuous"] = _violated("Vacuous", [], "no workload item was invoked")
+    return verdicts

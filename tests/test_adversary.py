@@ -226,6 +226,42 @@ def test_a_forced_read_that_dodges_the_marker_is_a_violation_witness(monkeypatch
     assert reads == [(1, SeqTuple(1, MARKER)), (3, SeqTuple(0, b""))]
 
 
+class _Votes(constructions.Layout):
+    """A 3-reader candidate whose read keeps the tuple it read in a dict local
+    and spins until the writer has written: the writer writes VT/W, which
+    reader 1 reads, then VT/V, which readers 2 and 3 read."""
+
+    def __init__(self, n):
+        t0 = Plain(SeqTuple(0, b""))
+        super().__init__([1, 2, 3], [RegisterSpec("VT/W", 0, frozenset([1]), t0),
+                                     RegisterSpec("VT/V", 0, frozenset([2, 3]), t0)],
+                         {"VT/W": "candidate", "VT/V": "candidate"})
+
+    def write_machine(self, state, value):
+        state.c += 1
+        yield ("w", "VT/W", Plain(SeqTuple(state.c, value)))
+        yield ("w", "VT/V", Plain(SeqTuple(state.c, value)))
+        return DONE
+
+    def read_machine(self, state, proc):
+        votes, reg = {}, "VT/W" if proc == 1 else "VT/V"
+        while True:
+            votes[reg] = (yield ("r", reg)).t
+            if votes[reg].k:
+                return votes[reg]
+
+
+def test_a_read_with_a_dict_local_is_found_blocked_by_a_lasso(monkeypatch):
+    # In C_1^3 the writer crashed before writing VT/V, so reader 3 spins on
+    # its initial tuple; its state, its dict of votes included, repeats.
+    monkeypatch.setitem(constructions.IMPLEMENTATIONS, "_votes",
+                        Implementation(_Votes, RULE_THM1, 3))
+    result = attack_search("_votes", 3)
+    assert isinstance(result, BlockedWitness)
+    assert (result.stage, result.reader) == ("C_1^3", 3)
+    assert "blocked (lasso 9..10)" in result.explanation
+
+
 def test_a_read_past_the_stage_budget_is_a_blocked_witness():
     # An algo3 read at n = 3 takes 2n + 1 = 7 register steps, so a stage
     # budget of 6 stops it when it asks for its 7th, before it responds.
@@ -300,11 +336,11 @@ def test_blocked_algo1_read_stops_at_a_lasso_the_budget_agrees_with(monkeypatch,
 
 
 def test_wait_free_reads_are_never_fingerprinted(monkeypatch):
-    from byzregs import sim
+    from byzregs import lasso
     from byzregs.adversary import FreshRead, WriterPhase, run_plan
 
     taken, made = [], []
-    take, fingerprint = sim._Lasso._take, sim._Lasso._fingerprint
+    take, fingerprint = lasso.Watch._take, lasso.Watch._fingerprint
 
     def counted_take(self, step):
         taken.append(step)
@@ -314,8 +350,8 @@ def test_wait_free_reads_are_never_fingerprinted(monkeypatch):
         made.append(p.step)
         return fingerprint(self, p)
 
-    monkeypatch.setattr(sim._Lasso, "_take", counted_take)
-    monkeypatch.setattr(sim._Lasso, "_fingerprint", counted_fingerprint)
+    monkeypatch.setattr(lasso.Watch, "_take", counted_take)
+    monkeypatch.setattr(lasso.Watch, "_fingerprint", counted_fingerprint)
     # A search watches a read only past its longest completed op: algo3's
     # first fresh read, one take per step past the solo write's n steps.
     assert isinstance(attack_search("algo3", 3), Exhausted)
@@ -407,18 +443,18 @@ def test_the_skeleton_hash_only_proposes_a_lasso(monkeypatch):
     # With every slot's share of the skeleton hash equal, the hash repeats at
     # nearly every take, and the fingerprints and the shift alone must find
     # the same lassos and witnesses.
-    from byzregs import sim
+    from byzregs import lasso
 
     expected = {n: attack_search("algo1", n) for n in sorted(LASSOS)}
     made = []
-    fingerprint = sim._Lasso._fingerprint
+    fingerprint = lasso.Watch._fingerprint
 
     def counted(self, p):
         made.append(p.step)
         return fingerprint(self, p)
 
-    monkeypatch.setattr(sim, "_slot_hash", lambda slot, part: 0)
-    monkeypatch.setattr(sim._Lasso, "_fingerprint", counted)
+    monkeypatch.setattr(lasso, "_slot_hash", lambda slot, part: 0)
+    monkeypatch.setattr(lasso.Watch, "_fingerprint", counted)
     for n in sorted(LASSOS):
         made.clear()
         result = attack_search("algo1", n)
@@ -743,6 +779,47 @@ def test_a_plan_started_from_a_finished_plan_equals_a_fresh_run(name, n):
             assert len(copies) == 2
             assert (events_to_jsonl(eng.events), dict(eng.cells),
                     eng.state.key_items(), eng.ops) == before
+
+
+@pytest.mark.parametrize("name", ["algo1", "algo3"])
+def test_a_plan_only_reads_its_table_of_kept_runs(name):
+    # A plan whose writer crashes keeps nothing in the table it starts from,
+    # empty or S's: a complete-write plan from that table then equals a
+    # fresh run, and does not start from the crashed writer's run.
+    from byzregs.adversary import FreshRead, WriterPhase, run_plan
+
+    full = [WriterPhase(None), FreshRead(2)]
+    runs = {}
+    run_plan(name, 3, [WriterPhase(2), FreshRead(1)], 1000, runs)
+    assert runs == {}
+    _same_run(run_plan(name, 3, full, 1000, runs), run_plan(name, 3, full, 1000))
+    record_solo_write(name, 3, 1000, runs)
+    kept = dict(runs)
+    run_plan(name, 3, [WriterPhase(2), FreshRead(1)], 1000, runs)
+    assert runs == kept
+    _same_run(run_plan(name, 3, full, 1000, runs), run_plan(name, 3, full, 1000))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_search_keeps_no_run_that_no_stage_extends(monkeypatch, n):
+    # The atomic control's one write step is visible to every reader, so no
+    # C stage extends its B runs: its table holds only the solo write's runs.
+    # algo3's holds the B runs its C stages start from.
+    from byzregs.adversary import _Search
+
+    tables = []
+    init = _Search.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        tables.append(self.runs)
+
+    monkeypatch.setattr(_Search, "__init__", kept)
+    attack_search("atomic-1wnr", n)
+    attack_search("algo3", n)
+    atomic, algo3 = tables
+    assert atomic and all(len(key) == 1 for key in atomic)
+    assert any(len(key) > 1 for key in algo3)
 
 
 # First runs that start from a finished plan (a kept B or D run), of all

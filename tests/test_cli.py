@@ -39,6 +39,33 @@ def test_run_all_correct_exit_zero(tmp_path):
     assert trace.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_run_that_invokes_nothing_fails(tmp_path, capsys, command):
+    # Every process crashes at step 0: no workload item is invoked, so every
+    # other check passes vacuously and the vacuous verdict fails the run.
+    with open(os.path.join(SCENARIOS, "all_correct.json")) as fh:
+        doc = json.load(fh)
+    doc["faults"] = {p: {"kind": "crash", "at_step": 0} for p in doc["faults"]}
+    sc, trace, out = tmp_path / "sc.json", tmp_path / "t.jsonl", tmp_path / "v.json"
+    sc.write_text(json.dumps(doc))
+    argv = ["--scenario", str(sc), "--trace", str(trace), "--out", str(out)]
+    if command == "check":
+        assert run_cli(["run", *argv[:4], "--out", str(tmp_path / "r.json")]) == 1
+    assert run_cli([command, *argv]) == 1
+    assert trace.read_bytes() == b""
+    verdicts = json.loads(out.read_text())
+    assert verdicts.pop("vacuous") == {"status": "violation", "class": "Vacuous",
+                                       "witnesses": [],
+                                       "explanation": "no workload item was invoked"}
+    assert all(v["status"] == "pass" for v in verdicts.values())
+    assert "vacuous: violation (no workload item was invoked)" in capsys.readouterr().out
+    # With the writer correct, its write is invoked and every check passes.
+    doc["faults"]["0"] = {"kind": "correct"}
+    sc.write_text(json.dumps(doc))
+    assert run_cli(["run", *argv]) == 0
+    assert "vacuous" not in json.loads(out.read_text())
+
+
 def test_run_output_determinism(tmp_path):
     outputs = []
     for i in range(2):

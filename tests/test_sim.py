@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from byzregs import sim
+from byzregs import lasso, sim
 from byzregs.constructions import Layout
 from byzregs.core import (
     Commit,
@@ -283,13 +283,13 @@ def test_rank_repeat_without_the_shift_falls_back_to_the_budget(monkeypatch):
     # Below the lie's k the fingerprint repeats every two steps, but the
     # counter would cross the lie: the read does complete, at c = 1,501.
     shifts = []
-    shift = sim._shift
+    shift = lasso._shift
 
     def recording(si, sj):
         shifts.append(shift(si, sj))
         return shifts[-1]
 
-    monkeypatch.setattr(sim, "_shift", recording)
+    monkeypatch.setattr(lasso, "_shift", recording)
     op = _climb(1_500, lambda c, k: c > k, 2_000)
     assert (op.status, op.reason) == ("pending", "per-op budget")
     assert len(shifts) > 100 and not any(shifts)
@@ -305,13 +305,13 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
     # layout's initial cells made anew.
     from byzregs.adversary import attack_search
 
-    take = sim._Lasso._take
+    take = lasso.Watch._take
     states = []
 
     def both(self, step):
         got = take(self, step)
-        fresh = sim._Lasso(self.eng, self.root, self.watch_from)
-        fresh.memo, fresh.hash = sim._initial.__wrapped__(self.eng.layout)
+        fresh = lasso.Watch(self.eng, self.root)
+        fresh.memo, fresh.hash = lasso._initial.__wrapped__(self.eng.layout)
         made = take(fresh, step)
         assert (got is None) == (made is None)
         if got is not None:
@@ -321,7 +321,7 @@ def test_memoized_take_equals_a_split_with_an_empty_memo(monkeypatch):
             states.append(n)
         return got
 
-    monkeypatch.setattr(sim._Lasso, "_take", both)
+    monkeypatch.setattr(lasso.Watch, "_take", both)
     for n in (3, 4, 5, 6, 7):
         attack_search("algo1", n)
     assert set(states) == {3, 4, 5, 6, 7}
@@ -343,7 +343,7 @@ def test_incremental_take_follows_every_register_write():
     eng = engine(specs)
     eng.spawn_op(1, "Read", None, spin())
     (t,) = eng.queue
-    watch = sim._Lasso(eng, t, 0)
+    watch = lasso.Watch(eng, t)
 
     def write(*cells):
         s = eng.spawn_script(2, tuple(("w", "T/R", c) for c in cells))
@@ -359,7 +359,7 @@ def test_incremental_take_follows_every_register_write():
         eng.queue.remove(t)
         before = len(eng.events)
         eng._resume(t, sim.DEFAULT_PER_OP_BUDGET)
-        fresh = sim._Lasso(eng, t, 0)
+        fresh = lasso.Watch(eng, t)
         (key, p), (fresh_key, q) = watch._take(before), fresh._take(before)
         # The hash, the fingerprint and the seqs whose ranks it holds.
         got = key, watch._fingerprint(p), p.seqs
@@ -391,7 +391,7 @@ def test_split_memo_follows_each_cell_object():
 
     def split(cells, memo):
         seqs = []
-        return sim._split(cells, seqs, memo), seqs
+        return lasso._split(cells, seqs, memo), seqs
 
     old = Plain(SeqTuple(1, Commit(SeqTuple(4, b"x"))))
     other = Plain(SeqTuple(2, b""))
@@ -411,19 +411,59 @@ def test_a_take_splits_a_list_local_like_a_tuple():
 
     seqs = []
     cell = Plain(SeqTuple(3, b"a"))
-    skel, height = sim._split([cell, 1], seqs, {})
+    skel, height = lasso._split([cell, 1], seqs, {})
     assert (skel[0], skel[2], height, seqs) == (list, 1, 1, [3 << 7])
-    assert sim._split((cell, 1), [], {})[0][1:] == skel[1:]
+    assert lasso._split((cell, 1), [], {})[0][1:] == skel[1:]
     eng = sim.Engine(constructions.layout_of("algo3", 3))
     op = eng.spawn_read(1)
     (t,) = eng.queue
-    watch = sim._Lasso(eng, t, 0)
+    watch = lasso.Watch(eng, t)
     while op.status == "pending":
         before = len(eng.events)
         eng.run_queue(before + 1, sim.DEFAULT_PER_OP_BUDGET)
-        assert watch.observe(t, before) is None
+        assert watch.observe(t, before, False) is None
     # Each of the read's 2n + 1 steps is a state of its own.
     assert op.steps == 7 and len(watch.seen) == 7
+
+
+def test_a_take_splits_a_dict_local_by_its_items_and_keeps_a_set():
+    # A dict local is split as its items in order, keys included, so the k
+    # of a SeqTuple key is a sequence number like any other; a set local is
+    # kept as a frozenset, whose numbers must repeat exactly.
+    a, b = Plain(SeqTuple(3, b"a")), Plain(SeqTuple(4, b"a"))
+    sa, sb = [], []
+    skel, height = lasso._split({a: "x", "y": 1}, sa, {})
+    assert lasso._split({b: "x", "y": 1}, sb, {}) == (skel, height)
+    assert (height, sa, sb) == (1, [3 << 7], [4 << 7])
+    assert lasso._split({"y": 1, a: "x"}, [], {})[0] != skel  # order counts
+    assert lasso._split({a: "x", "y": 2}, [], {})[0] != skel  # so do values
+    seqs = []
+    assert lasso._split({a}, seqs, {}) == (frozenset({a}), 0) and seqs == []
+    assert lasso._split({b}, [], {})[0] != frozenset({a})
+    # Nested in a frame's locals, both give a part with a hash.
+    part = lasso._part((1, {a: {2}}, [{3: b}]), {})
+    assert hash(part) == part.hash and part.seqs == [3 << 7, 4 << 7]
+
+
+def test_a_read_with_a_dict_and_a_set_local_stops_at_a_lasso():
+    # The read notes each value it reads in a dict and a set, and spins
+    # while the register holds the initial cell: the states after its second
+    # and third reads are equal.
+    specs = [RegisterSpec("T/R", 2, frozenset([1]), Plain(SeqTuple(0, b"")))]
+
+    def spin():
+        votes, ks = {}, set()
+        while True:
+            x = yield ("r", "T/R")
+            votes[x.t] = "T/R"
+            ks.add(x.t.k)
+            if x.t.k:
+                return x.t
+
+    eng = engine(specs)
+    op = eng.spawn_op(1, "Read", None, spin())
+    eng.run_queue(10**4, sim.DEFAULT_PER_OP_BUDGET, watch_at=1)
+    assert (op.status, op.reason, op.steps) == ("pending", "blocked (lasso 2..3)", 3)
 
 
 def test_an_unfair_repeat_is_not_a_lasso():
@@ -443,13 +483,13 @@ def test_an_unfair_repeat_is_not_a_lasso():
     eng.spawn_op(1, "Read", None, forking())
     eng._resume(eng.queue.popleft(), sim.DEFAULT_PER_OP_BUDGET)
     a, b = eng.queue
-    watch = sim._Lasso(eng, b, 0)
+    watch = lasso.Watch(eng, b)
 
     def step(t):
         eng.queue.remove(t)
         before = len(eng.events)
         eng._resume(t, sim.DEFAULT_PER_OP_BUDGET)
-        return watch.observe(t, before)
+        return watch.observe(t, before, False)
 
     assert [step(b) for _ in range(5)] == [None] * 5
     assert step(a) is None and step(b) is None
@@ -582,14 +622,14 @@ def test_shift_takes_one_amount_per_domain():
         return [k << 7 | h for h, k in pairs]
 
     # Domain 0 moves by 1 above its fixed 1, and domain 1 by 2: a shift.
-    assert sim._shift(seqs((0, 1), (0, 3), (1, 5)),
+    assert lasso._shift(seqs((0, 1), (0, 3), (1, 5)),
                       seqs((0, 1), (0, 4), (1, 7))) == {0: 1, 1: 2}
-    assert sim._shift(seqs((0, 3), (1, 5)), seqs((0, 3), (1, 5))) == {}
+    assert lasso._shift(seqs((0, 3), (1, 5)), seqs((0, 3), (1, 5))) == {}
     # Two numbers of domain 0 move by 1 and by 2: no shift.
-    assert sim._shift(seqs((0, 3), (0, 5)), seqs((0, 4), (0, 7))) is None
+    assert lasso._shift(seqs((0, 3), (0, 5)), seqs((0, 4), (0, 7))) is None
     # A number that moves down, or not above a fixed one, is no shift either.
-    assert sim._shift(seqs((0, 3)), seqs((0, 2))) is None
-    assert sim._shift(seqs((0, 1), (0, 3)), seqs((0, 2), (0, 3))) is None
+    assert lasso._shift(seqs((0, 3)), seqs((0, 2))) is None
+    assert lasso._shift(seqs((0, 1), (0, 3)), seqs((0, 2), (0, 3))) is None
 
 
 def test_crashed_actor_cannot_be_resumed():
@@ -1023,12 +1063,12 @@ def test_writes_are_never_watched(monkeypatch):
 
     built = []
 
-    class Counted(sim._Lasso):
+    class Counted(lasso.Watch):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(sim, "_Lasso", Counted)
+    monkeypatch.setattr(lasso, "Watch", Counted)
     sc = scenario(n=10, faults=all_correct(10),
                   workload=[sim.WorkItem(0, "write", value=b"a"),
                             sim.WorkItem(0, "write", value=b"b")])
