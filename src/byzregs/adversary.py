@@ -30,7 +30,7 @@ from . import checker
 from .core import Correct, Event, Malicious, RegisterSpec, SeqTuple
 from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_UNRESTRICTED,
                             WRITER, Layout, layout_of)
-from .sim import Engine, OpResult, reset_script
+from .sim import Engine, OpResult
 
 MARKER: bytes = b"\x01"
 
@@ -275,7 +275,7 @@ class _Search:
     """One search: its budgets, stage log, the solo write's steps, the plans
     it has run, so that each runs once, and the runs later plans extend. A
     plan's key names a script by its id, so every script is canonical: reset
-    scripts are made once per proc, recorded ones interned for its life."""
+    scripts are the layout's, recorded ones interned for the search's life."""
 
     def __init__(self, name: str, n: int, budget: int, stage_budget: int):
         self.name = name
@@ -290,7 +290,7 @@ class _Search:
         self.log: list[str] = []
         self.plans: dict[tuple, _Plan] = {}
         self.scripts: dict[tuple, tuple] = {}  # recorded script -> its first copy
-        self.resets = {p: reset_script(self.layout.specs, p) for p in self.readers}
+        self.resets = self.layout.resets
         # Execution S: its register steps s^1..s^m; its runs are the first kept.
         self.runs: dict = {}
         self.steps, _ = record_solo_write(name, n, stage_budget, self.runs)
@@ -496,7 +496,7 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
     w = b_phases[0]
     # C_{k-1}^r: after x's read, malicious p resets its registers and the
     # correct silent reader r reads; linearizability forces the marker.
-    c_phases = b_phases + [FreshRead(x), ScriptPhase(p, search.resets[p])]
+    c_phases = b_phases + [FreshRead(x), ScriptPhase(p, search.resets.get(p, ()))]
     if not search.fresh(c_phases, r, f"C_{k-1}^{r}", malicious=p).marker:
         return None
     # D_{k-1}^r: drop p's steps; x replays its recorded read.
@@ -508,7 +508,7 @@ def _try_case2(search: _Search, state: ExecState, b_phases: list,
         search.log.append(f"D_{k-1}^{r}: case 2a; x={r}, malicious role -> {x}")
         return ExecState(k - 1, (d_replay,), x=r, p_role=x)
     # E_{k-1}^r: x (malicious now) resets; the removed reader p reads.
-    e_phases = [w, d_replay, FreshRead(r), ScriptPhase(x, search.resets[x])]
+    e_phases = [w, d_replay, FreshRead(r), ScriptPhase(x, search.resets.get(x, ()))]
     if not search.fresh(e_phases, p, f"E_{k-1}^{r}", malicious=x).marker:
         return None
     # F_{k-1}^r: drop x's steps; r replays its D-read; p reads fresh.

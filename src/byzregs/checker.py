@@ -9,6 +9,10 @@ are output only; nothing here reads them.
 
 All checks constrain only processes that are not malicious; when the writer
 itself is malicious the two linearizability properties hold vacuously.
+
+What a layout fixes (``LayoutFacts``) is derived once per layout. Per run the
+invariants pass makes only the set of malicious processes and an oracle; a
+token is hashed once (core.sig_token), but only issuance decides verify.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .core import (
     Signed,
     is_honest,
 )
-from .constructions import U0, WRITER
+from .constructions import U0, WRITER, Layout
 
 
 @dataclass
@@ -287,45 +291,51 @@ def _wchan_rank(cell: CellValue) -> Optional[tuple[str, int]]:
     return None
 
 
-def _instance_writer(reg_id: str, specs: dict[str, RegisterSpec]) -> Optional[int]:
-    """The writer of the instance a register belongs to (its Rwp sibling)."""
-    prefix = reg_id.rsplit("/", 1)[0]
-    spec = specs.get(f"{prefix}/Rwp")
-    return spec.writer if spec is not None else None
+class LayoutFacts:
+    """What the invariants pass reads of a layout's specs and classes: its
+    initial cells' signatures, whether reads leave writer-channel evidence, and
+    per register its class, whether it is the writer's own channel and, for a
+    relay (gossip or unguarded announce), its instance's (Rwp sibling's) writer."""
+
+    def __init__(self, specs: dict[str, RegisterSpec], classify: dict[str, str]):
+        self.issued0 = {(s.initial.signer, s.initial.t): s.initial.token
+                        for s in specs.values() if isinstance(s.initial, Signed)}
+        self.evidence = not {"wchan", "sig"}.isdisjoint(classify.values())
+        self.regs = {}
+        for rid, cls in classify.items():
+            inst = specs.get(rid.rsplit("/", 1)[0] + "/Rwp")
+            relay = cls in ("gossip", "pchan_unguarded") and inst is not None
+            self.regs[rid] = (cls, cls == "wchan" and specs[rid].writer == WRITER,
+                              inst.writer if relay else None)
 
 
-def validate_internal_invariants(
-    trace,
-    specs: dict[str, RegisterSpec],
-    classify: dict[str, str],
-    faults: dict[int, FaultModel],
-) -> Verdict:
+_FACTS: dict[Layout, LayoutFacts] = {}  # one layout per (factory, n)
+
+
+def validate_internal_invariants(trace, facts: LayoutFacts,
+                                 faults: dict[int, FaultModel]) -> Verdict:
     """Check trace-level facts the correctness proofs rest on, restricted to
     honest processes: writer cell forms and their monotonicity, monotone
     announce/gossip tuples, signed-tuple validity, and that every honest read
     return is backed by a matching read of the writer's channel."""
-    honest = {p for p, f in faults.items() if is_honest(f)}
-
-    def is_honest_proc(p: int) -> bool:
-        return p in honest or p not in faults
-
+    regs = facts.regs
+    dishonest = {p for p, f in faults.items() if not is_honest(f)}
     last_wchan: dict[str, tuple[str, int]] = {}
     last_mono: dict[str, int] = {}
     # The construction's initial cells are genuine; any other signature is
     # the one its signer computes when it first writes the tuple.
-    oracle = SignatureOracle({(s.initial.signer, s.initial.t): s.initial.token
-                              for s in specs.values() if isinstance(s.initial, Signed)})
+    oracle = SignatureOracle(facts.issued0)
 
     for e in trace.events:
         if e.kind != "reg_write":
             continue
-        cls = classify.get(e.reg)
         cell = e.value
         if isinstance(cell, Signed) and e.proc == cell.signer and \
                 (cell.signer, cell.t) not in oracle.issued:
             oracle.sign(cell.t, cell.signer)
-        if not is_honest_proc(e.proc):
+        if e.proc in dishonest:
             continue
+        cls, strict, relay = regs.get(e.reg, (None, None, None))
         if cls == "wchan":
             # Strict prepare adjacency (next = prev + 1) is a fact about the
             # writer's own channel: its Write is never forked, so a write is
@@ -333,7 +343,6 @@ def validate_internal_invariants(
             # announce instances are written by readers whose enclosing
             # polling thread may be cancelled mid-write, which abandons a
             # counter value; only monotonicity holds there.
-            strict = specs[e.reg].writer == WRITER
             ok_form = isinstance(cell, Commit) and cell.t.k >= 1 or (
                 isinstance(cell, Prepare)
                 and (
@@ -373,10 +382,8 @@ def validate_internal_invariants(
             # two-reader announce channel carry sequence numbers taken from
             # the instance writer's cells, so a malicious instance writer can
             # legitimately make an honest process relay decreasing numbers.
-            if cls != "pchan":
-                inst_writer = _instance_writer(e.reg, specs)
-                if inst_writer is not None and not is_honest_proc(inst_writer):
-                    continue
+            if relay in dishonest:
+                continue
             prev_k = last_mono.get(e.reg)
             if prev_k is not None and cell.t.k < prev_k:
                 return _violated(
@@ -398,16 +405,18 @@ def validate_internal_invariants(
     # writer channel (possibly nested) carrying the tuple index it returned,
     # among its own register reads. Implementations without a writer channel
     # or signed tuples leave no such evidence.
-    if not {"wchan", "sig"} & set(classify.values()):
+    if not facts.evidence:
         return _passed()
+    events = trace.events
     reads = sorted((op for op in trace.ops
                     if op.kind == "Read" and op.respond_step is not None
-                    and isinstance(op.ret, SeqTuple) and is_honest_proc(op.proc)),
+                    and isinstance(op.ret, SeqTuple) and op.proc not in dishonest),
                    key=lambda op: op.respond_step)
     for op in reads:
         k = op.ret.k
         evidence = False
-        for ev in trace.events[op.invoke_step:op.respond_step]:
+        for i in range(op.invoke_step, op.respond_step):
+            ev = events[i]
             if ev.kind != "reg_read" or ev.proc != op.proc:
                 continue
             for c in _unwrap_cells(ev.value):
@@ -416,7 +425,7 @@ def validate_internal_invariants(
                 elif isinstance(c, Prepare) and k in (c.prev.k, c.next.k):
                     evidence = True
                 elif isinstance(c, Signed) and c.t.k == k and \
-                        classify.get(ev.reg) == "sig":
+                        regs.get(ev.reg, (None,))[0] == "sig":
                     evidence = True
             if evidence:
                 break
@@ -435,22 +444,18 @@ def validate_internal_invariants(
 # ---------------------------------------------------------------------------
 
 
-def run_all_checks(
-    trace,
-    faults: dict[int, FaultModel],
-    specs: dict[str, RegisterSpec],
-    classify: dict[str, str],
-) -> dict[str, Verdict]:
+def run_all_checks(trace, faults: dict[int, FaultModel],
+                   layout: Layout) -> dict[str, Verdict]:
     writer_honest = is_honest(faults.get(WRITER, Correct()))
     history = extract_history(trace.ops, faults)
+    facts = _FACTS.get(layout) or _FACTS.setdefault(
+        layout, LayoutFacts(layout.by_id, layout.classify))
     verdicts = {
         "property1": check_property1(history, writer_honest),
         "property2": check_property2(history, writer_honest),
         "bottom_returns": check_bottom_returns(history, writer_honest),
         "wait_freedom": check_wait_freedom(trace, faults),
-        "internal_invariants": validate_internal_invariants(
-            trace, specs, classify, faults
-        ),
+        "internal_invariants": validate_internal_invariants(trace, facts, faults),
     }
     if not history:  # every check above passes on a run that invokes nothing
         verdicts["vacuous"] = _violated("Vacuous", [], "no workload item was invoked")

@@ -69,22 +69,22 @@ def _junk_cell(rng: random.Random, spec):
     return Signed(t, spec.writer, "forged")
 
 
-def random_script(rng: random.Random, specs, proc: int) -> tuple:
+def random_script(rng: random.Random, layout, proc: int) -> tuple:
     """A small seeded mix of resets and lies over the registers proc owns."""
-    own = [s for s in specs if s.writer == proc]
+    own = layout.owned.get(proc)
     if not own or rng.random() < 0.15:
         return ()
     script: list = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.3:
-            script += sim.reset_script(own, proc)
+            script += layout.resets[proc]
         else:
             spec = rng.choice(own)
             script.append(("w", spec.reg_id, _junk_cell(rng, spec)))
     return tuple(script)
 
 
-def build_fault_map(pattern: str, n: int, rng: random.Random, specs):
+def build_fault_map(pattern: str, n: int, rng: random.Random, layout):
     readers = constructions.reader_ids(n)
     faults = {p: Correct() for p in [WRITER] + readers}
     if pattern == "all-correct":
@@ -93,20 +93,20 @@ def build_fault_map(pattern: str, n: int, rng: random.Random, specs):
         faults[WRITER] = Crash(rng.randint(0, 40))
     elif pattern == "one-malicious-reader":
         r = rng.choice(readers)
-        faults[r] = Malicious(random_script(rng, specs, r))
+        faults[r] = Malicious(random_script(rng, layout, r))
     elif pattern == "writer-crash+one-malicious-reader":
         faults[WRITER] = Crash(rng.randint(0, 40))
         r = rng.choice(readers)
-        faults[r] = Malicious(random_script(rng, specs, r))
+        faults[r] = Malicious(random_script(rng, layout, r))
     elif pattern == "all-readers-malicious":
         for r in readers:
-            faults[r] = Malicious(random_script(rng, specs, r))
+            faults[r] = Malicious(random_script(rng, layout, r))
     elif pattern == "malicious-writer":
-        faults[WRITER] = Malicious(random_script(rng, specs, WRITER))
+        faults[WRITER] = Malicious(random_script(rng, layout, WRITER))
     elif pattern == "majority-malicious-readers":
         count = n // 2 + 1
         for r in rng.sample(readers, count):
-            faults[r] = Malicious(random_script(rng, specs, r))
+            faults[r] = Malicious(random_script(rng, layout, r))
     else:
         raise MalformedScenario(f"unknown fault pattern {pattern!r}")
     return faults
@@ -145,8 +145,7 @@ def random_workload(rng: random.Random, n: int, faults) -> list[sim.WorkItem]:
 def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
                          step_budget: int, per_op_budget: int) -> sim.Scenario:
     rng = random.Random(seed)
-    specs = constructions.layout_of(construction, n).specs
-    faults = build_fault_map(pattern, n, rng, specs)
+    faults = build_fault_map(pattern, n, rng, constructions.layout_of(construction, n))
     workload = random_workload(rng, n, faults)
     return sim.Scenario(construction, n, faults, workload, sim.Seeded(seed),
                         step_budget=step_budget, per_op_budget=per_op_budget)
@@ -160,9 +159,7 @@ def build_sweep_scenario(construction: str, n: int, pattern: str, seed: int,
 def run_and_check(scenario: sim.Scenario):
     layout = constructions.layout_of(scenario.construction, scenario.n)
     trace = sim.run(scenario)
-    verdicts = checker.run_all_checks(trace, scenario.faults,
-                                      specs=layout.by_id, classify=layout.classify)
-    return trace, verdicts
+    return trace, checker.run_all_checks(trace, scenario.faults, layout)
 
 
 def _json_bytes(obj) -> bytes:

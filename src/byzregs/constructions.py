@@ -76,7 +76,9 @@ class Vars:
 
 class Layout:
     """What an implementation fixes for a given n: its readers, its registers
-    in declaration order and by id, their initial cells and checker classes."""
+    in declaration order and by id, their initial cells and checker classes,
+    and each writer's registers in declaration order (owned) and its reset
+    script: writes of them back to their initial cells in register-id order."""
 
     def __init__(self, readers: list[int], specs: list[RegisterSpec],
                  classify: dict[str, str]):
@@ -85,6 +87,12 @@ class Layout:
         self.by_id = specs_by_id(self.specs)
         self.initial = {rid: s.initial for rid, s in self.by_id.items()}
         self.classify = classify
+        self.owned: dict[int, list[RegisterSpec]] = {}
+        for s in self.specs:
+            self.owned.setdefault(s.writer, []).append(s)
+        self.resets = {p: tuple(("w", s.reg_id, s.initial) for s in
+                                sorted(own, key=lambda s: s.reg_id))
+                       for p, own in self.owned.items()}
 
     def new_state(self) -> Vars:
         return Vars(c=0)  # the writer's counter

@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional, Union
 
@@ -367,8 +368,9 @@ def _tuple_digest(t: SeqTuple) -> str:
     return hashlib.sha256(_tuple_text(t, {}).encode()).hexdigest()[:12]
 
 
+@lru_cache(maxsize=1024)  # one sweep-workload pass signs 490 (tuple, signer) pairs
 def sig_token(t: SeqTuple, signer: int) -> str:
-    """Deterministic token text; validity still requires oracle issuance."""
+    """Deterministic token text, memoized; validity still requires oracle issuance."""
     return f"{signer}.{t.k}.{_tuple_digest(t)}"
 
 

@@ -57,7 +57,6 @@ from .core import (
     Malicious,
     MalformedScenario,
     Payload,
-    RegisterSpec,
     decode_cell,
     decode_payload,
     encode_cell,
@@ -685,13 +684,6 @@ def run(scenario: Scenario) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def reset_script(specs: Iterable[RegisterSpec], proc: int) -> tuple:
-    """Writes of every register proc owns back to its initial value, in
-    register-id order."""
-    owned = sorted((s for s in specs if s.writer == proc), key=lambda s: s.reg_id)
-    return tuple(("w", s.reg_id, s.initial) for s in owned)
-
-
 def fault_to_json(f: FaultModel) -> dict:
     if isinstance(f, Correct):
         return {"kind": "correct"}
@@ -720,34 +712,34 @@ def _replay_access(i: int, action: dict) -> tuple:
         f"replay action {i}: \"a\" must be \"w\" or \"r\", not {action['a']!r}")
 
 
-def script_from_json(obj: dict, specs: Iterable[RegisterSpec], proc: int) -> tuple:
+def script_from_json(obj: dict, layout: constructions.Layout, proc: int) -> tuple:
     """The accesses a script document issues. Its five kinds are input forms
     of one access list: ``idle`` issues none, ``lie`` one write, ``replay``
     its actions, ``seq`` its items' accesses in turn and ``resetall`` the
-    ``reset_script`` of proc over specs."""
+    layout's reset script of proc."""
     kind = obj["kind"]
     if kind == "idle":
         return ()
     if kind == "resetall":
-        return reset_script(specs, proc)
+        return layout.resets.get(proc, ())
     if kind == "lie":
         return (("w", _reg(obj), decode_cell(obj["cell"])),)
     if kind == "replay":
         return tuple(_replay_access(i, a) for i, a in enumerate(obj["actions"]))
     if kind == "seq":
         return tuple(a for item in obj["items"]
-                     for a in script_from_json(item, specs, proc))
+                     for a in script_from_json(item, layout, proc))
     raise ValueError(f"unknown script kind {kind!r}")
 
 
-def fault_from_json(obj: dict, specs: Iterable[RegisterSpec], proc: int) -> FaultModel:
+def fault_from_json(obj: dict, layout: constructions.Layout, proc: int) -> FaultModel:
     kind = obj["kind"]
     if kind == "correct":
         return Correct()
     if kind == "crash":
         return Crash(obj["at_step"])
     if kind == "malicious":
-        return Malicious(script_from_json(obj["script"], specs, proc))
+        return Malicious(script_from_json(obj["script"], layout, proc))
     raise MalformedScenario(f"unknown fault kind {kind!r}")
 
 
@@ -786,6 +778,7 @@ def _proc_key(key: str) -> int:
 
 
 def scenario_from_json(obj: dict) -> Scenario:
+    """The scenario obj describes, as written; ``run`` validates it."""
     try:
         sched = obj["schedule"]
         if sched["kind"] == "seeded":
@@ -795,11 +788,11 @@ def scenario_from_json(obj: dict) -> Scenario:
         else:
             raise MalformedScenario(f"unknown schedule kind {sched['kind']!r}")
         # A resetall script writes the registers its process owns at this n.
-        specs = constructions.layout_of(obj["construction"], obj["n"]).specs
+        layout = constructions.layout_of(obj["construction"], obj["n"])
         scenario = Scenario(
             construction=obj["construction"],
             n=obj["n"],
-            faults={_proc_key(p): fault_from_json(f, specs, int(p))
+            faults={_proc_key(p): fault_from_json(f, layout, int(p))
                     for p, f in obj.get("faults", {}).items()},
             workload=[WorkItem(w["proc"], w["op"],
                                decode_payload(w["value"]) if "value" in w else None,
@@ -813,7 +806,6 @@ def scenario_from_json(obj: dict) -> Scenario:
         raise MalformedScenario(f"bad scenario document: missing key {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedScenario(f"bad scenario document: {exc}") from exc
-    validate_scenario(scenario)
     return scenario
 
 

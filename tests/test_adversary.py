@@ -124,7 +124,7 @@ def test_resetall_touches_only_own_registers_in_id_order():
     layout = build_candidate("naive-gossip", 3)
     eng = Engine(layout)
     eng.cells["NG/G2"] = Plain(SeqTuple(3, b"x"))
-    eng.spawn_script(2, script_from_json({"kind": "resetall"}, layout.specs, 2))
+    eng.spawn_script(2, script_from_json({"kind": "resetall"}, layout, 2))
     eng.run_queue(step_budget=100, per_op_budget=1)
     writes = [e.reg for e in eng.events if e.kind == "reg_write"]
     assert writes == ["NG/G2"]
@@ -136,8 +136,7 @@ def test_script_json_roundtrip():
     # writes proc 3's registers in id order, not in declaration order
     # (which puts I3/RwQ before I3/RpQ).
     layout = build_candidate("algo1", 3)
-    specs = layout.specs
-    reset = script_from_json({"kind": "resetall"}, specs, 3)
+    reset = script_from_json({"kind": "resetall"}, layout, 3)
     assert reset == tuple(("w", r, layout.by_id[r].initial) for r in [
         "I3/R3_2", "I3/R3_3", "I3/RpQ/I2/R3_3", "I3/RwQ/I2/R3_3"])
     lie = {"kind": "lie", "reg": "I3/R3_2",
@@ -146,7 +145,7 @@ def test_script_json_roundtrip():
         {"a": "w", "reg": "I3/R3_3", "cell": encode_cell(Plain(SeqTuple(1, b"a")))},
         {"a": "r", "reg": "I3/R2_3"},
     ]}
-    parsed = [script_from_json(doc, specs, 3) for doc in
+    parsed = [script_from_json(doc, layout, 3) for doc in
               ({"kind": "idle"}, lie, replay)]
     assert parsed == [
         (),
@@ -155,7 +154,7 @@ def test_script_json_roundtrip():
     ]
     seq = {"kind": "seq", "items": [{"kind": "resetall"}, lie, replay,
                                     {"kind": "idle"}, {"kind": "resetall"}]}
-    assert script_from_json(seq, specs, 3) == reset + sum(parsed, ()) + reset
+    assert script_from_json(seq, layout, 3) == reset + sum(parsed, ()) + reset
 
 
 def test_attack_search_requires_three_readers():
@@ -721,7 +720,6 @@ def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
     # of the marker, which verifies only where the writer signed it.
     from byzregs.adversary import (FreshRead, ScriptPhase, WriterPhase, plan_key,
                                    recorded_actions, run_plan)
-    from byzregs.sim import reset_script
 
     runs = {}
     steps, _ = record_solo_write(name, n, 1000, runs)
@@ -730,7 +728,7 @@ def test_a_plan_started_from_a_kept_run_equals_a_fresh_run(name, n):
     x, p, r = 1, 2, 3
     read = run_plan(name, n, [WriterPhase(None), FreshRead(x)], 1000)
     replay = ScriptPhase(x, recorded_actions(read.events, x))
-    reset = ScriptPhase(p, reset_script(build_candidate(name, n).specs, p))
+    reset = ScriptPhase(p, build_candidate(name, n).resets.get(p, ()))
     for a in [*range(len(steps) + 1), None]:
         w = WriterPhase(a)
         for phases in ([w, FreshRead(r)], [w, FreshRead(x), reset, FreshRead(r)],
@@ -749,15 +747,14 @@ def test_a_plan_started_from_a_finished_plan_equals_a_fresh_run(name, n):
     # run, again on a second copy, and leaves the kept run as it was.
     from byzregs.adversary import (FreshRead, ScriptPhase, WriterPhase, plan_key,
                                    recorded_actions, run_plan)
-    from byzregs.sim import reset_script
 
     runs = {}
     steps, _ = record_solo_write(name, n, 1000, runs)
     x, p, r = 1, 2, 3
-    specs = build_candidate(name, n).specs
+    resets = build_candidate(name, n).resets
     read = run_plan(name, n, [WriterPhase(None), FreshRead(x)], 1000)
     replay = ScriptPhase(x, recorded_actions(read.events, x))
-    resets = {q: ScriptPhase(q, reset_script(specs, q)) for q in (x, p)}
+    resets = {q: ScriptPhase(q, resets.get(q, ())) for q in (x, p)}
     for a in [*range(len(steps) + 1), None]:
         w = WriterPhase(a)
         for kept_phases, rest in (([w, FreshRead(x)], [resets[p], FreshRead(r)]),

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from byzregs import checker, sim
 from byzregs.checker import (
+    LayoutFacts,
     OpRecord,
     check_bottom_returns,
     check_property1,
@@ -11,13 +12,14 @@ from byzregs.checker import (
     extract_history,
     validate_internal_invariants,
 )
-from byzregs.constructions import layout_of
+from byzregs.constructions import IMPLEMENTATIONS, layout_of
 from byzregs.core import (
     Commit,
     Correct,
     Crash,
     Event,
     Malicious,
+    MalformedScenario,
     Plain,
     Prepare,
     SeqTuple,
@@ -164,7 +166,8 @@ def test_internal_invariants_pass_on_real_trace():
                       sim.Seeded(5))
     tr = sim.run(sc)
     specs, classify = _algo1_ctx()
-    assert validate_internal_invariants(tr, specs, classify, sc.faults).ok
+    facts = LayoutFacts(specs, classify)
+    assert validate_internal_invariants(tr, facts, sc.faults).ok
 
 
 def test_internal_invariants_commit_order_inversion():
@@ -173,8 +176,8 @@ def test_internal_invariants_commit_order_inversion():
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     classify, {0: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, classify), {0: Correct()})
     assert not v.ok and v.witnesses == [1]
 
 
@@ -193,8 +196,8 @@ def test_internal_invariants_writer_channel_rank(prev_tag, next_tag, dk):
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell(prev_tag, 2)),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=cell(next_tag, 2 + dk)),
     ]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     classify, {0: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, classify), {0: Correct()})
     assert v.ok == (dk == 1 or (prev_tag, next_tag) == ("prepare", "commit"))
     if not v.ok:
         assert v.witnesses == [1]
@@ -206,8 +209,8 @@ def test_internal_invariants_writer_channel_rank(prev_tag, next_tag, dk):
 def test_internal_invariants_malformed_writer_cell(cell):
     specs, classify = _algo1_ctx()
     events = [Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=cell)]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     classify, {0: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, classify), {0: Correct()})
     assert not v.ok and v.witnesses == [0] and "malformed" in v.explanation
 
 
@@ -216,8 +219,8 @@ def test_internal_invariants_non_tuple_in_gossip_register():
     assert classify["I3/R2_3"] == "gossip"
     events = [Event(0, 2, 0, "reg_write", reg="I3/R2_3",
                     value=Commit(SeqTuple(1, b"a")))]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     classify, {2: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, classify), {2: Correct()})
     assert not v.ok and v.witnesses == [0] and "non-tuple" in v.explanation
 
 
@@ -227,8 +230,8 @@ def test_internal_invariants_announce_monotonicity_break():
         Event(0, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(2, b"b"))),
         Event(1, 1, 0, "reg_write", reg="I2/RpQ", value=Plain(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     classify, {1: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, classify), {1: Correct()})
     assert not v.ok and v.witnesses == [1]
 
 
@@ -239,8 +242,8 @@ def test_internal_invariants_invalid_signature_acceptance():
     events = [
         Event(0, 1, 0, "reg_write", reg="Is/R1_2", value=fake),
     ]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     inst.classify, {1: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, inst.classify), {1: Correct()})
     assert not v.ok and "signed" in v.explanation
 
 
@@ -250,8 +253,8 @@ def test_internal_invariants_skip_malicious_events():
         Event(0, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(2, b"b"))),
         Event(1, 0, 0, "reg_write", reg="I3/Rwp", value=Commit(SeqTuple(1, b"a"))),
     ]
-    v = validate_internal_invariants(sim.Trace(events, []), specs,
-                                     classify, {0: Malicious(())})
+    v = validate_internal_invariants(sim.Trace(events, []),
+                                     LayoutFacts(specs, classify), {0: Malicious(())})
     assert v.ok
 
 
@@ -265,9 +268,65 @@ def test_read_return_needs_writer_channel_evidence():
     ]
     read = sim.OpResult(0, 2, "Read", None, invoke_step=0, respond_step=2,
                         ret=SeqTuple(4, b"x"), status="completed")
-    v = validate_internal_invariants(sim.Trace(events, [read]), specs,
-                                     classify, {2: Correct()})
+    v = validate_internal_invariants(sim.Trace(events, [read]),
+                                     LayoutFacts(specs, classify), {2: Correct()})
     assert not v.ok and "without observing" in v.explanation
+
+
+def _sweep_runs(name, n, seeds):
+    """Seeded sweep runs of name at n under every fault pattern, checked."""
+    from byzregs import cli
+
+    for pattern in cli.CANONICAL_PATTERNS + cli.EXTRA_PATTERNS:
+        for seed in seeds:
+            sc = cli.build_sweep_scenario(name, n, pattern, seed,
+                                          sim.DEFAULT_STEP_BUDGET, 1500)
+            yield (sc, *cli.run_and_check(sc))
+
+
+@pytest.mark.parametrize("name", sorted(IMPLEMENTATIONS))
+def test_cached_layout_facts_give_the_verdicts_of_fresh_facts(name):
+    # run_all_checks reads the facts cached for the layout; the invariants
+    # pass over facts derived afresh from copies of its specs and classes
+    # gives the same verdict on every run, and the facts are equal.
+    ns = [n for n in range(2, 7) if n <= IMPLEMENTATIONS[name].max_n]
+    for n in ns:
+        try:
+            layout = layout_of(name, n)
+        except MalformedScenario:
+            continue  # the factory demands a larger n
+        for sc, trace, verdicts in _sweep_runs(name, n, range(4)):
+            fresh = validate_internal_invariants(
+                trace, LayoutFacts(dict(layout.by_id), dict(layout.classify)),
+                sc.faults)
+            assert verdicts["internal_invariants"] == fresh, (n, sc.schedule)
+        cached = checker._FACTS[layout]
+        assert vars(cached) == vars(LayoutFacts(dict(layout.by_id),
+                                                dict(layout.classify)))
+
+
+def test_memoized_signature_tokens_equal_fresh_tokens(monkeypatch):
+    # The token memo is not issuance: every token the engine's and the
+    # checker's oracles are handed over seeded algo3 sweep runs, forged
+    # tuples of a malicious writer included, is the fresh digest of its
+    # (tuple, signer).
+    from byzregs import core
+
+    memo, handed = core.sig_token, []
+
+    def recording(t, signer):
+        handed.append((t, signer, memo(t, signer)))
+        return handed[-1][2]
+
+    monkeypatch.setattr(core, "sig_token", recording)
+    memo.cache_clear()
+    for n in (3, 5):
+        for _ in _sweep_runs("algo3", n, range(20)):
+            pass
+    assert memo.cache_info().hits > 0
+    assert len({(t, signer) for t, signer, _ in handed}) > 50
+    for t, signer, token in handed:
+        assert token == memo.__wrapped__(t, signer)
 
 
 # -- brute-force oracle -------------------------------------------------------

@@ -1132,13 +1132,23 @@ def test_crash_at_its_own_invoke_marks_the_op_crashed_owner():
 
 
 class _ScanAdmission:
-    """Reference admission: every step scans the whole workload in order."""
+    """Reference admission: every step scans the whole workload in order.
+    Its gate, the least after_step past the event count at the last scan,
+    tells run_queue whether a gate lies ahead of a lasso take."""
 
     def __init__(self, workload, eng):
         self.workload, self.eng = workload, eng
         self.op_for_item = {}
+        self._set_gate()
+
+    def _set_gate(self):
+        count = len(self.eng.events)
+        self.gate = min((item.after_step for item in self.workload
+                         if item.after_step is not None and item.after_step > count),
+                        default=float("inf"))
 
     def admit(self, quiescent):
+        self._set_gate()
         eng, did = self.eng, False
         for i, item in enumerate(self.workload):
             if i in self.op_for_item:
@@ -1178,14 +1188,14 @@ def _random_gated_scenario(seed):
     rng = random.Random(seed)
     construction = rng.choice(["algo1", "algo2", "algo3"])
     n = 2 if construction == "algo2" else rng.randint(2, 4)
-    specs = constructions.layout_of(construction, n).specs
+    layout = constructions.layout_of(construction, n)
     faults = all_correct(n)
     for p in range(n + 1):
         roll = rng.random()
         if roll < 0.2:
             faults[p] = Crash(rng.randint(0, 120))
         elif roll < 0.3 and p != 0:
-            faults[p] = Malicious(cli.random_script(rng, specs, p))
+            faults[p] = Malicious(cli.random_script(rng, layout, p))
     readers = [p for p in range(1, n + 1) if not isinstance(faults[p], Malicious)]
     workload = []
     for i in range(rng.randint(1, 25)):
@@ -1218,6 +1228,35 @@ def test_admission_matches_full_workload_scan(monkeypatch):
     monkeypatch.setattr(sim, "_Admission", _ScanAdmission)
     for seed, (sc, got) in enumerate(zip(scenarios, fast)):
         assert got == outcome(sc), f"scenario seed {seed}"
+
+
+@pytest.mark.parametrize("gate", [60, 200])
+@pytest.mark.parametrize("build", [_blocking_boundary, _sweep_1803])
+def test_admission_matches_full_workload_scan_where_a_gate_holds_a_lasso(
+        monkeypatch, build, gate):
+    # Watched from its 20th step, the blocked read's cycle repeats before
+    # event 60. Proc 1's read gated at gate holds every lasso take back, so
+    # the read stops at a lasso just past the gate, under either admission.
+    monkeypatch.setattr(sim, "LASSO_THRESHOLD", 20)
+
+    def outcome(sc):
+        tr = sim.run(sc)
+        return events_to_jsonl(tr.events), [
+            (op.index, op.status, op.reason, op.steps, op.invoke_step)
+            for op in tr.ops
+        ]
+
+    def lasso_end(ops):
+        [reason] = [r for _, _, r, _, _ in ops if r and r.startswith("blocked (lasso ")]
+        return int(reason.rstrip(")").split("..")[1])
+
+    assert lasso_end(outcome(build())[1]) < gate
+    sc = build()
+    sc.workload.append(sim.WorkItem(1, "read", after_step=gate))
+    got = outcome(sc)
+    assert gate < lasso_end(got[1]) < gate + 30
+    monkeypatch.setattr(sim, "_Admission", _ScanAdmission)
+    assert outcome(sc) == got
 
 
 def test_op_records_tell_the_history_the_events_tell():
