@@ -20,6 +20,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 
 from . import adversary, checker, constructions, sim
 from .constructions import WRITER
@@ -346,6 +347,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="byzregs",

@@ -18,7 +18,7 @@ register three levels deep holds tuples of cells of tuples of cells.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, NamedTuple, Optional, Union
+from typing import Callable, Generator, NamedTuple, Optional
 
 from .core import (
     BOTTOM,
@@ -184,8 +184,8 @@ class Algo1Level:
             q = self.q_list[0]
             add(f"{path}/RwQ", writer, [q], Commit(t0), "wchan")
             add(f"{path}/RpQ", self.p, [q], Plain(t0), "pchan")
-            self.rwq: Union[_AtomicHandle, Algo1Level] = _AtomicHandle(f"{path}/RwQ")
-            self.rpq: Union[_AtomicHandle, Algo1Level] = _AtomicHandle(f"{path}/RpQ")
+            self.rwq: _AtomicHandle | Algo1Level = _AtomicHandle(f"{path}/RwQ")
+            self.rpq: _AtomicHandle | Algo1Level = _AtomicHandle(f"{path}/RpQ")
         else:
             m = len(readers) - 1
             self.rwq = Algo1Level(f"{path}/RwQ/I{m}", writer, self.q_list,

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 
 class AccessViolation(Exception):
@@ -32,11 +32,6 @@ class MalformedScenario(Exception):
 # ---------------------------------------------------------------------------
 # Register cell values
 # ---------------------------------------------------------------------------
-
-# A payload is either raw bytes (top-level register values) or a nested cell
-# (what an outer construction stores inside an inner register instance).
-Payload = Union[bytes, "CellValue"]
-
 
 @dataclass(frozen=True)
 class SeqTuple:
@@ -83,7 +78,13 @@ class Garbage:
     data: bytes
 
 
-CellValue = Union[Commit, Prepare, Plain, Signed, Bottom, Garbage]
+# `|` unions, here and below: typing.Union caches its arguments process-wide,
+# which would keep every freshly imported copy of byzregs alive.
+CellValue = Commit | Prepare | Plain | Signed | Bottom | Garbage
+
+# A payload is either raw bytes (top-level register values) or a nested cell
+# (what an outer construction stores inside an inner register instance).
+Payload = bytes | CellValue
 
 BOTTOM = Bottom()
 
@@ -323,7 +324,7 @@ class Malicious:
     script: tuple  # the register accesses it issues: ("w", reg, cell) | ("r", reg)
 
 
-FaultModel = Union[Correct, Crash, Malicious]
+FaultModel = Correct | Crash | Malicious  # a `|` union: see CellValue
 
 
 def is_honest(fault: FaultModel) -> bool:

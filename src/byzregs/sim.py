@@ -43,7 +43,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional, Union
+from typing import Generator, Iterable, Optional
 
 from . import constructions, lasso
 from .constructions import WRITER, reader_ids
@@ -84,7 +84,9 @@ class Scripted:
     picks: tuple[tuple[int, int], ...]
 
 
-Schedule = Union[Seeded, Scripted]
+# A `|` union: typing.Union caches its arguments, which would keep every
+# freshly imported copy of byzregs alive.
+Schedule = Seeded | Scripted
 
 
 @dataclass

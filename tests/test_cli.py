@@ -366,6 +366,20 @@ def test_check_verdicts_are_the_runs(tmp_path, name):
     assert checked.read_bytes() == ran.read_bytes()
 
 
+def test_one_parser_serves_run_and_check_in_a_process(tmp_path):
+    # main builds its parser once; a failed parse between two calls leaves
+    # nothing in it for the next.
+    scenario = os.path.join(SCENARIOS, "all_correct.json")
+    trace, ran, checked = (tmp_path / f for f in ("t.jsonl", "v.json", "c.json"))
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(["run", "--scenario", scenario, "--trace", str(trace),
+                    "--out", str(ran)]) == 0
+    assert run_cli(["check", "--scenario", scenario]) == 2
+    assert run_cli(["check", "--scenario", scenario, "--trace", str(trace),
+                    "--out", str(checked)]) == 0
+    assert checked.read_bytes() == ran.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_scenario_that_is_not_utf8_exits_two(tmp_path, command):
     scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"

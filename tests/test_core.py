@@ -1,15 +1,24 @@
 import json
+import subprocess
+import sys
+import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import byzregs
+from byzregs import core, sim
 from byzregs.constructions import Layout
 from byzregs.core import (
     BOTTOM,
     AccessViolation,
     Bottom,
     Commit,
+    Correct,
+    Crash,
     Garbage,
+    Malicious,
     Plain,
     Prepare,
     RegisterSpec,
@@ -206,3 +215,57 @@ def test_deeply_nested_trace_line_is_a_bad_event():
     nested = b'{"step":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     with pytest.raises(ValueError, match=r"^trace line 2: bad event"):
         events_from_jsonl(events_to_jsonl([Event(0, 1, 0, "invoke", op="Read")]) + nested)
+
+
+T = SeqTuple(1, b"a")
+CELLS = (Commit(T), Prepare(T, T), Plain(T), Signed(T, 0, "t"), BOTTOM, Garbage(b"g"))
+
+
+@pytest.mark.parametrize("alias, members", [
+    (byzregs.CellValue, CELLS),
+    (core.Payload, (b"raw", *CELLS)),
+    (core.FaultModel, (Correct(), Crash(3), Malicious(()))),
+    (sim.Schedule, (sim.Seeded(0), sim.Scripted(()))),
+], ids=["CellValue", "Payload", "FaultModel", "Schedule"])
+def test_exported_unions_name_their_members(alias, members):
+    assert typing.get_args(alias) == tuple(type(m) for m in members)
+    assert all(isinstance(m, alias) for m in members)
+
+
+# Imports byzregs afresh as perfbench/run.py does, the first import and four
+# more, each running a one-run sweep; prints whether the first import's layout
+# is freed and the byzregs functions alive after the first import and at the end.
+_REIMPORTS = """
+import gc, importlib, sys, types, weakref
+
+def fresh(out):
+    for name in [k for k in sys.modules if k == "byzregs" or k.startswith("byzregs.")]:
+        del sys.modules[name]
+    cli = importlib.import_module("byzregs.cli")
+    assert cli.main(["sweep", "--construction", "algo3", "--n", "3", "--runs", "1",
+                     "--out", out]) == 0
+    return sys.modules["byzregs.constructions"]
+
+def functions():
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, types.FunctionType)
+               and (o.__module__ or "").startswith("byzregs"))
+
+layout = weakref.ref(fresh(sys.argv[1]).layout_of("algo1", 5))
+first = functions()
+for _ in range(4):
+    fresh(sys.argv[1])
+last = functions()
+print(layout() is None, first, last)
+"""
+
+
+def test_a_dropped_import_is_freed(tmp_path):
+    # A fresh process, so this session's own byzregs modules are not touched.
+    src = str(Path(byzregs.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _REIMPORTS, str(tmp_path / "s.json")],
+                          capture_output=True, text=True, cwd=tmp_path, check=True,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    freed, first, last = done.stdout.split()[-3:]
+    assert freed == "True"
+    assert int(last) == int(first) > 0
