@@ -22,12 +22,12 @@ the stage that finds it, and ``attack_search`` returns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 from . import checker
-from .core import Correct, Event, Malicious, RegisterSpec, SeqTuple
+from .core import (Correct, Event, Frozen, Malicious, Record, RegisterSpec,
+                   SeqTuple, _set)
 from .constructions import (IMPLEMENTATIONS, RULE_THM1, RULE_UNRESTRICTED,
                             WRITER, Layout, layout_of)
 from .sim import Engine, OpResult
@@ -127,28 +127,38 @@ def invisible_to(step: Optional[Event], specs: dict[str, RegisterSpec],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WriterPhase:
-    crash_after: Optional[int]  # register accesses before the crash; None: no crash
+class WriterPhase(Frozen):
+    __slots__ = ("crash_after",)
+
+    def __init__(self, crash_after: Optional[int]):
+        # register accesses before the crash; None: no crash
+        _set(self, "crash_after", crash_after)
 
 
-@dataclass(frozen=True)
-class ScriptPhase:
-    proc: int
-    script: tuple  # its register accesses
+class ScriptPhase(Frozen):
+    __slots__ = ("proc", "script")
+
+    def __init__(self, proc: int, script: tuple):
+        _set(self, "proc", proc)
+        _set(self, "script", script)  # its register accesses
 
 
-@dataclass(frozen=True)
-class FreshRead:
-    proc: int
+class FreshRead(Frozen):
+    __slots__ = ("proc",)
+
+    def __init__(self, proc: int):
+        _set(self, "proc", proc)
 
 
-@dataclass
-class PlanResult:
-    events: list[Event]
-    ops: list[OpResult]  # the engine's op records, in spawn order
-    accesses: int
-    copy: Callable[[], Engine]  # a copier of the finished run
+class PlanResult(Record):
+    __slots__ = ("events", "ops", "accesses", "copy")
+
+    def __init__(self, events: list[Event], ops: list[OpResult], accesses: int,
+                 copy: Callable[[], Engine]):
+        self.events = events
+        self.ops = ops  # the engine's op records, in spawn order
+        self.accesses = accesses
+        self.copy = copy  # a copier of the finished run
 
 
 def plan_key(phases: list) -> tuple:
@@ -212,25 +222,29 @@ def run_plan(name: str, n: int, phases: list, stage_budget: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExecState:
+class ExecState(Record):
     """An execution with property P_k, in phase form: the writer crashed
     after k of its m register steps (not at all if k > m), then the replays,
     and every reader but x and p_role silent."""
 
-    k: int
-    replays: tuple[ScriptPhase, ...]  # p_role's recorded read, if any
-    x: int  # the correct reader that read the marker
-    p_role: int  # the unconstrained (possibly malicious) reader
+    __slots__ = ("k", "replays", "x", "p_role")
+
+    def __init__(self, k: int, replays: tuple[ScriptPhase, ...], x: int, p_role: int):
+        self.k = k
+        self.replays = replays  # p_role's recorded read, if any
+        self.x = x  # the correct reader that read the marker
+        self.p_role = p_role  # the unconstrained (possibly malicious) reader
 
 
-@dataclass(eq=False)
 class _Plan:
     """A plan as its search keeps it; never its phases or events."""
 
-    accesses: int
-    read: OpResult  # the fresh read's record
-    actions: Optional[tuple] = None  # the fresh reader's, if its stage keeps them
+    __slots__ = ("accesses", "read", "actions")
+
+    def __init__(self, accesses: int, read: OpResult, actions: Optional[tuple] = None):
+        self.accesses = accesses
+        self.read = read  # the fresh read's record
+        self.actions = actions  # the fresh reader's, if its stage keeps them
 
     @property
     def marker(self) -> bool:
@@ -238,32 +252,44 @@ class _Plan:
 
 
 class SearchEnd(Exception):
-    """Raised to end the search; attack_search returns it. Subclasses keep
-    identity equality (eq=False), so they stay hashable like any exception."""
+    """Raised to end the search; attack_search returns it. Its subclasses
+    keep their fields in __slots__ and the identity equality of exceptions,
+    so they stay hashable like any exception; they show as records do."""
+
+    __slots__ = ()
+    __repr__ = Record.__repr__
 
 
-@dataclass(eq=False)
 class ViolationWitness(SearchEnd):
-    stage: str
-    events: list[Event]
-    vclass: str
-    explanation: str
-    stage_log: list[str]
+    __slots__ = ("stage", "events", "vclass", "explanation", "stage_log")
+
+    def __init__(self, stage: str, events: list[Event], vclass: str, explanation: str,
+                 stage_log: list[str]):
+        self.stage = stage
+        self.events = events
+        self.vclass = vclass
+        self.explanation = explanation
+        self.stage_log = stage_log
 
 
-@dataclass(eq=False)
 class BlockedWitness(SearchEnd):
-    stage: str
-    events: list[Event]
-    reader: int
-    explanation: str
-    stage_log: list[str]
+    __slots__ = ("stage", "events", "reader", "explanation", "stage_log")
+
+    def __init__(self, stage: str, events: list[Event], reader: int, explanation: str,
+                 stage_log: list[str]):
+        self.stage = stage
+        self.events = events
+        self.reader = reader
+        self.explanation = explanation
+        self.stage_log = stage_log
 
 
-@dataclass(eq=False)
 class Exhausted(SearchEnd):
-    reason: str
-    stage_log: list[str]
+    __slots__ = ("reason", "stage_log")
+
+    def __init__(self, reason: str, stage_log: list[str]):
+        self.reason = reason
+        self.stage_log = stage_log
 
 
 # A `|` union: typing.Union caches its arguments, which would keep every

@@ -18,7 +18,6 @@ token is hashed once (core.sig_token), but only issuance decides verify.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -31,6 +30,7 @@ from .core import (
     Garbage,
     Plain,
     Prepare,
+    Record,
     RegisterSpec,
     SeqTuple,
     SignatureOracle,
@@ -40,28 +40,36 @@ from .core import (
 from .constructions import U0, WRITER, Layout
 
 
-@dataclass
-class OpRecord:
-    proc: int
-    kind: str  # "Write" | "Read"
-    index: Optional[int]  # k of the write, or of the value a read returned
-    value: object = None
-    bottom: bool = False
-    invoke_step: int = 0
-    respond_step: Optional[int] = None
-    honest: bool = True
+class OpRecord(Record):
+    __slots__ = ("proc", "kind", "index", "value", "bottom", "invoke_step", "respond_step",
+                 "honest")
+
+    def __init__(self, proc: int, kind: str, index: Optional[int], value: object = None,
+                 bottom: bool = False, invoke_step: int = 0,
+                 respond_step: Optional[int] = None, honest: bool = True):
+        self.proc = proc
+        self.kind = kind  # "Write" | "Read"
+        self.index = index  # k of the write, or of the value a read returned
+        self.value = value
+        self.bottom = bottom
+        self.invoke_step = invoke_step
+        self.respond_step = respond_step
+        self.honest = honest
 
     def completed(self) -> bool:
         return self.respond_step is not None
 
 
-@dataclass
-class Verdict:
-    status: str  # "pass" | "violation"
-    vclass: Optional[str] = None  # Property1 | Property2 | BottomReturn |
-    #                               WaitFreedom | InternalInvariant | Vacuous
-    witnesses: list[int] = field(default_factory=list)
-    explanation: str = ""
+class Verdict(Record):
+    __slots__ = ("status", "vclass", "witnesses", "explanation")
+
+    def __init__(self, status: str, vclass: Optional[str] = None,
+                 witnesses: Optional[list[int]] = None, explanation: str = ""):
+        self.status = status  # "pass" | "violation"
+        self.vclass = vclass  # Property1 | Property2 | BottomReturn |
+        #                       WaitFreedom | InternalInvariant | Vacuous
+        self.witnesses = [] if witnesses is None else witnesses  # each its own list
+        self.explanation = explanation
 
     @property
     def ok(self) -> bool:

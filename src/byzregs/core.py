@@ -11,7 +11,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
@@ -30,52 +29,121 @@ class MalformedScenario(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """A record of the fields its class names in __slots__, in order, each
+    set by the class's __init__. It equals only a record of its own class
+    whose fields are equal, shows as Name(field=value, ...) and, since it
+    may change, has no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_set = object.__setattr__  # how a frozen record's __init__ sets its fields
+
+
+class Frozen(Record):
+    """A record that never changes once its __init__ has set its fields
+    with _set; it hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle by __init__, not by setting fields
+        return self.__class__, self._fields()
+
+
+# ---------------------------------------------------------------------------
 # Register cell values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeqTuple:
+
+class SeqTuple(Frozen):
     """A sequence-numbered value: the k-th write carries exactly (k, u_k)."""
 
-    k: int
-    u: Payload
+    __slots__ = ("k", "u")
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(self, k: int, u: Payload):
+        if k < 0:
             raise ValueError("sequence number must be non-negative")
+        _set(self, "k", k)
+        _set(self, "u", u)
+
+    # Hashed and compared on every signature and issuance lookup: as Frozen's,
+    # without the walk over __slots__.
+    def __eq__(self, other):
+        if other.__class__ is SeqTuple:
+            return (self.k, self.u) == (other.k, other.u)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.u))
 
 
-@dataclass(frozen=True)
-class Commit:
-    t: SeqTuple
+class Commit(Frozen):
+    __slots__ = ("t",)
+
+    def __init__(self, t: SeqTuple):
+        _set(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Prepare:
-    prev: SeqTuple
-    next: SeqTuple
+class Prepare(Frozen):
+    __slots__ = ("prev", "next")
+
+    def __init__(self, prev: SeqTuple, next: SeqTuple):
+        _set(self, "prev", prev)
+        _set(self, "next", next)
 
 
-@dataclass(frozen=True)
-class Plain:
-    t: SeqTuple
+class Plain(Frozen):
+    __slots__ = ("t",)
+
+    def __init__(self, t: SeqTuple):
+        _set(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Signed:
-    t: SeqTuple
-    signer: int
-    token: str
+class Signed(Frozen):
+    __slots__ = ("t", "signer", "token")
+
+    def __init__(self, t: SeqTuple, signer: int, token: str):
+        _set(self, "t", t)
+        _set(self, "signer", signer)
+        _set(self, "token", token)
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class Bottom(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Garbage:
-    data: bytes
+class Garbage(Frozen):
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        _set(self, "data", data)
 
 
 # `|` unions, here and below: typing.Union caches its arguments process-wide,
@@ -213,17 +281,21 @@ def decode_cell(obj: dict, depth: int = 0) -> CellValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Event:
-    step: int
-    proc: int
-    thread: int
-    kind: str  # reg_read | reg_write | invoke | respond | crash
-    reg: Optional[str] = None
-    value: Optional[CellValue] = None
-    op: Optional[str] = None  # Write | Read
-    arg: Optional[Payload] = None
-    ret: object = None  # SeqTuple | Bottom | DONE | raw payload
+class Event(Record):
+    __slots__ = ("step", "proc", "thread", "kind", "reg", "value", "op", "arg", "ret")
+
+    def __init__(self, step: int, proc: int, thread: int, kind: str,
+                 reg: Optional[str] = None, value: Optional[CellValue] = None,
+                 op: Optional[str] = None, arg: Optional[Payload] = None, ret: object = None):
+        self.step = step
+        self.proc = proc
+        self.thread = thread
+        self.kind = kind  # reg_read | reg_write | invoke | respond | crash
+        self.reg = reg
+        self.value = value
+        self.op = op  # Write | Read
+        self.arg = arg
+        self.ret = ret  # SeqTuple | Bottom | DONE | raw payload
 
 
 def decode_ret(obj):
@@ -309,19 +381,23 @@ def events_from_jsonl(data: bytes) -> list[Event]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Correct:
-    pass
+class Correct(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Crash:
-    at_global_step: int
+class Crash(Frozen):
+    __slots__ = ("at_global_step",)
+
+    def __init__(self, at_global_step: int):
+        _set(self, "at_global_step", at_global_step)
 
 
-@dataclass(frozen=True)
-class Malicious:
-    script: tuple  # the register accesses it issues: ("w", reg, cell) | ("r", reg)
+class Malicious(Frozen):
+    __slots__ = ("script",)
+
+    def __init__(self, script: tuple):
+        # the register accesses it issues: ("w", reg, cell) | ("r", reg)
+        _set(self, "script", script)
 
 
 FaultModel = Correct | Crash | Malicious  # a `|` union: see CellValue
@@ -337,18 +413,19 @@ def is_honest(fault: FaultModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegisterSpec:
-    reg_id: str
-    writer: int
-    readers: frozenset[int]
-    initial: CellValue
+class RegisterSpec(Frozen):
+    __slots__ = ("reg_id", "writer", "readers", "initial")
 
-    def __post_init__(self) -> None:
-        if self.writer in self.readers and len(self.readers) > 1:
+    def __init__(self, reg_id: str, writer: int, readers: frozenset[int],
+                 initial: CellValue):
+        if writer in readers and len(readers) > 1:
             # R_qq self-registers (writer == sole reader) are the one allowed
             # overlap; the paper treats them as process-local registers.
-            raise ValueError(f"{self.reg_id}: writer among multiple readers")
+            raise ValueError(f"{reg_id}: writer among multiple readers")
+        _set(self, "reg_id", reg_id)
+        _set(self, "writer", writer)
+        _set(self, "readers", readers)
+        _set(self, "initial", initial)
 
 
 def specs_by_id(specs: Iterable[RegisterSpec]) -> dict[str, RegisterSpec]:

@@ -64,7 +64,6 @@ and flip a comparison.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import Commit, Plain, Prepare, SeqTuple, Signed
@@ -131,7 +130,7 @@ def _split(x, seqs: list, memo: dict) -> tuple:
             skel, height = (_SEQ, skel), height + 1
         else:
             skel, height = [type(x)], 0
-            for f in x.__dataclass_fields__:
+            for f in x.__slots__:  # the cell's fields, in order
                 v, h = _split(getattr(x, f), own, memo)
                 skel.append(v)
                 if h > height:
@@ -199,19 +198,22 @@ def _shift(si: list, sj: list) -> Optional[dict]:
     return {h: d >> 7 for h, d in shift.items()}
 
 
-@dataclass(eq=False)
 class _Point:
     """A state the watch took, after the op's register access at step, kept
     by C-level copies. Its fingerprint and seqs are made if its hash repeats."""
 
-    step: int
-    cells: tuple  # the register cells
-    keys: tuple  # the state key items' parts
-    threads: list  # each live thread's name, head part and frame parts, by name
-    runnable: list  # the op's runnable threads
-    names: tuple  # and their names
-    fp: Optional[tuple] = None
-    seqs: Optional[list] = None  # the coded sequence numbers, in _split's order
+    __slots__ = ("step", "cells", "keys", "threads", "runnable", "names", "fp", "seqs")
+
+    def __init__(self, step: int, cells: tuple, keys: tuple, threads: list, runnable: list,
+                 names: tuple):
+        self.step = step
+        self.cells = cells  # the register cells
+        self.keys = keys  # the state key items' parts
+        self.threads = threads  # each live thread's name, head part and frame parts, by name
+        self.runnable = runnable  # the op's runnable threads
+        self.names = names  # and their names
+        self.fp: Optional[tuple] = None
+        self.seqs: Optional[list] = None  # the coded sequence numbers, in _split's order
 
 
 class Watch:

@@ -42,7 +42,6 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from typing import Generator, Iterable, Optional
 
 from . import constructions, lasso
@@ -54,9 +53,12 @@ from .core import (
     CrashedActor,
     Event,
     FaultModel,
+    Frozen,
     Malicious,
     MalformedScenario,
     Payload,
+    Record,
+    _set,
     decode_cell,
     decode_payload,
     encode_cell,
@@ -71,17 +73,21 @@ LASSO_THRESHOLD = 1_000
 DEFAULT_PER_OP_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Seeded:
-    seed: int
+class Seeded(Frozen):
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int):
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class Scripted:
+class Scripted(Frozen):
     """A prefix of the run: each pick (proc, tid) names the thread that takes
     a step. Once the picks run out the run goes on as a seed-less one does."""
 
-    picks: tuple[tuple[int, int], ...]
+    __slots__ = ("picks",)
+
+    def __init__(self, picks: tuple[tuple[int, int], ...]):
+        _set(self, "picks", picks)
 
 
 # A `|` union: typing.Union caches its arguments, which would keep every
@@ -89,49 +95,67 @@ class Scripted:
 Schedule = Seeded | Scripted
 
 
-@dataclass
-class WorkItem:
-    proc: int
-    op: str  # "write" | "read"
-    value: Optional[Payload] = None
-    after_op: Optional[int] = None
-    after_step: Optional[int] = None
+class WorkItem(Record):
+    __slots__ = ("proc", "op", "value", "after_op", "after_step")
+
+    def __init__(self, proc: int, op: str, value: Optional[Payload] = None,
+                 after_op: Optional[int] = None, after_step: Optional[int] = None):
+        self.proc = proc
+        self.op = op  # "write" | "read"
+        self.value = value
+        self.after_op = after_op
+        self.after_step = after_step
 
 
-@dataclass
-class Scenario:
-    construction: str
-    n: int
-    faults: dict[int, FaultModel]
-    workload: list[WorkItem]
-    schedule: Schedule
-    step_budget: int = DEFAULT_STEP_BUDGET
-    # Admits every op of at most this many register steps; an op that asks
-    # for one more is stopped there and stays pending.
-    per_op_budget: int = DEFAULT_PER_OP_BUDGET
+class Scenario(Record):
+    __slots__ = ("construction", "n", "faults", "workload", "schedule", "step_budget",
+                 "per_op_budget")
+
+    def __init__(self, construction: str, n: int, faults: dict[int, FaultModel],
+                 workload: list[WorkItem], schedule: Schedule,
+                 step_budget: int = DEFAULT_STEP_BUDGET,
+                 per_op_budget: int = DEFAULT_PER_OP_BUDGET):
+        self.construction = construction
+        self.n = n
+        self.faults = faults
+        self.workload = workload
+        self.schedule = schedule
+        self.step_budget = step_budget
+        # Admits every op of at most this many register steps; an op that
+        # asks for one more is stopped there and stays pending.
+        self.per_op_budget = per_op_budget
 
 
-@dataclass
-class OpResult:
-    index: int
-    proc: int
-    kind: str
-    arg: Optional[Payload]
-    invoke_step: Optional[int] = None
-    respond_step: Optional[int] = None
-    ret: object = None
-    status: str = "pending"  # completed | pending | crashed-owner
-    reason: Optional[str] = None
-    steps: int = 0
+class OpResult(Record):
+    __slots__ = ("index", "proc", "kind", "arg", "invoke_step", "respond_step", "ret",
+                 "status", "reason", "steps")
+
+    def __init__(self, index: int, proc: int, kind: str, arg: Optional[Payload],
+                 invoke_step: Optional[int] = None, respond_step: Optional[int] = None,
+                 ret: object = None, status: str = "pending",
+                 reason: Optional[str] = None, steps: int = 0):
+        self.index = index
+        self.proc = proc
+        self.kind = kind
+        self.arg = arg
+        self.invoke_step = invoke_step
+        self.respond_step = respond_step
+        self.ret = ret
+        self.status = status  # completed | pending | crashed-owner
+        self.reason = reason
+        self.steps = steps
 
     def copy(self) -> OpResult:
-        return OpResult(*vars(self).values())  # the fields, in order
+        return OpResult(self.index, self.proc, self.kind, self.arg, self.invoke_step,
+                        self.respond_step, self.ret, self.status, self.reason, self.steps)
 
 
-@dataclass
-class Trace:
-    events: list[Event]
-    ops: list[OpResult]
+class Trace(Record):
+    __slots__ = ("events", "ops")
+
+    def __init__(self, events: list[Event], ops: list[OpResult]):
+        self.events = events
+        self.ops = ops
 
 
 class _Thread:

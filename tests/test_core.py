@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import subprocess
 import sys
 import typing
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import byzregs
-from byzregs import core, sim
+from byzregs import adversary, checker, core, sim
 from byzregs.constructions import Layout
 from byzregs.core import (
     BOTTOM,
@@ -269,3 +271,94 @@ def test_a_dropped_import_is_freed(tmp_path):
     freed, first, last = done.stdout.split()[-3:]
     assert freed == "True"
     assert int(last) == int(first) > 0
+
+
+def test_importing_the_cli_builds_no_dataclass(tmp_path):
+    # A fresh process: each dataclass decoration execs its generated methods
+    # again at every import, and dataclasses brings inspect with it.
+    src = str(Path(byzregs.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, byzregs.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, cwd=tmp_path, check=True,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+# Each frozen record class with its fields, by name and in order.
+FROZEN = [
+    (SeqTuple, {"k": 1, "u": b"a"}),
+    (Commit, {"t": T}),
+    (Prepare, {"prev": T, "next": SeqTuple(2, b"b")}),
+    (Plain, {"t": T}),
+    (Signed, {"t": T, "signer": 0, "token": "0.1.x"}),
+    (Bottom, {}),
+    (Garbage, {"data": b"g"}),
+    (Correct, {}),
+    (Crash, {"at_global_step": 3}),
+    (Malicious, {"script": (("r", "R"),)}),
+    (RegisterSpec, {"reg_id": "R", "writer": 0, "readers": frozenset([1]), "initial": BOTTOM}),
+    (sim.Seeded, {"seed": 7}),
+    (sim.Scripted, {"picks": ((0, 0), (1, 0))}),
+    (adversary.WriterPhase, {"crash_after": 2}),
+    (adversary.ScriptPhase, {"proc": 1, "script": (("r", "R"),)}),
+    (adversary.FreshRead, {"proc": 2}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=[c.__name__ for c, _ in FROZEN])
+def test_frozen_records_are_values(cls, fields):
+    x = cls(**fields)
+    values = tuple(fields.values())
+    assert x == cls(*values) and not x != cls(*values)
+    assert hash(x) == hash(values)
+    assert repr(x) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in fields.items())})"
+    for f in fields or ["anything"]:
+        with pytest.raises(AttributeError):
+            setattr(x, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert x == cls(*values) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x))
+    # Equal fields in another class make another value.
+    others = [c(*values) for c, f in FROZEN
+              if c not in (cls, SeqTuple) and len(f) == len(fields)]
+    assert all(x != y and y != x for y in others)
+    if fields:
+        assert x != cls(**{**fields, list(fields)[-1]: None})
+
+
+def test_a_cell_is_not_another_cell_with_its_tuple():
+    assert Commit(T) != Plain(T)
+    assert Commit(T) == Commit(SeqTuple(1, b"a"))
+    assert len({Commit(T), Plain(T), Commit(SeqTuple(1, b"a"))}) == 2
+    assert repr(Prepare(T, T)) == "Prepare(prev=SeqTuple(k=1, u=b'a'), next=SeqTuple(k=1, u=b'a'))"
+
+
+def test_mutable_records_compare_by_fields_and_have_no_hash():
+    op = sim.OpResult(0, 1, "Read", None, invoke_step=3)
+    records = [op, sim.WorkItem(1, "read"), checker.Verdict("pass")]
+    for x in records:
+        with pytest.raises(TypeError):
+            hash(x)
+    dup = op.copy()
+    assert dup == op and dup is not op
+    dup.status, dup.steps = "completed", 2
+    assert (op.status, op.steps) == ("pending", 0) and dup != op
+    assert repr(op) == ("OpResult(index=0, proc=1, kind='Read', arg=None, invoke_step=3, "
+                        "respond_step=None, ret=None, status='pending', reason=None, steps=0)")
+    a, b = checker.Verdict("pass"), checker.Verdict("pass")
+    assert a == b and a.witnesses is not b.witnesses
+    a.witnesses.append(1)
+    assert b.witnesses == [] and a != b
+    assert sim.WorkItem(1, "read") == sim.WorkItem(proc=1, op="read", value=None)
+    assert sim.WorkItem(1, "read") != sim.WorkItem(1, "read", after_op=0)
+
+
+def test_events_compare_by_fields():
+    e = Event(3, 1, 0, "reg_read", reg="R", value=Plain(T))
+    assert e == Event(3, 1, 0, "reg_read", "R", Plain(SeqTuple(1, b"a")))
+    assert e != Event(3, 1, 0, "reg_read", reg="R", value=Commit(T))
+    assert e != Event(4, 1, 0, "reg_read", reg="R", value=Plain(T))
+    assert e != (3, 1, 0, "reg_read", "R", Plain(T), None, None, None)
+    e.step = 4
+    assert e == Event(4, 1, 0, "reg_read", reg="R", value=Plain(T))
