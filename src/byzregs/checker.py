@@ -113,10 +113,10 @@ def extract_history(ops: Iterable, faults: dict[int, FaultModel]) -> list[OpReco
     written = [U0] + [w.arg for w in writes]  # the value of v_k
     invoked_at = [-1] + [w.invoke_step for w in writes]  # and its invoke step
     history = []
+    honest = {p: is_honest(f) for p, f in faults.items()}
     for op in invoked:
-        rec = OpRecord(op.proc, op.kind, None, op.arg,
-                       invoke_step=op.invoke_step, respond_step=op.respond_step,
-                       honest=is_honest(faults.get(op.proc, Correct())))
+        rec = OpRecord(op.proc, op.kind, None, op.arg, False, op.invoke_step,
+                       op.respond_step, honest.get(op.proc, True))
         ret = op.ret
         if op.kind == "Write":
             rec.index = bisect_left(invoked_at, op.invoke_step)
@@ -291,14 +291,6 @@ def _unwrap_cells(cell: CellValue):
                 stack.append(t.u)
 
 
-def _wchan_rank(cell: CellValue) -> Optional[tuple[str, int]]:
-    if isinstance(cell, Commit):
-        return ("commit", cell.t.k)
-    if isinstance(cell, Prepare):
-        return ("prepare", cell.next.k)
-    return None
-
-
 class LayoutFacts:
     """What the invariants pass reads of a layout's specs and classes: its
     initial cells' signatures, whether reads leave writer-channel evidence, and
@@ -337,13 +329,17 @@ def validate_internal_invariants(trace, facts: LayoutFacts,
     for e in trace.events:
         if e.kind != "reg_write":
             continue
-        cell = e.value
-        if isinstance(cell, Signed) and e.proc == cell.signer and \
+        cell, proc = e.value, e.proc
+        ctype = cell.__class__
+        if ctype is Signed and proc == cell.signer and \
                 (cell.signer, cell.t) not in oracle.issued:
             oracle.sign(cell.t, cell.signer)
-        if e.proc in dishonest:
+        if proc in dishonest:
             continue
-        cls, strict, relay = regs.get(e.reg, (None, None, None))
+        fact = regs.get(e.reg)
+        if fact is None:
+            continue
+        cls, strict, relay = fact
         if cls == "wchan":
             # Strict prepare adjacency (next = prev + 1) is a fact about the
             # writer's own channel: its Write is never forked, so a write is
@@ -351,24 +347,23 @@ def validate_internal_invariants(trace, facts: LayoutFacts,
             # announce instances are written by readers whose enclosing
             # polling thread may be cancelled mid-write, which abandons a
             # counter value; only monotonicity holds there.
-            ok_form = isinstance(cell, Commit) and cell.t.k >= 1 or (
-                isinstance(cell, Prepare)
-                and (
-                    cell.next.k == cell.prev.k + 1
-                    if strict
-                    else cell.next.k > cell.prev.k
-                )
-            )
+            if ctype is Commit:
+                tag, k = "commit", cell.t.k
+                ok_form = k >= 1
+            elif ctype is Prepare:
+                tag, k, pk = "prepare", cell.next.k, cell.prev.k
+                ok_form = k == pk + 1 if strict else k > pk
+            else:
+                ok_form = False
             if not ok_form:
                 return _violated(
                     "InternalInvariant",
                     [e.step],
                     f"honest writer wrote a malformed cell into {e.reg}",
                 )
-            rank = _wchan_rank(cell)
             prev = last_wchan.get(e.reg)
             if prev is not None:
-                (pk, pkk), (tag, k) = prev, rank
+                pk, pkk = prev
                 # k strictly increases, except that a commit may repeat the
                 # k of the prepare just before it.
                 if pkk > k or pkk == k and (pk, tag) != ("prepare", "commit"):
@@ -377,13 +372,13 @@ def validate_internal_invariants(trace, facts: LayoutFacts,
                         [e.step],
                         f"writer channel {e.reg}: {tag} v_{k} after {pk} v_{pkk}",
                     )
-            last_wchan[e.reg] = rank
+            last_wchan[e.reg] = (tag, k)
         elif cls in ("pchan", "gossip", "pchan_unguarded"):
-            if not isinstance(cell, Plain):
+            if ctype is not Plain:
                 return _violated(
                     "InternalInvariant",
                     [e.step],
-                    f"honest process {e.proc} wrote a non-tuple into {e.reg}",
+                    f"honest process {proc} wrote a non-tuple into {e.reg}",
                 )
             # A guarded announce channel (previous_k) is monotone no matter
             # how the instance's writer behaves. Gossip and the unguarded
@@ -392,20 +387,21 @@ def validate_internal_invariants(trace, facts: LayoutFacts,
             # legitimately make an honest process relay decreasing numbers.
             if relay in dishonest:
                 continue
+            k = cell.t.k
             prev_k = last_mono.get(e.reg)
-            if prev_k is not None and cell.t.k < prev_k:
+            if prev_k is not None and k < prev_k:
                 return _violated(
                     "InternalInvariant",
                     [e.step],
-                    f"{e.reg}: tuple counter decreased from {prev_k} to {cell.t.k}",
+                    f"{e.reg}: tuple counter decreased from {prev_k} to {k}",
                 )
-            last_mono[e.reg] = cell.t.k
+            last_mono[e.reg] = k
         elif cls == "sig":
             if not oracle.verify(cell, WRITER):
                 return _violated(
                     "InternalInvariant",
                     [e.step],
-                    f"honest process {e.proc} wrote an invalidly signed tuple "
+                    f"honest process {proc} wrote an invalidly signed tuple "
                     f"into {e.reg}",
                 )
 

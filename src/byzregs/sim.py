@@ -27,7 +27,7 @@ the op that asks for a register access past it is stopped there, before the
 access is checked or applied. A step costs O(1) engine work beyond a fork's
 seeded insertions, a budget stop's walk over the stopped op's threads, a
 crash marker's look back for its process's last event and the lasso watch of
-a read past its watch_at steps (byzregs.lasso).
+a read past its watch_at steps (byzregs.lasso, imported at a run's first watch).
 
 A malicious process's script is the tuple of register accesses it issues,
 ("w", reg_id, cell) or ("r", reg_id); the engine resumes it like a step
@@ -44,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Generator, Iterable, Optional
 
-from . import constructions, lasso
+from . import constructions
 from .constructions import WRITER, reader_ids
 from .core import (
     AccessViolation,
@@ -261,13 +261,6 @@ class Engine:
 
     # -- events ------------------------------------------------------------
 
-    def _emit(self, proc: int, thread: int, kind: str, reg=None, value=None,
-              op=None, arg=None, ret=None) -> None:
-        events = self.events
-        events.append(Event(len(events), proc, thread, kind, reg, value, op, arg, ret))
-        if len(events) >= self._crash_at:
-            self._sweep_crashes()
-
     def _sweep_crashes(self) -> None:
         """Crash every process whose crash point is due, lowest id first. A
         crash event can make more points due; they join the same order."""
@@ -293,9 +286,11 @@ class Engine:
             if op.proc == proc and op.status == "pending":
                 op.status = "crashed-owner"
         # A crash marker is only informative once the process has acted. It
-        # has no crash event yet, and an active process acted recently.
-        if any(e.proc == proc for e in reversed(self.events)):
-            self._emit(proc, -1, "crash")
+        # has no crash event yet, and an active process acted recently. The
+        # caller, _sweep_crashes, takes up the crash points the marker makes due.
+        events = self.events
+        if any(e.proc == proc for e in reversed(events)):
+            events.append(Event(len(events), proc, -1, "crash"))
 
     # -- threads -----------------------------------------------------------
 
@@ -312,15 +307,18 @@ class Engine:
         gen: Generator,
         index: Optional[int] = None,
     ) -> OpResult:
-        op = OpResult(index=index if index is not None else len(self.ops),
-                      proc=proc, kind=kind, arg=arg)
-        t = _Thread(proc, self._new_tid(proc), gen, op)
-        self.threads[(proc, t.tid)] = t
-        op.invoke_step = len(self.events)
+        events, ops, tids = self.events, self.ops, self._tid_counters
+        step = len(events)
+        op = OpResult(len(ops) if index is None else index, proc, kind, arg, step)
+        tid = tids.get(proc, 0)
+        tids[proc] = tid + 1
+        t = self.threads[(proc, tid)] = _Thread(proc, tid, gen, op)
         # Listed before its invoke, so a crash point the invoke reaches
         # marks the op crashed-owner.
-        self.ops.append(op)
-        self._emit(proc, t.tid, "invoke", None, None, kind, arg)
+        ops.append(op)
+        events.append(Event(step, proc, tid, "invoke", None, None, kind, arg))
+        if step + 1 >= self._crash_at:
+            self._sweep_crashes()
         self.queue.append(t)
         return op
 
@@ -351,11 +349,15 @@ class Engine:
         if t.frame is None:
             op = t.op
             if op is not None and op.status == "pending":
+                events = self.events
+                step = op.respond_step = len(events)
                 op.status = "completed"
                 op.ret = value
-                op.respond_step = len(self.events)
                 self.changed = True
-                self._emit(t.owner, t.tid, "respond", None, None, op.kind, None, value)
+                events.append(Event(step, t.owner, t.tid, "respond", None, None, op.kind,
+                                    None, value))
+                if step + 1 >= self._crash_at:
+                    self._sweep_crashes()
             return
         fr = t.frame
         if fr.resolved:
@@ -506,7 +508,9 @@ class Engine:
                     or op.kind != "Read":
                 continue
             if watch is None:
-                watch = lasso.Watch(self, t)
+                # Imported here: most runs never watch a read.
+                from .lasso import Watch
+                watch = Watch(self, t)
             ahead = self._crash_at != float("inf") or \
                 (admission is not None and admission.gate != float("inf"))
             reason = watch.observe(t, before, ahead)
@@ -519,59 +523,63 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_scenario(s: Scenario) -> None:
-    if not isinstance(s.construction, str):
-        raise MalformedScenario(f"construction must be a name, not {s.construction!r}")
-    constructions.check_n(s.construction, s.n)
-    procs = {WRITER, *reader_ids(s.n)}
-    if isinstance(s.schedule, Seeded):
-        ints = [s.schedule.seed]
+    construction, n, faults, schedule = s.construction, s.n, s.faults, s.schedule
+    if not isinstance(construction, str):
+        raise MalformedScenario(f"construction must be a name, not {construction!r}")
+    constructions.check_n(construction, n)
+    procs = {WRITER, *reader_ids(n)}
+    if isinstance(schedule, Seeded):
+        ints = [schedule.seed]
     else:
-        ints = [x for pick in s.schedule.picks for x in pick]
-    if not all(map(_is_int, ints)):
+        ints = [x for pick in schedule.picks for x in pick]
+    # type(x) is int: a bool is no integer here.
+    if not all(type(x) is int for x in ints):
         raise MalformedScenario("schedule seed and picks must be integers")
     for name in ("step_budget", "per_op_budget"):
         budget = getattr(s, name)
-        if not _is_int(budget) or budget <= 0:
+        if type(budget) is not int or budget <= 0:
             raise MalformedScenario(f"{name} must be a positive integer, not {budget!r}")
     if not s.workload:
         raise MalformedScenario("workload has no items")
-    if not all(_is_int(p) and p in procs for p in s.faults):
+    if not all(type(p) is int and p in procs for p in faults):
         raise MalformedScenario("fault map references undeclared processes")
-    for proc, fault in s.faults.items():
+    for proc, fault in faults.items():
         if isinstance(fault, Crash) and not (
-                _is_int(fault.at_global_step) and fault.at_global_step >= 0):
+                type(fault.at_global_step) is int and fault.at_global_step >= 0):
             raise MalformedScenario(
                 f"crash step of process {proc} must be a non-negative integer")
+    malicious = {p for p, f in faults.items() if not is_honest(f)}
     for i, item in enumerate(s.workload):
-        for name in ("proc", "after_op", "after_step"):
-            value = getattr(item, name)
-            if not (_is_int(value) or (value is None and name != "proc")):
-                raise MalformedScenario(
-                    f"workload[{i}]: {name} must be an integer, not {value!r}"
-                )
-        if (item.after_step or 0) < 0:
-            raise MalformedScenario(f"workload[{i}]: after_step must not be negative")
-        if item.proc not in procs:
-            raise MalformedScenario(f"workload[{i}] references process {item.proc}")
-        if not is_honest(s.faults.get(item.proc, Correct())):
+        proc, op, after_op, after_step = item.proc, item.op, item.after_op, item.after_step
+        if type(proc) is not int:
+            raise MalformedScenario(f"workload[{i}]: proc must be an integer, not {proc!r}")
+        if after_op is not None and type(after_op) is not int:
             raise MalformedScenario(
-                f"workload[{i}]: malicious process {item.proc} may only act "
+                f"workload[{i}]: after_op must be an integer, not {after_op!r}")
+        if after_step is not None and type(after_step) is not int:
+            raise MalformedScenario(
+                f"workload[{i}]: after_step must be an integer, not {after_step!r}")
+        if after_step is not None and after_step < 0:
+            raise MalformedScenario(f"workload[{i}]: after_step must not be negative")
+        if proc not in procs:
+            raise MalformedScenario(f"workload[{i}] references process {proc}")
+        if proc in malicious:
+            raise MalformedScenario(
+                f"workload[{i}]: malicious process {proc} may only act "
                 "through its script"
             )
-        if item.op == "write" and item.proc != WRITER:
-            raise MalformedScenario(f"workload[{i}]: only the writer writes")
-        if item.op == "write" and item.value is None:
-            raise MalformedScenario(f"workload[{i}]: a write needs a value")
-        if item.op == "read" and item.proc == WRITER:
-            raise MalformedScenario(f"workload[{i}]: the writer does not read")
-        if item.op not in ("write", "read"):
-            raise MalformedScenario(f"workload[{i}]: unknown op {item.op!r}")
-        if item.after_op is not None and not (0 <= item.after_op < i):
+        if op == "write":
+            if proc != WRITER:
+                raise MalformedScenario(f"workload[{i}]: only the writer writes")
+            if item.value is None:
+                raise MalformedScenario(f"workload[{i}]: a write needs a value")
+        elif op == "read":
+            if proc == WRITER:
+                raise MalformedScenario(f"workload[{i}]: the writer does not read")
+        else:
+            raise MalformedScenario(f"workload[{i}]: unknown op {op!r}")
+        if after_op is not None and not 0 <= after_op < i:
             raise MalformedScenario(f"workload[{i}]: after_op must name an earlier op")
 
 
@@ -608,10 +616,6 @@ class _Admission:
                              if item.after_step is not None}, reverse=True)
         self.gate = self.gates.pop() if self.gates else float("inf")
 
-    def _open(self, proc: int) -> bool:
-        last = self.last_op.get(proc)
-        return proc in self.eng.crashed or last is None or last.status != "pending"
-
     def _push_after(self, heap: list, proc: int, i: int) -> None:
         """Queue proc's first unspawned item with index above i."""
         items = self.waiting[proc]
@@ -626,17 +630,19 @@ class _Admission:
         while len(eng.events) >= self.gate:
             self.gate = self.gates.pop() if self.gates else float("inf")
         eng.changed = False
+        crashed, last_op = eng.crashed, self.last_op
+        # A process is open once it crashed or its last op is not pending.
         heap = [(items[0], proc) for proc, items in self.waiting.items()
-                if items and self._open(proc)]
+                if items and (proc in crashed or (last := last_op.get(proc)) is None
+                              or last.status != "pending")]
         heapq.heapify(heap)
         did = False
         while heap:
             i, proc = heapq.heappop(heap)
             item = self.workload[i]
-            if proc in eng.crashed:
-                op = OpResult(index=i, proc=proc,
-                              kind="Write" if item.op == "write" else "Read",
-                              arg=item.value, status="crashed-owner")
+            if proc in crashed:
+                op = OpResult(i, proc, "Write" if item.op == "write" else "Read",
+                              item.value, None, None, None, "crashed-owner")
                 eng.ops.append(op)
                 self._record(i, op)
                 self._push_after(heap, proc, i)
@@ -650,16 +656,16 @@ class _Admission:
                     and not quiescent:
                 self._push_after(heap, proc, i)
                 continue
-            crashed_before = len(eng.crashed)
+            crashed_before = len(crashed)
             op = eng.spawn_write(item.value, i) if item.op == "write" \
                 else eng.spawn_read(proc, i)
             self._record(i, op)
             did = True
-            if len(eng.crashed) != crashed_before:
+            if len(crashed) != crashed_before:
                 # The invoke event reached a crash point: the crashed
                 # processes' later items are marked in this pass.
                 queued = {q for _, q in heap}
-                for q in eng.crashed:
+                for q in crashed:
                     if q not in queued and q in self.waiting:
                         self._push_after(heap, q, i)
         return did

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -402,6 +404,26 @@ def test_blocking_boundary_scenario_runs_deterministically(tmp_path):
     assert results[0] == results[1]
     verdicts = json.loads(results[0][1].decode())
     assert "outside guarantee" in verdicts["wait_freedom"]["explanation"]
+
+
+def test_the_lasso_watch_is_imported_at_a_runs_first_watch(tmp_path):
+    # A fresh process: importing the CLI leaves byzregs.lasso unloaded, and
+    # the blocking scenario's watched read loads it and still stops at its lasso.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, byzregs.cli\n"
+        "from byzregs import sim\n"
+        "print('byzregs.lasso' in sys.modules)\n"
+        f"trace = sim.run(sim.load_scenario({os.path.abspath(SCENARIOS)!r} + "
+        "'/blocking_boundary.json'))\n"
+        "print('byzregs.lasso' in sys.modules)\n"
+        "print([op.reason for op in trace.ops if op.proc == 3])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, check=True,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.stdout.splitlines() == [
+        "False", "True", "['blocked (lasso 1008..1010)']"]
 
 
 def test_scripted_crash_at_the_writers_invoke_leaves_nothing_pending(tmp_path):

@@ -656,6 +656,20 @@ def test_due_crashes_go_lowest_process_first():
     assert crashes == [(8, 1), (9, 2), (10, 3)]
 
 
+def test_a_crash_point_just_past_a_respond_crashes_before_admission():
+    # The writer's crash point is the event count just past its first
+    # write's respond: the write stays completed, the crash event follows
+    # the respond, and the second write is never invoked.
+    writes = [sim.WorkItem(0, "write", value=b"a"), sim.WorkItem(0, "write", value=b"b")]
+    r = sim.run(scenario(workload=writes)).ops[0].respond_step
+    tr = sim.run(scenario(faults={0: Crash(r + 1)}, workload=writes))
+    first, second = tr.ops
+    assert (first.status, first.respond_step) == ("completed", r)
+    assert [(e.step, e.proc, e.kind) for e in tr.events[r:]] == [
+        (r, 0, "respond"), (r + 1, 0, "crash")]
+    assert (second.status, second.invoke_step) == ("crashed-owner", None)
+
+
 def test_access_closure_over_real_traces():
     # No event may reference a (register, actor) pair outside the declared
     # writer/reader sets.
